@@ -7,6 +7,9 @@ vectors), and the commutator residual is reported independently so that
 divergence at tolerance boundaries is visible rather than hidden.
 
 EP-ness is defined for endomorphisms only: non-square input is rejected.
+
+``range_corange_test`` is the one EP decision: every predicate here, and
+every verifier that holds a factorization, reads its verdict from it.
 """
 
 from __future__ import annotations
@@ -20,15 +23,17 @@ from .core import (
     SvdFactorization,
     ToleranceConfig,
     as_matrix,
+    norm2,
     operator_norm,
     require_square,
     svd,
 )
-from .pinv import spectral_radius
+from .pinv import pseudoinverse_of, spectral_radius
 from .subspace import (
-    OrthonormalBasis,
-    inclusion_residual,
+    carrier_basis_of,
+    columns_inclusion_residual,
     projector_gap,
+    range_basis_of,
 )
 
 
@@ -53,17 +58,31 @@ class ClassificationReport:
     zero_operator: bool
 
 
-def _range_and_corange(fact: SvdFactorization) -> tuple[OrthonormalBasis, OrthonormalBasis]:
-    """Range of M and range of M* from the same factorization.
+def range_corange_test(fact: SvdFactorization, tol: ToleranceConfig = DEFAULT_TOL):
+    """``(is_ep, is_hypo_ep)``: is range(M) inside range(M*), and the reverse?
 
     M = U S V* gives M* = V S U*, so the right singular vectors above the
-    cutoff span the adjoint's range; a single rank decision covers both.
+    cutoff span the adjoint's range and a single rank decision covers both
+    ranges.  range(M) lies in range(M*) when ||(I - V_r V_r*) U_r|| is at
+    most eq_atol (hypo-EP); EP adds the reverse inclusion.  Takes one
+    factorization (two bools) or the factorization of a stack (two bool
+    arrays, one entry per matrix).
     """
-    r = fact.numerical_rank
-    return (
-        OrthonormalBasis(fact.rows, fact.left_vectors[:, :r].copy()),
-        OrthonormalBasis(fact.cols, fact.right_vectors[:, :r].copy()),
-    )
+    forward = np.zeros(np.shape(fact.numerical_rank))
+    backward = np.zeros_like(forward)
+    for r, idx in fact.rank_groups():
+        if r:
+            u = fact.left_vectors[idx][..., :r]
+            v = fact.right_vectors[idx][..., :r]
+            forward[idx] = columns_inclusion_residual(u, v)
+            # The reverse inclusion only decides matrices that pass this one.
+            if (forward[idx] <= tol.eq_atol).any():
+                backward[idx] = columns_inclusion_residual(v, u)
+    hypo = forward <= tol.eq_atol
+    ep = hypo & (backward <= tol.eq_atol)
+    if ep.ndim == 0:
+        return bool(ep), bool(hypo)
+    return ep, hypo
 
 
 def is_ep(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -73,11 +92,7 @@ def is_ep(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     automatic in finite dimension and therefore not a separate check.
     """
     m = require_square(as_matrix(matrix))
-    rng, corng = _range_and_corange(svd(m, tol))
-    return (
-        inclusion_residual(rng, corng) <= tol.eq_atol
-        and inclusion_residual(corng, rng) <= tol.eq_atol
-    )
+    return range_corange_test(svd(m, tol), tol)[0]
 
 
 def is_hypo_ep(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -88,15 +103,14 @@ def is_hypo_ep(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     operator-theoretic notions differ.
     """
     m = require_square(as_matrix(matrix))
-    rng, corng = _range_and_corange(svd(m, tol))
-    return inclusion_residual(rng, corng) <= tol.eq_atol
+    return range_corange_test(svd(m, tol), tol)[1]
 
 
 def is_normal(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff M M* - M* M vanishes within eq_atol * (1 + ||M||^2)."""
     m = require_square(as_matrix(matrix))
     madj = m.conj().T
-    residual = float(np.linalg.norm(m @ madj - madj @ m, 2))
+    residual = norm2(m @ madj - madj @ m)
     norm = operator_norm(m)
     return residual <= tol.eq_atol * (1.0 + norm * norm)
 
@@ -113,19 +127,10 @@ def classify(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> ClassificationReport
     r = fact.numerical_rank
     dim = m.shape[0]
 
-    rng, corng = _range_and_corange(fact)
-    fwd = inclusion_residual(rng, corng)
-    bwd = inclusion_residual(corng, rng)
-    ep = fwd <= tol.eq_atol and bwd <= tol.eq_atol
-    hypo = fwd <= tol.eq_atol
-
+    ep, hypo = range_corange_test(fact, tol)
     gamma = float(fact.singular_values[r - 1]) if r > 0 else 0.0
-    if r > 0:
-        inv_sigma = 1.0 / fact.singular_values[:r]
-        mp = (fact.right_vectors[:, :r] * inv_sigma) @ fact.left_vectors[:, :r].conj().T
-    else:
-        mp = np.zeros_like(m)
-    commutator = float(np.linalg.norm(mp @ m - m @ mp, 2))
+    mp = pseudoinverse_of(fact)
+    commutator = norm2(mp @ m - m @ mp)
 
     return ClassificationReport(
         dim=dim,
@@ -136,6 +141,6 @@ def classify(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> ClassificationReport
         gamma=gamma,
         spectral_radius=spectral_radius(m, tol),
         commutator_residual=commutator,
-        range_gap=projector_gap(rng, corng),
+        range_gap=projector_gap(range_basis_of(fact), carrier_basis_of(fact)),
         zero_operator=r == 0,
     )

@@ -6,6 +6,13 @@ decisions stay mutually consistent.  LAPACK, via numpy, supplies the
 similarity-reduction iterations; the test suite pins accuracy against
 independent characteristic-polynomial and residual oracles.
 
+``svd`` and ``norm2`` take one matrix or a stack of matrices (a 3-D array
+whose trailing two axes hold each matrix); a stack costs one LAPACK call
+from Python instead of one per matrix, and gives each matrix the same bits
+as factoring it alone.  ``norm2`` is the package's only spectral norm: it
+reads sigma_1 from the singular-value-only kernel, the same routine and the
+same bits as ``np.linalg.norm(x, 2)`` without that function's axis handling.
+
 All functions are pure: inputs are validated, never mutated, and returned
 arrays are fresh.  Values are safe to share across threads.
 """
@@ -62,17 +69,21 @@ def as_matrix(values) -> np.ndarray:
     Rejects non-2-D input, empty axes, dimensions beyond MAX_DIM, and
     non-finite entries.
     """
+    return _validated(values, "a 2-D matrix", (2,))
+
+
+def _validated(values, expected: str, ndims: tuple[int, ...]) -> np.ndarray:
     m = np.array(values, dtype=np.complex128, copy=True)
-    if m.ndim != 2:
-        raise InvalidDimension(f"expected a 2-D matrix, got ndim={m.ndim}")
-    rows, cols = m.shape
-    if rows < 1 or cols < 1:
+    if m.ndim not in ndims:
+        raise InvalidDimension(f"expected {expected}, got ndim={m.ndim}")
+    rows, cols = m.shape[-2:]
+    if m.size == 0:
         raise InvalidDimension(f"matrix axes must be positive, got {m.shape}")
     if rows > MAX_DIM or cols > MAX_DIM:
         raise InvalidDimension(
             f"matrix of shape {m.shape} exceeds the {MAX_DIM}x{MAX_DIM} cap"
         )
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():  # complex entries: both parts finite
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return m
 
@@ -92,20 +103,38 @@ class SvdFactorization:
     non-increasing, and ``numerical_rank`` counts those above
     rank_rtol * sigma_1.  Column blocks of the two unitary factors give
     orthonormal bases of the four fundamental subspaces.
+
+    The factorization of a stack of k matrices has a leading axis of length
+    k on every array, and ``numerical_rank`` is then an int array of the k
+    ranks; the basis methods below apply to a single matrix only.
     """
 
     left_vectors: np.ndarray
     singular_values: np.ndarray
     right_vectors: np.ndarray
-    numerical_rank: int
+    numerical_rank: int | np.ndarray
 
     @property
     def rows(self) -> int:
-        return self.left_vectors.shape[0]
+        return self.left_vectors.shape[-1]
 
     @property
     def cols(self) -> int:
-        return self.right_vectors.shape[0]
+        return self.right_vectors.shape[-1]
+
+    def rank_groups(self) -> list[tuple[int, object]]:
+        """``(rank, index)`` pairs, one per distinct numerical rank.
+
+        ``index`` selects the matrices of that rank along the leading axis
+        (``()`` selects everything), so kernels that slice the factors to
+        the rank run once per group, not once per matrix.
+        """
+        ranks = self.numerical_rank
+        if np.ndim(ranks) == 0:
+            return [(int(ranks), ())]
+        if (ranks == ranks[0]).all():
+            return [(int(ranks[0]), ())]
+        return [(int(r), np.flatnonzero(ranks == r)) for r in np.unique(ranks)]
 
     def range_vectors(self) -> np.ndarray:
         """Orthonormal columns spanning the range (column space)."""
@@ -142,25 +171,25 @@ def multiply(a, b) -> np.ndarray:
 
 
 def svd(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> SvdFactorization:
-    """Full SVD with rank thresholded at rank_rtol * sigma_1.
+    """Full SVD of a matrix or a stack, with rank thresholded at rank_rtol * sigma_1.
 
+    A stack is a 3-D array, or a sequence of equally shaped matrices, with
+    the matrices along its leading axis; each is validated as by as_matrix.
     The zero matrix yields numerical_rank 0 (empty range basis).  Raises
     ConvergenceFailure if the underlying iteration does not converge.
     """
-    m = as_matrix(matrix)
+    m = _validated(matrix, "a 2-D matrix or a 3-D stack of matrices", (2, 3))
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD did not converge for shape {m.shape}") from exc
-    if s.size and s[0] > 0.0:
-        rank = int(np.count_nonzero(s > tol.rank_rtol * s[0]))
-    else:
-        rank = 0
+    # All-zero singular values (the zero matrix) count nothing above 0.
+    rank = (s > tol.rank_rtol * s[..., :1]).sum(axis=-1)
     return SvdFactorization(
         left_vectors=u,
         singular_values=s,
-        right_vectors=vh.conj().T,
-        numerical_rank=rank,
+        right_vectors=vh.conj().swapaxes(-1, -2),
+        numerical_rank=int(rank) if m.ndim == 2 else rank,
     )
 
 
@@ -207,7 +236,16 @@ def eigenvalues(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return vals[order].copy()
 
 
+def norm2(x: np.ndarray):
+    """Spectral norm of a matrix (a float), or of each matrix in a stack (an array).
+
+    No validation: callers pass arrays they built.  Same bits as
+    np.linalg.norm(x, 2), which runs the same kernel.
+    """
+    sigma1 = np.linalg.svd(x, compute_uv=False)[..., 0]
+    return float(sigma1) if sigma1.ndim == 0 else sigma1
+
+
 def operator_norm(matrix) -> float:
     """Spectral norm (largest singular value); 0.0 for the zero matrix."""
-    m = as_matrix(matrix)
-    return float(np.linalg.norm(m, 2))
+    return norm2(as_matrix(matrix))

@@ -11,6 +11,14 @@ from the matching family and rejecting instances from a control family.  A
 trial fails when a boolean claim is violated or a residual exceeds ten times
 eq_atol at its natural scale; residuals between eq_atol and that threshold
 are counted as warnings, not failures.
+
+Sequence verifiers (thm1.5, thm3.2) hold their whole window as one stack of
+matrices, a 3-D array with the terms along the leading axis.  One stacked
+SVD factors every term, pseudoinverses are assembled per group of equal
+rank, and each diagnostic over the window (norms of the pseudoinverses, of
+their gaps to the limit, of successive differences) is one stacked norm2
+call.  Stacked kernels give each term the bits it gets on its own, so the
+verdicts and residuals are those of a term-by-term loop.
 """
 
 from __future__ import annotations
@@ -20,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import (
     DEFAULT_TOL,
@@ -30,6 +37,7 @@ from .core import (
     adjoint,
     as_matrix,
     eigenvalues,
+    norm2,
     operator_norm,
     svd,
 )
@@ -40,7 +48,7 @@ from .errors import (
     NotHermitian,
     UnknownTheorem,
 )
-from .classify import classify, is_ep, is_hypo_ep
+from .classify import classify, is_ep, is_hypo_ep, range_corange_test
 from .models import harmonic_truncation
 from .pinv import (
     direct_sum,
@@ -51,8 +59,7 @@ from .pinv import (
 )
 from .serialize import matrix_to_payload
 from .subspace import (
-    OrthonormalBasis,
-    inclusion_residual,
+    carrier_basis_of,
     null_basis_of,
     projector_gap,
     range_basis_of,
@@ -254,7 +261,7 @@ def _gen_commuting_pair(rng, dim, rank, cond, tol) -> tuple[np.ndarray, np.ndarr
     t = _gen_ep(rng, dim, rank, cond, tol)
     s = _random_poly_in(rng, t)
     scale = (1.0 + operator_norm(s)) * (1.0 + operator_norm(t))
-    if float(np.linalg.norm(s @ t - t @ s, 2)) > 10.0 * tol.eq_atol * scale:
+    if norm2(s @ t - t @ s) > 10.0 * tol.eq_atol * scale:
         raise GenerationError("commuting_pair self-validation failed")
     return t, s
 
@@ -282,7 +289,7 @@ def _gen_perturbation_pair(
         p_carrier = fact.right_vectors[:, :r] @ fact.right_vectors[:, :r].conj().T
         confined = p_range @ g @ p_carrier
         gamma = float(fact.singular_values[r - 1]) if r else 0.0
-        norm_confined = float(np.linalg.norm(confined, 2))
+        norm_confined = norm2(confined)
         eps = 0.8 * bound * gamma / max(norm_confined, 1e-300)
         s = eps * confined
     ta = adjoint(t)
@@ -352,7 +359,7 @@ def psd_dominates(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     norm_a = operator_norm(am)
     for name, m in (("first", am), ("second", bm)):
         scale = 1.0 + operator_norm(m)
-        if float(np.linalg.norm(m - m.conj().T, 2)) > tol.eq_atol * scale:
+        if norm2(m - m.conj().T) > tol.eq_atol * scale:
             raise NotHermitian(f"{name} argument is not Hermitian within tolerance")
     diff = am - bm
     diff = (diff + diff.conj().T) / 2.0
@@ -381,10 +388,6 @@ class _Ctx:
     tol: ToleranceConfig
     pspec: PerturbationSpec
     details: dict = field(default_factory=dict)
-
-
-def _norm2(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x, 2))
 
 
 def _residual_trial(
@@ -420,16 +423,11 @@ def _gen_for(ctx: _Ctx, rng, family: str, rank: int | None = None, cond: float |
     raise InvalidSpec(f"unsupported internal family {family!r}")
 
 
-def _ep_from_fact(fact: SvdFactorization, tol: ToleranceConfig) -> bool:
-    rng_b = OrthonormalBasis(fact.rows, fact.range_vectors())
-    corng_b = OrthonormalBasis(fact.cols, fact.carrier_vectors())
-    return (
-        inclusion_residual(rng_b, corng_b) <= tol.eq_atol
-        and inclusion_residual(corng_b, rng_b) <= tol.eq_atol
-    )
-
-
 def _multiset_gap(xs: np.ndarray, ys: np.ndarray) -> float:
+    # Imported here: scipy.optimize costs more start-up time than the rest
+    # of epkit, and only thm2.7 needs it.
+    from scipy.optimize import linear_sum_assignment
+
     if xs.size != ys.size:
         raise DimensionMismatch("multisets must have equal cardinality")
     if xs.size == 0:
@@ -478,9 +476,9 @@ def _check_thm2_2(ctx: _Ctx, rng, t: int) -> _Trial:
     ep_d = is_ep(d, tol)
     dp = pseudoinverse(d, tol)
     block = direct_sum(pseudoinverse(a, tol), pseudoinverse(b, tol))
-    pinv_resid = _norm2(dp - block)
+    pinv_resid = norm2(dp - block)
     norm_scale = 1.0 + operator_norm(a) + operator_norm(b)
-    pinv_scale = norm_scale + _norm2(block)
+    pinv_scale = norm_scale + norm2(block)
 
     gamma_a = reduced_min_modulus(a, tol)
     gamma_b = reduced_min_modulus(b, tol)
@@ -521,12 +519,7 @@ def _check_thm2_4(ctx: _Ctx, rng, t: int) -> _Trial:
     family = "ep" if t % 2 == 0 else "non_ep"
     m = _gen_for(ctx, rng, family)
     fact = svd(m, ctx.tol)
-    rng_b = range_basis_of(fact)
-    car_b = OrthonormalBasis(fact.cols, fact.carrier_vectors())
-    cond = (
-        inclusion_residual(rng_b, car_b) <= ctx.tol.eq_atol
-        and inclusion_residual(car_b, rng_b) <= ctx.tol.eq_atol
-    )
+    cond = range_corange_test(fact, ctx.tol)[0]
     ep = is_ep(m, ctx.tol)
     expected = family == "ep"
     if cond != expected or ep != expected:
@@ -534,7 +527,8 @@ def _check_thm2_4(ctx: _Ctx, rng, t: int) -> _Trial:
                       payload={"T": m},
                       note=f"range==carrier is {cond}, is_ep is {ep}, expected {expected}")
     if expected:
-        return _residual_trial(projector_gap(rng_b, car_b), 1.0, ctx.tol, payload={"T": m})
+        gap = projector_gap(range_basis_of(fact), carrier_basis_of(fact))
+        return _residual_trial(gap, 1.0, ctx.tol, payload={"T": m})
     return _Trial(True, 0.0, direction="reject")
 
 
@@ -546,8 +540,8 @@ def _check_thm2_5(ctx: _Ctx, rng, t: int) -> _Trial:
         t_mat, s = _gen_commuting_pair(rng, ctx.spec.dim, ctx.spec.rank,
                                        ctx.spec.condition_bound, tol)
         tp = pseudoinverse(t_mat, tol)
-        resid = _norm2(s @ tp - tp @ s)
-        scale = (1.0 + operator_norm(s)) * (1.0 + _norm2(tp))
+        resid = norm2(s @ tp - tp @ s)
+        scale = (1.0 + operator_norm(s)) * (1.0 + norm2(tp))
         return _residual_trial(resid, scale, tol, payload={"T": t_mat, "S": s})
     if kind == 1:
         t_mat = _gen_for(ctx, rng, "ep")
@@ -563,9 +557,9 @@ def _check_thm2_5(ctx: _Ctx, rng, t: int) -> _Trial:
             )
             s = s + vn @ g @ vn.conj().T
         tp = pseudoinverse(t_mat, tol)
-        premise = _norm2(s @ tp - tp @ s)
-        conclusion = _norm2(s @ t_mat - t_mat @ s)
-        scale = (1.0 + operator_norm(s)) * (1.0 + operator_norm(t_mat) + _norm2(tp))
+        premise = norm2(s @ tp - tp @ s)
+        conclusion = norm2(s @ t_mat - t_mat @ s)
+        scale = (1.0 + operator_norm(s)) * (1.0 + operator_norm(t_mat) + norm2(tp))
         return _residual_trial(max(premise, conclusion), scale, tol,
                                payload={"T": t_mat, "S": s})
     t_mat = _gen_for(ctx, rng, "ep")
@@ -574,12 +568,12 @@ def _check_thm2_5(ctx: _Ctx, rng, t: int) -> _Trial:
     s = None
     for _ in range(8):
         cand = rng.standard_normal(t_mat.shape) + 1j * rng.standard_normal(t_mat.shape)
-        if _norm2(cand @ t_mat - t_mat @ cand) > floor * (1.0 + _norm2(cand)):
+        if norm2(cand @ t_mat - t_mat @ cand) > floor * (1.0 + norm2(cand)):
             s = cand
             break
     if s is None:
         raise GenerationError("could not draw a non-commuting control operator")
-    ok = _norm2(s @ tp - tp @ s) > ctx.tol.eq_atol
+    ok = norm2(s @ tp - tp @ s) > ctx.tol.eq_atol
     return _Trial(ok, 0.0 if ok else 1.0, direction="reject",
                   payload=None if ok else {"T": t_mat, "S": s},
                   note=None if ok else "non-commuting S commutes with the pseudoinverse")
@@ -597,7 +591,7 @@ def _check_thm2_6(ctx: _Ctx, rng, t: int) -> _Trial:
         for _ in (2, 3, 4):
             power = power @ m
             fact_n = svd(power, tol)
-            if not _ep_from_fact(fact_n, tol):
+            if not range_corange_test(fact_n, tol)[0]:
                 return _Trial(False, 1.0, payload={"T": m},
                               note="a power of an EP matrix failed the EP test")
             worst = max(worst, projector_gap(range_basis_of(fact_n), base))
@@ -605,7 +599,7 @@ def _check_thm2_6(ctx: _Ctx, rng, t: int) -> _Trial:
     m = _gen_for(ctx, rng, "non_ep", cond=30.0)
     sq = m @ m
     fact_sq = svd(sq, tol)
-    sq_ep = _ep_from_fact(fact_sq, tol)
+    sq_ep = range_corange_test(fact_sq, tol)[0]
     same_range = projector_gap(range_basis_of(fact_sq), range_basis_of(svd(m, tol))) <= ctx.tol.eq_atol
     ok = not (sq_ep and same_range)
     return _Trial(ok, 0.0 if ok else 1.0, direction="reject",
@@ -688,7 +682,7 @@ def _check_thm2_12(ctx: _Ctx, rng, t: int) -> _Trial:
         projector_gap(null_basis_of(fact_p), null_basis_of(fact_t)) <= tol.eq_atol
     )
     conds = range_same and null_same
-    ep_p = _ep_from_fact(fact_p, tol)
+    ep_p = range_corange_test(fact_p, tol)[0]
     payload = {"S": s, "T": t_mat}
     direction = "accept" if conds else "reject"
     if ep_p != conds:
@@ -735,7 +729,7 @@ def _check_thm2_15(ctx: _Ctx, rng, t: int) -> _Trial:
         projector_gap(base, modulus_range) <= tol.eq_atol
         and projector_gap(base, half_range) <= tol.eq_atol
     )
-    ep = _ep_from_fact(fact_m, tol)
+    ep = range_corange_test(fact_m, tol)[0]
     if family == "ep":
         ok = hyp and ep
         return _Trial(ok, 0.0 if ok else 1.0, payload=None if ok else {"T": m},
@@ -796,8 +790,8 @@ def _check_thm2_19(ctx: _Ctx, rng, t: int) -> _Trial:
     mp = pseudoinverse(m, tol)
     madj = adjoint(m)
     madj_p = pseudoinverse(madj, tol)
-    r1 = _norm2(m @ (eye - m @ mp))
-    r2 = _norm2(madj @ (eye - madj @ madj_p))
+    r1 = norm2(m @ (eye - m @ mp))
+    r2 = norm2(madj @ (eye - madj @ madj_p))
     scale = 1.0 + operator_norm(m)
     pred = r1 <= tol.eq_atol * scale and r2 <= tol.eq_atol * scale
     ep = is_ep(m, tol)
@@ -824,35 +818,28 @@ def _window_conditions(
     """
     limit_pinv = pseudoinverse(limit, tol)
     limit_proj = limit_pinv @ limit
-    pinv_norms = []
-    gaps = []
-    proj_gaps = []
-    prev = None
-    successive = []
-    for term in terms:
-        tp = pseudoinverse(term, tol)
-        pinv_norms.append(_norm2(tp))
-        gaps.append(_norm2(tp - limit_pinv))
-        proj_gaps.append(_norm2(tp @ term - limit_proj))
-        if prev is not None:
-            successive.append(_norm2(tp - prev))
-        prev = tp
-    sup_norm = max(pinv_norms)
-    growth_ratio = sup_norm / max(min(pinv_norms), 1e-300)
+    window = np.stack(terms)
+    pinvs = pseudoinverse(window, tol)
+    pinv_norms = norm2(pinvs)
+    gaps = norm2(pinvs - limit_pinv)
+    proj_gaps = norm2(pinvs @ window - limit_proj)
+    successive = norm2(pinvs[1:] - pinvs[:-1])
+    sup_norm = float(pinv_norms.max())
+    growth_ratio = sup_norm / max(float(pinv_norms.min()), 1e-300)
     cond_c = growth_ratio <= 10.0
-    cond_a = gaps[-1] <= max(0.25 * gaps[0], 10.0 * tol.eq_atol * (1.0 + sup_norm))
-    cond_b = proj_gaps[-1] <= max(0.25 * proj_gaps[0], 10.0 * tol.eq_atol * 2.0)
+    cond_a = bool(gaps[-1] <= max(0.25 * gaps[0], 10.0 * tol.eq_atol * (1.0 + sup_norm)))
+    cond_b = bool(proj_gaps[-1] <= max(0.25 * proj_gaps[0], 10.0 * tol.eq_atol * 2.0))
     diag = {
         "window": len(terms),
-        "sup_pinv_norm": float(sup_norm),
-        "pinv_norm_growth_ratio": float(growth_ratio),
+        "sup_pinv_norm": sup_norm,
+        "pinv_norm_growth_ratio": growth_ratio,
         "first_pinv_gap": float(gaps[0]),
         "final_pinv_gap": float(gaps[-1]),
         "final_projector_gap": float(proj_gaps[-1]),
-        "min_successive_pinv_gap_tail": float(min(successive[-5:])) if successive else 0.0,
-        "cond_a_holds": bool(cond_a),
-        "cond_b_holds": bool(cond_b),
-        "cond_c_holds": bool(cond_c),
+        "min_successive_pinv_gap_tail": float(successive[-5:].min()) if successive.size else 0.0,
+        "cond_a_holds": cond_a,
+        "cond_b_holds": cond_b,
+        "cond_c_holds": cond_c,
     }
     return (cond_a, cond_b, cond_c), diag
 
@@ -885,7 +872,8 @@ def _check_thm1_5(ctx: _Ctx, rng, t: int) -> _Trial:
 
 
 def _cayley_unitary(x: np.ndarray) -> np.ndarray:
-    eye = np.eye(x.shape[0], dtype=np.complex128)
+    """(I - X)(I + X)^-1, unitary for skew-Hermitian X; per matrix of a stack."""
+    eye = np.eye(x.shape[-1], dtype=np.complex128)
     return (eye - x) @ np.linalg.inv(eye + x)
 
 
@@ -901,24 +889,27 @@ def _check_thm3_2(ctx: _Ctx, rng, t: int) -> _Trial:
     target = delta * (1.0 + rng.uniform(0.0, 1.0))
     limit = base * (target / gamma0)
 
+    steps = 2.0 ** -np.arange(1, SEQUENCE_LENGTH + 1)
     if t % 2 == 0:
-        terms = [(1.0 + 2.0**-k) * limit for k in range(1, SEQUENCE_LENGTH + 1)]
+        terms = (1.0 + steps)[:, None, None] * limit
     else:
         g = rng.standard_normal(limit.shape) + 1j * rng.standard_normal(limit.shape)
         skew = (g - g.conj().T) / 2.0
-        skew = skew / max(_norm2(skew), 1e-300)
-        terms = []
-        for k in range(1, SEQUENCE_LENGTH + 1):
-            q = _cayley_unitary(2.0**-k * skew)
-            terms.append(q @ limit @ q.conj().T)
+        skew = skew / max(norm2(skew), 1e-300)
+        q = _cayley_unitary(steps[:, None, None] * skew)
+        terms = q @ limit @ q.conj().swapaxes(-1, -2)
 
-    for term in terms:
-        fact = svd(term, tol)
-        gamma_k = float(fact.singular_values[fact.numerical_rank - 1]) if fact.numerical_rank else 0.0
-        if gamma_k < delta - 1e-9 or not _ep_from_fact(fact, tol):
-            return _Trial(False, 1.0, payload={"T_k": term},
-                          note="sequence term left the certified EP membership set")
-    if _norm2(terms[-1] - limit) > 1e-9:
+    fact = svd(terms, tol)
+    # sigma_r of each term; a rank-0 term is all zeros, so index -1 reads 0.
+    gammas = fact.singular_values[np.arange(SEQUENCE_LENGTH), fact.numerical_rank - 1]
+    ep = range_corange_test(fact, tol)[0]
+    left = (gammas < delta - 1e-9) | ~ep
+    if left.any():
+        return _Trial(False, 1.0, payload={"T_k": terms[int(np.argmax(left))]},
+                      note="sequence term left the certified EP membership set")
+    # The last term lies within about 2^-50 ||limit|| of the limit plus
+    # roundoff of the order of eps ||limit||, so the bound scales with it.
+    if norm2(terms[-1] - limit) > 1e-9 * (1.0 + norm2(limit)):
         return _Trial(False, 1.0, payload={"T": limit},
                       note="sequence failed to converge to its declared limit")
     rep = classify(limit, tol)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import classify
-from .core import DEFAULT_TOL, MAX_DIM, ToleranceConfig
+from .core import DEFAULT_TOL, MAX_DIM, ToleranceConfig, norm2
 from .errors import InvalidDimension, InvalidSpec
 from .pinv import pseudoinverse
 
@@ -116,7 +116,7 @@ def limit_study(
     for n in range(1, n_max + 1):
         m = realize(fam, n)
         report = classify(m, tol)
-        pinv_norm = float(np.linalg.norm(pseudoinverse(m, tol), 2))
+        pinv_norm = norm2(pseudoinverse(m, tol))
         rows.append(
             {
                 "n": n,

@@ -6,6 +6,10 @@ the rest annihilated, which realizes "invert on the carrier, kill the
 orthocomplement of the range" exactly.  The same factorization also yields
 the polar decomposition, fractional powers of the modulus |M| = (M*M)^(1/2),
 the reduced minimum modulus, and the spectral radius.
+
+``pseudoinverse`` also takes a stack of matrices: one stacked SVD factors
+them all, and the inverse is then assembled once per group of equal
+numerical rank, so every matrix gets the bits its own factorization gives.
 """
 
 from __future__ import annotations
@@ -16,11 +20,13 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    SvdFactorization,
     ToleranceConfig,
     adjoint,
     as_matrix,
     eigenvalues,
     hermitian_eig,
+    norm2,
     operator_norm,
     require_square,
     svd,
@@ -40,14 +46,21 @@ def pseudoinverse(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
     Satisfies the four Penrose identities at roundoff level for reasonably
     conditioned input, and pseudoinverse(pseudoinverse(M)) reproduces M.
-    The zero matrix maps to the zero matrix of transposed shape.
+    The zero matrix maps to the zero matrix of transposed shape.  A stack
+    of matrices maps to the stack of their pseudoinverses.
     """
-    fact = svd(as_matrix(matrix), tol)
-    r = fact.numerical_rank
-    if r == 0:
-        return np.zeros((fact.cols, fact.rows), dtype=np.complex128)
-    inv_sigma = 1.0 / fact.singular_values[:r]
-    return (fact.right_vectors[:, :r] * inv_sigma) @ fact.left_vectors[:, :r].conj().T
+    return pseudoinverse_of(svd(matrix, tol))
+
+
+def pseudoinverse_of(fact: SvdFactorization) -> np.ndarray:
+    """Pseudoinverse (or stack of them) from an existing factorization."""
+    u, s, v = fact.left_vectors, fact.singular_values, fact.right_vectors
+    out = np.zeros(v.shape[:-1] + u.shape[-1:], dtype=np.complex128)
+    for r, idx in fact.rank_groups():
+        if r:
+            inv_sigma = 1.0 / s[idx][..., None, :r]
+            out[idx] = (v[idx][..., :r] * inv_sigma) @ u[idx][..., :r].conj().swapaxes(-1, -2)
+    return out
 
 
 def penrose_residuals(matrix, candidate) -> dict[str, float]:
@@ -65,10 +78,10 @@ def penrose_residuals(matrix, candidate) -> dict[str, float]:
     mx = m @ x
     xm = x @ m
     return {
-        "mxm": float(np.linalg.norm(mx @ m - m, 2)),
-        "xmx": float(np.linalg.norm(xm @ x - x, 2)),
-        "mx_hermitian": float(np.linalg.norm(mx - mx.conj().T, 2)),
-        "xm_hermitian": float(np.linalg.norm(xm - xm.conj().T, 2)),
+        "mxm": norm2(mx @ m - m),
+        "xmx": norm2(xm @ x - x),
+        "mx_hermitian": norm2(mx - mx.conj().T),
+        "xm_hermitian": norm2(xm - xm.conj().T),
     }
 
 
@@ -118,32 +131,24 @@ def mp_identity_suite(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> MpIdentityR
             range_basis_of(fact_mp), carrier_basis_of(fact_m)
         ),
         # M+ M is the orthogonal projector onto the carrier
-        "pinv_m_is_carrier_projector": float(
-            np.linalg.norm(mp @ m - carrier_proj, 2)
-        ),
+        "pinv_m_is_carrier_projector": norm2(mp @ m - carrier_proj),
         # M M+ is the orthogonal projector onto the range
-        "m_pinv_is_range_projector": float(np.linalg.norm(m @ mp - range_proj, 2)),
+        "m_pinv_is_range_projector": norm2(m @ mp - range_proj),
         # (M+)+ = M
-        "double_pinv": float(np.linalg.norm(pseudoinverse(mp, tol) - m, 2)),
+        "double_pinv": norm2(pseudoinverse(mp, tol) - m),
         # (M*)+ = (M+)*
-        "adjoint_pinv_swap": float(
-            np.linalg.norm(pseudoinverse(madj, tol) - adjoint(mp), 2)
-        ),
+        "adjoint_pinv_swap": norm2(pseudoinverse(madj, tol) - adjoint(mp)),
         # N((M*)+) = N(M)
         "null_adjoint_pinv_eq_null": projector_gap(
             null_basis_of(fact_madj_pinv), null_basis_of(fact_m)
         ),
         # (M*M)+ = M+ (M*)+
-        "gram_pinv_factorizes": float(
-            np.linalg.norm(
-                pseudoinverse(madj @ m, tol) - mp @ pseudoinverse(madj, tol), 2
-            )
+        "gram_pinv_factorizes": norm2(
+            pseudoinverse(madj @ m, tol) - mp @ pseudoinverse(madj, tol)
         ),
         # (MM*)+ = (M*)+ M+
-        "cogram_pinv_factorizes": float(
-            np.linalg.norm(
-                pseudoinverse(m @ madj, tol) - pseudoinverse(madj, tol) @ mp, 2
-            )
+        "cogram_pinv_factorizes": norm2(
+            pseudoinverse(m @ madj, tol) - pseudoinverse(madj, tol) @ mp
         ),
     }
     scale = 1.0 + operator_norm(m) + operator_norm(mp)

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import subspace_angles
 
-from .core import DEFAULT_TOL, SvdFactorization, ToleranceConfig, as_matrix, svd
+from .core import DEFAULT_TOL, SvdFactorization, ToleranceConfig, as_matrix, norm2, svd
 from .errors import DimensionMismatch
 
 
@@ -44,7 +43,7 @@ class OrthonormalBasis:
         if self.dim == 0:
             return 0.0
         gram = self.vectors.conj().T @ self.vectors
-        return float(np.linalg.norm(gram - np.eye(self.dim), 2))
+        return norm2(gram - np.eye(self.dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,10 +53,10 @@ class Projector:
     matrix: np.ndarray
 
     def idempotency_residual(self) -> float:
-        return float(np.linalg.norm(self.matrix @ self.matrix - self.matrix, 2))
+        return norm2(self.matrix @ self.matrix - self.matrix)
 
     def selfadjointness_residual(self) -> float:
-        return float(np.linalg.norm(self.matrix - self.matrix.conj().T, 2))
+        return norm2(self.matrix - self.matrix.conj().T)
 
 
 def range_basis_of(fact: SvdFactorization) -> OrthonormalBasis:
@@ -107,8 +106,16 @@ def inclusion_residual(a: OrthonormalBasis, b: OrthonormalBasis) -> float:
         )
     if a.dim == 0:
         return 0.0
-    residual = a.vectors - b.vectors @ (b.vectors.conj().T @ a.vectors)
-    return float(np.linalg.norm(residual, 2))
+    return columns_inclusion_residual(a.vectors, b.vectors)
+
+
+def columns_inclusion_residual(a: np.ndarray, b: np.ndarray):
+    """||(I - B B*) A|| for orthonormal columns A and B, or per pair of a stack.
+
+    The array form of inclusion_residual, for callers that hold the columns
+    of many subspaces at once; A needs at least one column.
+    """
+    return norm2(a - b @ (b.conj().swapaxes(-1, -2) @ a))
 
 
 def subspace_leq(
@@ -134,11 +141,15 @@ def projector_gap(a: OrthonormalBasis, b: OrthonormalBasis) -> float:
         raise DimensionMismatch(
             f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
         )
-    return float(np.linalg.norm(projector(a).matrix - projector(b).matrix, 2))
+    return norm2(projector(a).matrix - projector(b).matrix)
 
 
 def principal_angles(a: OrthonormalBasis, b: OrthonormalBasis) -> np.ndarray:
     """Principal angles between the spans, for diagnostics in reports only."""
+    # Imported here: scipy.linalg costs more start-up time than the rest
+    # of epkit, and nothing on the verdict path needs it.
+    from scipy.linalg import subspace_angles
+
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch(
             f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"

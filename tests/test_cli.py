@@ -205,6 +205,12 @@ class TestWireFormats:
 
 
 class TestConsoleEntryPoint:
+    def test_import_leaves_scipy_unloaded(self):
+        code = "import sys, epkit, epkit.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_module_invocation(self, tmp_path):
         path = tmp_path / "m.json"
         write_matrix_file(path, np.eye(2))

@@ -201,6 +201,14 @@ class TestRunTheoremCheck:
         assert verdict.failures == 0
         assert verdict.worst_residual <= 1e-9
 
+    @pytest.mark.parametrize("rank", [6, 7])
+    def test_membership_limit_at_high_condition(self, tol, rank):
+        # ||limit|| reaches about 1e7 here; the window's last term is then
+        # about 1e-8 from the limit, which an absolute 1e-9 test rejected.
+        high = GeneratorSpec(dim=8, rank=rank, seed=7, condition_bound=1e8)
+        verdict = run_theorem_check("thm3.2", high, 60, tol)
+        assert verdict.failures == 0
+
     def test_commutation_verifier_at_reference_scale(self, tol):
         verdict = run_theorem_check(
             "thm2.1", GeneratorSpec(dim=6, rank=4, seed=42), 200, tol
