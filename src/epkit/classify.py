@@ -28,7 +28,7 @@ from .core import (
     require_square,
     svd,
 )
-from .pinv import pseudoinverse_of, spectral_radius
+from .pinv import pseudoinverse_of, reduced_min_modulus_of, spectral_radius
 from .subspace import (
     carrier_basis_of,
     columns_inclusion_residual,
@@ -128,7 +128,7 @@ def classify(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> ClassificationReport
     dim = m.shape[0]
 
     ep, hypo = range_corange_test(fact, tol)
-    gamma = float(fact.singular_values[r - 1]) if r > 0 else 0.0
+    gamma = reduced_min_modulus_of(fact)
     mp = pseudoinverse_of(fact)
     commutator = norm2(mp @ m - m @ mp)
 

@@ -150,20 +150,13 @@ def _cmd_suite(args) -> int:
     tol = ToleranceConfig(rank_rtol=args.tol_rank, eq_atol=args.tol_eq)
     seed = _resolve_seed(args)
     spec = harness.GeneratorSpec(dim=args.dim, rank=_resolve_rank(args), seed=seed)
-    corrupt = bool(os.environ.get("EPKIT_TEST_CORRUPT"))
-    if corrupt:
-        harness.set_generation_corruption(True)
     start = time.perf_counter()
-    try:
-        verdicts = [
-            _normalize_verdict(
-                harness.run_theorem_check(tid, spec, args.trials, tol), args.timings
-            )
-            for tid in harness.THEOREM_IDS
-        ]
-    finally:
-        if corrupt:
-            harness.set_generation_corruption(False)
+    verdicts = [
+        _normalize_verdict(
+            harness.run_theorem_check(tid, spec, args.trials, tol), args.timings
+        )
+        for tid in harness.THEOREM_IDS
+    ]
     wall_ms = int(round((time.perf_counter() - start) * 1000.0)) if args.timings else 0
     all_passed = all(v.failures == 0 for v in verdicts)
     payload = {

@@ -19,6 +19,13 @@ rank, and each diagnostic over the window (norms of the pseudoinverses, of
 their gaps to the limit, of successive differences) is one stacked norm2
 call.  Stacked kernels give each term the bits it gets on its own, so the
 verdicts and residuals are those of a term-by-term loop.
+
+Generation dispatches through one table, ``_GENERATORS``, from family name
+to generator; ``gen_matrix`` and the verifiers both index it.  A test that
+needs a faulty generator patches an entry of that table for its own run
+(``monkeypatch.setitem``); the package itself never mutates module-level
+state, so everything a run depends on travels in its arguments and its
+``_Ctx``.
 """
 
 from __future__ import annotations
@@ -48,14 +55,16 @@ from .errors import (
     NotHermitian,
     UnknownTheorem,
 )
-from .classify import classify, is_ep, is_hypo_ep, range_corange_test
+from .classify import classify, is_ep, range_corange_test
 from .models import harmonic_truncation
 from .pinv import (
     direct_sum,
     fractional_abs_power,
     polar_decomposition,
     pseudoinverse,
+    pseudoinverse_of,
     reduced_min_modulus,
+    reduced_min_modulus_of,
 )
 from .serialize import matrix_to_payload
 from .subspace import (
@@ -65,29 +74,9 @@ from .subspace import (
     range_basis_of,
 )
 
-GENERATOR_FAMILIES = (
-    "ep",
-    "non_ep",
-    "normal_ep",
-    "commuting_pair",
-    "perturbation_pair",
-    "product_pair",
-    "sequence",
-)
-
 SEQUENCE_LENGTH = 50
 EP_MEMBERSHIP_DELTA = 0.1
 FRACTIONAL_ALPHA_GRID = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
-
-# Test hook: when enabled, ep-family generation is replaced (after its
-# self-validation) by a canonical non-EP matrix, so downstream verifiers
-# produce genuine counterexamples.  Used by the CLI failure-path contract.
-_corrupt_ep_generation = False
-
-
-def set_generation_corruption(enabled: bool) -> None:
-    global _corrupt_ep_generation
-    _corrupt_ep_generation = bool(enabled)
 
 
 @dataclass(frozen=True)
@@ -101,9 +90,9 @@ class GeneratorSpec:
     family: str = "ep"
 
     def __post_init__(self) -> None:
-        if self.family not in GENERATOR_FAMILIES:
+        if self.family not in _GENERATORS:
             raise InvalidSpec(
-                f"unknown family {self.family!r}; known: {', '.join(GENERATOR_FAMILIES)}"
+                f"unknown family {self.family!r}; known: {', '.join(_GENERATORS)}"
             )
         if not 1 <= self.dim <= MAX_DIM:
             raise InvalidSpec(f"dim must be in [1, {MAX_DIM}], got {self.dim}")
@@ -201,12 +190,6 @@ def _embed_conjugated(rng: np.random.Generator, dim: int, block: np.ndarray) -> 
     return v @ b @ v.conj().T
 
 
-def _canonical_non_ep(dim: int) -> np.ndarray:
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    m[0, min(1, dim - 1)] = 1.0
-    return m
-
-
 def _gen_ep(rng, dim, rank, cond, tol) -> np.ndarray:
     if rank == 0:
         return np.zeros((dim, dim), dtype=np.complex128)
@@ -214,8 +197,6 @@ def _gen_ep(rng, dim, rank, cond, tol) -> np.ndarray:
     m = _embed_conjugated(rng, dim, block)
     if not is_ep(m, tol):
         raise GenerationError("ep family self-validation failed")
-    if _corrupt_ep_generation:
-        return _canonical_non_ep(dim)
     return m
 
 
@@ -242,8 +223,6 @@ def _gen_normal_ep(rng, dim, rank, cond, tol) -> np.ndarray:
     m = (v * lam) @ v.conj().T
     if not is_ep(m, tol):
         raise GenerationError("normal_ep family self-validation failed")
-    if _corrupt_ep_generation:
-        return _canonical_non_ep(dim)
     return m
 
 
@@ -288,7 +267,7 @@ def _gen_perturbation_pair(
         p_range = fact.left_vectors[:, :r] @ fact.left_vectors[:, :r].conj().T
         p_carrier = fact.right_vectors[:, :r] @ fact.right_vectors[:, :r].conj().T
         confined = p_range @ g @ p_carrier
-        gamma = float(fact.singular_values[r - 1]) if r else 0.0
+        gamma = reduced_min_modulus_of(fact)
         norm_confined = norm2(confined)
         eps = 0.8 * bound * gamma / max(norm_confined, 1e-300)
         s = eps * confined
@@ -313,6 +292,17 @@ def _gen_sequence(rng, dim, rank, cond, tol) -> MatrixSequence:
     return MatrixSequence(terms=terms, limit=t)
 
 
+_GENERATORS = {
+    "ep": _gen_ep,
+    "non_ep": _gen_non_ep,
+    "normal_ep": _gen_normal_ep,
+    "commuting_pair": _gen_commuting_pair,
+    "perturbation_pair": _gen_perturbation_pair,
+    "product_pair": _gen_product_pair,
+    "sequence": _gen_sequence,
+}
+
+
 def gen_matrix(
     spec: GeneratorSpec,
     perturbation: PerturbationSpec | None = None,
@@ -326,21 +316,10 @@ def gen_matrix(
     certificates must hold); violations raise GenerationError.
     """
     rng = np.random.default_rng([spec.seed, 0xA5])
-    pspec = perturbation if perturbation is not None else PerturbationSpec()
-    d, r, c = spec.dim, spec.rank, spec.condition_bound
-    if spec.family == "ep":
-        return _gen_ep(rng, d, r, c, tol)
-    if spec.family == "non_ep":
-        return _gen_non_ep(rng, d, r, c, tol)
-    if spec.family == "normal_ep":
-        return _gen_normal_ep(rng, d, r, c, tol)
-    if spec.family == "commuting_pair":
-        return _gen_commuting_pair(rng, d, r, c, tol)
+    args = (rng, spec.dim, spec.rank, spec.condition_bound, tol)
     if spec.family == "perturbation_pair":
-        return _gen_perturbation_pair(rng, d, r, c, tol, pspec)
-    if spec.family == "product_pair":
-        return _gen_product_pair(rng, d, r, c, tol)
-    return _gen_sequence(rng, d, r, c, tol)
+        args += (perturbation if perturbation is not None else PerturbationSpec(),)
+    return _GENERATORS[spec.family](*args)
 
 
 def psd_dominates(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -406,21 +385,27 @@ def _residual_trial(
                   payload=payload, note=note)
 
 
+def _pass_fail(ok: bool, payload: dict, note: str, direction: str = "accept") -> _Trial:
+    """A boolean trial: a pass has residual 0 and no payload, a failure residual 1."""
+    if ok:
+        return _Trial(True, 0.0, direction=direction)
+    return _Trial(False, 1.0, direction=direction, payload=payload, note=note)
+
+
 def _ctl_rank(spec: GeneratorSpec) -> int:
     return min(max(spec.rank, 1), spec.dim - 1)
 
 
-def _gen_for(ctx: _Ctx, rng, family: str, rank: int | None = None, cond: float | None = None):
+def _gen_for(ctx: _Ctx, rng, family: str, cond: float | None = None):
+    """One instance of a family at the run's spec; non_ep is drawn at the control rank.
+
+    perturbation_pair also takes the run's dominance constants, so its one
+    verifier (thm2.16) calls that generator directly.
+    """
     spec = ctx.spec
-    r = spec.rank if rank is None else rank
+    rank = _ctl_rank(spec) if family == "non_ep" else spec.rank
     c = spec.condition_bound if cond is None else min(cond, spec.condition_bound)
-    if family == "ep":
-        return _gen_ep(rng, spec.dim, r, c, ctx.tol)
-    if family == "non_ep":
-        return _gen_non_ep(rng, spec.dim, _ctl_rank(spec) if rank is None else rank, c, ctx.tol)
-    if family == "normal_ep":
-        return _gen_normal_ep(rng, spec.dim, r, c, ctx.tol)
-    raise InvalidSpec(f"unsupported internal family {family!r}")
+    return _GENERATORS[family](rng, spec.dim, rank, c, ctx.tol)
 
 
 def _multiset_gap(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -473,19 +458,19 @@ def _check_thm2_2(ctx: _Ctx, rng, t: int) -> _Trial:
     d = direct_sum(a, b)
     payload = {"A": a, "B": b}
 
-    ep_d = is_ep(d, tol)
-    dp = pseudoinverse(d, tol)
-    block = direct_sum(pseudoinverse(a, tol), pseudoinverse(b, tol))
-    pinv_resid = norm2(dp - block)
+    fact_a, fact_b, fact_d = svd(a, tol), svd(b, tol), svd(d, tol)
+    ep_d = range_corange_test(fact_d, tol)[0]
+    block = direct_sum(pseudoinverse_of(fact_a), pseudoinverse_of(fact_b))
+    pinv_resid = norm2(pseudoinverse_of(fact_d) - block)
     norm_scale = 1.0 + operator_norm(a) + operator_norm(b)
     pinv_scale = norm_scale + norm2(block)
 
-    gamma_a = reduced_min_modulus(a, tol)
-    gamma_b = reduced_min_modulus(b, tol)
+    gamma_a = reduced_min_modulus_of(fact_a)
+    gamma_b = reduced_min_modulus_of(fact_b)
     gamma_ok = True
     gamma_resid = 0.0
     if gamma_a > 0.0 and gamma_b > 0.0:
-        gamma_resid = abs(reduced_min_modulus(d, tol) - min(gamma_a, gamma_b))
+        gamma_resid = abs(reduced_min_modulus_of(fact_d) - min(gamma_a, gamma_b))
         gamma_ok = gamma_resid <= 1e-12 * norm_scale
 
     if ep_d != accept:
@@ -519,13 +504,13 @@ def _check_thm2_4(ctx: _Ctx, rng, t: int) -> _Trial:
     family = "ep" if t % 2 == 0 else "non_ep"
     m = _gen_for(ctx, rng, family)
     fact = svd(m, ctx.tol)
-    cond = range_corange_test(fact, ctx.tol)[0]
-    ep = is_ep(m, ctx.tol)
+    # The range-vs-carrier test is the EP decision, so it answers both.
+    ep = range_corange_test(fact, ctx.tol)[0]
     expected = family == "ep"
-    if cond != expected or ep != expected:
+    if ep != expected:
         return _Trial(False, 1.0, direction="accept" if expected else "reject",
                       payload={"T": m},
-                      note=f"range==carrier is {cond}, is_ep is {ep}, expected {expected}")
+                      note=f"range==carrier is {ep}, is_ep is {ep}, expected {expected}")
     if expected:
         gap = projector_gap(range_basis_of(fact), carrier_basis_of(fact))
         return _residual_trial(gap, 1.0, ctx.tol, payload={"T": m})
@@ -537,8 +522,7 @@ def _check_thm2_5(ctx: _Ctx, rng, t: int) -> _Trial:
     tol = ctx.tol
     kind = t % 3
     if kind == 0:
-        t_mat, s = _gen_commuting_pair(rng, ctx.spec.dim, ctx.spec.rank,
-                                       ctx.spec.condition_bound, tol)
+        t_mat, s = _gen_for(ctx, rng, "commuting_pair")
         tp = pseudoinverse(t_mat, tol)
         resid = norm2(s @ tp - tp @ s)
         scale = (1.0 + operator_norm(s)) * (1.0 + norm2(tp))
@@ -574,9 +558,8 @@ def _check_thm2_5(ctx: _Ctx, rng, t: int) -> _Trial:
     if s is None:
         raise GenerationError("could not draw a non-commuting control operator")
     ok = norm2(s @ tp - tp @ s) > ctx.tol.eq_atol
-    return _Trial(ok, 0.0 if ok else 1.0, direction="reject",
-                  payload=None if ok else {"T": t_mat, "S": s},
-                  note=None if ok else "non-commuting S commutes with the pseudoinverse")
+    return _pass_fail(ok, {"T": t_mat, "S": s},
+                      "non-commuting S commutes with the pseudoinverse", "reject")
 
 
 def _check_thm2_6(ctx: _Ctx, rng, t: int) -> _Trial:
@@ -602,9 +585,8 @@ def _check_thm2_6(ctx: _Ctx, rng, t: int) -> _Trial:
     sq_ep = range_corange_test(fact_sq, tol)[0]
     same_range = projector_gap(range_basis_of(fact_sq), range_basis_of(svd(m, tol))) <= ctx.tol.eq_atol
     ok = not (sq_ep and same_range)
-    return _Trial(ok, 0.0 if ok else 1.0, direction="reject",
-                  payload=None if ok else {"T": m},
-                  note=None if ok else "square of a non-EP matrix is EP with unchanged range")
+    return _pass_fail(ok, {"T": m},
+                      "square of a non-EP matrix is EP with unchanged range", "reject")
 
 
 def _compression_invertible(
@@ -633,9 +615,8 @@ def _check_thm2_7(ctx: _Ctx, rng, t: int) -> _Trial:
         compression = basis.conj().T @ m @ basis
         singular = not _compression_invertible(compression, fact, tol)
         ctx.details.setdefault("non_ep_compression_singular", bool(singular))
-        return _Trial(singular, 0.0 if singular else 1.0, direction="reject",
-                      payload=None if singular else {"T": m},
-                      note=None if singular else "carrier compression of non-EP matrix is invertible")
+        return _pass_fail(singular, {"T": m},
+                          "carrier compression of non-EP matrix is invertible", "reject")
     m = _gen_for(ctx, rng, "ep")
     fact = svd(m, tol)
     r = fact.numerical_rank
@@ -668,10 +649,8 @@ def _check_thm2_12(ctx: _Ctx, rng, t: int) -> _Trial:
         pad = spec.dim - max(spec.rank, 1)
         s = v @ direct_sum(a1, np.zeros((pad, pad))) @ v.conj().T if pad else v @ a1 @ v.conj().T
         t_mat = v @ direct_sum(a2, np.zeros((pad, pad))) @ v.conj().T if pad else v @ a2 @ v.conj().T
-        if _corrupt_ep_generation:
-            s = _canonical_non_ep(spec.dim)
     else:
-        s, t_mat = _gen_product_pair(rng, spec.dim, spec.rank, spec.condition_bound, tol)
+        s, t_mat = _gen_for(ctx, rng, "product_pair")
     product = s @ t_mat
     fact_p = svd(product, tol)
     fact_t = svd(t_mat, tol)
@@ -732,12 +711,10 @@ def _check_thm2_15(ctx: _Ctx, rng, t: int) -> _Trial:
     ep = range_corange_test(fact_m, tol)[0]
     if family == "ep":
         ok = hyp and ep
-        return _Trial(ok, 0.0 if ok else 1.0, payload=None if ok else {"T": m},
-                      note=None if ok else f"hypothesis={hyp}, is_ep={ep}")
+        return _pass_fail(ok, {"T": m}, f"hypothesis={hyp}, is_ep={ep}")
     ok = (not hyp) and (not ep)
-    return _Trial(ok, 0.0 if ok else 1.0, direction="reject",
-                  payload=None if ok else {"T": m},
-                  note=None if ok else "non-EP matrix satisfied range(T) = range(|T|)")
+    return _pass_fail(ok, {"T": m},
+                      "non-EP matrix satisfied range(T) = range(|T|)", "reject")
 
 
 def _check_thm2_16(ctx: _Ctx, rng, t: int) -> _Trial:
@@ -752,11 +729,10 @@ def _check_thm2_16(ctx: _Ctx, rng, t: int) -> _Trial:
         ta = adjoint(t_mat)
         dominated = psd_dominates(pspec.a**2 * (ta @ t_mat), adjoint(s) @ s, tol)
         ok = not dominated
-        return _Trial(ok, 0.0 if ok else 1.0, direction="reject",
-                      payload=None if ok else {"T": t_mat, "S": s},
-                      note=None if ok else "dominance certificate accepted a non-dominated pair")
+        return _pass_fail(ok, {"T": t_mat, "S": s},
+                          "dominance certificate accepted a non-dominated pair", "reject")
     if mode == 2:
-        base = _gen_normal_ep(rng, spec.dim, spec.rank, spec.condition_bound, tol)
+        base = _gen_for(ctx, rng, "normal_ep")
         c = min(pspec.a, pspec.b) * rng.uniform(0.2, 0.9)
         s = c * base
         t_mat = base
@@ -769,12 +745,11 @@ def _check_thm2_16(ctx: _Ctx, rng, t: int) -> _Trial:
     cert = psd_dominates(pspec.a**2 * (ta @ t_mat), sa @ s, tol) and psd_dominates(
         pspec.b**2 * (t_mat @ ta), s @ sa, tol
     )
-    total = t_mat + s
-    hypo = is_hypo_ep(total, tol)
-    ep = is_ep(total, tol)
-    rep_gap = classify(total, tol).range_gap
+    fact = svd(t_mat + s, tol)
+    ep, hypo = range_corange_test(fact, tol)
+    gap = projector_gap(range_basis_of(fact), carrier_basis_of(fact))
     extra_ok = cert and hypo and ep
-    return _residual_trial(rep_gap, 1.0, tol, extra_ok=extra_ok,
+    return _residual_trial(gap, 1.0, tol, extra_ok=extra_ok,
                            payload={"T": t_mat, "S": s},
                            note=None if extra_ok else
                            f"certificate={cert}, hypo_ep={hypo}, ep={ep}")
@@ -849,14 +824,12 @@ def _check_thm1_5(ctx: _Ctx, rng, t: int) -> _Trial:
     tol = ctx.tol
     spec = ctx.spec
     if t % 2 == 0:
-        seq = _gen_sequence(rng, spec.dim, spec.rank, spec.condition_bound, tol)
+        seq = _gen_for(ctx, rng, "sequence")
         conds, diag = _window_conditions(seq.terms, seq.limit, tol)
         diag["kind"] = "fixed_range_scaling"
         ctx.details.setdefault("positive_example", diag)
         ok = all(conds)
-        return _Trial(ok, 0.0 if ok else 1.0,
-                      payload=None if ok else {"T": seq.limit},
-                      note=None if ok else f"positive sequence conditions {conds}")
+        return _pass_fail(ok, {"T": seq.limit}, f"positive sequence conditions {conds}")
     ambient = max(spec.dim, 16)
     window = ambient - 1
     terms = tuple(harmonic_truncation(k, ambient) for k in range(1, window + 1))
@@ -866,9 +839,7 @@ def _check_thm1_5(ctx: _Ctx, rng, t: int) -> _Trial:
     diag["ambient_dim"] = ambient
     ctx.details.setdefault("negative_example", diag)
     ok = not any(conds)
-    return _Trial(ok, 0.0 if ok else 1.0, direction="reject",
-                  payload=None if ok else {"T_limit": limit},
-                  note=None if ok else f"divergent sequence conditions {conds}")
+    return _pass_fail(ok, {"T_limit": limit}, f"divergent sequence conditions {conds}", "reject")
 
 
 def _cayley_unitary(x: np.ndarray) -> np.ndarray:
@@ -880,9 +851,8 @@ def _cayley_unitary(x: np.ndarray) -> np.ndarray:
 def _check_thm3_2(ctx: _Ctx, rng, t: int) -> _Trial:
     """Norm limits of EP matrices with gamma >= delta stay EP with gamma >= delta."""
     tol = ctx.tol
-    spec = ctx.spec
     delta = EP_MEMBERSHIP_DELTA
-    base = _gen_ep(rng, spec.dim, spec.rank, spec.condition_bound, tol)
+    base = _gen_for(ctx, rng, "ep")
     gamma0 = reduced_min_modulus(base, tol)
     if gamma0 <= 0.0:
         raise GenerationError("membership sequence needs a nonzero base matrix")
@@ -937,9 +907,8 @@ def _check_thm3_4(ctx: _Ctx, rng, t: int) -> _Trial:
                 "violates_inequality": bool(rep.gamma > rep.spectral_radius),
             },
         )
-        return _Trial(excluded, 0.0 if excluded else 1.0, direction="reject",
-                      payload=None if excluded else {"T": control},
-                      note=None if excluded else "nilpotent control was not excluded")
+        return _pass_fail(excluded, {"T": control},
+                          "nilpotent control was not excluded", "reject")
     if t % 2 == 0:
         m = _gen_for(ctx, rng, "ep")
         rep = classify(m, tol)

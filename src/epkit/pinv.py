@@ -163,10 +163,13 @@ def reduced_min_modulus(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     is flagged separately in classification reports (zero_operator) rather
     than through a sentinel value here.
     """
-    fact = svd(as_matrix(matrix), tol)
-    if fact.numerical_rank == 0:
-        return 0.0
-    return float(fact.singular_values[fact.numerical_rank - 1])
+    return reduced_min_modulus_of(svd(as_matrix(matrix), tol))
+
+
+def reduced_min_modulus_of(fact: SvdFactorization) -> float:
+    """Reduced minimum modulus from an existing factorization of one matrix."""
+    r = fact.numerical_rank
+    return float(fact.singular_values[r - 1]) if r else 0.0
 
 
 def spectral_radius(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:

@@ -43,7 +43,7 @@ def _reject_constant(name: str):
 def _loads(text: str):
     try:
         return json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer past int's digit limit
         raise MatrixFileError(f"invalid JSON: {exc}") from exc
 
 
@@ -90,10 +90,16 @@ def matrix_from_payload(doc) -> np.ndarray:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(part, (int, float)) for part in entry)
+                or not all(
+                    isinstance(part, (int, float)) and not isinstance(part, bool)
+                    for part in entry
+                )
             ):
                 raise MatrixFileError(f"entry ({i}, {j}) must be a [re, im] number pair")
-            re, im = float(entry[0]), float(entry[1])
+            try:
+                re, im = float(entry[0]), float(entry[1])
+            except OverflowError:  # an integer beyond the float range
+                raise MatrixFileError(f"entry ({i}, {j}) is not finite") from None
             if not np.isfinite(re) or not np.isfinite(im):
                 raise MatrixFileError(f"entry ({i}, {j}) is not finite")
             out[i, j] = complex(re, im)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from epkit import DEFAULT_TOL
+from epkit import DEFAULT_TOL, harness
 
 
 @pytest.fixture
@@ -12,3 +12,21 @@ def tol():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xEC0FFEE)
+
+
+@pytest.fixture
+def corrupt_ep_generation(monkeypatch):
+    """Make the ep family return a non-EP matrix after drawing its usual instance.
+
+    Verifiers that generate through the family table then see genuine
+    counterexamples; the patch is undone when the test ends.
+    """
+    real = harness._GENERATORS["ep"]
+
+    def non_ep(rng, dim, rank, cond, tol):
+        real(rng, dim, rank, cond, tol)
+        m = np.zeros((dim, dim), dtype=np.complex128)
+        m[0, min(1, dim - 1)] = 1.0
+        return m
+
+    monkeypatch.setitem(harness._GENERATORS, "ep", non_ep)

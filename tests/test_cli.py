@@ -1,16 +1,21 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import epkit
 from epkit.cli import main
+from epkit.errors import MatrixFileError
 from epkit.serialize import (
     classification_from_payload,
     classification_to_payload,
     matrix_from_payload,
     matrix_to_payload,
+    parse_matrix_text,
     parse_report,
     render_report,
     write_matrix_file,
@@ -134,8 +139,7 @@ class TestSuiteCommand:
                      "--output", str(out)])
         assert code == 0
 
-    def test_corrupted_generator_exits_1_with_counterexample(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EPKIT_TEST_CORRUPT", "1")
+    def test_corrupted_generator_exits_1_with_counterexample(self, tmp_path, corrupt_ep_generation):
         out = tmp_path / "suite.json"
         assert main(["suite", "--seed", "1", "--trials", "4", "--output", str(out)]) == 1
         payload = parse_report(out.read_text())["payload"]
@@ -143,6 +147,14 @@ class TestSuiteCommand:
         failing = [v for v in payload["verdicts"] if v["failures"]]
         assert failing
         assert failing[0]["counterexample"]["matrices"]
+
+    def test_corrupt_env_var_is_not_read(self, tmp_path, monkeypatch):
+        argv = ["suite", "--seed", "1", "--trials", "4", "--output"]
+        monkeypatch.delenv("EPKIT_TEST_CORRUPT", raising=False)
+        assert main(argv + [str(tmp_path / "unset.json")]) == 0
+        monkeypatch.setenv("EPKIT_TEST_CORRUPT", "1")
+        assert main(argv + [str(tmp_path / "set.json")]) == 0
+        assert (tmp_path / "set.json").read_bytes() == (tmp_path / "unset.json").read_bytes()
 
 
 class TestModelCommand:
@@ -197,6 +209,24 @@ class TestWireFormats:
         doc = report_document(KIND_CLASSIFICATION, classification_to_payload(report), tol)
         assert parse_report(render_report(doc)) == doc
 
+    @pytest.mark.parametrize(
+        "entry",
+        ["1" + "0" * 400 + ", 0", "0, -1" + "0" * 400, "1" * 5000 + ", 0",
+         "true, false", "1.0, true"],
+        ids=["huge_re", "huge_im", "past_digit_limit", "bools", "bool_im"],
+    )
+    def test_rejects_entries_that_are_not_finite_floats(self, entry):
+        text = '{"version": "1", "rows": 1, "cols": 1, "data": [[[' + entry + ']]]}'
+        with pytest.raises(MatrixFileError):
+            parse_matrix_text(text)
+
+    def test_huge_integer_entry_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"version": "1", "rows": 1, "cols": 2, '
+                        '"data": [[[1' + "0" * 400 + ', 0], [0, 0]]]}')
+        assert main(["classify", "--input", str(path)]) == 2
+        assert "not finite" in capsys.readouterr().err
+
     def test_rejects_non_finite_constants(self):
         with pytest.raises(Exception):
             parse_report('{"tool_version": "x", "tolerances": {}, '
@@ -204,28 +234,27 @@ class TestWireFormats:
                          '"wall_time_ms": 0}')
 
 
+def _python(*args):
+    """Run a fresh interpreter that imports this epkit, whether installed or not."""
+    paths = [str(Path(epkit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 class TestConsoleEntryPoint:
     def test_import_leaves_scipy_unloaded(self):
         code = "import sys, epkit, epkit.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = _python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
     def test_module_invocation(self, tmp_path):
         path = tmp_path / "m.json"
         write_matrix_file(path, np.eye(2))
-        proc = subprocess.run(
-            [sys.executable, "-m", "epkit.cli", "classify", "--input", str(path)],
-            capture_output=True,
-            text=True,
-        )
+        proc = _python("-m", "epkit.cli", "classify", "--input", str(path))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["payload"]["is_ep"] is True
 
     def test_usage_error_exits_2(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "epkit.cli", "frobnicate"],
-            capture_output=True,
-            text=True,
-        )
+        proc = _python("-m", "epkit.cli", "frobnicate")
         assert proc.returncode == 2

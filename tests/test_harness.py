@@ -22,7 +22,6 @@ from epkit import (
     psd_dominates,
     run_theorem_check,
 )
-from epkit.harness import set_generation_corruption
 from epkit.serialize import verdict_from_payload, verdict_to_payload
 
 
@@ -233,12 +232,8 @@ class TestRunTheoremCheck:
                 elapsed_ms=0,
             )
 
-    def test_corruption_hook_produces_counterexample(self, tol):
-        set_generation_corruption(True)
-        try:
-            verdict = run_theorem_check("thm2.1", spec(seed=1), 6, tol)
-        finally:
-            set_generation_corruption(False)
+    def test_corruption_hook_produces_counterexample(self, tol, corrupt_ep_generation):
+        verdict = run_theorem_check("thm2.1", spec(seed=1), 6, tol)
         assert verdict.failures > 0
         assert verdict.counterexample is not None
         assert "matrices" in verdict.counterexample
