@@ -10,6 +10,12 @@ EP-ness is defined for endomorphisms only: non-square input is rejected.
 
 ``range_corange_test`` is the one EP decision: every predicate here, and
 every verifier that holds a factorization, reads its verdict from it.
+
+The inclusion residuals of the EP decision and the commutator of
+``is_normal`` feed only yes/no answers, so ``core.norm2_at_most`` decides
+them from a Frobenius-norm bracket and runs an SVD only when the bracket
+straddles the threshold.  The report's ``commutator_residual`` and
+``range_gap`` are numbers and stay exact spectral norms.
 """
 
 from __future__ import annotations
@@ -24,14 +30,14 @@ from .core import (
     ToleranceConfig,
     as_matrix,
     norm2,
-    operator_norm,
+    norm2_at_most,
     require_square,
     svd,
 )
 from .pinv import pseudoinverse_of, reduced_min_modulus_of, spectral_radius
 from .subspace import (
     carrier_basis_of,
-    columns_inclusion_residual,
+    columns_included,
     projector_gap,
     range_basis_of,
 )
@@ -64,22 +70,22 @@ def range_corange_test(fact: SvdFactorization, tol: ToleranceConfig = DEFAULT_TO
     M = U S V* gives M* = V S U*, so the right singular vectors above the
     cutoff span the adjoint's range and a single rank decision covers both
     ranges.  range(M) lies in range(M*) when ||(I - V_r V_r*) U_r|| is at
-    most eq_atol (hypo-EP); EP adds the reverse inclusion.  Takes one
-    factorization (two bools) or the factorization of a stack (two bool
+    most eq_atol (hypo-EP); EP adds the reverse inclusion.  Both residuals
+    feed only these verdicts, so ``columns_included`` decides them.  Takes
+    one factorization (two bools) or the factorization of a stack (two bool
     arrays, one entry per matrix).
     """
-    forward = np.zeros(np.shape(fact.numerical_rank))
-    backward = np.zeros_like(forward)
+    hypo = np.ones(np.shape(fact.numerical_rank), dtype=bool)
+    backward = np.ones_like(hypo)
     for r, idx in fact.rank_groups():
         if r:
             u = fact.left_vectors[idx][..., :r]
             v = fact.right_vectors[idx][..., :r]
-            forward[idx] = columns_inclusion_residual(u, v)
+            hypo[idx] = columns_included(u, v, tol.eq_atol)
             # The reverse inclusion only decides matrices that pass this one.
-            if (forward[idx] <= tol.eq_atol).any():
-                backward[idx] = columns_inclusion_residual(v, u)
-    hypo = forward <= tol.eq_atol
-    ep = hypo & (backward <= tol.eq_atol)
+            if hypo[idx].any():
+                backward[idx] = columns_included(v, u, tol.eq_atol)
+    ep = hypo & backward
     if ep.ndim == 0:
         return bool(ep), bool(hypo)
     return ep, hypo
@@ -110,9 +116,9 @@ def is_normal(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff M M* - M* M vanishes within eq_atol * (1 + ||M||^2)."""
     m = require_square(as_matrix(matrix))
     madj = m.conj().T
-    residual = norm2(m @ madj - madj @ m)
-    norm = operator_norm(m)
-    return residual <= tol.eq_atol * (1.0 + norm * norm)
+    return norm2_at_most(
+        m @ madj - madj @ m, lambda norm: tol.eq_atol * (1.0 + norm * norm), m
+    )
 
 
 def classify(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> ClassificationReport:
@@ -124,23 +130,31 @@ def classify(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> ClassificationReport
     """
     m = require_square(as_matrix(matrix))
     fact = svd(m, tol)
+    return classify_of(m, fact, pseudoinverse_of(fact), tol)
+
+
+def classify_of(
+    m: np.ndarray,
+    fact: SvdFactorization,
+    mp: np.ndarray,
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> ClassificationReport:
+    """``classify`` of a validated square matrix from its factorization.
+
+    ``fact`` is svd(m, tol) and ``mp`` is pseudoinverse_of(fact); callers
+    that need either themselves pass them in instead of recomputing them.
+    """
     r = fact.numerical_rank
-    dim = m.shape[0]
-
     ep, hypo = range_corange_test(fact, tol)
-    gamma = reduced_min_modulus_of(fact)
-    mp = pseudoinverse_of(fact)
-    commutator = norm2(mp @ m - m @ mp)
-
     return ClassificationReport(
-        dim=dim,
+        dim=m.shape[0],
         rank=r,
         is_ep=ep,
         is_hypo_ep=hypo,
         is_normal=is_normal(m, tol),
-        gamma=gamma,
+        gamma=reduced_min_modulus_of(fact),
         spectral_radius=spectral_radius(m, tol),
-        commutator_residual=commutator,
+        commutator_residual=norm2(mp @ m - m @ mp),
         range_gap=projector_gap(range_basis_of(fact), carrier_basis_of(fact)),
         zero_operator=r == 0,
     )

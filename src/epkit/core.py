@@ -13,12 +13,20 @@ as factoring it alone.  ``norm2`` is the package's only spectral norm: it
 reads sigma_1 from the singular-value-only kernel, the same routine and the
 same bits as ``np.linalg.norm(x, 2)`` without that function's axis handling.
 
+A spectral norm that feeds only a yes/no threshold check goes through
+``norm2_at_most`` instead, which brackets it by the Frobenius norm and runs
+the SVD only when the bracket straddles the threshold; its verdict is the
+exact one.  Here that is the Hermitian check of ``hermitian_eig``; in
+``classify`` the EP and normality checks.  Every spectral norm that reaches
+a report is an exact ``norm2``.
+
 All functions are pure: inputs are validated, never mutated, and returned
 arrays are fresh.  Values are safe to share across threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,8 +214,7 @@ def hermitian_eig(
     h = as_matrix(matrix)
     if h.shape[0] != h.shape[1]:
         raise NotHermitian(f"expected a square Hermitian matrix, got shape {h.shape}")
-    scale = 1.0 + operator_norm(h)
-    if operator_norm(h - h.conj().T) > tol.eq_atol * scale:
+    if not norm2_at_most(h - h.conj().T, lambda norm: tol.eq_atol * (1.0 + norm), h):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     try:
         w, q = np.linalg.eigh((h + h.conj().T) / 2.0)
@@ -249,3 +256,57 @@ def norm2(x: np.ndarray):
 def operator_norm(matrix) -> float:
     """Spectral norm (largest singular value); 0.0 for the zero matrix."""
     return norm2(as_matrix(matrix))
+
+
+def norm2_at_most(x: np.ndarray, bound, norm_of: np.ndarray | None = None):
+    """Decide ``norm2(x) <= bound`` for a matrix (a bool) or each matrix of a stack (bools).
+
+    With ``norm_of`` (x then one matrix), ``bound`` is a non-decreasing
+    function and the test is ``norm2(x) <= bound(norm2(norm_of))``.
+
+    The verdict is always that of the exact test.  Since ||X||_2 <= ||X||_F
+    <= sqrt(k) ||X||_2 with k = min(rows, cols), the Frobenius norm settles
+    every threshold it clears by a factor 2, and the SVD runs only on the
+    matrices it leaves open.  No validation, as norm2.
+    """
+    lo, hi = _norm2_bracket(x)
+    if norm_of is None:
+        low = high = bound
+    else:
+        m_lo, m_hi = _norm2_bracket(norm_of)
+        low, high = bound(m_lo), bound(m_hi)
+    verdict = hi <= low
+    undecided = ~verdict & ~(lo > high)
+    if x.ndim == 2:
+        if not undecided:
+            return bool(verdict)
+        exact = bound if norm_of is None else bound(norm2(norm_of))
+        return bool(norm2(x) <= exact)
+    if undecided.any():
+        verdict[undecided] = norm2(x[undecided]) <= bound
+    return verdict
+
+
+# What gradual underflow can drop from one squared entry.
+_UNDERFLOW = 2.0**-1074
+
+
+def _norm2_bracket(x: np.ndarray):
+    """``(lo, hi)`` with lo < norm2(x) < hi for each matrix, NaN where unknown.
+
+    From the Frobenius norm F: hi = 2F and lo = F / (2 sqrt(k)).  The factor
+    2 dwarfs the rounding of the sum and of the SVD, and of a squared entry
+    that underflows to a subnormal; hi also covers entries whose squares
+    underflow to 0.  An overflowed sum gives NaN, which decides nothing.
+    """
+    if x.ndim == 2:
+        sq = np.vdot(x, x).real
+        if not math.isfinite(sq):
+            sq = math.nan
+    else:
+        sq = np.einsum("...ij,...ij->...", x.conj(), x).real
+        sq[~np.isfinite(sq)] = np.nan
+    rows, cols = x.shape[-2:]
+    hi = 2.0 * (sq + rows * cols * _UNDERFLOW) ** 0.5
+    lo = sq**0.5 / (2.0 * math.sqrt(min(rows, cols)))
+    return lo, hi

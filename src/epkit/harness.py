@@ -59,7 +59,7 @@ from .classify import classify, is_ep, range_corange_test
 from .models import harmonic_truncation
 from .pinv import (
     direct_sum,
-    fractional_abs_power,
+    fractional_abs_powers_of,
     polar_decomposition,
     pseudoinverse,
     pseudoinverse_of,
@@ -678,11 +678,10 @@ def _check_thm2_13(ctx: _Ctx, rng, t: int) -> _Trial:
     tol = ctx.tol
     family = ("ep", "non_ep", "normal_ep")[t % 3]
     m = _gen_for(ctx, rng, family)
-    modulus = polar_decomposition(m, tol).modulus_part
-    base = range_basis_of(svd(modulus, tol))
+    polar = polar_decomposition(m, tol)
+    base = range_basis_of(svd(polar.modulus_part, tol))
     worst = 0.0
-    for alpha in FRACTIONAL_ALPHA_GRID:
-        power = fractional_abs_power(m, alpha, tol)
+    for power in fractional_abs_powers_of(polar, FRACTIONAL_ALPHA_GRID, tol):
         worst = max(worst, projector_gap(range_basis_of(svd(power, tol)), base))
     fact_m = svd(m, tol)
     gap_to_range = projector_gap(range_basis_of(fact_m), base)
@@ -702,8 +701,10 @@ def _check_thm2_15(ctx: _Ctx, rng, t: int) -> _Trial:
     m = _gen_for(ctx, rng, family)
     fact_m = svd(m, tol)
     base = range_basis_of(fact_m)
-    modulus_range = range_basis_of(svd(polar_decomposition(m, tol).modulus_part, tol))
-    half_range = range_basis_of(svd(fractional_abs_power(m, 0.5, tol), tol))
+    polar = polar_decomposition(m, tol)
+    modulus_range = range_basis_of(svd(polar.modulus_part, tol))
+    (half,) = fractional_abs_powers_of(polar, (0.5,), tol)
+    half_range = range_basis_of(svd(half, tol))
     hyp = (
         projector_gap(base, modulus_range) <= tol.eq_atol
         and projector_gap(base, half_range) <= tol.eq_atol

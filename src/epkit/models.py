@@ -14,6 +14,13 @@ analytically forced:
   pseudoinverse norm n, the canonical witness that the EP class is not
   closed under norm limits.
 
+``limit_study`` factors each truncation once: one full SVD gives the
+classification and the pseudoinverse, whose norm is an exact ``norm2``, as
+are the report's other spectral norms.  The EP, hypo-EP and normality checks
+are decided by ``core.norm2_at_most`` (see ``classify``), so a truncation of
+these diagonal families costs one full SVD and three singular-value-only
+ones: the commutator residual, the range gap and the pseudoinverse norm.
+
 Truncation means leading principal submatrix; the midpoint grid avoids the
 t = 0 singularity by construction.  The unbounded growth families (diag_n,
 the even slots of diag_alternating) model operators whose natural domain is
@@ -28,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import classify
-from .core import DEFAULT_TOL, MAX_DIM, ToleranceConfig, norm2
+from .classify import classify_of
+from .core import DEFAULT_TOL, MAX_DIM, ToleranceConfig, norm2, svd
 from .errors import InvalidDimension, InvalidSpec
-from .pinv import pseudoinverse
+from .pinv import pseudoinverse_of
 
 FAMILIES = (
     "mult_inv_sqrt",
@@ -107,7 +114,8 @@ def limit_study(
 
     Each row records n, gamma, spectral_radius, is_ep, and the pseudoinverse
     norm; for diag_harmonic_truncated the gamma column is exactly 1/n while
-    every truncation stays EP, and for diag_n gamma is uniformly 1.
+    every truncation stays EP, and for diag_n gamma is uniformly 1.  One SVD
+    of each truncation feeds its classification and its pseudoinverse.
     """
     if n_max < 2:
         raise InvalidDimension(f"n_max must be >= 2, got {n_max}")
@@ -115,8 +123,10 @@ def limit_study(
     rows = []
     for n in range(1, n_max + 1):
         m = realize(fam, n)
-        report = classify(m, tol)
-        pinv_norm = norm2(pseudoinverse(m, tol))
+        fact = svd(m, tol)
+        mp = pseudoinverse_of(fact)
+        report = classify_of(m, fact, mp, tol)
+        pinv_norm = norm2(mp)
         rows.append(
             {
                 "n": n,

@@ -4,8 +4,9 @@ The pseudoinverse is computed spectrally from the shared SVD (never via
 normal equations): singular values above the rank cutoff are inverted and
 the rest annihilated, which realizes "invert on the carrier, kill the
 orthocomplement of the range" exactly.  The same factorization also yields
-the polar decomposition, fractional powers of the modulus |M| = (M*M)^(1/2),
-the reduced minimum modulus, and the spectral radius.
+the polar decomposition, fractional powers of the modulus |M| = (M*M)^(1/2)
+(one eigendecomposition of |M| for a whole grid of exponents), the reduced
+minimum modulus, and the spectral radius.
 
 ``pseudoinverse`` also takes a stack of matrices: one stacked SVD factors
 them all, and the inverse is then assembled once per group of equal
@@ -215,19 +216,38 @@ def fractional_abs_power(
 ) -> np.ndarray:
     """|M|^alpha for alpha > 0, via the Hermitian eigendecomposition of |M|.
 
+    The one-exponent case of fractional_abs_powers_of.
+    """
+    _require_positive((alpha,))
+    return fractional_abs_powers_of(polar_decomposition(matrix, tol), (alpha,), tol)[0]
+
+
+def fractional_abs_powers_of(
+    polar: PolarFactors, alphas, tol: ToleranceConfig = DEFAULT_TOL
+) -> list[np.ndarray]:
+    """|M|^alpha for each alpha > 0, from the polar factors of M.
+
+    One Hermitian eigendecomposition of |M| serves every exponent.
     Eigenvalues of |M| at or below the rank cutoff are clamped to exactly 0
     before the power is taken (for alpha < 1 a sub-cutoff roundoff eigenvalue
     would otherwise be amplified, eps**alpha >> eps, and corrupt the range);
     |M|^1 reproduces |M| within tolerance.
     """
-    if not alpha > 0.0:
-        raise InvalidExponent(f"exponent must be positive, got {alpha}")
-    modulus = polar_decomposition(matrix, tol).modulus_part
-    w, q = hermitian_eig(modulus, tol)
+    _require_positive(alphas)
+    w, q = hermitian_eig(polar.modulus_part, tol)
     cutoff = tol.rank_rtol * max(float(w[0]), 0.0)
-    powered = np.where(w > cutoff, np.clip(w, 0.0, None), 0.0) ** alpha
-    result = (q * powered) @ q.conj().T
-    return (result + result.conj().T) / 2.0
+    kept = np.where(w > cutoff, np.clip(w, 0.0, None), 0.0)
+    powers = []
+    for alpha in alphas:
+        result = (q * kept**alpha) @ q.conj().T
+        powers.append((result + result.conj().T) / 2.0)
+    return powers
+
+
+def _require_positive(alphas) -> None:
+    for alpha in alphas:
+        if not alpha > 0.0:
+            raise InvalidExponent(f"exponent must be positive, got {alpha}")
 
 
 def direct_sum(a, b) -> np.ndarray:

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, SvdFactorization, ToleranceConfig, as_matrix, norm2, svd
+from .core import (
+    DEFAULT_TOL,
+    SvdFactorization,
+    ToleranceConfig,
+    as_matrix,
+    norm2,
+    norm2_at_most,
+    svd,
+)
 from .errors import DimensionMismatch
 
 
@@ -106,16 +114,22 @@ def inclusion_residual(a: OrthonormalBasis, b: OrthonormalBasis) -> float:
         )
     if a.dim == 0:
         return 0.0
-    return columns_inclusion_residual(a.vectors, b.vectors)
+    return norm2(_outside(a.vectors, b.vectors))
 
 
-def columns_inclusion_residual(a: np.ndarray, b: np.ndarray):
-    """||(I - B B*) A|| for orthonormal columns A and B, or per pair of a stack.
+def columns_included(a: np.ndarray, b: np.ndarray, atol: float):
+    """||(I - B B*) A|| <= atol for orthonormal columns A and B, or per pair of a stack.
 
-    The array form of inclusion_residual, for callers that hold the columns
-    of many subspaces at once; A needs at least one column.
+    The array form of ``inclusion_residual(a, b) <= atol``, for callers that
+    hold the columns of many subspaces at once; A needs at least one column.
+    The residual feeds nothing but the verdict, so norm2_at_most decides it.
     """
-    return norm2(a - b @ (b.conj().swapaxes(-1, -2) @ a))
+    return norm2_at_most(_outside(a, b), atol)
+
+
+def _outside(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(I - B B*) A: the part of the columns of A outside span(B)."""
+    return a - b @ (b.conj().swapaxes(-1, -2) @ a)
 
 
 def subspace_leq(

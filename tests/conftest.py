@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -30,3 +32,23 @@ def corrupt_ep_generation(monkeypatch):
         return m
 
     monkeypatch.setitem(harness._GENERATORS, "ep", non_ep)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Count np.linalg.svd calls made while the test runs.
+
+    ``svd_calls["full"]`` counts calls that return singular vectors and
+    ``svd_calls["values"]`` those with compute_uv=False (every norm2); a
+    stacked call counts once.  ``svd_calls.clear()`` starts a fresh count.
+    """
+    counts = Counter()
+    real = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        compute_uv = kwargs.get("compute_uv", args[1] if len(args) > 1 else True)
+        counts["full" if compute_uv else "values"] += 1
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return counts

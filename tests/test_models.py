@@ -10,6 +10,7 @@ from epkit import (
     harmonic_truncation,
     is_normal,
     limit_study,
+    pseudoinverse,
     realize,
 )
 
@@ -111,3 +112,31 @@ class TestFamilyInvariants:
         for n in (3, 10, 25):
             m = harmonic_truncation(n, n + 2)
             assert operator_norm(pseudoinverse(m, tol)) == pytest.approx(float(n), abs=1e-12)
+
+
+def limit_study_reference(family, n_max, tol):
+    """The truncation loop with a classification and a fresh pseudoinverse each."""
+    rows = []
+    for n in range(1, n_max + 1):
+        m = realize(family, n)
+        report = classify(m, tol)
+        rows.append(
+            {
+                "n": n,
+                "gamma": report.gamma,
+                "spectral_radius": report.spectral_radius,
+                "is_ep": report.is_ep,
+                "pinv_norm": float(np.linalg.norm(pseudoinverse(m, tol), 2)),
+            }
+        )
+    return rows
+
+
+class TestLimitStudySharesOneFactorization:
+    @pytest.mark.parametrize(
+        "family",
+        list(FAMILIES)
+        + [pytest.param(ModelFamily("diag_harmonic_truncated", ambient_dim=48), id="ambient48")],
+    )
+    def test_rows_match_reference_bit_for_bit(self, tol, family):
+        assert limit_study(family, 40, tol) == limit_study_reference(family, 40, tol)

@@ -9,6 +9,7 @@ from epkit import (
     adjoint,
     direct_sum,
     fractional_abs_power,
+    hermitian_eig,
     mp_identity_suite,
     operator_norm,
     penrose_residuals,
@@ -20,6 +21,7 @@ from epkit import (
     subspace_eq,
     svd,
 )
+from epkit.pinv import fractional_abs_powers_of
 
 
 class TestPseudoinverse:
@@ -219,6 +221,42 @@ class TestFractionalAbsPower:
     def test_rejects_non_square(self, tol):
         with pytest.raises(NotSquare):
             fractional_abs_power(np.ones((2, 3)), 0.5, tol)
+
+
+def abs_power_reference(m, alpha, tol):
+    """|M|^alpha from its own polar decomposition and eigendecomposition."""
+    w, q = hermitian_eig(polar_decomposition(m, tol).modulus_part, tol)
+    cutoff = tol.rank_rtol * max(float(w[0]), 0.0)
+    powered = np.where(w > cutoff, np.clip(w, 0.0, None), 0.0) ** alpha
+    result = (q * powered) @ q.conj().T
+    return (result + result.conj().T) / 2.0
+
+
+class TestFractionalAbsPowersOf:
+    GRID = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
+
+    @pytest.mark.parametrize("rank", [0, 3, 6])
+    def test_grid_matches_each_exponent_bit_for_bit(self, rng, tol, rank):
+        m = oracles.random_matrix(rng, 6, 6, rank, cond=50.0)
+        powers = fractional_abs_powers_of(polar_decomposition(m, tol), self.GRID, tol)
+        assert len(powers) == len(self.GRID)
+        for alpha, power in zip(self.GRID, powers):
+            want = abs_power_reference(m, alpha, tol)
+            assert np.array_equal(power, want)
+            assert np.array_equal(fractional_abs_power(m, alpha, tol), want)
+
+    def test_one_eigendecomposition_for_the_grid(self, rng, tol, monkeypatch):
+        calls = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or real(a))
+        polar = polar_decomposition(rng.standard_normal((5, 5)), tol)
+        fractional_abs_powers_of(polar, self.GRID, tol)
+        assert len(calls) == 1
+
+    def test_rejects_a_bad_exponent_anywhere_in_the_grid(self, tol):
+        polar = polar_decomposition(np.eye(2), tol)
+        with pytest.raises(InvalidExponent):
+            fractional_abs_powers_of(polar, (0.5, 0.0), tol)
 
 
 class TestDirectSum:
