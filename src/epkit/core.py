@@ -16,9 +16,10 @@ same bits as ``np.linalg.norm(x, 2)`` without that function's axis handling.
 A spectral norm that feeds only a yes/no threshold check goes through
 ``norm2_at_most`` instead, which brackets it by the Frobenius norm and runs
 the SVD only when the bracket straddles the threshold; its verdict is the
-exact one.  Here that is the Hermitian check of ``hermitian_eig``; in
-``classify`` the EP and normality checks.  Every spectral norm that reaches
-a report is an exact ``norm2``.
+exact one.  Here that is ``require_hermitian``, the one Hermitian check
+(``hermitian_eig`` and ``harness.psd_dominates`` call it); in ``classify``
+the EP and normality checks.  Every spectral norm that reaches a report is
+an exact ``norm2``.
 
 All functions are pure: inputs are validated, never mutated, and returned
 arrays are fresh.  Values are safe to share across threads.
@@ -211,11 +212,7 @@ def hermitian_eig(
     H = Q diag(w) Q*.  Raises NotHermitian when the input is not square or
     departs from H = H* by more than eq_atol * (1 + ||H||).
     """
-    h = as_matrix(matrix)
-    if h.shape[0] != h.shape[1]:
-        raise NotHermitian(f"expected a square Hermitian matrix, got shape {h.shape}")
-    if not norm2_at_most(h - h.conj().T, lambda norm: tol.eq_atol * (1.0 + norm), h):
-        raise NotHermitian("matrix is not Hermitian within tolerance")
+    h = require_hermitian(as_matrix(matrix), tol)
     try:
         w, q = np.linalg.eigh((h + h.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:
@@ -224,6 +221,20 @@ def hermitian_eig(
         ) from exc
     order = np.argsort(-w, kind="stable")
     return w[order].copy(), q[:, order].copy()
+
+
+def require_hermitian(
+    h: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, what: str = "matrix"
+) -> np.ndarray:
+    """Return h if it is square and ||H - H*|| <= eq_atol * (1 + ||H||).
+
+    Otherwise raise NotHermitian naming h as ``what``.  No validation, as norm2.
+    """
+    if h.shape[0] != h.shape[1]:
+        raise NotHermitian(f"expected a square Hermitian {what}, got shape {h.shape}")
+    if not norm2_at_most(h - h.conj().T, lambda norm: tol.eq_atol * (1.0 + norm), h):
+        raise NotHermitian(f"{what} is not Hermitian within tolerance")
+    return h
 
 
 def eigenvalues(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -20,6 +20,13 @@ their gaps to the limit, of successive differences) is one stacked norm2
 call.  Stacked kernels give each term the bits it gets on its own, so the
 verdicts and residuals are those of a term-by-term loop.
 
+One factorization per matrix feeds every decision about it: its rank, EP
+verdict, pseudoinverse, polar factors and subspace bases all come from one
+``SvdFactorization``, and a yes/no subspace comparison is ``subspace_eq``,
+never a projector gap against eq_atol.  By design, the generators
+self-validate each draw with a factorization of their own, the routes that
+thm2.1 and thm2.13 compare stay independent, and scales are exact norm2s.
+
 Generation dispatches through one table, ``_GENERATORS``, from family name
 to generator; ``gen_matrix`` and the verifiers both index it.  A test that
 needs a faulty generator patches an entry of that table for its own run
@@ -46,21 +53,17 @@ from .core import (
     eigenvalues,
     norm2,
     operator_norm,
+    require_hermitian,
     svd,
 )
-from .errors import (
-    DimensionMismatch,
-    GenerationError,
-    InvalidSpec,
-    NotHermitian,
-    UnknownTheorem,
-)
+from .errors import DimensionMismatch, GenerationError, InvalidSpec, UnknownTheorem
 from .classify import classify, is_ep, range_corange_test
 from .models import harmonic_truncation
 from .pinv import (
     direct_sum,
     fractional_abs_powers_of,
     polar_decomposition,
+    polar_decomposition_of,
     pseudoinverse,
     pseudoinverse_of,
     reduced_min_modulus,
@@ -72,6 +75,7 @@ from .subspace import (
     null_basis_of,
     projector_gap,
     range_basis_of,
+    subspace_eq,
 )
 
 SEQUENCE_LENGTH = 50
@@ -181,12 +185,11 @@ def _conditioned_invertible(
     return (u * s) @ v.conj().T
 
 
-def _embed_conjugated(rng: np.random.Generator, dim: int, block: np.ndarray) -> np.ndarray:
-    """V blockdiag(block, 0) V* for a fresh Haar-random unitary V."""
+def _embed_conjugated(v: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """V blockdiag(block, 0) V* for a unitary V."""
     k = block.shape[0]
-    b = np.zeros((dim, dim), dtype=np.complex128)
+    b = np.zeros(v.shape, dtype=np.complex128)
     b[:k, :k] = block
-    v = _haar_unitary(rng, dim)
     return v @ b @ v.conj().T
 
 
@@ -194,7 +197,7 @@ def _gen_ep(rng, dim, rank, cond, tol) -> np.ndarray:
     if rank == 0:
         return np.zeros((dim, dim), dtype=np.complex128)
     block = _conditioned_invertible(rng, rank, cond)
-    m = _embed_conjugated(rng, dim, block)
+    m = _embed_conjugated(_haar_unitary(rng, dim), block)
     if not is_ep(m, tol):
         raise GenerationError("ep family self-validation failed")
     return m
@@ -207,7 +210,7 @@ def _gen_non_ep(rng, dim, rank, cond, tol) -> np.ndarray:
     block[0, 1] = rng.uniform(0.5, 2.0)
     if rank > 1:
         block[2:, 2:] = _conditioned_invertible(rng, rank - 1, cond)
-    m = _embed_conjugated(rng, dim, block)
+    m = _embed_conjugated(_haar_unitary(rng, dim), block)
     if is_ep(m, tol):
         raise GenerationError("non_ep family self-validation failed")
     return m
@@ -333,17 +336,12 @@ def psd_dominates(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     bm = as_matrix(b)
     if am.shape != bm.shape:
         raise DimensionMismatch(f"shapes differ: {am.shape} vs {bm.shape}")
-    if am.shape[0] != am.shape[1]:
-        raise NotHermitian("psd_dominates needs square Hermitian inputs")
-    norm_a = operator_norm(am)
-    for name, m in (("first", am), ("second", bm)):
-        scale = 1.0 + operator_norm(m)
-        if norm2(m - m.conj().T) > tol.eq_atol * scale:
-            raise NotHermitian(f"{name} argument is not Hermitian within tolerance")
+    require_hermitian(am, tol, "first argument")
+    require_hermitian(bm, tol, "second argument")
     diff = am - bm
     diff = (diff + diff.conj().T) / 2.0
     w = np.linalg.eigvalsh(diff)
-    return bool(w[0] >= -tol.eq_atol * (1.0 + norm_a))
+    return bool(w[0] >= -tol.eq_atol * (1.0 + operator_norm(am)))
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +538,7 @@ def _check_thm2_5(ctx: _Ctx, rng, t: int) -> _Trial:
                 (vn.shape[1], vn.shape[1])
             )
             s = s + vn @ g @ vn.conj().T
-        tp = pseudoinverse(t_mat, tol)
+        tp = pseudoinverse_of(fact)
         premise = norm2(s @ tp - tp @ s)
         conclusion = norm2(s @ t_mat - t_mat @ s)
         scale = (1.0 + operator_norm(s)) * (1.0 + operator_norm(t_mat) + norm2(tp))
@@ -583,7 +581,7 @@ def _check_thm2_6(ctx: _Ctx, rng, t: int) -> _Trial:
     sq = m @ m
     fact_sq = svd(sq, tol)
     sq_ep = range_corange_test(fact_sq, tol)[0]
-    same_range = projector_gap(range_basis_of(fact_sq), range_basis_of(svd(m, tol))) <= ctx.tol.eq_atol
+    same_range = subspace_eq(range_basis_of(fact_sq), range_basis_of(svd(m, tol)), tol)
     ok = not (sq_ep and same_range)
     return _pass_fail(ok, {"T": m},
                       "square of a non-EP matrix is EP with unchanged range", "reject")
@@ -646,20 +644,15 @@ def _check_thm2_12(ctx: _Ctx, rng, t: int) -> _Trial:
         v = _haar_unitary(rng, spec.dim)
         a1 = _conditioned_invertible(rng, max(spec.rank, 1), spec.condition_bound)
         a2 = _conditioned_invertible(rng, max(spec.rank, 1), spec.condition_bound)
-        pad = spec.dim - max(spec.rank, 1)
-        s = v @ direct_sum(a1, np.zeros((pad, pad))) @ v.conj().T if pad else v @ a1 @ v.conj().T
-        t_mat = v @ direct_sum(a2, np.zeros((pad, pad))) @ v.conj().T if pad else v @ a2 @ v.conj().T
+        s = _embed_conjugated(v, a1)
+        t_mat = _embed_conjugated(v, a2)
     else:
         s, t_mat = _gen_for(ctx, rng, "product_pair")
     product = s @ t_mat
     fact_p = svd(product, tol)
     fact_t = svd(t_mat, tol)
-    range_same = (
-        projector_gap(range_basis_of(fact_p), range_basis_of(fact_t)) <= tol.eq_atol
-    )
-    null_same = (
-        projector_gap(null_basis_of(fact_p), null_basis_of(fact_t)) <= tol.eq_atol
-    )
+    range_same = subspace_eq(range_basis_of(fact_p), range_basis_of(fact_t), tol)
+    null_same = subspace_eq(null_basis_of(fact_p), null_basis_of(fact_t), tol)
     conds = range_same and null_same
     ep_p = range_corange_test(fact_p, tol)[0]
     payload = {"S": s, "T": t_mat}
@@ -678,19 +671,18 @@ def _check_thm2_13(ctx: _Ctx, rng, t: int) -> _Trial:
     tol = ctx.tol
     family = ("ep", "non_ep", "normal_ep")[t % 3]
     m = _gen_for(ctx, rng, family)
-    polar = polar_decomposition(m, tol)
+    fact_m = svd(m, tol)
+    polar = polar_decomposition_of(fact_m)
     base = range_basis_of(svd(polar.modulus_part, tol))
     worst = 0.0
     for power in fractional_abs_powers_of(polar, FRACTIONAL_ALPHA_GRID, tol):
         worst = max(worst, projector_gap(range_basis_of(svd(power, tol)), base))
-    fact_m = svd(m, tol)
-    gap_to_range = projector_gap(range_basis_of(fact_m), base)
     if family == "non_ep":
-        ok = gap_to_range > tol.eq_atol
+        ok = not subspace_eq(range_basis_of(fact_m), base, tol)
         return _residual_trial(worst, 1.0, tol, extra_ok=ok, direction="reject",
                                payload={"T": m},
                                note=None if ok else "non-EP matrix has range(|T|) == range(T)")
-    worst = max(worst, gap_to_range)
+    worst = max(worst, projector_gap(range_basis_of(fact_m), base))
     return _residual_trial(worst, 1.0, tol, payload={"T": m})
 
 
@@ -701,14 +693,11 @@ def _check_thm2_15(ctx: _Ctx, rng, t: int) -> _Trial:
     m = _gen_for(ctx, rng, family)
     fact_m = svd(m, tol)
     base = range_basis_of(fact_m)
-    polar = polar_decomposition(m, tol)
+    polar = polar_decomposition_of(fact_m)
     modulus_range = range_basis_of(svd(polar.modulus_part, tol))
     (half,) = fractional_abs_powers_of(polar, (0.5,), tol)
     half_range = range_basis_of(svd(half, tol))
-    hyp = (
-        projector_gap(base, modulus_range) <= tol.eq_atol
-        and projector_gap(base, half_range) <= tol.eq_atol
-    )
+    hyp = subspace_eq(base, modulus_range, tol) and subspace_eq(base, half_range, tol)
     ep = range_corange_test(fact_m, tol)[0]
     if family == "ep":
         ok = hyp and ep
@@ -763,14 +752,15 @@ def _check_thm2_19(ctx: _Ctx, rng, t: int) -> _Trial:
     m = _gen_for(ctx, rng, family)
     dim = m.shape[0]
     eye = np.eye(dim, dtype=np.complex128)
-    mp = pseudoinverse(m, tol)
+    fact = svd(m, tol)
+    mp = pseudoinverse_of(fact)
     madj = adjoint(m)
     madj_p = pseudoinverse(madj, tol)
     r1 = norm2(m @ (eye - m @ mp))
     r2 = norm2(madj @ (eye - madj @ madj_p))
     scale = 1.0 + operator_norm(m)
     pred = r1 <= tol.eq_atol * scale and r2 <= tol.eq_atol * scale
-    ep = is_ep(m, tol)
+    ep = range_corange_test(fact, tol)[0]
     expected = family == "ep"
     if pred != expected or ep != expected:
         return _Trial(False, 1.0, direction="accept" if expected else "reject",

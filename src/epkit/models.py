@@ -74,37 +74,35 @@ def _family(family: ModelFamily | str) -> ModelFamily:
 
 
 def diagonal_entries(family: ModelFamily | str, n: int) -> np.ndarray:
-    """The prescribed diagonal for truncation parameter n (real, length >= n)."""
+    """The prescribed diagonal for truncation parameter n (real, length n to MAX_DIM)."""
     fam = _family(family)
     if n < 1:
         raise InvalidDimension(f"truncation parameter must be >= 1, got {n}")
+    k = np.arange(1, n + 1, dtype=float)
     if fam.family_id == "mult_inv_sqrt":
-        midpoints = (np.arange(1, n + 1) - 0.5) / n
-        return 1.0 / np.sqrt(midpoints)
-    if fam.family_id == "diag_n":
-        return np.arange(1, n + 1, dtype=float)
-    if fam.family_id == "diag_alternating":
-        k = np.arange(1, n + 1, dtype=float)
-        return np.where(np.arange(1, n + 1) % 2 == 0, k, 1.0 / k)
-    # diag_harmonic_truncated
-    ambient = fam.ambient_dim if fam.ambient_dim is not None else n
-    if ambient < n:
+        entries = 1.0 / np.sqrt((k - 0.5) / n)
+    elif fam.family_id == "diag_n":
+        entries = k
+    elif fam.family_id == "diag_alternating":
+        entries = np.where(np.arange(1, n + 1) % 2 == 0, k, 1.0 / k)
+    else:  # diag_harmonic_truncated
+        ambient = fam.ambient_dim if fam.ambient_dim is not None else n
+        if ambient < n:
+            raise InvalidDimension(
+                f"ambient dimension {ambient} is smaller than truncation {n}"
+            )
+        entries = np.zeros(ambient)
+        entries[:n] = 1.0 / k
+    if entries.size > MAX_DIM:
         raise InvalidDimension(
-            f"ambient dimension {ambient} is smaller than truncation {n}"
+            f"truncation of dimension {entries.size} exceeds the {MAX_DIM} cap"
         )
-    entries = np.zeros(ambient)
-    entries[:n] = 1.0 / np.arange(1, n + 1)
     return entries
 
 
 def realize(family: ModelFamily | str, n: int) -> np.ndarray:
     """The family's n-th truncation as a dense complex diagonal matrix."""
-    entries = diagonal_entries(family, n)
-    if entries.size > MAX_DIM:
-        raise InvalidDimension(
-            f"truncation of dimension {entries.size} exceeds the {MAX_DIM} cap"
-        )
-    return np.diag(entries).astype(np.complex128)
+    return np.diag(diagonal_entries(family, n)).astype(np.complex128)
 
 
 def limit_study(
@@ -120,6 +118,9 @@ def limit_study(
     if n_max < 2:
         raise InvalidDimension(f"n_max must be >= 2, got {n_max}")
     fam = _family(family)
+    # Check every n before the first SVD, so a bad n_max fails at once.
+    for n in range(1, n_max + 1):
+        diagonal_entries(fam, n)
     rows = []
     for n in range(1, n_max + 1):
         m = realize(fam, n)

@@ -198,14 +198,17 @@ def polar_decomposition(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> PolarFact
     The partial isometry keeps only singular directions above the cutoff, so
     N(U) = N(M); the alternative unitary completion is deliberately not used.
     """
-    m = require_square(as_matrix(matrix))
-    fact = svd(m, tol)
+    return polar_decomposition_of(svd(require_square(as_matrix(matrix)), tol))
+
+
+def polar_decomposition_of(fact: SvdFactorization) -> PolarFactors:
+    """Polar factors from an existing factorization of one square matrix."""
     r = fact.numerical_rank
     v = fact.right_vectors
     modulus = (v * fact.singular_values) @ v.conj().T
     modulus = (modulus + modulus.conj().T) / 2.0
     if r == 0:
-        isometry = np.zeros_like(m)
+        isometry = np.zeros_like(modulus)
     else:
         isometry = fact.left_vectors[:, :r] @ v[:, :r].conj().T
     return PolarFactors(isometry_part=isometry, modulus_part=modulus)

@@ -2,9 +2,10 @@
 
 Subspaces here always arise from one shared SVD per matrix, which keeps the
 range / null / carrier bases mutually consistent: a single rank decision
-feeds all three.  Inclusion is decided by the residual ||(I - P_B) V_A||,
-which is cheap and directly bounds the projector distance; principal angles
-are available as a diagnostic only.
+feeds all three.  Inclusion has one rule, ``columns_included``
+(||(I - P_B) V_A|| <= eq_atol), shared by ``subspace_leq``, ``subspace_eq``
+and the EP test; projector gaps are numbers for reports, and principal
+angles are available as a diagnostic only.
 """
 
 from __future__ import annotations
@@ -46,13 +47,6 @@ class OrthonormalBasis:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def orthonormality_residual(self) -> float:
-        """||V* V - I||, which should be at roundoff level for valid bases."""
-        if self.dim == 0:
-            return 0.0
-        gram = self.vectors.conj().T @ self.vectors
-        return norm2(gram - np.eye(self.dim))
-
 
 @dataclass(frozen=True, eq=False)
 class Projector:
@@ -79,10 +73,6 @@ def carrier_basis_of(fact: SvdFactorization) -> OrthonormalBasis:
     return OrthonormalBasis(fact.cols, fact.carrier_vectors())
 
 
-def left_null_basis_of(fact: SvdFactorization) -> OrthonormalBasis:
-    return OrthonormalBasis(fact.rows, fact.left_null_vectors())
-
-
 def range_basis(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> OrthonormalBasis:
     """Orthonormal basis of the range (left singular vectors above cutoff)."""
     return range_basis_of(svd(matrix, tol))
@@ -106,30 +96,14 @@ def projector(basis: OrthonormalBasis) -> Projector:
     return Projector(v @ v.conj().T)
 
 
-def inclusion_residual(a: OrthonormalBasis, b: OrthonormalBasis) -> float:
-    """||(I - P_B) V_A||: 0 iff span(A) is contained in span(B)."""
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch(
-            f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
-        )
-    if a.dim == 0:
-        return 0.0
-    return norm2(_outside(a.vectors, b.vectors))
-
-
 def columns_included(a: np.ndarray, b: np.ndarray, atol: float):
     """||(I - B B*) A|| <= atol for orthonormal columns A and B, or per pair of a stack.
 
-    The array form of ``inclusion_residual(a, b) <= atol``, for callers that
-    hold the columns of many subspaces at once; A needs at least one column.
-    The residual feeds nothing but the verdict, so norm2_at_most decides it.
+    The one inclusion rule: ``subspace_leq`` and the EP decision both call
+    it.  A needs at least one column.  The residual feeds nothing but the
+    verdict, so norm2_at_most decides it.
     """
-    return norm2_at_most(_outside(a, b), atol)
-
-
-def _outside(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(I - B B*) A: the part of the columns of A outside span(B)."""
-    return a - b @ (b.conj().swapaxes(-1, -2) @ a)
+    return norm2_at_most(a - b @ (b.conj().swapaxes(-1, -2) @ a), atol)
 
 
 def subspace_leq(
@@ -139,22 +113,24 @@ def subspace_leq(
 
     The zero subspace is contained in everything.
     """
-    return inclusion_residual(a, b) <= tol.eq_atol
+    _require_same_ambient(a, b)
+    return a.dim == 0 or columns_included(a.vectors, b.vectors, tol.eq_atol)
 
 
 def subspace_eq(
     a: OrthonormalBasis, b: OrthonormalBasis, tol: ToleranceConfig = DEFAULT_TOL
 ) -> bool:
-    """True iff the spans coincide (inclusion both ways)."""
+    """True iff the spans coincide (inclusion both ways).
+
+    For spans of equal dimension, both residuals equal ||P_A - P_B|| in
+    exact arithmetic; spans of different dimension are never equal.
+    """
     return subspace_leq(a, b, tol) and subspace_leq(b, a, tol)
 
 
 def projector_gap(a: OrthonormalBasis, b: OrthonormalBasis) -> float:
     """||P_A - P_B||, the projector distance between the two spans."""
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch(
-            f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
-        )
+    _require_same_ambient(a, b)
     return norm2(projector(a).matrix - projector(b).matrix)
 
 
@@ -164,10 +140,14 @@ def principal_angles(a: OrthonormalBasis, b: OrthonormalBasis) -> np.ndarray:
     # of epkit, and nothing on the verdict path needs it.
     from scipy.linalg import subspace_angles
 
+    _require_same_ambient(a, b)
+    if a.dim == 0 or b.dim == 0:
+        return np.zeros(0)
+    return subspace_angles(as_matrix(a.vectors), as_matrix(b.vectors))
+
+
+def _require_same_ambient(a: OrthonormalBasis, b: OrthonormalBasis) -> None:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch(
             f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
         )
-    if a.dim == 0 or b.dim == 0:
-        return np.zeros(0)
-    return subspace_angles(as_matrix(a.vectors), as_matrix(b.vectors))

@@ -178,6 +178,15 @@ class TestModelCommand:
         assert main(["model", "diag_n", "--n-max", "1"]) == 2
         capsys.readouterr()
 
+    def test_past_the_cap_exits_2_before_any_svd(self, capsys, svd_calls):
+        assert main(["model", "diag_n", "--n-max", "300"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "epkit: error: truncation of dimension 257 exceeds the 256 cap\n"
+        )
+        assert svd_calls["full"] == svd_calls["values"] == 0
+
 
 class TestWireFormats:
     def test_matrix_payload_round_trip(self, rng):

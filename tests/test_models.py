@@ -90,6 +90,28 @@ class TestLimitStudy:
         with pytest.raises(InvalidDimension):
             limit_study("diag_n", 1, tol)
 
+    @pytest.mark.parametrize(
+        "family,n_max,message",
+        [
+            ("diag_n", 300, "truncation of dimension 257 exceeds the 256 cap"),
+            ("mult_inv_sqrt", 257, "truncation of dimension 257 exceeds the 256 cap"),
+            (
+                ModelFamily("diag_harmonic_truncated", ambient_dim=30),
+                40,
+                "ambient dimension 30 is smaller than truncation 31",
+            ),
+        ],
+    )
+    def test_rejects_a_bad_truncation_before_the_first_svd(
+        self, svd_calls, tol, family, n_max, message
+    ):
+        # The error of the first truncation past the limit, raised before
+        # the loop factors any of the valid ones.
+        with pytest.raises(InvalidDimension) as exc:
+            limit_study(family, n_max, tol)
+        assert str(exc.value) == message
+        assert svd_calls["full"] == svd_calls["values"] == 0
+
 
 class TestFamilyInvariants:
     def test_all_families_normal_hence_ep(self, tol):
