@@ -130,20 +130,7 @@ def classify(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> ClassificationReport
     """
     m = require_square(as_matrix(matrix))
     fact = svd(m, tol)
-    return classify_of(m, fact, pseudoinverse_of(fact), tol)
-
-
-def classify_of(
-    m: np.ndarray,
-    fact: SvdFactorization,
-    mp: np.ndarray,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> ClassificationReport:
-    """``classify`` of a validated square matrix from its factorization.
-
-    ``fact`` is svd(m, tol) and ``mp`` is pseudoinverse_of(fact); callers
-    that need either themselves pass them in instead of recomputing them.
-    """
+    mp = pseudoinverse_of(fact)
     r = fact.numerical_rank
     ep, hypo = range_corange_test(fact, tol)
     return ClassificationReport(

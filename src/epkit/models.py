@@ -14,12 +14,12 @@ analytically forced:
   pseudoinverse norm n, the canonical witness that the EP class is not
   closed under norm limits.
 
-``limit_study`` factors each truncation once: one full SVD gives the
-classification and the pseudoinverse, whose norm is an exact ``norm2``, as
-are the report's other spectral norms.  The EP, hypo-EP and normality checks
-are decided by ``core.norm2_at_most`` (see ``classify``), so a truncation of
-these diagonal families costs one full SVD and three singular-value-only
-ones: the commutator residual, the range gap and the pseudoinverse norm.
+``limit_study`` factors each truncation once and computes only the four
+values a row holds: gamma and the EP verdict come from one full SVD, the
+spectral radius from the eigenvalue kernel, and the pseudoinverse norm is
+an exact ``norm2``.  The EP decision is settled by ``core.norm2_at_most``
+(see ``classify``), so a truncation of these diagonal families costs one
+full SVD and one singular-value-only one, the pseudoinverse norm.
 
 Truncation means leading principal submatrix; the midpoint grid avoids the
 t = 0 singularity by construction.  The unbounded growth families (diag_n,
@@ -35,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import classify_of
+from .classify import range_corange_test
 from .core import DEFAULT_TOL, MAX_DIM, ToleranceConfig, norm2, svd
 from .errors import InvalidDimension, InvalidSpec
-from .pinv import pseudoinverse_of
+from .pinv import pseudoinverse_of, reduced_min_modulus_of, spectral_radius
 
 FAMILIES = (
     "mult_inv_sqrt",
@@ -113,7 +113,7 @@ def limit_study(
     Each row records n, gamma, spectral_radius, is_ep, and the pseudoinverse
     norm; for diag_harmonic_truncated the gamma column is exactly 1/n while
     every truncation stays EP, and for diag_n gamma is uniformly 1.  One SVD
-    of each truncation feeds its classification and its pseudoinverse.
+    of each truncation feeds its gamma, its EP verdict and its pseudoinverse.
     """
     if n_max < 2:
         raise InvalidDimension(f"n_max must be >= 2, got {n_max}")
@@ -125,16 +125,13 @@ def limit_study(
     for n in range(1, n_max + 1):
         m = realize(fam, n)
         fact = svd(m, tol)
-        mp = pseudoinverse_of(fact)
-        report = classify_of(m, fact, mp, tol)
-        pinv_norm = norm2(mp)
         rows.append(
             {
                 "n": n,
-                "gamma": report.gamma,
-                "spectral_radius": report.spectral_radius,
-                "is_ep": report.is_ep,
-                "pinv_norm": pinv_norm,
+                "gamma": reduced_min_modulus_of(fact),
+                "spectral_radius": spectral_radius(m, tol),
+                "is_ep": range_corange_test(fact, tol)[0],
+                "pinv_norm": norm2(pseudoinverse_of(fact)),
             }
         )
     return rows

@@ -1,8 +1,14 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import epkit
 from epkit import (
     DimensionMismatch,
     GeneratorSpec,
@@ -238,3 +244,45 @@ class TestRunTheoremCheck:
         assert verdict.counterexample is not None
         assert "matrices" in verdict.counterexample
         assert verdict.counterexample["trial"] == 0
+
+
+# One thm1.5 run, as the JSON of its verdict with the timing zeroed.
+_THM1_5_REPORT = """
+import dataclasses, json
+from epkit import GeneratorSpec, run_theorem_check
+from epkit.serialize import verdict_to_payload
+spec = GeneratorSpec(dim=DIM, rank=DIM - 2, condition_bound=50.0, seed=5)
+verdict = run_theorem_check("thm1.5", spec, 4)
+report = json.dumps(verdict_to_payload(dataclasses.replace(verdict, elapsed_ms=0)))
+"""
+
+
+def _thm1_5_report(dim: int) -> str:
+    scope = {"DIM": dim}
+    exec(_THM1_5_REPORT, scope)
+    return scope["report"]
+
+
+def _thm1_5_report_in_fresh_interpreter(dim: int) -> str:
+    code = f"DIM = {dim}\n{_THM1_5_REPORT}\nimport sys; sys.stdout.write(report)\n"
+    paths = [str(Path(epkit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestThm15ControlIsPerRun:
+    """thm1.5 computes its harmonic-truncation control once a run, not once a process."""
+
+    def test_runs_in_one_process_match_fresh_interpreters(self):
+        # Two odd trials per run, so each run reuses its control once; the
+        # dim-32 control (ambient 32) differs from the dim-8 one (ambient 16).
+        assert _thm1_5_report(32) == _thm1_5_report_in_fresh_interpreter(32)
+        assert _thm1_5_report(8) == _thm1_5_report_in_fresh_interpreter(8)
+
+    def test_mutating_a_verdict_leaves_the_next_run_alone(self):
+        verdict = run_theorem_check("thm1.5", spec(dim=8, rank=6, seed=5), 4)
+        expected = json.dumps(verdict_to_payload(dataclasses.replace(verdict, elapsed_ms=0)))
+        verdict.details["negative_example"].clear()
+        assert _thm1_5_report(8) == expected

@@ -19,7 +19,7 @@ from epkit import (
 )
 from epkit.classify import range_corange_test
 from epkit.core import norm2
-from epkit.harness import _window_conditions
+from epkit.harness import SEQUENCE_LENGTH, _window_conditions
 
 
 def complex_normal(rng, shape):
@@ -160,3 +160,64 @@ class TestStackedWindowConditions:
         got = _window_conditions((2.0 * t,), t, tol)
         assert got == window_conditions_loop((2.0 * t,), t, tol)
         assert got[1]["min_successive_pinv_gap_tail"] == 0.0
+
+
+def window_conditions_full_window(terms, limit, tol):
+    """The stacked window diagnostics with all four norms over the whole window.
+
+    ``_window_conditions`` takes the gaps only at the two ends of the window
+    and the successive differences only over its last five steps, since the
+    verdict reads no others; this is the version that took them all.
+    """
+    limit_pinv = pseudoinverse(limit, tol)
+    limit_proj = limit_pinv @ limit
+    window = np.stack(terms)
+    pinvs = pseudoinverse(window, tol)
+    pinv_norms = norm2(pinvs)
+    gaps = norm2(pinvs - limit_pinv)
+    proj_gaps = norm2(pinvs @ window - limit_proj)
+    successive = norm2(pinvs[1:] - pinvs[:-1])
+    sup_norm = float(pinv_norms.max())
+    growth_ratio = sup_norm / max(float(pinv_norms.min()), 1e-300)
+    cond_c = growth_ratio <= 10.0
+    cond_a = bool(gaps[-1] <= max(0.25 * gaps[0], 10.0 * tol.eq_atol * (1.0 + sup_norm)))
+    cond_b = bool(proj_gaps[-1] <= max(0.25 * proj_gaps[0], 10.0 * tol.eq_atol * 2.0))
+    diag = {
+        "window": len(terms),
+        "sup_pinv_norm": sup_norm,
+        "pinv_norm_growth_ratio": growth_ratio,
+        "first_pinv_gap": float(gaps[0]),
+        "final_pinv_gap": float(gaps[-1]),
+        "final_projector_gap": float(proj_gaps[-1]),
+        "min_successive_pinv_gap_tail": float(successive[-5:].min()) if successive.size else 0.0,
+        "cond_a_holds": cond_a,
+        "cond_b_holds": cond_b,
+        "cond_c_holds": cond_c,
+    }
+    return (cond_a, cond_b, cond_c), diag
+
+
+def fixed_range_window(length):
+    seq = gen_matrix(GeneratorSpec(dim=8, rank=6, seed=4, family="sequence"))
+    return seq.terms[:length], seq.limit
+
+
+def harmonic_window(length):
+    ambient = max(length + 1, 16)
+    terms = tuple(harmonic_truncation(k, ambient) for k in range(1, length + 1))
+    return terms, harmonic_truncation(ambient, ambient)
+
+
+class TestWindowReadsOnlyWhatTheVerdictUses:
+    # Lengths around the six-term tail of successive differences, the
+    # one- and two-term windows whose two ends coincide or touch, and the
+    # verifier's own window.
+    @pytest.mark.parametrize("length", [1, 2, 5, 6, 7, SEQUENCE_LENGTH])
+    @pytest.mark.parametrize("window", [fixed_range_window, harmonic_window])
+    def test_bit_equal_to_the_full_window_norms(self, tol, window, length):
+        terms, limit = window(length)
+        conds, diag = _window_conditions(terms, limit, tol)
+        ref_conds, ref_diag = window_conditions_full_window(terms, limit, tol)
+        assert conds == ref_conds
+        assert diag == ref_diag
+        assert list(diag) == list(ref_diag)
