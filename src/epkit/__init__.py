@@ -63,7 +63,6 @@ from .subspace import (
     Projector,
     carrier_basis,
     null_basis,
-    principal_angles,
     projector,
     range_basis,
     subspace_eq,
@@ -120,7 +119,6 @@ __all__ = [
     "operator_norm",
     "penrose_residuals",
     "polar_decomposition",
-    "principal_angles",
     "projector",
     "pseudoinverse",
     "psd_dominates",

@@ -9,7 +9,10 @@ divergence at tolerance boundaries is visible rather than hidden.
 EP-ness is defined for endomorphisms only: non-square input is rejected.
 
 ``range_corange_test`` is the one EP decision: every predicate here, and
-every verifier that holds a factorization, reads its verdict from it.
+every verifier that holds a factorization, reads its verdict from it.  A
+square matrix of full numerical rank gets its EP verdict from its rank
+(both ranges are the whole space); only ranks strictly between 0 and n
+compare the two ranges.
 
 The inclusion residuals of the EP decision and the commutator of
 ``is_normal`` feed only yes/no answers, so ``core.norm2_at_most`` decides
@@ -71,20 +74,24 @@ def range_corange_test(fact: SvdFactorization, tol: ToleranceConfig = DEFAULT_TO
     cutoff span the adjoint's range and a single rank decision covers both
     ranges.  range(M) lies in range(M*) when ||(I - V_r V_r*) U_r|| is at
     most eq_atol (hypo-EP); EP adds the reverse inclusion.  Both residuals
-    feed only these verdicts, so ``columns_included`` decides them.  Takes
+    feed only these verdicts, so ``columns_included`` decides them.  The
+    rank alone decides ranks 0 and n of a square M: both ranges are then
+    {0} or the whole space, so M is EP and no product is formed.  Takes
     one factorization (two bools) or the factorization of a stack (two bool
-    arrays, one entry per matrix).
+    arrays, one entry per matrix, one rank decision per group of equal rank).
     """
     hypo = np.ones(np.shape(fact.numerical_rank), dtype=bool)
     backward = np.ones_like(hypo)
+    full = fact.rows if fact.rows == fact.cols else None
     for r, idx in fact.rank_groups():
-        if r:
-            u = fact.left_vectors[idx][..., :r]
-            v = fact.right_vectors[idx][..., :r]
-            hypo[idx] = columns_included(u, v, tol.eq_atol)
-            # The reverse inclusion only decides matrices that pass this one.
-            if hypo[idx].any():
-                backward[idx] = columns_included(v, u, tol.eq_atol)
+        if r in (0, full):
+            continue
+        u = fact.left_vectors[idx][..., :r]
+        v = fact.right_vectors[idx][..., :r]
+        hypo[idx] = columns_included(u, v, tol.eq_atol)
+        # The reverse inclusion only decides matrices that pass this one.
+        if hypo[idx].any():
+            backward[idx] = columns_included(v, u, tol.eq_atol)
     ep = hypo & backward
     if ep.ndim == 0:
         return bool(ep), bool(hypo)

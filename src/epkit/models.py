@@ -17,9 +17,12 @@ analytically forced:
 ``limit_study`` factors each truncation once and computes only the four
 values a row holds: gamma and the EP verdict come from one full SVD, the
 spectral radius from the eigenvalue kernel, and the pseudoinverse norm is
-an exact ``norm2``.  The EP decision is settled by ``core.norm2_at_most``
-(see ``classify``), so a truncation of these diagonal families costs one
-full SVD and one singular-value-only one, the pseudoinverse norm.
+an exact ``norm2``.  A truncation of full rank gets its EP verdict from its
+rank (see ``classify.range_corange_test``), so it costs one full SVD, one
+singular-value-only one (the pseudoinverse norm), one eigenvalue call and no
+inclusion products.  A truncation below full rank, such as
+``diag_harmonic_truncated`` with ``ambient_dim`` > n, still compares its two
+ranges.
 
 Truncation means leading principal submatrix; the midpoint grid avoids the
 t = 0 singularity by construction.  The unbounded growth families (diag_n,
@@ -55,6 +58,7 @@ class ModelFamily:
     ``ambient_dim`` is meaningful only for diag_harmonic_truncated: when set,
     realize(family, n) embeds the n-term truncation as the leading block of
     an ambient_dim-sized matrix; when None, the ambient dimension follows n.
+    Setting it for any other family raises InvalidSpec.
     """
 
     family_id: str
@@ -65,7 +69,13 @@ class ModelFamily:
             raise InvalidSpec(
                 f"unknown model family {self.family_id!r}; known: {', '.join(FAMILIES)}"
             )
-        if self.ambient_dim is not None and self.ambient_dim < 1:
+        if self.ambient_dim is None:
+            return
+        if self.family_id != "diag_harmonic_truncated":
+            raise InvalidSpec(
+                f"ambient_dim applies to diag_harmonic_truncated only, not {self.family_id!r}"
+            )
+        if self.ambient_dim < 1:
             raise InvalidDimension(f"ambient_dim must be positive, got {self.ambient_dim}")
 
 

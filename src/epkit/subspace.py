@@ -4,8 +4,7 @@ Subspaces here always arise from one shared SVD per matrix, which keeps the
 range / null / carrier bases mutually consistent: a single rank decision
 feeds all three.  Inclusion has one rule, ``columns_included``
 (||(I - P_B) V_A|| <= eq_atol), shared by ``subspace_leq``, ``subspace_eq``
-and the EP test; projector gaps are numbers for reports, and principal
-angles are available as a diagnostic only.
+and the EP test; projector gaps are numbers for reports.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from .core import (
     DEFAULT_TOL,
     SvdFactorization,
     ToleranceConfig,
-    as_matrix,
     norm2,
     norm2_at_most,
     svd,
@@ -132,18 +130,6 @@ def projector_gap(a: OrthonormalBasis, b: OrthonormalBasis) -> float:
     """||P_A - P_B||, the projector distance between the two spans."""
     _require_same_ambient(a, b)
     return norm2(projector(a).matrix - projector(b).matrix)
-
-
-def principal_angles(a: OrthonormalBasis, b: OrthonormalBasis) -> np.ndarray:
-    """Principal angles between the spans, for diagnostics in reports only."""
-    # Imported here: scipy.linalg costs more start-up time than the rest
-    # of epkit, and nothing on the verdict path needs it.
-    from scipy.linalg import subspace_angles
-
-    _require_same_ambient(a, b)
-    if a.dim == 0 or b.dim == 0:
-        return np.zeros(0)
-    return subspace_angles(as_matrix(a.vectors), as_matrix(b.vectors))
 
 
 def _require_same_ambient(a: OrthonormalBasis, b: OrthonormalBasis) -> None:

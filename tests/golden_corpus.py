@@ -4,8 +4,9 @@ Each case is one command line.  ``corpus.json`` records, per case, two
 layers:
 
 - the verdict layer (exit code, failures, warnings, counterexample trial,
-  accepting and rejecting counts, every yes/no field of the details, and
-  which model rows are EP), which must hold on every machine;
+  accepting and rejecting counts, every yes/no field of the details, which
+  model rows are EP, and a classified matrix's EP and hypo-EP verdicts and
+  rank), which must hold on every machine;
 - the sha256 of the report bytes, which must hold only where the
   environment fingerprint (numpy version, BLAS name and version, machine)
   is the recorded one, since a report is byte-reproducible only within one
@@ -32,10 +33,23 @@ from epkit.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPUS = GOLDEN / "corpus.json"
 
+# Fixed matrices in golden/inputs/, named by what they are: invertible,
+# not normal past dim 1 (integer entries plus a diagonal shift); EP of rank
+# 2 in dim 4 (a non-normal 2 x 2 block); a nilpotent Jordan block; zero.
+CLASSIFY_INPUTS = (
+    "invertible-d1",
+    "invertible-d8",
+    "invertible-d64",
+    "ep-rank2-d4",
+    "nilpotent-d3",
+    "zero-d3",
+)
+
 CASES = {
     **{f"model-{f}": ["model", f, "--n-max", "64"] for f in FAMILIES},
     "suite-seed1-d8-t10": ["suite", "--seed", "1", "--dim", "8", "--trials", "10"],
     "verify-thm1.5-d32-t6": ["verify", "thm1.5", "--dim", "32", "--trials", "6"],
+    **{f"classify-{m}": ["classify", "--input", f"inputs/{m}.json"] for m in CLASSIFY_INPUTS},
 }
 
 
@@ -52,7 +66,14 @@ def fingerprint() -> dict:
 
 
 def run(argv: list[str]) -> tuple[int, str]:
-    """Exit code and report text of one ``epkit`` command, run in this process."""
+    """Exit code and report text of one ``epkit`` command, run in this process.
+
+    An ``--input`` path is relative to ``tests/golden/``.
+    """
+    argv = [
+        str(GOLDEN / arg) if prev == "--input" else arg
+        for prev, arg in zip([None, *argv], argv)
+    ]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
@@ -97,6 +118,8 @@ def verdict_layer(code: int, text: str) -> dict:
     if kind == "limit_study":
         layer["rows"] = len(payload["rows"])
         layer["non_ep_rows"] = [row["n"] for row in payload["rows"] if not row["is_ep"]]
+    elif kind == "classification":
+        layer.update({key: payload[key] for key in ("is_ep", "is_hypo_ep", "rank")})
     elif kind == "suite":
         layer["all_passed"] = payload["all_passed"]
         layer["verdicts"] = [_verdict(v) for v in payload["verdicts"]]

@@ -1,17 +1,26 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from epkit import (
+    FAMILIES,
+    ModelFamily,
     NotSquare,
+    ToleranceConfig,
     adjoint,
     carrier_basis,
     classify,
     is_ep,
     is_hypo_ep,
     is_normal,
+    limit_study,
     range_basis,
     subspace_eq,
+    svd,
 )
+from epkit.classify import range_corange_test
+from epkit.subspace import columns_included
 
 
 def embedded_ep(rng, dim, rank):
@@ -155,3 +164,153 @@ class TestTheoremLevelInvariants:
             rep = classify(embedded_ep(rng, 5, 3), tol)
             assert rep.is_ep
             assert rep.gamma <= rep.spectral_radius + 1e-10
+
+
+# -- ranks 0 and n decide EP without inclusion products -----------------------
+
+SHORTCUT_TOLS = [
+    ToleranceConfig(),
+    ToleranceConfig(eq_atol=1e-3),
+    ToleranceConfig(rank_rtol=1e-6),
+]
+
+
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def with_singular_values(rng, s):
+    """U diag(s) V* with independent random unitaries: rarely normal or EP."""
+    n = len(s)
+    u, _ = np.linalg.qr(complex_normal(rng, (n, n)))
+    v, _ = np.linalg.qr(complex_normal(rng, (n, n)))
+    return (u * s) @ v.conj().T
+
+
+def ep_of_rank(rng, n, r):
+    """Q blockdiag(A, 0) Q* with a non-normal invertible r x r block A."""
+    a = complex_normal(rng, (r, r)) + r * np.eye(r)
+    q, _ = np.linalg.qr(complex_normal(rng, (n, n)))
+    return q[:, :r] @ a @ q[:, :r].conj().T
+
+
+def range_corange_by_products(fact, tol):
+    """The EP decision with both inclusion products on every nonzero rank group."""
+    hypo = np.ones(np.shape(fact.numerical_rank), dtype=bool)
+    backward = np.ones_like(hypo)
+    for r, idx in fact.rank_groups():
+        if r:
+            u = fact.left_vectors[idx][..., :r]
+            v = fact.right_vectors[idx][..., :r]
+            hypo[idx] = columns_included(u, v, tol.eq_atol)
+            backward[idx] = columns_included(v, u, tol.eq_atol)
+    ep = hypo & backward
+    if ep.ndim == 0:
+        return bool(ep), bool(hypo)
+    return ep.tolist(), hypo.tolist()
+
+
+def decided(fact, tol):
+    ep, hypo = range_corange_test(fact, tol)
+    if np.ndim(ep) == 0:
+        return ep, hypo
+    return ep.tolist(), hypo.tolist()
+
+
+class TestFullRankVerdictEqualsTheProducts:
+    @pytest.mark.parametrize("tol", SHORTCUT_TOLS)
+    @pytest.mark.parametrize("n", [1, 2, 8, 64, 256])
+    def test_full_rank(self, rng, tol, n):
+        f = svd(complex_normal(rng, (n, n)), tol)
+        assert f.numerical_rank == n
+        assert decided(f, tol) == range_corange_by_products(f, tol) == (True, True)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_extreme_scales(self, rng, tol, scale, n):
+        for m in (scale * complex_normal(rng, (n, n)), scale * ep_of_rank(rng, n, max(n - 1, 1))):
+            f = svd(m, tol)
+            assert decided(f, tol) == range_corange_by_products(f, tol)
+
+    @pytest.mark.parametrize("tol", SHORTCUT_TOLS)
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    @pytest.mark.parametrize("factor,drop", [(1.001, 0), (0.999, 1)])
+    def test_condition_at_the_rank_cutoff(self, rng, tol, n, factor, drop):
+        # sigma_n / sigma_1 just above rank_rtol keeps full rank; just below
+        # it drops one, and the products decide.
+        s = np.geomspace(1.0, factor * tol.rank_rtol, n)
+        for m in (with_singular_values(rng, s), np.diag(s)):
+            f = svd(m, tol)
+            assert f.numerical_rank == n - drop
+            assert decided(f, tol) == range_corange_by_products(f, tol)
+
+    @pytest.mark.parametrize("tol", SHORTCUT_TOLS)
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_stacks_of_mixed_rank(self, rng, tol, n):
+        matrices = [
+            complex_normal(rng, (n, n)),
+            ep_of_rank(rng, n, n - 1),
+            with_singular_values(rng, np.r_[np.ones(n - 1), 0.0]),
+            np.zeros((n, n)),
+            1e150 * complex_normal(rng, (n, n)),
+            1e-150 * ep_of_rank(rng, n, n - 1),
+        ]
+        order = rng.permutation(len(matrices))
+        stack = np.stack([matrices[i] for i in order])
+        f = svd(stack, tol)
+        assert sorted(set(f.numerical_rank.tolist())) == [0, n - 1, n]
+        want = range_corange_by_products(f, tol)
+        assert decided(f, tol) == want
+        singles = [range_corange_by_products(svd(m, tol), tol) for m in stack]
+        assert list(zip(*want)) == singles
+
+    def test_rectangular_factorization_still_fails(self, rng, tol):
+        # The shortcut is for square factorizations; a full-rank rectangular
+        # one still reaches the products, whose shapes do not match.
+        for shape in ((3, 5), (5, 3)):
+            with pytest.raises(ValueError):
+                range_corange_test(svd(complex_normal(rng, shape), tol), tol)
+
+
+@pytest.fixture
+def inclusion_calls(monkeypatch):
+    """Shapes of the first argument of each ``columns_included`` call the EP test makes."""
+    module = importlib.import_module("epkit.classify")
+    calls = []
+    real = module.columns_included
+
+    def counting(a, b, atol):
+        calls.append(a.shape)
+        return real(a, b, atol)
+
+    monkeypatch.setattr(module, "columns_included", counting)
+    return calls
+
+
+class TestInclusionProductsOnlyBelowFullRank:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_limit_study_of_a_default_family(self, inclusion_calls, tol, family):
+        rows = limit_study(family, 32, tol)
+        assert all(row["is_ep"] for row in rows)
+        assert inclusion_calls == []
+
+    def test_invertible_matrix(self, inclusion_calls, rng, tol):
+        m = complex_normal(rng, (8, 8))
+        rep = classify(m, tol)
+        assert rep.is_ep and rep.is_hypo_ep and rep.rank == 8 and not rep.is_normal
+        assert is_ep(m, tol) and is_hypo_ep(m, tol)
+        assert inclusion_calls == []
+
+    def test_rank_deficient_matrices(self, inclusion_calls, rng, tol):
+        assert classify(ep_of_rank(rng, 8, 7), tol).is_ep
+        assert inclusion_calls == [(8, 7), (8, 7)]
+        inclusion_calls.clear()
+        # Not hypo-EP: the reverse inclusion is not needed.
+        assert not classify(with_singular_values(rng, np.r_[np.ones(7), 0.0]), tol).is_ep
+        assert inclusion_calls == [(8, 7)]
+
+    def test_harmonic_truncation_in_a_larger_ambient_dimension(self, inclusion_calls, tol):
+        family = ModelFamily("diag_harmonic_truncated", ambient_dim=20)
+        rows = limit_study(family, 12, tol)
+        assert all(row["is_ep"] for row in rows)
+        assert inclusion_calls == [(20, n) for n in range(1, 13) for _ in range(2)]

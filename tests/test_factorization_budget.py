@@ -41,8 +41,9 @@ class TestLimitStudy:
     def test_one_full_svd_per_truncation(self, svd_calls, family):
         limit_study(family, 24)
         assert svd_calls["full"] == 24
-        # The pseudoinverse norm only: the EP inclusions of these diagonal
-        # families are settled by the Frobenius bracket.
+        # The pseudoinverse norm only: a full-rank truncation gets its EP
+        # verdict from its rank, and the inclusions of the embedded one are
+        # settled by the Frobenius bracket.
         assert svd_calls["values"] == 24
 
 

@@ -53,6 +53,11 @@ class TestRealize:
         with pytest.raises(InvalidSpec):
             realize("bogus", 3)
 
+    @pytest.mark.parametrize("family", ["mult_inv_sqrt", "diag_n", "diag_alternating"])
+    def test_rejects_ambient_dim_on_a_family_that_ignores_it(self, family):
+        with pytest.raises(InvalidSpec, match="diag_harmonic_truncated only"):
+            ModelFamily(family, ambient_dim=5)
+
     def test_family_list(self):
         assert set(FAMILIES) == {
             "mult_inv_sqrt",

@@ -8,7 +8,6 @@ from epkit import (
     adjoint,
     carrier_basis,
     null_basis,
-    principal_angles,
     projector,
     range_basis,
     subspace_eq,
@@ -160,16 +159,3 @@ class TestStructuralInvariants:
         fact = svd(m, tol)
         assert fact.range_vectors().shape[1] + fact.left_null_vectors().shape[1] == 5
         assert fact.carrier_vectors().shape[1] == fact.numerical_rank
-
-
-class TestPrincipalAngles:
-    def test_identical_spans_have_zero_angles(self, rng):
-        gen = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
-        a = basis_of(gen)
-        b = basis_of(gen[:, ::-1])
-        assert np.max(principal_angles(a, b), initial=0.0) <= 1e-7
-
-    def test_orthogonal_spans_have_right_angles(self):
-        e1 = basis_of(np.array([[1.0], [0.0]]))
-        e2 = basis_of(np.array([[0.0], [1.0]]))
-        np.testing.assert_allclose(principal_angles(e1, e2), [np.pi / 2], atol=1e-12)
