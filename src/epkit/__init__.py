@@ -37,14 +37,13 @@ from .errors import (
 from .harness import (
     GeneratorSpec,
     MatrixSequence,
-    PerturbationSpec,
     TheoremVerdict,
     THEOREM_IDS,
     gen_matrix,
     psd_dominates,
     run_theorem_check,
 )
-from .models import FAMILIES, ModelFamily, harmonic_truncation, limit_study, realize
+from .models import FAMILIES, harmonic_truncation, limit_study, realize
 from .pinv import (
     MpIdentityReport,
     PolarFactors,
@@ -86,12 +85,10 @@ __all__ = [
     "MAX_DIM",
     "MatrixFileError",
     "MatrixSequence",
-    "ModelFamily",
     "MpIdentityReport",
     "NotHermitian",
     "NotSquare",
     "OrthonormalBasis",
-    "PerturbationSpec",
     "PolarFactors",
     "Projector",
     "SvdFactorization",

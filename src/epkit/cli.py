@@ -5,22 +5,21 @@ input errors.  Reports are canonical JSON written to --output or standard
 output.  Timing fields are serialized as 0 unless --timings is given, so a
 rerun with the same seed produces byte-identical reports.
 
-The master seed comes from --seed, falling back to the EPKIT_SEED
-environment variable, then 0.
+The master seed comes from --seed alone (default 0); the theorem id and the
+model family are positional arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 import time
 
 from . import harness, models, serialize
 from .classify import classify
 from .core import ToleranceConfig
-from .errors import EpkitError, InvalidSpec
+from .errors import EpkitError
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -39,8 +38,8 @@ def _add_generator_flags(sub: argparse.ArgumentParser) -> None:
                      help="target rank (default dim - 2)")
     sub.add_argument("--trials", type=int, default=200,
                      help="generated instances per verifier (default 200)")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="master seed (default: EPKIT_SEED env var, then 0)")
+    sub.add_argument("--seed", type=int, default=0,
+                     help="master seed (default 0)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,10 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p_classify)
 
     p_verify = sub.add_parser("verify", help="run one theorem verifier")
-    p_verify.add_argument("theorem", nargs="?", default=None,
-                          help="theorem id, e.g. thm2.1 (alternative to --theorem)")
-    p_verify.add_argument("--theorem", dest="theorem_flag", default=None,
-                          help="theorem id, e.g. thm2.1")
+    p_verify.add_argument("theorem", help="theorem id, e.g. thm2.1")
     _add_generator_flags(p_verify)
     _add_common(p_verify)
 
@@ -67,27 +63,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p_suite)
 
     p_model = sub.add_parser("model", help="truncation study of a diagonal model family")
-    p_model.add_argument("family", nargs="?", default=None,
-                         help="model family id (alternative to --family)")
-    p_model.add_argument("--family", dest="family_flag", default=None,
-                         help="model family id, e.g. diag_harmonic_truncated")
+    p_model.add_argument("family", help="model family id, e.g. diag_harmonic_truncated")
     p_model.add_argument("--n-max", type=int, default=10,
                          help="largest truncation parameter (default 10)")
     _add_common(p_model)
 
     return parser
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("EPKIT_SEED")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvalidSpec(f"EPKIT_SEED is not an integer: {env!r}") from None
-    return 0
 
 
 def _resolve_rank(args) -> int:
@@ -128,15 +109,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    theorem = args.theorem or args.theorem_flag
-    if theorem is None:
-        raise InvalidSpec("a theorem id is required (positional or --theorem)")
     tol = ToleranceConfig(rank_rtol=args.tol_rank, eq_atol=args.tol_eq)
     spec = harness.GeneratorSpec(
-        dim=args.dim, rank=_resolve_rank(args), seed=_resolve_seed(args)
+        dim=args.dim, rank=_resolve_rank(args), seed=args.seed
     )
     start = time.perf_counter()
-    verdict = harness.run_theorem_check(theorem, spec, args.trials, tol)
+    verdict = harness.run_theorem_check(args.theorem, spec, args.trials, tol)
     verdict = _normalize_verdict(verdict, args.timings)
     wall_ms = int(round((time.perf_counter() - start) * 1000.0)) if args.timings else 0
     doc = serialize.report_document(
@@ -148,8 +126,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_suite(args) -> int:
     tol = ToleranceConfig(rank_rtol=args.tol_rank, eq_atol=args.tol_eq)
-    seed = _resolve_seed(args)
-    spec = harness.GeneratorSpec(dim=args.dim, rank=_resolve_rank(args), seed=seed)
+    spec = harness.GeneratorSpec(dim=args.dim, rank=_resolve_rank(args), seed=args.seed)
     start = time.perf_counter()
     verdicts = [
         _normalize_verdict(
@@ -160,7 +137,7 @@ def _cmd_suite(args) -> int:
     wall_ms = int(round((time.perf_counter() - start) * 1000.0)) if args.timings else 0
     all_passed = all(v.failures == 0 for v in verdicts)
     payload = {
-        "seed": seed,
+        "seed": args.seed,
         "trials": args.trials,
         "dim": args.dim,
         "rank": spec.rank,
@@ -174,14 +151,11 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_model(args) -> int:
-    family = args.family or args.family_flag
-    if family is None:
-        raise InvalidSpec("a model family is required (positional or --family)")
     tol = ToleranceConfig(rank_rtol=args.tol_rank, eq_atol=args.tol_eq)
     start = time.perf_counter()
-    rows = models.limit_study(family, args.n_max, tol)
+    rows = models.limit_study(args.family, args.n_max, tol)
     wall_ms = int(round((time.perf_counter() - start) * 1000.0)) if args.timings else 0
-    payload = {"family_id": family, "n_max": args.n_max, "rows": rows}
+    payload = {"family_id": args.family, "n_max": args.n_max, "rows": rows}
     doc = serialize.report_document(serialize.KIND_LIMIT_STUDY, payload, tol, wall_ms)
     _emit(doc, args.output)
     return 0

@@ -84,6 +84,10 @@ from .subspace import (
 SEQUENCE_LENGTH = 50
 EP_MEMBERSHIP_DELTA = 0.1
 FRACTIONAL_ALPHA_GRID = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
+# The constant a = b of thm2.16's dominance hypotheses ||Sx|| <= a ||Tx|| and
+# ||S*x|| <= b ||T*x||.  It stays below 1 because at a = 1 the hypotheses
+# admit S = -T, and T + S = 0 has lost the range of T.
+DOMINANCE_BOUND = 0.5
 
 
 @dataclass(frozen=True)
@@ -114,22 +118,6 @@ class GeneratorSpec:
                 "non_ep family needs 1 <= rank <= dim - 1: a full-rank square "
                 "matrix has equal range and adjoint range"
             )
-
-
-@dataclass(frozen=True)
-class PerturbationSpec:
-    """Dominance constants for perturbation pairs: ||Sx|| <= a ||Tx|| etc.
-
-    Both constants are kept at most 0.9; behaviour at the a -> 1 boundary is
-    deliberately out of scope.
-    """
-
-    a: float = 0.5
-    b: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.a <= 0.9 or not 0.0 < self.b <= 0.9:
-            raise InvalidSpec(f"perturbation constants must lie in (0, 0.9], got a={self.a}, b={self.b}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +240,7 @@ def _gen_commuting_pair(rng, dim, rank, cond, tol) -> tuple[np.ndarray, np.ndarr
 
 
 def _gen_perturbation_pair(
-    rng, dim, rank, cond, tol, pspec: PerturbationSpec, loose: bool = False
+    rng, dim, rank, cond, tol, loose: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """EP base plus a dominated perturbation certified by psd_dominates.
 
@@ -262,9 +250,8 @@ def _gen_perturbation_pair(
     minimum modulus.
     """
     t = _gen_ep(rng, dim, rank, cond, tol)
-    bound = min(pspec.a, pspec.b)
     if not loose:
-        c = bound * rng.uniform(0.2, 0.95) * np.exp(2j * np.pi * rng.uniform())
+        c = DOMINANCE_BOUND * rng.uniform(0.2, 0.95) * np.exp(2j * np.pi * rng.uniform())
         s = c * t
     else:
         fact = svd(t, tol)
@@ -275,12 +262,13 @@ def _gen_perturbation_pair(
         confined = p_range @ g @ p_carrier
         gamma = reduced_min_modulus_of(fact)
         norm_confined = norm2(confined)
-        eps = 0.8 * bound * gamma / max(norm_confined, 1e-300)
+        eps = 0.8 * DOMINANCE_BOUND * gamma / max(norm_confined, 1e-300)
         s = eps * confined
     ta = adjoint(t)
     sa = adjoint(s)
-    if not psd_dominates(pspec.a**2 * (ta @ t), sa @ s, tol) or not psd_dominates(
-        pspec.b**2 * (t @ ta), s @ sa, tol
+    squared = DOMINANCE_BOUND**2
+    if not psd_dominates(squared * (ta @ t), sa @ s, tol) or not psd_dominates(
+        squared * (t @ ta), s @ sa, tol
     ):
         raise GenerationError("perturbation_pair dominance certification failed")
     return t, s
@@ -311,7 +299,6 @@ _GENERATORS = {
 
 def gen_matrix(
     spec: GeneratorSpec,
-    perturbation: PerturbationSpec | None = None,
     tol: ToleranceConfig = DEFAULT_TOL,
 ):
     """Generate one instance of the spec's family, deterministically from its seed.
@@ -322,10 +309,7 @@ def gen_matrix(
     certificates must hold); violations raise GenerationError.
     """
     rng = np.random.default_rng([spec.seed, 0xA5])
-    args = (rng, spec.dim, spec.rank, spec.condition_bound, tol)
-    if spec.family == "perturbation_pair":
-        args += (perturbation if perturbation is not None else PerturbationSpec(),)
-    return _GENERATORS[spec.family](*args)
+    return _GENERATORS[spec.family](rng, spec.dim, spec.rank, spec.condition_bound, tol)
 
 
 def psd_dominates(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -366,7 +350,6 @@ class _Trial:
 class _Ctx:
     spec: GeneratorSpec
     tol: ToleranceConfig
-    pspec: PerturbationSpec
     details: dict = field(default_factory=dict)
     # thm1.5's control: (conditions, diagnostics, limit), computed once a run.
     thm1_5_control: tuple | None = None
@@ -399,16 +382,15 @@ def _ctl_rank(spec: GeneratorSpec) -> int:
     return min(max(spec.rank, 1), spec.dim - 1)
 
 
-def _gen_for(ctx: _Ctx, rng, family: str, cond: float | None = None):
+def _gen_for(ctx: _Ctx, rng, family: str, cond: float | None = None, **extra):
     """One instance of a family at the run's spec; non_ep is drawn at the control rank.
 
-    perturbation_pair also takes the run's dominance constants, so its one
-    verifier (thm2.16) calls that generator directly.
+    ``extra`` reaches the generator as keywords (perturbation_pair's ``loose``).
     """
     spec = ctx.spec
     rank = _ctl_rank(spec) if family == "non_ep" else spec.rank
     c = spec.condition_bound if cond is None else min(cond, spec.condition_bound)
-    return _GENERATORS[family](rng, spec.dim, rank, c, ctx.tol)
+    return _GENERATORS[family](rng, spec.dim, rank, c, ctx.tol, **extra)
 
 
 def _multiset_gap(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -513,7 +495,7 @@ def _check_thm2_4(ctx: _Ctx, rng, t: int) -> _Trial:
     if ep != expected:
         return _Trial(False, 1.0, direction="accept" if expected else "reject",
                       payload={"T": m},
-                      note=f"range==carrier is {ep}, is_ep is {ep}, expected {expected}")
+                      note=f"range==carrier (the EP test) is {ep}, expected {expected}")
     if expected:
         gap = projector_gap(range_basis_of(fact), carrier_basis_of(fact))
         return _residual_trial(gap, 1.0, ctx.tol, payload={"T": m})
@@ -715,30 +697,27 @@ def _check_thm2_15(ctx: _Ctx, rng, t: int) -> _Trial:
 def _check_thm2_16(ctx: _Ctx, rng, t: int) -> _Trial:
     """Certified dominated perturbations keep EP-ness (hypo-EP collapses to EP here)."""
     tol = ctx.tol
-    spec = ctx.spec
-    pspec = ctx.pspec
+    squared = DOMINANCE_BOUND**2
     mode = t % 5
     if mode == 1:
         t_mat = _gen_for(ctx, rng, "ep")
         s = 2.0 * t_mat
         ta = adjoint(t_mat)
-        dominated = psd_dominates(pspec.a**2 * (ta @ t_mat), adjoint(s) @ s, tol)
+        dominated = psd_dominates(squared * (ta @ t_mat), adjoint(s) @ s, tol)
         ok = not dominated
         return _pass_fail(ok, {"T": t_mat, "S": s},
                           "dominance certificate accepted a non-dominated pair", "reject")
     if mode == 2:
         base = _gen_for(ctx, rng, "normal_ep")
-        c = min(pspec.a, pspec.b) * rng.uniform(0.2, 0.9)
+        c = DOMINANCE_BOUND * rng.uniform(0.2, 0.9)
         s = c * base
         t_mat = base
     else:
-        t_mat, s = _gen_perturbation_pair(
-            rng, spec.dim, spec.rank, spec.condition_bound, tol, pspec, loose=mode == 3
-        )
+        t_mat, s = _gen_for(ctx, rng, "perturbation_pair", loose=mode == 3)
     ta = adjoint(t_mat)
     sa = adjoint(s)
-    cert = psd_dominates(pspec.a**2 * (ta @ t_mat), sa @ s, tol) and psd_dominates(
-        pspec.b**2 * (t_mat @ ta), s @ sa, tol
+    cert = psd_dominates(squared * (ta @ t_mat), sa @ s, tol) and psd_dominates(
+        squared * (t_mat @ ta), s @ sa, tol
     )
     fact = svd(t_mat + s, tol)
     ep, hypo = range_corange_test(fact, tol)
@@ -1003,7 +982,6 @@ def run_theorem_check(
     spec: GeneratorSpec,
     trials: int,
     tol: ToleranceConfig = DEFAULT_TOL,
-    perturbation: PerturbationSpec | None = None,
 ) -> TheoremVerdict:
     """Run one theorem verifier over ``trials`` generated instances.
 
@@ -1027,7 +1005,7 @@ def run_theorem_check(
         raise InvalidSpec("two-direction verifiers need dim >= 2 for the control family")
 
     salt = THEOREM_IDS.index(theorem_id)
-    ctx = _Ctx(spec=spec, tol=tol, pspec=perturbation or PerturbationSpec())
+    ctx = _Ctx(spec=spec, tol=tol)
     start = time.perf_counter()
     failures = 0
     warnings = 0

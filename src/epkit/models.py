@@ -9,20 +9,19 @@ analytically forced:
   grows, a family with a uniform spectral gap at 0.
 - ``diag_alternating``: entries k for even k and 1/k for odd k, so gamma
   decays along the odd slots while the norm grows along the even ones.
-- ``diag_harmonic_truncated``: diag(1, 1/2, ..., 1/n, 0, ..., 0) embedded in
-  an ambient dimension N >= n; every truncation is EP with gamma = 1/n and
-  pseudoinverse norm n, the canonical witness that the EP class is not
-  closed under norm limits.
+- ``diag_harmonic_truncated``: diag(1, 1/2, ..., 1/n); every truncation is
+  EP with gamma = 1/n and pseudoinverse norm n.  ``harmonic_truncation(n, N)``
+  pads it with zeros to an ambient dimension N >= n, where the truncations
+  converge in norm while their pseudoinverse norms grow without bound: the
+  canonical witness that the EP class is not closed under norm limits.
 
 ``limit_study`` factors each truncation once and computes only the four
 values a row holds: gamma and the EP verdict come from one full SVD, the
 spectral radius from the eigenvalue kernel, and the pseudoinverse norm is
-an exact ``norm2``.  A truncation of full rank gets its EP verdict from its
-rank (see ``classify.range_corange_test``), so it costs one full SVD, one
-singular-value-only one (the pseudoinverse norm), one eigenvalue call and no
-inclusion products.  A truncation below full rank, such as
-``diag_harmonic_truncated`` with ``ambient_dim`` > n, still compares its two
-ranges.
+an exact ``norm2``.  Every truncation has full rank, so it gets its EP
+verdict from its rank (see ``classify.range_corange_test``) and costs one
+full SVD, one singular-value-only one (the pseudoinverse norm), one
+eigenvalue call and no inclusion products.
 
 Truncation means leading principal submatrix; the midpoint grid avoids the
 t = 0 singularity by construction.  The unbounded growth families (diag_n,
@@ -34,8 +33,6 @@ studied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .classify import range_corange_test
@@ -43,80 +40,39 @@ from .core import DEFAULT_TOL, MAX_DIM, ToleranceConfig, norm2, svd
 from .errors import InvalidDimension, InvalidSpec
 from .pinv import pseudoinverse_of, reduced_min_modulus_of, spectral_radius
 
-FAMILIES = (
-    "mult_inv_sqrt",
-    "diag_n",
-    "diag_alternating",
-    "diag_harmonic_truncated",
-)
+# Each family's diagonal, from k = (1, ..., n) as floats and n.
+_DIAGONALS = {
+    "mult_inv_sqrt": lambda k, n: 1.0 / np.sqrt((k - 0.5) / n),
+    "diag_n": lambda k, n: k,
+    "diag_alternating": lambda k, n: np.where(k % 2 == 0, k, 1.0 / k),
+    "diag_harmonic_truncated": lambda k, n: 1.0 / k,
+}
+FAMILIES = tuple(_DIAGONALS)
 
 
-@dataclass(frozen=True)
-class ModelFamily:
-    """A family id plus, for the truncated family, a fixed ambient dimension.
-
-    ``ambient_dim`` is meaningful only for diag_harmonic_truncated: when set,
-    realize(family, n) embeds the n-term truncation as the leading block of
-    an ambient_dim-sized matrix; when None, the ambient dimension follows n.
-    Setting it for any other family raises InvalidSpec.
-    """
-
-    family_id: str
-    ambient_dim: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.family_id not in FAMILIES:
-            raise InvalidSpec(
-                f"unknown model family {self.family_id!r}; known: {', '.join(FAMILIES)}"
-            )
-        if self.ambient_dim is None:
-            return
-        if self.family_id != "diag_harmonic_truncated":
-            raise InvalidSpec(
-                f"ambient_dim applies to diag_harmonic_truncated only, not {self.family_id!r}"
-            )
-        if self.ambient_dim < 1:
-            raise InvalidDimension(f"ambient_dim must be positive, got {self.ambient_dim}")
+def _require_dim(dim: int) -> None:
+    if dim > MAX_DIM:
+        raise InvalidDimension(f"truncation of dimension {dim} exceeds the {MAX_DIM} cap")
 
 
-def _family(family: ModelFamily | str) -> ModelFamily:
-    return family if isinstance(family, ModelFamily) else ModelFamily(family)
-
-
-def diagonal_entries(family: ModelFamily | str, n: int) -> np.ndarray:
-    """The prescribed diagonal for truncation parameter n (real, length n to MAX_DIM)."""
-    fam = _family(family)
+def diagonal_entries(family: str, n: int) -> np.ndarray:
+    """The prescribed diagonal for truncation parameter n (real, length n <= MAX_DIM)."""
+    diagonal = _DIAGONALS.get(family)
+    if diagonal is None:
+        raise InvalidSpec(f"unknown model family {family!r}; known: {', '.join(FAMILIES)}")
     if n < 1:
         raise InvalidDimension(f"truncation parameter must be >= 1, got {n}")
-    k = np.arange(1, n + 1, dtype=float)
-    if fam.family_id == "mult_inv_sqrt":
-        entries = 1.0 / np.sqrt((k - 0.5) / n)
-    elif fam.family_id == "diag_n":
-        entries = k
-    elif fam.family_id == "diag_alternating":
-        entries = np.where(np.arange(1, n + 1) % 2 == 0, k, 1.0 / k)
-    else:  # diag_harmonic_truncated
-        ambient = fam.ambient_dim if fam.ambient_dim is not None else n
-        if ambient < n:
-            raise InvalidDimension(
-                f"ambient dimension {ambient} is smaller than truncation {n}"
-            )
-        entries = np.zeros(ambient)
-        entries[:n] = 1.0 / k
-    if entries.size > MAX_DIM:
-        raise InvalidDimension(
-            f"truncation of dimension {entries.size} exceeds the {MAX_DIM} cap"
-        )
-    return entries
+    _require_dim(n)
+    return diagonal(np.arange(1, n + 1, dtype=float), n)
 
 
-def realize(family: ModelFamily | str, n: int) -> np.ndarray:
+def realize(family: str, n: int) -> np.ndarray:
     """The family's n-th truncation as a dense complex diagonal matrix."""
     return np.diag(diagonal_entries(family, n)).astype(np.complex128)
 
 
 def limit_study(
-    family: ModelFamily | str, n_max: int, tol: ToleranceConfig = DEFAULT_TOL
+    family: str, n_max: int, tol: ToleranceConfig = DEFAULT_TOL
 ) -> list[dict]:
     """Per-truncation metrics for n = 1..n_max.
 
@@ -127,13 +83,12 @@ def limit_study(
     """
     if n_max < 2:
         raise InvalidDimension(f"n_max must be >= 2, got {n_max}")
-    fam = _family(family)
     # Check every n before the first SVD, so a bad n_max fails at once.
     for n in range(1, n_max + 1):
-        diagonal_entries(fam, n)
+        diagonal_entries(family, n)
     rows = []
     for n in range(1, n_max + 1):
-        m = realize(fam, n)
+        m = realize(family, n)
         fact = svd(m, tol)
         rows.append(
             {
@@ -153,4 +108,7 @@ def harmonic_truncation(n: int, ambient_dim: int) -> np.ndarray:
         raise InvalidDimension(
             f"ambient dimension {ambient_dim} is smaller than truncation {n}"
         )
-    return realize(ModelFamily("diag_harmonic_truncated", ambient_dim=ambient_dim), n)
+    _require_dim(ambient_dim)
+    entries = np.zeros(ambient_dim)
+    entries[:n] = diagonal_entries("diag_harmonic_truncated", n)
+    return np.diag(entries).astype(np.complex128)

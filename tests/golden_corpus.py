@@ -49,6 +49,10 @@ CASES = {
     **{f"model-{f}": ["model", f, "--n-max", "64"] for f in FAMILIES},
     "suite-seed1-d8-t10": ["suite", "--seed", "1", "--dim", "8", "--trials", "10"],
     "verify-thm1.5-d32-t6": ["verify", "thm1.5", "--dim", "32", "--trials", "6"],
+    # Ten trials cover each of thm2.16's five dominance modes twice.
+    "verify-thm2.16-d5-r3-t10": [
+        "verify", "thm2.16", "--dim", "5", "--rank", "3", "--trials", "10", "--seed", "2",
+    ],
     **{f"classify-{m}": ["classify", "--input", f"inputs/{m}.json"] for m in CLASSIFY_INPUTS},
 }
 

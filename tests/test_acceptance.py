@@ -12,7 +12,6 @@ import oracles
 from epkit import (
     DEFAULT_TOL,
     GeneratorSpec,
-    PerturbationSpec,
     THEOREM_IDS,
     adjoint,
     classify,
@@ -226,13 +225,12 @@ def test_criterion_7_fractional_power_ranges():
 
 
 def test_criterion_8_certified_perturbations():
-    pspec = PerturbationSpec(a=0.5, b=0.5)
     certified = 0
     ep_sums = 0
     for i in range(200):
         spec = GeneratorSpec(dim=6, rank=4, condition_bound=100.0,
                              seed=80_000 + i, family="perturbation_pair")
-        t, s = gen_matrix(spec, pspec)
+        t, s = gen_matrix(spec)
         ta, sa = adjoint(t), adjoint(s)
         if psd_dominates(0.25 * (ta @ t), sa @ s, TOL) and psd_dominates(
             0.25 * (t @ ta), s @ sa, TOL

@@ -85,9 +85,9 @@ class TestVerifyCommand:
         assert payload["failures"] == 0
         assert payload["trials"] == 20
 
-    def test_theorem_flag_alternative(self, capsys):
-        assert main(["verify", "--theorem", "thm2.4", "--trials", "8", "--seed", "1"]) == 0
-        capsys.readouterr()
+    def test_theorem_flag_is_not_an_alias(self, capsys):
+        assert main(["verify", "thm2.1", "--theorem", "thm2.4"]) == 2
+        assert "unrecognized arguments: --theorem thm2.4" in capsys.readouterr().err
 
     def test_unknown_theorem_exits_2(self, capsys):
         assert main(["verify", "thm9.9"]) == 2
@@ -108,19 +108,14 @@ class TestVerifyCommand:
         assert main(argv + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_seed_env_fallback(self, tmp_path, monkeypatch):
+    def test_seed_env_var_is_not_read(self, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         monkeypatch.setenv("EPKIT_SEED", "42")
         assert main(["verify", "thm2.1", "--trials", "10", "--output", str(out1)]) == 0
         monkeypatch.delenv("EPKIT_SEED")
-        assert main(["verify", "thm2.1", "--trials", "10", "--seed", "42",
+        assert main(["verify", "thm2.1", "--trials", "10", "--seed", "0",
                      "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
-
-    def test_bad_env_seed_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("EPKIT_SEED", "not-a-number")
-        assert main(["verify", "thm2.1", "--trials", "4"]) == 2
-        capsys.readouterr()
 
 
 class TestSuiteCommand:
@@ -173,6 +168,10 @@ class TestModelCommand:
     def test_unknown_family_exits_2(self, capsys):
         assert main(["model", "bogus"]) == 2
         capsys.readouterr()
+
+    def test_family_flag_is_not_an_alias(self, capsys):
+        assert main(["model", "diag_n", "--family", "diag_alternating"]) == 2
+        assert "unrecognized arguments: --family diag_alternating" in capsys.readouterr().err
 
     def test_small_window_exits_2(self, capsys):
         assert main(["model", "diag_n", "--n-max", "1"]) == 2

@@ -11,9 +11,10 @@ from epkit import (
     FAMILIES,
     THEOREM_IDS,
     GeneratorSpec,
-    ModelFamily,
     classify,
     gen_matrix,
+    harmonic_truncation,
+    is_ep,
     limit_study,
     run_theorem_check,
 )
@@ -33,18 +34,20 @@ class TestClassify:
 
 
 class TestLimitStudy:
-    @pytest.mark.parametrize(
-        "family",
-        list(FAMILIES)
-        + [pytest.param(ModelFamily("diag_harmonic_truncated", ambient_dim=30), id="ambient30")],
-    )
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_one_full_svd_per_truncation(self, svd_calls, family):
         limit_study(family, 24)
         assert svd_calls["full"] == 24
         # The pseudoinverse norm only: a full-rank truncation gets its EP
-        # verdict from its rank, and the inclusions of the embedded one are
-        # settled by the Frobenius bracket.
+        # verdict from its rank.
         assert svd_calls["values"] == 24
+
+    def test_embedded_truncation_settles_its_inclusions_without_an_svd(self, svd_calls):
+        for n in range(1, 25):
+            assert is_ep(harmonic_truncation(n, 30))
+        assert svd_calls["full"] == 24
+        # The Frobenius bracket settles every inclusion of a rank-n EP matrix.
+        assert svd_calls["values"] == 0
 
 
 class TestFractionalPowerVerifiers:

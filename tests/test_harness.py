@@ -15,7 +15,6 @@ from epkit import (
     InvalidSpec,
     MatrixSequence,
     NotHermitian,
-    PerturbationSpec,
     THEOREM_IDS,
     TheoremVerdict,
     UnknownTheorem,
@@ -54,12 +53,6 @@ class TestGeneratorSpec:
         with pytest.raises(InvalidSpec):
             GeneratorSpec(dim=3, rank=3, family="non_ep")
 
-    def test_perturbation_constants_bounded(self):
-        with pytest.raises(InvalidSpec):
-            PerturbationSpec(a=0.95)
-        with pytest.raises(InvalidSpec):
-            PerturbationSpec(b=0.0)
-
 
 class TestGenMatrix:
     def test_ep_full_rank_is_invertible_ep(self, tol):
@@ -96,8 +89,7 @@ class TestGenMatrix:
         assert np.linalg.norm(s @ t - t @ s, 2) <= 10 * tol.eq_atol * scale
 
     def test_perturbation_pair_is_certified(self, tol):
-        pspec = PerturbationSpec(a=0.5, b=0.5)
-        t, s = gen_matrix(spec(family="perturbation_pair", seed=19), pspec)
+        t, s = gen_matrix(spec(family="perturbation_pair", seed=19))
         ta, sa = adjoint(t), adjoint(s)
         assert psd_dominates(0.25 * (ta @ t), sa @ s, tol)
         assert psd_dominates(0.25 * (t @ ta), s @ sa, tol)
@@ -244,6 +236,13 @@ class TestRunTheoremCheck:
         assert verdict.counterexample is not None
         assert "matrices" in verdict.counterexample
         assert verdict.counterexample["trial"] == 0
+
+    def test_thm2_4_failure_note_states_its_one_verdict(self, tol, corrupt_ep_generation):
+        verdict = run_theorem_check("thm2.4", spec(seed=1), 2, tol)
+        assert verdict.failures == 1
+        assert verdict.counterexample["note"] == (
+            "range==carrier (the EP test) is False, expected True"
+        )
 
 
 # One thm1.5 run, as the JSON of its verdict with the timing zeroed.

@@ -5,7 +5,7 @@ from epkit import (
     FAMILIES,
     InvalidDimension,
     InvalidSpec,
-    ModelFamily,
+    MAX_DIM,
     classify,
     harmonic_truncation,
     is_normal,
@@ -24,7 +24,7 @@ class TestRealize:
         assert rep.spectral_radius == pytest.approx(3.0)
 
     def test_harmonic_truncated_embedded(self, tol):
-        m = realize(ModelFamily("diag_harmonic_truncated", ambient_dim=6), 4)
+        m = harmonic_truncation(4, 6)
         np.testing.assert_allclose(
             np.diagonal(m).real, [1.0, 0.5, 1.0 / 3.0, 0.25, 0.0, 0.0]
         )
@@ -46,17 +46,10 @@ class TestRealize:
     def test_rejects_bad_truncation(self):
         with pytest.raises(InvalidDimension):
             realize("diag_n", 0)
-        with pytest.raises(InvalidDimension):
-            realize(ModelFamily("diag_harmonic_truncated", ambient_dim=3), 5)
 
     def test_rejects_unknown_family(self):
         with pytest.raises(InvalidSpec):
             realize("bogus", 3)
-
-    @pytest.mark.parametrize("family", ["mult_inv_sqrt", "diag_n", "diag_alternating"])
-    def test_rejects_ambient_dim_on_a_family_that_ignores_it(self, family):
-        with pytest.raises(InvalidSpec, match="diag_harmonic_truncated only"):
-            ModelFamily(family, ambient_dim=5)
 
     def test_family_list(self):
         assert set(FAMILIES) == {
@@ -100,11 +93,6 @@ class TestLimitStudy:
         [
             ("diag_n", 300, "truncation of dimension 257 exceeds the 256 cap"),
             ("mult_inv_sqrt", 257, "truncation of dimension 257 exceeds the 256 cap"),
-            (
-                ModelFamily("diag_harmonic_truncated", ambient_dim=30),
-                40,
-                "ambient dimension 30 is smaller than truncation 31",
-            ),
         ],
     )
     def test_rejects_a_bad_truncation_before_the_first_svd(
@@ -141,6 +129,30 @@ class TestFamilyInvariants:
             assert operator_norm(pseudoinverse(m, tol)) == pytest.approx(float(n), abs=1e-12)
 
 
+def harmonic_truncation_reference(n, ambient_dim):
+    m = np.zeros((ambient_dim, ambient_dim), dtype=np.complex128)
+    for k in range(1, n + 1):
+        m[k - 1, k - 1] = 1.0 / k
+    return m
+
+
+class TestHarmonicTruncation:
+    @pytest.mark.parametrize("n,ambient_dim", [(1, 1), (4, 6), (12, 20), (31, 256)])
+    def test_matches_reference_bit_for_bit(self, n, ambient_dim):
+        m = harmonic_truncation(n, ambient_dim)
+        expected = harmonic_truncation_reference(n, ambient_dim)
+        assert m.dtype == expected.dtype and m.shape == expected.shape
+        assert m.tobytes() == expected.tobytes()
+
+    def test_rejects_an_ambient_dimension_below_the_truncation(self):
+        with pytest.raises(InvalidDimension, match="ambient dimension 3 is smaller than truncation 5"):
+            harmonic_truncation(5, 3)
+
+    def test_rejects_an_ambient_dimension_past_the_cap(self):
+        with pytest.raises(InvalidDimension, match="exceeds the 256 cap"):
+            harmonic_truncation(4, MAX_DIM + 1)
+
+
 def limit_study_reference(family, n_max, tol):
     """The truncation loop with a classification and a fresh pseudoinverse each."""
     rows = []
@@ -160,10 +172,6 @@ def limit_study_reference(family, n_max, tol):
 
 
 class TestLimitStudySharesOneFactorization:
-    @pytest.mark.parametrize(
-        "family",
-        list(FAMILIES)
-        + [pytest.param(ModelFamily("diag_harmonic_truncated", ambient_dim=48), id="ambient48")],
-    )
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_rows_match_reference_bit_for_bit(self, tol, family):
         assert limit_study(family, 40, tol) == limit_study_reference(family, 40, tol)
