@@ -5,7 +5,14 @@ decompositions, reduced minimum moduli and spectral radii for dense complex
 matrices; classifies matrices as EP / hypo-EP / normal; and verifies a suite
 of EP-operator characterizations through seeded property-based checks and
 truncation studies of classical diagonal operator families.
+
+The theorem verifiers (``harness``) and the model families (``models``)
+load on first use: ``import epkit`` binds their public names through a
+module ``__getattr__`` (PEP 562), so a process that only classifies
+matrices never imports them.
 """
+
+from importlib import import_module
 
 from .classify import ClassificationReport, classify, is_ep, is_hypo_ep, is_normal
 from .core import (
@@ -34,16 +41,6 @@ from .errors import (
     NotSquare,
     UnknownTheorem,
 )
-from .harness import (
-    GeneratorSpec,
-    MatrixSequence,
-    TheoremVerdict,
-    THEOREM_IDS,
-    gen_matrix,
-    psd_dominates,
-    run_theorem_check,
-)
-from .models import FAMILIES, harmonic_truncation, limit_study, realize
 from .pinv import (
     MpIdentityReport,
     PolarFactors,
@@ -128,3 +125,31 @@ __all__ = [
     "subspace_leq",
     "svd",
 ]
+
+# Public name -> the submodule that defines it, imported on first access.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "GeneratorSpec",
+            "MatrixSequence",
+            "TheoremVerdict",
+            "THEOREM_IDS",
+            "gen_matrix",
+            "psd_dominates",
+            "run_theorem_check",
+        ),
+        "harness",
+    ),
+    **dict.fromkeys(("FAMILIES", "harmonic_truncation", "limit_study", "realize"), "models"),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

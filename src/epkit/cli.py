@@ -6,7 +6,9 @@ output.  Timing fields are serialized as 0 unless --timings is given, so a
 rerun with the same seed produces byte-identical reports.
 
 The master seed comes from --seed alone (default 0); the theorem id and the
-model family are positional arguments.
+model family are positional arguments.  Each command imports only the
+layers it runs: ``classify`` loads neither the harness nor the model
+families.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import dataclasses
 import sys
 import time
 
-from . import harness, models, serialize
+from . import serialize
 from .classify import classify
 from .core import ToleranceConfig
 from .errors import EpkitError
@@ -109,6 +111,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import harness
+
     tol = ToleranceConfig(rank_rtol=args.tol_rank, eq_atol=args.tol_eq)
     spec = harness.GeneratorSpec(
         dim=args.dim, rank=_resolve_rank(args), seed=args.seed
@@ -125,6 +129,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from . import harness
+
     tol = ToleranceConfig(rank_rtol=args.tol_rank, eq_atol=args.tol_eq)
     spec = harness.GeneratorSpec(dim=args.dim, rank=_resolve_rank(args), seed=args.seed)
     start = time.perf_counter()
@@ -151,6 +157,8 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_model(args) -> int:
+    from . import models
+
     tol = ToleranceConfig(rank_rtol=args.tol_rank, eq_atol=args.tol_eq)
     start = time.perf_counter()
     rows = models.limit_study(args.family, args.n_max, tol)

@@ -85,16 +85,21 @@ def _validated(values, expected: str, ndims: tuple[int, ...]) -> np.ndarray:
     m = np.array(values, dtype=np.complex128, copy=True)
     if m.ndim not in ndims:
         raise InvalidDimension(f"expected {expected}, got ndim={m.ndim}")
-    rows, cols = m.shape[-2:]
     if m.size == 0:
         raise InvalidDimension(f"matrix axes must be positive, got {m.shape}")
-    if rows > MAX_DIM or cols > MAX_DIM:
-        raise InvalidDimension(
-            f"matrix of shape {m.shape} exceeds the {MAX_DIM}x{MAX_DIM} cap"
-        )
+    require_within_cap(m.shape)
     if not np.isfinite(m).all():  # complex entries: both parts finite
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return m
+
+
+def require_within_cap(shape: tuple[int, ...]) -> None:
+    """Reject a shape whose trailing two axes exceed MAX_DIM."""
+    rows, cols = shape[-2:]
+    if rows > MAX_DIM or cols > MAX_DIM:
+        raise InvalidDimension(
+            f"matrix of shape {shape} exceeds the {MAX_DIM}x{MAX_DIM} cap"
+        )
 
 
 def require_square(m: np.ndarray) -> np.ndarray:

@@ -35,7 +35,8 @@ CORPUS = GOLDEN / "corpus.json"
 
 # Fixed matrices in golden/inputs/, named by what they are: invertible,
 # not normal past dim 1 (integer entries plus a diagonal shift); EP of rank
-# 2 in dim 4 (a non-normal 2 x 2 block); a nilpotent Jordan block; zero.
+# 2 in dim 4 (a non-normal 2 x 2 block); a nilpotent Jordan block; zero;
+# a dim-4 file that mixes JSON integers, -0.0 and subnormal entries.
 CLASSIFY_INPUTS = (
     "invertible-d1",
     "invertible-d8",
@@ -43,6 +44,7 @@ CLASSIFY_INPUTS = (
     "ep-rank2-d4",
     "nilpotent-d3",
     "zero-d3",
+    "mixed-ints-subnormals-d4",
 )
 
 CASES = {

@@ -74,6 +74,16 @@ class TestClassifyCommand:
         assert main(["classify", "--input", str(hermitian_file), "--output", str(out)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_past_the_cap_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        write_matrix_file(path, np.ones((300, 300)))
+        assert main(["classify", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "epkit: error: matrix of shape (300, 300) exceeds the 256x256 cap\n"
+        )
+
 
 class TestVerifyCommand:
     def test_positional_theorem_passes(self, tmp_path):
@@ -256,6 +266,20 @@ class TestConsoleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_classify_loads_neither_harness_nor_models(self, tmp_path):
+        path = tmp_path / "m.json"
+        write_matrix_file(path, np.eye(2))
+        argv = ["classify", "--input", str(path), "--output", str(tmp_path / "r.json")]
+        code = (
+            "import sys, epkit, epkit.cli\n"
+            f"assert epkit.cli.main({argv!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m in ('epkit.harness', 'epkit.models')"
+            " or m.split('.')[0] == 'scipy'))"
+        )
+        proc = _python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_module_invocation(self, tmp_path):
         path = tmp_path / "m.json"
         write_matrix_file(path, np.eye(2))
@@ -266,3 +290,20 @@ class TestConsoleEntryPoint:
     def test_usage_error_exits_2(self):
         proc = _python("-m", "epkit.cli", "frobnicate")
         assert proc.returncode == 2
+
+
+class TestPackageNamespace:
+    def test_lazy_names_are_the_submodule_objects(self):
+        assert epkit.run_theorem_check is epkit.harness.run_theorem_check
+        assert epkit.limit_study is epkit.models.limit_study
+
+    def test_every_public_name_resolves(self):
+        namespace = {}
+        exec("from epkit import *", namespace)
+        for name in epkit.__all__:
+            assert namespace[name] is getattr(epkit, name)
+        assert set(epkit.__all__) <= set(dir(epkit))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            epkit.no_such_name
