@@ -5,6 +5,13 @@ input errors.  Reports are canonical JSON written to --output or standard
 output.  Timing fields are serialized as 0 unless --timings is given, so a
 rerun with the same seed produces byte-identical reports.
 
+Every command runs through ``main``: it builds the tolerances, times the
+command and writes its report, and each ``_cmd_*`` only computes the
+report's kind, payload and exit code.  --timings' ``wall_time_ms`` covers
+the whole command, from reading its input or building its spec to its
+payload.  A classification or verdict payload is exactly the fields of
+its dataclass (``serialize.report_payload``).
+
 The master seed comes from --seed alone (default 0); the theorem id and the
 model family are positional arguments.  Each command imports only the
 layers it runs: ``classify`` loads neither the harness nor the model
@@ -14,7 +21,6 @@ families.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
 
@@ -79,68 +85,34 @@ def _resolve_rank(args) -> int:
     return max(args.dim - 2, 0)
 
 
-def _emit(doc: dict, output: str | None) -> None:
-    text = serialize.render_report(doc)
-    if output:
-        with open(output, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _verdict_payload(verdict, timings: bool) -> dict:
+    payload = serialize.report_payload(verdict)
+    if not timings:
+        payload["elapsed_ms"] = 0
+    return payload
 
 
-def _normalize_verdict(verdict, timings: bool):
-    if timings:
-        return verdict
-    return dataclasses.replace(verdict, elapsed_ms=0)
+def _cmd_classify(args, tol):
+    report = classify(serialize.read_matrix_file(args.input), tol)
+    return serialize.KIND_CLASSIFICATION, serialize.report_payload(report), 0
 
 
-def _cmd_classify(args) -> int:
-    tol = ToleranceConfig(rank_rtol=args.tol_rank, eq_atol=args.tol_eq)
-    start = time.perf_counter()
-    matrix = serialize.read_matrix_file(args.input)
-    report = classify(matrix, tol)
-    wall_ms = int(round((time.perf_counter() - start) * 1000.0)) if args.timings else 0
-    doc = serialize.report_document(
-        serialize.KIND_CLASSIFICATION,
-        serialize.classification_to_payload(report),
-        tol,
-        wall_ms,
-    )
-    _emit(doc, args.output)
-    return 0
-
-
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, tol):
     from . import harness
 
-    tol = ToleranceConfig(rank_rtol=args.tol_rank, eq_atol=args.tol_eq)
-    spec = harness.GeneratorSpec(
-        dim=args.dim, rank=_resolve_rank(args), seed=args.seed
-    )
-    start = time.perf_counter()
-    verdict = harness.run_theorem_check(args.theorem, spec, args.trials, tol)
-    verdict = _normalize_verdict(verdict, args.timings)
-    wall_ms = int(round((time.perf_counter() - start) * 1000.0)) if args.timings else 0
-    doc = serialize.report_document(
-        serialize.KIND_THEOREM, serialize.verdict_to_payload(verdict), tol, wall_ms
-    )
-    _emit(doc, args.output)
-    return 0 if verdict.failures == 0 else 1
-
-
-def _cmd_suite(args) -> int:
-    from . import harness
-
-    tol = ToleranceConfig(rank_rtol=args.tol_rank, eq_atol=args.tol_eq)
     spec = harness.GeneratorSpec(dim=args.dim, rank=_resolve_rank(args), seed=args.seed)
-    start = time.perf_counter()
+    verdict = harness.run_theorem_check(args.theorem, spec, args.trials, tol)
+    payload = _verdict_payload(verdict, args.timings)
+    return serialize.KIND_THEOREM, payload, 0 if verdict.failures == 0 else 1
+
+
+def _cmd_suite(args, tol):
+    from . import harness
+
+    spec = harness.GeneratorSpec(dim=args.dim, rank=_resolve_rank(args), seed=args.seed)
     verdicts = [
-        _normalize_verdict(
-            harness.run_theorem_check(tid, spec, args.trials, tol), args.timings
-        )
-        for tid in harness.THEOREM_IDS
+        harness.run_theorem_check(tid, spec, args.trials, tol) for tid in harness.THEOREM_IDS
     ]
-    wall_ms = int(round((time.perf_counter() - start) * 1000.0)) if args.timings else 0
     all_passed = all(v.failures == 0 for v in verdicts)
     payload = {
         "seed": args.seed,
@@ -149,24 +121,17 @@ def _cmd_suite(args) -> int:
         "rank": spec.rank,
         "theorem_ids": list(harness.THEOREM_IDS),
         "all_passed": all_passed,
-        "verdicts": [serialize.verdict_to_payload(v) for v in verdicts],
+        "verdicts": [_verdict_payload(v, args.timings) for v in verdicts],
     }
-    doc = serialize.report_document(serialize.KIND_SUITE, payload, tol, wall_ms)
-    _emit(doc, args.output)
-    return 0 if all_passed else 1
+    return serialize.KIND_SUITE, payload, 0 if all_passed else 1
 
 
-def _cmd_model(args) -> int:
+def _cmd_model(args, tol):
     from . import models
 
-    tol = ToleranceConfig(rank_rtol=args.tol_rank, eq_atol=args.tol_eq)
-    start = time.perf_counter()
     rows = models.limit_study(args.family, args.n_max, tol)
-    wall_ms = int(round((time.perf_counter() - start) * 1000.0)) if args.timings else 0
     payload = {"family_id": args.family, "n_max": args.n_max, "rows": rows}
-    doc = serialize.report_document(serialize.KIND_LIMIT_STUDY, payload, tol, wall_ms)
-    _emit(doc, args.output)
-    return 0
+    return serialize.KIND_LIMIT_STUDY, payload, 0
 
 
 _COMMANDS = {
@@ -184,7 +149,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        tol = ToleranceConfig(rank_rtol=args.tol_rank, eq_atol=args.tol_eq)
+        start = time.perf_counter()
+        kind, payload, code = _COMMANDS[args.command](args, tol)
+        wall_ms = int(round((time.perf_counter() - start) * 1000.0)) if args.timings else 0
+        text = serialize.render_report(serialize.report_document(kind, payload, tol, wall_ms))
+        if args.output:
+            with open(args.output, "w") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (EpkitError, ValueError, OSError) as exc:
         print(f"epkit: error: {exc}", file=sys.stderr)
         return 2

@@ -162,10 +162,6 @@ class SvdFactorization:
         """Orthonormal columns spanning the carrier (orthocomplement of the null space)."""
         return self.right_vectors[:, : self.numerical_rank].copy()
 
-    def left_null_vectors(self) -> np.ndarray:
-        """Orthonormal columns spanning the orthocomplement of the range."""
-        return self.left_vectors[:, self.numerical_rank :].copy()
-
 
 def adjoint(matrix) -> np.ndarray:
     """Conjugate transpose."""

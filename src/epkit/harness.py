@@ -109,8 +109,8 @@ class GeneratorSpec:
             raise InvalidSpec(f"dim must be in [1, {MAX_DIM}], got {self.dim}")
         if self.rank < 0 or self.rank > self.dim:
             raise InvalidSpec(f"rank {self.rank} outside [0, dim={self.dim}]")
-        if self.condition_bound < 1.0:
-            raise InvalidSpec(f"condition_bound must be >= 1, got {self.condition_bound}")
+        if not 1.0 <= self.condition_bound < np.inf:
+            raise InvalidSpec(f"condition_bound must be finite and >= 1, got {self.condition_bound}")
         if not 0 <= self.seed < 2**64:
             raise InvalidSpec("seed must fit in an unsigned 64-bit integer")
         if self.family == "non_ep" and not 1 <= self.rank <= self.dim - 1:
@@ -195,8 +195,6 @@ def _gen_ep(rng, dim, rank, cond, tol) -> np.ndarray:
 
 
 def _gen_non_ep(rng, dim, rank, cond, tol) -> np.ndarray:
-    if not 1 <= rank <= dim - 1:
-        raise InvalidSpec("non_ep family needs 1 <= rank <= dim - 1")
     block = np.zeros((rank + 1, rank + 1), dtype=np.complex128)
     block[0, 1] = rng.uniform(0.5, 2.0)
     if rank > 1:
@@ -371,7 +369,9 @@ def _residual_trial(
                   payload=payload, note=note)
 
 
-def _pass_fail(ok: bool, payload: dict, note: str, direction: str = "accept") -> _Trial:
+def _pass_fail(
+    ok: bool, payload: dict | None = None, note: str | None = None, direction: str = "accept"
+) -> _Trial:
     """A boolean trial: a pass has residual 0 and no payload, a failure residual 1."""
     if ok:
         return _Trial(True, 0.0, direction=direction)
@@ -421,17 +421,16 @@ def _check_thm2_1(ctx: _Ctx, rng, t: int) -> _Trial:
     expected = family == "ep"
     direction = "accept" if expected else "reject"
     if rep.is_ep != expected or pred_comm != expected:
-        return _Trial(
-            False, 1.0, direction=direction, payload={"T": m},
-            note=(
-                f"family={family}: is_ep={rep.is_ep}, "
-                f"commutator_residual={rep.commutator_residual:.3e}"
-            ),
+        return _pass_fail(
+            False, {"T": m},
+            f"family={family}: is_ep={rep.is_ep}, "
+            f"commutator_residual={rep.commutator_residual:.3e}",
+            direction,
         )
     if expected:
         scale = 1.0 + operator_norm(m) + (1.0 / rep.gamma if rep.gamma > 0 else 0.0)
         return _residual_trial(rep.commutator_residual, scale, ctx.tol, payload={"T": m})
-    return _Trial(True, 0.0, direction="reject")
+    return _pass_fail(True, direction="reject")
 
 
 def _check_thm2_2(ctx: _Ctx, rng, t: int) -> _Trial:
@@ -459,8 +458,8 @@ def _check_thm2_2(ctx: _Ctx, rng, t: int) -> _Trial:
         gamma_ok = gamma_resid <= 1e-12 * norm_scale
 
     if ep_d != accept:
-        return _Trial(False, 1.0, direction="accept" if accept else "reject",
-                      payload=payload, note=f"is_ep(A (+) B)={ep_d}, expected {accept}")
+        return _pass_fail(False, payload, f"is_ep(A (+) B)={ep_d}, expected {accept}",
+                          "accept" if accept else "reject")
     return _residual_trial(
         pinv_resid, pinv_scale, tol, extra_ok=gamma_ok,
         direction="accept" if accept else "reject", payload=payload,
@@ -476,12 +475,12 @@ def _check_thm2_3(ctx: _Ctx, rng, t: int) -> _Trial:
     rep_u = classify(u, ctx.tol)
     expected = family == "ep"
     if rep_u.is_ep != expected:
-        return _Trial(False, 1.0, direction="accept" if expected else "reject",
-                      payload={"T": m, "U": u},
-                      note=f"is_ep(U)={rep_u.is_ep}, expected {expected}")
+        return _pass_fail(False, {"T": m, "U": u},
+                          f"is_ep(U)={rep_u.is_ep}, expected {expected}",
+                          "accept" if expected else "reject")
     if expected:
         return _residual_trial(rep_u.range_gap, 2.0, ctx.tol, payload={"T": m, "U": u})
-    return _Trial(True, 0.0, direction="reject")
+    return _pass_fail(True, direction="reject")
 
 
 def _check_thm2_4(ctx: _Ctx, rng, t: int) -> _Trial:
@@ -493,13 +492,13 @@ def _check_thm2_4(ctx: _Ctx, rng, t: int) -> _Trial:
     ep = range_corange_test(fact, ctx.tol)[0]
     expected = family == "ep"
     if ep != expected:
-        return _Trial(False, 1.0, direction="accept" if expected else "reject",
-                      payload={"T": m},
-                      note=f"range==carrier (the EP test) is {ep}, expected {expected}")
+        return _pass_fail(False, {"T": m},
+                          f"range==carrier (the EP test) is {ep}, expected {expected}",
+                          "accept" if expected else "reject")
     if expected:
         gap = projector_gap(range_basis_of(fact), carrier_basis_of(fact))
         return _residual_trial(gap, 1.0, ctx.tol, payload={"T": m})
-    return _Trial(True, 0.0, direction="reject")
+    return _pass_fail(True, direction="reject")
 
 
 def _check_thm2_5(ctx: _Ctx, rng, t: int) -> _Trial:
@@ -560,8 +559,7 @@ def _check_thm2_6(ctx: _Ctx, rng, t: int) -> _Trial:
             power = power @ m
             fact_n = svd(power, tol)
             if not range_corange_test(fact_n, tol)[0]:
-                return _Trial(False, 1.0, payload={"T": m},
-                              note="a power of an EP matrix failed the EP test")
+                return _pass_fail(False, {"T": m}, "a power of an EP matrix failed the EP test")
             worst = max(worst, projector_gap(range_basis_of(fact_n), base))
         return _residual_trial(worst, 1.0, tol, payload={"T": m})
     m = _gen_for(ctx, rng, "non_ep", cond=30.0)
@@ -645,12 +643,12 @@ def _check_thm2_12(ctx: _Ctx, rng, t: int) -> _Trial:
     payload = {"S": s, "T": t_mat}
     direction = "accept" if conds else "reject"
     if ep_p != conds:
-        return _Trial(False, 1.0, direction=direction, payload=payload,
-                      note=f"is_ep(ST)={ep_p} but range/null conditions={conds}")
+        return _pass_fail(False, payload,
+                          f"is_ep(ST)={ep_p} but range/null conditions={conds}", direction)
     if aligned and not conds:
-        return _Trial(False, 1.0, direction=direction, payload=payload,
-                      note="aligned EP pair failed the range/null conditions")
-    return _Trial(True, 0.0, direction=direction)
+        return _pass_fail(False, payload,
+                          "aligned EP pair failed the range/null conditions", direction)
+    return _pass_fail(True, direction=direction)
 
 
 def _check_thm2_13(ctx: _Ctx, rng, t: int) -> _Trial:
@@ -747,12 +745,12 @@ def _check_thm2_19(ctx: _Ctx, rng, t: int) -> _Trial:
     ep = range_corange_test(fact, tol)[0]
     expected = family == "ep"
     if pred != expected or ep != expected:
-        return _Trial(False, 1.0, direction="accept" if expected else "reject",
-                      payload={"T": m},
-                      note=f"annihilation predicate={pred}, is_ep={ep}, expected {expected}")
+        return _pass_fail(False, {"T": m},
+                          f"annihilation predicate={pred}, is_ep={ep}, expected {expected}",
+                          "accept" if expected else "reject")
     if expected:
         return _residual_trial(max(r1, r2), scale, tol, payload={"T": m})
-    return _Trial(True, 0.0, direction="reject")
+    return _pass_fail(True, direction="reject")
 
 
 def _window_conditions(
@@ -856,13 +854,12 @@ def _check_thm3_2(ctx: _Ctx, rng, t: int) -> _Trial:
     ep = range_corange_test(fact, tol)[0]
     left = (gammas < delta - 1e-9) | ~ep
     if left.any():
-        return _Trial(False, 1.0, payload={"T_k": terms[int(np.argmax(left))]},
-                      note="sequence term left the certified EP membership set")
+        return _pass_fail(False, {"T_k": terms[int(np.argmax(left))]},
+                          "sequence term left the certified EP membership set")
     # The last term lies within about 2^-50 ||limit|| of the limit plus
     # roundoff of the order of eps ||limit||, so the bound scales with it.
     if norm2(terms[-1] - limit) > 1e-9 * (1.0 + norm2(limit)):
-        return _Trial(False, 1.0, payload={"T": limit},
-                      note="sequence failed to converge to its declared limit")
+        return _pass_fail(False, {"T": limit}, "sequence failed to converge to its declared limit")
     rep = classify(limit, tol)
     residual = max(0.0, delta - rep.gamma)
     ok = rep.is_ep and rep.gamma >= delta - 1e-9
@@ -1040,7 +1037,7 @@ def run_theorem_check(
     details["rejecting_trials"] = rejecting
     return TheoremVerdict(
         theorem_id=theorem_id,
-        trials=trials,
+        trials=int(trials),  # a numpy integer would not encode as JSON
         failures=failures,
         worst_residual=float(worst),
         counterexample=counterexample,

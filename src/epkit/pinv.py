@@ -217,7 +217,7 @@ def polar_decomposition_of(fact: SvdFactorization) -> PolarFactors:
 def fractional_abs_power(
     matrix, alpha: float, tol: ToleranceConfig = DEFAULT_TOL
 ) -> np.ndarray:
-    """|M|^alpha for alpha > 0, via the Hermitian eigendecomposition of |M|.
+    """|M|^alpha for finite alpha > 0, via the Hermitian eigendecomposition of |M|.
 
     The one-exponent case of fractional_abs_powers_of.
     """
@@ -228,7 +228,7 @@ def fractional_abs_power(
 def fractional_abs_powers_of(
     polar: PolarFactors, alphas, tol: ToleranceConfig = DEFAULT_TOL
 ) -> list[np.ndarray]:
-    """|M|^alpha for each alpha > 0, from the polar factors of M.
+    """|M|^alpha for each finite alpha > 0, from the polar factors of M.
 
     One Hermitian eigendecomposition of |M| serves every exponent.
     Eigenvalues of |M| at or below the rank cutoff are clamped to exactly 0
@@ -249,8 +249,8 @@ def fractional_abs_powers_of(
 
 def _require_positive(alphas) -> None:
     for alpha in alphas:
-        if not alpha > 0.0:
-            raise InvalidExponent(f"exponent must be positive, got {alpha}")
+        if not 0.0 < alpha < np.inf:
+            raise InvalidExponent(f"exponent must be positive and finite, got {alpha}")
 
 
 def direct_sum(a, b) -> np.ndarray:

@@ -21,15 +21,18 @@ whole-list passes and its parts converted by one numpy call, to the same
 bits as ``complex(float(re), float(im))`` per entry.  A file that fails
 those passes is scanned entry by entry in row-major order, and the first
 fault is reported.  A shape past the ``MAX_DIM`` cap is rejected before
-any entry is read.  ``verdict_from_payload`` imports the harness on its
-first call, so reading and writing matrix files loads neither the
-verifiers nor the model families.
+any entry is read.
+
+A classification or theorem-verdict payload is exactly the fields of its
+dataclass (``report_payload``); the suite and limit-study payloads are
+assembled by the CLI.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -162,72 +165,15 @@ def write_matrix_file(path, matrix) -> None:
     )
 
 
-def classification_to_payload(report) -> dict:
-    return {
-        "dim": int(report.dim),
-        "rank": int(report.rank),
-        "is_ep": bool(report.is_ep),
-        "is_hypo_ep": bool(report.is_hypo_ep),
-        "is_normal": bool(report.is_normal),
-        "gamma": float(report.gamma),
-        "spectral_radius": float(report.spectral_radius),
-        "commutator_residual": float(report.commutator_residual),
-        "range_gap": float(report.range_gap),
-        "zero_operator": bool(report.zero_operator),
-    }
+def report_payload(report) -> dict:
+    """A ClassificationReport or TheoremVerdict as its payload.
 
-
-def classification_from_payload(doc):
-    from .classify import ClassificationReport
-
-    try:
-        return ClassificationReport(
-            dim=int(doc["dim"]),
-            rank=int(doc["rank"]),
-            is_ep=bool(doc["is_ep"]),
-            is_hypo_ep=bool(doc["is_hypo_ep"]),
-            is_normal=bool(doc["is_normal"]),
-            gamma=float(doc["gamma"]),
-            spectral_radius=float(doc["spectral_radius"]),
-            commutator_residual=float(doc["commutator_residual"]),
-            range_gap=float(doc["range_gap"]),
-            zero_operator=bool(doc["zero_operator"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MatrixFileError(f"invalid classification payload: {exc}") from exc
-
-
-def verdict_to_payload(verdict) -> dict:
-    return {
-        "theorem_id": verdict.theorem_id,
-        "trials": int(verdict.trials),
-        "failures": int(verdict.failures),
-        "worst_residual": float(verdict.worst_residual),
-        "counterexample": verdict.counterexample,
-        "elapsed_ms": int(verdict.elapsed_ms),
-        "warnings": int(verdict.warnings),
-        "notes": list(verdict.notes),
-        "details": dict(verdict.details),
-    }
-
-
-def verdict_from_payload(doc):
-    from .harness import TheoremVerdict
-
-    try:
-        return TheoremVerdict(
-            theorem_id=str(doc["theorem_id"]),
-            trials=int(doc["trials"]),
-            failures=int(doc["failures"]),
-            worst_residual=float(doc["worst_residual"]),
-            counterexample=doc["counterexample"],
-            elapsed_ms=int(doc["elapsed_ms"]),
-            warnings=int(doc["warnings"]),
-            notes=tuple(doc["notes"]),
-            details=dict(doc["details"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MatrixFileError(f"invalid verdict payload: {exc}") from exc
+    The keys are exactly the dataclass's fields, and each value is the one
+    the field holds.  Shallow on purpose: a verdict's counterexample
+    matrices are already MatrixFile payloads, and copying them would cost
+    far more than the rest of the report.
+    """
+    return {f.name: getattr(report, f.name) for f in fields(report)}
 
 
 def report_document(kind: str, payload, tol, wall_time_ms: int = 0) -> dict:

@@ -3,7 +3,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from epkit import DEFAULT_TOL, harness
+import golden_corpus
+from epkit import DEFAULT_TOL
 
 
 @pytest.fixture
@@ -17,21 +18,10 @@ def rng():
 
 
 @pytest.fixture
-def corrupt_ep_generation(monkeypatch):
-    """Make the ep family return a non-EP matrix after drawing its usual instance.
-
-    Verifiers that generate through the family table then see genuine
-    counterexamples; the patch is undone when the test ends.
-    """
-    real = harness._GENERATORS["ep"]
-
-    def non_ep(rng, dim, rank, cond, tol):
-        real(rng, dim, rank, cond, tol)
-        m = np.zeros((dim, dim), dtype=np.complex128)
-        m[0, min(1, dim - 1)] = 1.0
-        return m
-
-    monkeypatch.setitem(harness._GENERATORS, "ep", non_ep)
+def corrupt_ep_generation():
+    """The ep family corrupted for the test (``golden_corpus.corrupt_ep_generation``)."""
+    with golden_corpus.corrupt_ep_generation():
+        yield
 
 
 @pytest.fixture

@@ -12,6 +12,10 @@ layers:
   is the recorded one, since a report is byte-reproducible only within one
   environment.
 
+A case listed in ``CORRUPT_EP`` runs with the ep generator corrupted, so
+that the bytes of a failing verdict (exit code 1, the counterexample's
+matrices and note) are pinned too.
+
 The report itself is kept beside it as ``<case>.json``, so that a changed
 digest can be shown field by field (``tests/golden/refresh.py``).
 """
@@ -26,8 +30,9 @@ import platform
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from epkit import FAMILIES
+from epkit import FAMILIES, harness
 from epkit.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -56,7 +61,32 @@ CASES = {
         "verify", "thm2.16", "--dim", "5", "--rank", "3", "--trials", "10", "--seed", "2",
     ],
     **{f"classify-{m}": ["classify", "--input", f"inputs/{m}.json"] for m in CLASSIFY_INPUTS},
+    "verify-thm2.1-d4-r2-t4-corrupt-ep": [
+        "verify", "thm2.1", "--dim", "4", "--rank", "2", "--trials", "4", "--seed", "3",
+    ],
 }
+
+CORRUPT_EP = {"verify-thm2.1-d4-r2-t4-corrupt-ep"}
+
+
+@contextlib.contextmanager
+def corrupt_ep_generation():
+    """Make the ep family return a non-EP matrix after drawing its usual instance.
+
+    Verifiers that generate through the family table then see genuine
+    counterexamples; the patch is undone when the block ends.
+    """
+    real = harness._GENERATORS["ep"]
+
+    def non_ep(rng, dim, rank, cond, tol):
+        real(rng, dim, rank, cond, tol)
+        m = np.zeros((dim, dim), dtype=np.complex128)
+        m[0, min(1, dim - 1)] = 1.0
+        return m
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(harness._GENERATORS, "ep", non_ep)
+        yield
 
 
 def fingerprint() -> dict:
@@ -84,6 +114,12 @@ def run(argv: list[str]) -> tuple[int, str]:
     with contextlib.redirect_stdout(out):
         code = main(argv)
     return code, out.getvalue()
+
+
+def run_case(name: str) -> tuple[int, str]:
+    """``run`` of one case, under the corrupted ep generator if it is in ``CORRUPT_EP``."""
+    with corrupt_ep_generation() if name in CORRUPT_EP else contextlib.nullcontext():
+        return run(CASES[name])
 
 
 def sha256(text: str) -> str:
@@ -136,9 +172,8 @@ def verdict_layer(code: int, text: str) -> dict:
 
 def record(name: str) -> tuple[dict, str]:
     """The corpus entry of one case, from a fresh run, plus its report text."""
-    argv = CASES[name]
-    code, text = run(argv)
-    return {"argv": argv, "sha256": sha256(text), "verdict": verdict_layer(code, text)}, text
+    code, text = run_case(name)
+    return {"argv": CASES[name], "sha256": sha256(text), "verdict": verdict_layer(code, text)}, text
 
 
 def load() -> dict:

@@ -1,7 +1,10 @@
+import dataclasses
+import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,16 +14,15 @@ import epkit
 from epkit.cli import main
 from epkit.errors import MatrixFileError
 from epkit.serialize import (
-    classification_from_payload,
-    classification_to_payload,
     matrix_from_payload,
     matrix_to_payload,
     parse_matrix_text,
     parse_report,
     render_report,
+    report_payload,
     write_matrix_file,
 )
-from epkit.classify import classify
+from epkit.classify import ClassificationReport, classify
 
 
 @pytest.fixture
@@ -197,6 +199,41 @@ class TestModelCommand:
         assert svd_calls["full"] == svd_calls["values"] == 0
 
 
+@pytest.fixture
+def fake_clock(monkeypatch):
+    """time.perf_counter as a clock that advances one second per reading."""
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+
+
+_TIMED_COMMANDS = {
+    "classify": ["classify", "--input"],
+    "verify": ["verify", "thm2.1", "--dim", "4", "--trials", "2"],
+    "suite": ["suite", "--dim", "4", "--trials", "2"],
+    "model": ["model", "diag_n", "--n-max", "3"],
+}
+
+
+class TestTimings:
+    @pytest.mark.parametrize("timings", [True, False], ids=["timings", "no_timings"])
+    @pytest.mark.parametrize("command", list(_TIMED_COMMANDS))
+    def test_timing_fields(self, command, timings, hermitian_file, fake_clock, capsys):
+        argv = list(_TIMED_COMMANDS[command])
+        if command == "classify":
+            argv.append(str(hermitian_file))
+        assert main(argv + ["--timings"] * timings) == 0
+        doc = parse_report(capsys.readouterr().out)
+        payload = doc["payload"]
+        verdicts = {"verify": [payload], "suite": payload.get("verdicts")}.get(command, [])
+        elapsed = [v["elapsed_ms"] for v in verdicts]
+        if timings:
+            assert all(ms > 0 for ms in elapsed)
+            assert doc["wall_time_ms"] > sum(elapsed)
+        else:
+            assert elapsed == [0] * len(verdicts)
+            assert doc["wall_time_ms"] == 0
+
+
 class TestWireFormats:
     def test_matrix_payload_round_trip(self, rng):
         m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
@@ -215,16 +252,18 @@ class TestWireFormats:
         assert set(payload) == {"version", "rows", "cols", "data"}
         assert payload["version"] == "1"
 
-    def test_classification_payload_round_trip(self, rng, tol):
+    def test_classification_payload_is_the_report_fields(self, rng, tol):
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         report = classify(m, tol)
-        assert classification_from_payload(classification_to_payload(report)) == report
+        payload = report_payload(report)
+        assert list(payload) == [f.name for f in dataclasses.fields(ClassificationReport)]
+        assert ClassificationReport(**payload) == report
 
     def test_report_document_round_trip(self, tol):
         report = classify(np.diag([1.0, 0.0]), tol)
         from epkit.serialize import KIND_CLASSIFICATION, report_document
 
-        doc = report_document(KIND_CLASSIFICATION, classification_to_payload(report), tol)
+        doc = report_document(KIND_CLASSIFICATION, report_payload(report), tol)
         assert parse_report(render_report(doc)) == doc
 
     @pytest.mark.parametrize(

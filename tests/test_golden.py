@@ -22,7 +22,7 @@ def fresh():
 
     def get(name):
         if name not in runs:
-            runs[name] = gc.run(gc.CASES[name])
+            runs[name] = gc.run_case(name)
         return runs[name]
 
     return get

@@ -27,7 +27,7 @@ from epkit import (
     psd_dominates,
     run_theorem_check,
 )
-from epkit.serialize import verdict_from_payload, verdict_to_payload
+from epkit.serialize import matrix_to_payload, report_payload
 
 
 def spec(**kwargs):
@@ -44,6 +44,11 @@ class TestGeneratorSpec:
     def test_rejects_bad_condition(self):
         with pytest.raises(InvalidSpec):
             GeneratorSpec(dim=3, rank=2, condition_bound=0.5)
+
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf")])
+    def test_rejects_non_finite_condition(self, bound):
+        with pytest.raises(InvalidSpec, match="finite"):
+            GeneratorSpec(dim=8, rank=6, condition_bound=bound)
 
     def test_rejects_unknown_family(self):
         with pytest.raises(InvalidSpec):
@@ -162,15 +167,25 @@ class TestRunTheoremCheck:
     def test_verdict_is_deterministic(self, tol):
         v1 = run_theorem_check("thm3.4", spec(seed=42), 30, tol)
         v2 = run_theorem_check("thm3.4", spec(seed=42), 30, tol)
-        p1 = verdict_to_payload(dataclasses.replace(v1, elapsed_ms=0))
-        p2 = verdict_to_payload(dataclasses.replace(v2, elapsed_ms=0))
+        p1 = report_payload(dataclasses.replace(v1, elapsed_ms=0))
+        p2 = report_payload(dataclasses.replace(v2, elapsed_ms=0))
         assert p1 == p2
 
-    def test_verdict_payload_round_trips(self, tol):
-        verdict = dataclasses.replace(
-            run_theorem_check("thm2.1", spec(seed=4), 10, tol), elapsed_ms=0
-        )
-        assert verdict_from_payload(verdict_to_payload(verdict)) == verdict
+    def test_verdict_payload_is_the_verdict_fields(self, tol):
+        verdict = run_theorem_check("thm2.1", spec(seed=4), 10, tol)
+        payload = report_payload(verdict)
+        assert list(payload) == [f.name for f in dataclasses.fields(TheoremVerdict)]
+        assert TheoremVerdict(**payload) == verdict
+
+    def test_numpy_trial_count_encodes_as_json(self, tol):
+        verdict = run_theorem_check("thm2.1", spec(), np.int64(2), tol)
+        assert json.loads(json.dumps(report_payload(verdict)))["trials"] == 2
+
+    def test_verdict_payload_does_not_copy_the_counterexample(self):
+        matrices = {name: matrix_to_payload(np.eye(256)) for name in ("S", "T")}
+        counterexample = {"trial": 0, "matrices": matrices}
+        verdict = TheoremVerdict("thm2.12", 1, 1, 1.0, counterexample, 0)
+        assert report_payload(verdict)["counterexample"] is counterexample
 
     def test_nilpotent_control_reported_for_radius_bound(self, tol):
         verdict = run_theorem_check("thm3.4", spec(seed=2), 12, tol)
@@ -249,10 +264,10 @@ class TestRunTheoremCheck:
 _THM1_5_REPORT = """
 import dataclasses, json
 from epkit import GeneratorSpec, run_theorem_check
-from epkit.serialize import verdict_to_payload
+from epkit.serialize import report_payload
 spec = GeneratorSpec(dim=DIM, rank=DIM - 2, condition_bound=50.0, seed=5)
 verdict = run_theorem_check("thm1.5", spec, 4)
-report = json.dumps(verdict_to_payload(dataclasses.replace(verdict, elapsed_ms=0)))
+report = json.dumps(report_payload(dataclasses.replace(verdict, elapsed_ms=0)))
 """
 
 
@@ -282,6 +297,6 @@ class TestThm15ControlIsPerRun:
 
     def test_mutating_a_verdict_leaves_the_next_run_alone(self):
         verdict = run_theorem_check("thm1.5", spec(dim=8, rank=6, seed=5), 4)
-        expected = json.dumps(verdict_to_payload(dataclasses.replace(verdict, elapsed_ms=0)))
+        expected = json.dumps(report_payload(dataclasses.replace(verdict, elapsed_ms=0)))
         verdict.details["negative_example"].clear()
         assert _thm1_5_report(8) == expected

@@ -218,6 +218,11 @@ class TestFractionalAbsPower:
         with pytest.raises(InvalidExponent):
             fractional_abs_power(np.eye(2), -1.0, tol)
 
+    @pytest.mark.parametrize("alpha", [float("inf"), float("nan")])
+    def test_rejects_non_finite_exponent(self, rng, tol, alpha):
+        with pytest.raises(InvalidExponent, match="positive and finite"):
+            fractional_abs_power(rng.standard_normal((3, 3)), alpha, tol)
+
     def test_rejects_non_square(self, tol):
         with pytest.raises(NotSquare):
             fractional_abs_power(np.ones((2, 3)), 0.5, tol)
