@@ -3,8 +3,9 @@
     PYTHONPATH=src python tests/golden/refresh.py            # diff only
     PYTHONPATH=src python tests/golden/refresh.py --write    # rewrite the corpus
 
-Runs every case of ``tests/golden_corpus.py`` with the epkit on the import
-path and prints, per case, each field that differs from the committed
+Runs every case of ``tests/golden_corpus.py``, command lines and
+``run_theorem_check`` calls alike, with the epkit on the import path and
+prints, per case, each field that differs from the committed
 corpus: first the verdict layer, then the report itself.  Without
 ``--write`` it exits 1 when anything differs; with it, it rewrites
 ``corpus.json`` and the stored reports, and records this environment's

@@ -1,7 +1,9 @@
 """The golden corpus: seeded ``epkit`` reports pinned in ``tests/golden/``.
 
-Each case is one command line.  ``corpus.json`` records, per case, two
-layers:
+A case is one command line (``argv``) or one ``run_theorem_check`` call
+(``call``), for what the command line cannot ask: a check case runs a
+verifier at a condition bound off the default and renders its verdict as
+``epkit verify`` would.  ``corpus.json`` records, per case, two layers:
 
 - the verdict layer (exit code, failures, warnings, counterexample trial,
   accepting and rejecting counts, every yes/no field of the details, which
@@ -32,7 +34,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epkit import FAMILIES, harness
+from epkit import DEFAULT_TOL, FAMILIES, harness, serialize
 from epkit.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -65,6 +67,23 @@ CASES = {
         "verify", "thm2.1", "--dim", "4", "--rank", "2", "--trials", "4", "--seed", "3",
     ],
 }
+
+# Every verifier at dim 8, rank 6, seed 7 and 6 trials, at condition bounds
+# past the default of 100; thm2.12 and thm2.13, whose rank cutoffs give way
+# first, also at 1e6.  Their failing verdicts are pinned as they stand.
+CHECK_BOUNDS = {
+    **{tid: ("1e2", "1e4") for tid in harness.THEOREM_IDS},
+    "thm2.12": ("1e2", "1e4", "1e6"),
+    "thm2.13": ("1e2", "1e4", "1e6"),
+}
+CASES.update({
+    f"check-{tid}-d8-r6-t6-cond{bound}": {
+        "theorem_id": tid, "dim": 8, "rank": 6, "seed": 7, "trials": 6,
+        "condition_bound": float(bound),
+    }
+    for tid, bounds in CHECK_BOUNDS.items()
+    for bound in bounds
+})
 
 CORRUPT_EP = {"verify-thm2.1-d4-r2-t4-corrupt-ep"}
 
@@ -116,10 +135,28 @@ def run(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def check(call: dict) -> tuple[int, str]:
+    """Exit code and report text of one ``run_theorem_check`` call, as ``epkit verify``."""
+    spec = {k: v for k, v in call.items() if k not in ("theorem_id", "trials")}
+    verdict = harness.run_theorem_check(
+        call["theorem_id"], harness.GeneratorSpec(**spec), call["trials"]
+    )
+    payload = {**serialize.report_payload(verdict), "elapsed_ms": 0}
+    doc = serialize.report_document(serialize.KIND_THEOREM, payload, DEFAULT_TOL)
+    return 0 if verdict.failures == 0 else 1, serialize.render_report(doc)
+
+
+def invocation(name: str) -> tuple[str, list | dict]:
+    """How a case runs: ``("argv", command line)`` or ``("call", check arguments)``."""
+    case = CASES[name]
+    return ("call", case) if isinstance(case, dict) else ("argv", case)
+
+
 def run_case(name: str) -> tuple[int, str]:
-    """``run`` of one case, under the corrupted ep generator if it is in ``CORRUPT_EP``."""
+    """``run`` or ``check`` of one case, under the corrupted ep generator if it is in ``CORRUPT_EP``."""
+    kind, case = invocation(name)
     with corrupt_ep_generation() if name in CORRUPT_EP else contextlib.nullcontext():
-        return run(CASES[name])
+        return run(case) if kind == "argv" else check(case)
 
 
 def sha256(text: str) -> str:
@@ -173,7 +210,8 @@ def verdict_layer(code: int, text: str) -> dict:
 def record(name: str) -> tuple[dict, str]:
     """The corpus entry of one case, from a fresh run, plus its report text."""
     code, text = run_case(name)
-    return {"argv": CASES[name], "sha256": sha256(text), "verdict": verdict_layer(code, text)}, text
+    kind, case = invocation(name)
+    return {kind: case, "sha256": sha256(text), "verdict": verdict_layer(code, text)}, text
 
 
 def load() -> dict:

@@ -31,7 +31,8 @@ def fresh():
 def test_corpus_covers_every_case():
     assert sorted(CORPUS["cases"]) == sorted(gc.CASES)
     for name, entry in CORPUS["cases"].items():
-        assert entry["argv"] == gc.CASES[name]
+        kind, case = gc.invocation(name)
+        assert entry[kind] == case
         assert gc.sha256(gc.report_path(name).read_text()) == entry["sha256"]
 
 
