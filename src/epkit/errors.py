@@ -38,7 +38,11 @@ class UnknownTheorem(EpkitError):
 
 
 class GenerationError(EpkitError):
-    """A generated instance failed its construction-time self-validation."""
+    """A generator could not produce an instance of its family.
+
+    Instances are correct by construction and returned untested; whether a
+    verifier's numerical decision agrees with the family drawn is its verdict.
+    """
 
 
 class MatrixFileError(EpkitError):

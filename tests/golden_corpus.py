@@ -153,7 +153,7 @@ def invocation(name: str) -> tuple[str, list | dict]:
 
 
 def run_case(name: str) -> tuple[int, str]:
-    """``run`` or ``check`` of one case, under the corrupted ep generator if it is in ``CORRUPT_EP``."""
+    """``run`` or ``check`` of one case, under the corrupted ep generator if in ``CORRUPT_EP``."""
     kind, case = invocation(name)
     with corrupt_ep_generation() if name in CORRUPT_EP else contextlib.nullcontext():
         return run(case) if kind == "argv" else check(case)

@@ -155,6 +155,18 @@ class TestSuiteCommand:
         assert failing
         assert failing[0]["counterexample"]["matrices"]
 
+    @pytest.mark.parametrize("argv", [
+        ["suite", "--dim", "4", "--trials", "1"],
+        ["suite", "--dim", "4", "--trials", "2"],
+        ["verify", "thm2.5", "--trials", "2"],
+        ["verify", "thm2.1", "--trials", "1"],
+    ])
+    def test_too_few_trials_for_both_directions_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "needs trials >= " in captured.err
+
     def test_corrupt_env_var_is_not_read(self, tmp_path, monkeypatch):
         argv = ["suite", "--seed", "1", "--trials", "4", "--output"]
         monkeypatch.delenv("EPKIT_TEST_CORRUPT", raising=False)
@@ -209,7 +221,7 @@ def fake_clock(monkeypatch):
 _TIMED_COMMANDS = {
     "classify": ["classify", "--input"],
     "verify": ["verify", "thm2.1", "--dim", "4", "--trials", "2"],
-    "suite": ["suite", "--dim", "4", "--trials", "2"],
+    "suite": ["suite", "--dim", "4", "--trials", "3"],
     "model": ["model", "diag_n", "--n-max", "3"],
 }
 

@@ -21,6 +21,7 @@ from epkit import (
     adjoint,
     classify,
     gen_matrix,
+    harness,
     is_ep,
     is_normal,
     operator_norm,
@@ -58,6 +59,24 @@ class TestGeneratorSpec:
         with pytest.raises(InvalidSpec):
             GeneratorSpec(dim=3, rank=3, family="non_ep")
 
+    @pytest.mark.parametrize("name, value", [
+        ("dim", 8.0), ("rank", 6.0), ("seed", 1.5), ("dim", True), ("seed", False),
+        ("trials", 2.0), ("trials", True),
+    ])
+    def test_counts_must_be_integers(self, name, value, tol):
+        counts = {"dim": 8, "rank": 6, "seed": 1, "trials": 6, name: value}
+        trials = counts.pop("trials")
+        with pytest.raises(InvalidSpec, match="must be an integer"):
+            run_theorem_check("thm2.1", GeneratorSpec(**counts), trials, tol)
+
+    def test_numpy_integer_counts_are_accepted(self, tol):
+        numpy_spec = GeneratorSpec(dim=np.int64(8), rank=np.int32(6), seed=np.uint64(1))
+        verdict = run_theorem_check("thm2.1", numpy_spec, np.int16(2), tol)
+        assert verdict == dataclasses.replace(
+            run_theorem_check("thm2.1", GeneratorSpec(dim=8, rank=6, seed=1), 2, tol),
+            elapsed_ms=verdict.elapsed_ms,
+        )
+
 
 class TestGenMatrix:
     def test_ep_full_rank_is_invertible_ep(self, tol):
@@ -65,10 +84,6 @@ class TestGenMatrix:
         assert m.shape == (4, 4)
         assert is_ep(m, tol)
         assert classify(m, tol).rank == 4
-
-    def test_non_ep_dim_two(self, tol):
-        m = gen_matrix(spec(dim=2, rank=1, family="non_ep", seed=5))
-        assert not is_ep(m, tol)
 
     def test_condition_bound_respected(self, tol):
         m = gen_matrix(spec(dim=5, rank=5, condition_bound=20.0, seed=9))
@@ -88,20 +103,33 @@ class TestGenMatrix:
         m = gen_matrix(spec(family="normal_ep", seed=13))
         assert is_normal(m, tol) and is_ep(m, tol)
 
-    def test_commuting_pair_commutes(self, tol):
-        t, s = gen_matrix(spec(family="commuting_pair", seed=17))
-        scale = (1.0 + operator_norm(s)) * (1.0 + operator_norm(t))
-        assert np.linalg.norm(s @ t - t @ s, 2) <= 10 * tol.eq_atol * scale
-
-    def test_perturbation_pair_is_certified(self, tol):
-        t, s = gen_matrix(spec(family="perturbation_pair", seed=19))
-        ta, sa = adjoint(t), adjoint(s)
-        assert psd_dominates(0.25 * (ta @ t), sa @ s, tol)
-        assert psd_dominates(0.25 * (t @ ta), s @ sa, tol)
-
     def test_product_pair_both_ep(self, tol):
         s, t = gen_matrix(spec(family="product_pair", seed=23))
         assert is_ep(s, tol) and is_ep(t, tol)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 32])
+    def test_every_family_has_its_property_by_construction(self, dim, tol):
+        # Generators return their draws untested; at the default condition
+        # bound each family's property holds for every admissible rank.
+        squared = harness.DOMINANCE_BOUND**2
+        for rank in range(dim + 1):
+            for seed in range(3):
+                def draw(family):
+                    return gen_matrix(GeneratorSpec(dim=dim, rank=rank, seed=seed, family=family))
+
+                assert is_ep(draw("ep"), tol)
+                assert is_ep(draw("normal_ep"), tol)
+                if 1 <= rank <= dim - 1:
+                    assert not is_ep(draw("non_ep"), tol)
+                t, s = draw("commuting_pair")
+                scale = (1.0 + operator_norm(s)) * (1.0 + operator_norm(t))
+                assert operator_norm(s @ t - t @ s) <= 10 * tol.eq_atol * scale
+                for loose in (False, True):
+                    rng = np.random.default_rng([seed, 0xA5])
+                    t, s = harness._gen_perturbation_pair(rng, dim, rank, 100.0, tol, loose)
+                    ta, sa = adjoint(t), adjoint(s)
+                    assert psd_dominates(squared * (ta @ t), sa @ s, tol)
+                    assert psd_dominates(squared * (t @ ta), s @ sa, tol)
 
     def test_sequence_converges_to_declared_limit(self, tol):
         seq = gen_matrix(spec(family="sequence", seed=29))
@@ -159,6 +187,17 @@ class TestRunTheoremCheck:
     def test_rejects_bad_trial_count(self, tol):
         with pytest.raises(InvalidSpec):
             run_theorem_check("thm2.1", spec(), 0, tol)
+
+    @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+    def test_fewest_trials_reach_both_directions(self, theorem_id, tol):
+        # thm2.5 schedules three kinds (t % 3); thm3.2 has one direction.
+        fewest = {"thm2.5": 3, "thm3.2": 1}.get(theorem_id, 2)
+        with pytest.raises(InvalidSpec, match=f"trials >= {fewest} "):
+            run_theorem_check(theorem_id, spec(seed=1), fewest - 1, tol)
+        verdict = run_theorem_check(theorem_id, spec(seed=1), fewest, tol)
+        assert verdict.failures == 0
+        if theorem_id != "thm2.12":  # its direction depends on the data
+            assert not any("configuration error" in note for note in verdict.notes)
 
     def test_rejects_zero_rank(self, tol):
         with pytest.raises(InvalidSpec):
@@ -251,6 +290,18 @@ class TestRunTheoremCheck:
         assert verdict.counterexample is not None
         assert "matrices" in verdict.counterexample
         assert verdict.counterexample["trial"] == 0
+
+    @pytest.mark.parametrize("rank", [6, 7])
+    @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+    def test_far_bound_draws_reach_the_verdict(self, theorem_id, rank, tol):
+        # At condition bound 1e10 an EP decision on a draw may go wrong.  The
+        # draw is not tested at generation, so the verdict reports any such
+        # decision as a counterexample that carries its matrices.
+        far = GeneratorSpec(dim=8, rank=rank, seed=7, condition_bound=1e10)
+        verdict = run_theorem_check(theorem_id, far, 6, tol)
+        assert isinstance(verdict, TheoremVerdict)
+        if verdict.counterexample is not None:
+            assert verdict.counterexample["matrices"]
 
     def test_thm2_4_failure_note_states_its_one_verdict(self, tol, corrupt_ep_generation):
         verdict = run_theorem_check("thm2.4", spec(seed=1), 2, tol)
