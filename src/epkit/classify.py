@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     DEFAULT_TOL,
     SvdFactorization,
@@ -67,8 +65,10 @@ class ClassificationReport:
     zero_operator: bool
 
 
-def range_corange_test(fact: SvdFactorization, tol: ToleranceConfig = DEFAULT_TOL):
-    """``(is_ep, is_hypo_ep)``: is range(M) inside range(M*), and the reverse?
+def range_corange_test(
+    fact: SvdFactorization, tol: ToleranceConfig = DEFAULT_TOL
+) -> tuple[bool, bool]:
+    """``(is_ep, is_hypo_ep)`` of one matrix: is range(M) inside range(M*), and the reverse?
 
     M = U S V* gives M* = V S U*, so the right singular vectors above the
     cutoff span the adjoint's range and a single rank decision covers both
@@ -76,26 +76,16 @@ def range_corange_test(fact: SvdFactorization, tol: ToleranceConfig = DEFAULT_TO
     most eq_atol (hypo-EP); EP adds the reverse inclusion.  Both residuals
     feed only these verdicts, so ``columns_included`` decides them.  The
     rank alone decides ranks 0 and n of a square M: both ranges are then
-    {0} or the whole space, so M is EP and no product is formed.  Takes
-    one factorization (two bools) or the factorization of a stack (two bool
-    arrays, one entry per matrix, one rank decision per group of equal rank).
+    {0} or the whole space, so M is EP and no product is formed.
     """
-    hypo = np.ones(np.shape(fact.numerical_rank), dtype=bool)
-    backward = np.ones_like(hypo)
-    full = fact.rows if fact.rows == fact.cols else None
-    for r, idx in fact.rank_groups():
-        if r in (0, full):
-            continue
-        u = fact.left_vectors[idx][..., :r]
-        v = fact.right_vectors[idx][..., :r]
-        hypo[idx] = columns_included(u, v, tol.eq_atol)
-        # The reverse inclusion only decides matrices that pass this one.
-        if hypo[idx].any():
-            backward[idx] = columns_included(v, u, tol.eq_atol)
-    ep = hypo & backward
-    if ep.ndim == 0:
-        return bool(ep), bool(hypo)
-    return ep, hypo
+    r = fact.numerical_rank
+    if r == 0 or r == fact.rows == fact.cols:
+        return True, True
+    u = fact.left_vectors[:, :r]
+    v = fact.right_vectors[:, :r]
+    hypo = columns_included(u, v, tol.eq_atol)
+    # The reverse inclusion only decides a matrix that passes this one.
+    return hypo and columns_included(v, u, tol.eq_atol), hypo
 
 
 def is_ep(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

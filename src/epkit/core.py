@@ -9,17 +9,18 @@ independent characteristic-polynomial and residual oracles.
 ``svd`` and ``norm2`` take one matrix or a stack of matrices (a 3-D array
 whose trailing two axes hold each matrix); a stack costs one LAPACK call
 from Python instead of one per matrix, and gives each matrix the same bits
-as factoring it alone.  ``norm2`` is the package's only spectral norm: it
-reads sigma_1 from the singular-value-only kernel, the same routine and the
-same bits as ``np.linalg.norm(x, 2)`` without that function's axis handling.
+as factoring it alone.  thm1.5 holds its window as such a stack.  ``norm2``
+is the package's only spectral norm: it reads sigma_1 from the
+singular-value-only kernel, the same routine and the same bits as
+``np.linalg.norm(x, 2)`` without that function's axis handling.
 
 A spectral norm that feeds only a yes/no threshold check goes through
-``norm2_at_most`` instead, which brackets it by the Frobenius norm and runs
-the SVD only when the bracket straddles the threshold; its verdict is the
-exact one.  Here that is ``require_hermitian``, the one Hermitian check
-(``hermitian_eig`` and ``harness.psd_dominates`` call it); in ``classify``
-the EP and normality checks.  Every spectral norm that reaches a report is
-an exact ``norm2``.
+``norm2_at_most`` instead, which takes one matrix, brackets its norm by the
+Frobenius norm and runs the SVD only when the bracket straddles the
+threshold; its verdict is the exact one.  Here that is
+``require_hermitian``, the one Hermitian check (``hermitian_eig`` and
+``harness.psd_dominates`` call it); in ``classify`` the EP and normality
+checks.  Every spectral norm that reaches a report is an exact ``norm2``.
 
 All functions are pure: inputs are validated, never mutated, and returned
 arrays are fresh.  Values are safe to share across threads.
@@ -270,16 +271,16 @@ def operator_norm(matrix) -> float:
     return norm2(as_matrix(matrix))
 
 
-def norm2_at_most(x: np.ndarray, bound, norm_of: np.ndarray | None = None):
-    """Decide ``norm2(x) <= bound`` for a matrix (a bool) or each matrix of a stack (bools).
+def norm2_at_most(x: np.ndarray, bound, norm_of: np.ndarray | None = None) -> bool:
+    """Decide ``norm2(x) <= bound`` for one matrix.
 
-    With ``norm_of`` (x then one matrix), ``bound`` is a non-decreasing
-    function and the test is ``norm2(x) <= bound(norm2(norm_of))``.
+    With ``norm_of``, ``bound`` is a non-decreasing function and the test is
+    ``norm2(x) <= bound(norm2(norm_of))``.
 
     The verdict is always that of the exact test.  Since ||X||_2 <= ||X||_F
     <= sqrt(k) ||X||_2 with k = min(rows, cols), the Frobenius norm settles
-    every threshold it clears by a factor 2, and the SVD runs only on the
-    matrices it leaves open.  No validation, as norm2.
+    every threshold it clears by a factor 2, and the SVD runs only when it
+    leaves the test open.  No validation, as norm2.
     """
     lo, hi = _norm2_bracket(x)
     if norm_of is None:
@@ -287,16 +288,12 @@ def norm2_at_most(x: np.ndarray, bound, norm_of: np.ndarray | None = None):
     else:
         m_lo, m_hi = _norm2_bracket(norm_of)
         low, high = bound(m_lo), bound(m_hi)
-    verdict = hi <= low
-    undecided = ~verdict & ~(lo > high)
-    if x.ndim == 2:
-        if not undecided:
-            return bool(verdict)
-        exact = bound if norm_of is None else bound(norm2(norm_of))
-        return bool(norm2(x) <= exact)
-    if undecided.any():
-        verdict[undecided] = norm2(x[undecided]) <= bound
-    return verdict
+    if hi <= low:
+        return True
+    if lo > high:
+        return False
+    exact = bound if norm_of is None else bound(norm2(norm_of))
+    return bool(norm2(x) <= exact)
 
 
 # What gradual underflow can drop from one squared entry.
@@ -304,21 +301,17 @@ _UNDERFLOW = 2.0**-1074
 
 
 def _norm2_bracket(x: np.ndarray):
-    """``(lo, hi)`` with lo < norm2(x) < hi for each matrix, NaN where unknown.
+    """``(lo, hi)`` with lo < norm2(x) < hi, both NaN where unknown.
 
     From the Frobenius norm F: hi = 2F and lo = F / (2 sqrt(k)).  The factor
     2 dwarfs the rounding of the sum and of the SVD, and of a squared entry
     that underflows to a subnormal; hi also covers entries whose squares
     underflow to 0.  An overflowed sum gives NaN, which decides nothing.
     """
-    if x.ndim == 2:
-        sq = np.vdot(x, x).real
-        if not math.isfinite(sq):
-            sq = math.nan
-    else:
-        sq = np.einsum("...ij,...ij->...", x.conj(), x).real
-        sq[~np.isfinite(sq)] = np.nan
-    rows, cols = x.shape[-2:]
+    sq = np.vdot(x, x).real
+    if not math.isfinite(sq):
+        sq = math.nan
+    rows, cols = x.shape
     hi = 2.0 * (sq + rows * cols * _UNDERFLOW) ** 0.5
     lo = sq**0.5 / (2.0 * math.sqrt(min(rows, cols)))
     return lo, hi

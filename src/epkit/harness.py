@@ -12,16 +12,17 @@ trial fails when a boolean claim is violated or a residual exceeds ten times
 eq_atol at its natural scale; residuals between eq_atol and that threshold
 are counted as warnings, not failures.
 
-Sequence verifiers (thm1.5, thm3.2) hold their whole window as one stack of
-matrices, a 3-D array with the terms along the leading axis.  One stacked
-SVD factors every term, pseudoinverses are assembled per group of equal
-rank, and each diagnostic is one stacked norm2 call over only the terms
-the verdict reads: the pseudoinverse norms over the whole window, their
-gaps to the limit at its two ends, and the last five successive
-differences.  Stacked kernels give each term the bits it gets on its own,
-so the verdicts and residuals are those of a term-by-term loop.  thm1.5's
+Sequence verifiers hold their terms as one stack of matrices, a 3-D array
+with the terms along the leading axis.  thm1.5 factors its whole window
+with one stacked SVD, assembles pseudoinverses per group of equal rank, and
+takes each diagnostic as one stacked norm2 call over only the terms the
+verdict reads: the pseudoinverse norms over the whole window, their gaps to
+the limit at its two ends, and the last five successive differences.
+Stacked kernels give each term the bits it gets on its own, so the verdicts
+and residuals are those of a term-by-term loop.  thm1.5's
 harmonic-truncation control draws nothing from the rng, so a run factors
-it once and holds it on its ``_Ctx``.
+it once and holds it on its ``_Ctx``.  thm3.2's terms are EP with gamma >=
+delta by construction, so it factors none of them, only its limit.
 
 One factorization per matrix feeds every decision about it: its rank, EP
 verdict, pseudoinverse, polar factors and subspace bases all come from one
@@ -121,8 +122,11 @@ class GeneratorSpec:
             raise InvalidSpec(f"dim must be in [1, {MAX_DIM}], got {self.dim}")
         if self.rank < 0 or self.rank > self.dim:
             raise InvalidSpec(f"rank {self.rank} outside [0, dim={self.dim}]")
-        if not 1.0 <= self.condition_bound < np.inf:
-            raise InvalidSpec(f"condition_bound must be finite and >= 1, got {self.condition_bound}")
+        bound = self.condition_bound
+        if isinstance(bound, bool) or not isinstance(bound, (int, float, np.integer, np.floating)):
+            raise InvalidSpec(f"condition_bound must be a real number, got {bound!r}")
+        if not 1.0 <= bound < np.inf:
+            raise InvalidSpec(f"condition_bound must be finite and >= 1, got {bound}")
         if not 0 <= self.seed < 2**64:
             raise InvalidSpec("seed must fit in an unsigned 64-bit integer")
         if self.family == "non_ep" and not 1 <= self.rank <= self.dim - 1:
@@ -196,14 +200,14 @@ def _embed_conjugated(v: np.ndarray, block: np.ndarray) -> np.ndarray:
     return v @ b @ v.conj().T
 
 
-def _gen_ep(rng, dim, rank, cond, tol) -> np.ndarray:
+def _gen_ep(rng, dim, rank, cond) -> np.ndarray:
     if rank == 0:
         return np.zeros((dim, dim), dtype=np.complex128)
     block = _conditioned_invertible(rng, rank, cond)
     return _embed_conjugated(_haar_unitary(rng, dim), block)
 
 
-def _gen_non_ep(rng, dim, rank, cond, tol) -> np.ndarray:
+def _gen_non_ep(rng, dim, rank, cond) -> np.ndarray:
     block = np.zeros((rank + 1, rank + 1), dtype=np.complex128)
     block[0, 1] = rng.uniform(0.5, 2.0)
     if rank > 1:
@@ -211,7 +215,7 @@ def _gen_non_ep(rng, dim, rank, cond, tol) -> np.ndarray:
     return _embed_conjugated(_haar_unitary(rng, dim), block)
 
 
-def _gen_normal_ep(rng, dim, rank, cond, tol) -> np.ndarray:
+def _gen_normal_ep(rng, dim, rank, cond) -> np.ndarray:
     smax = rng.uniform(0.5, 2.0)
     mags = smax * np.exp(rng.uniform(-np.log(max(cond, 1.0)), 0.0, size=rank))
     phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=rank))
@@ -231,13 +235,13 @@ def _random_poly_in(rng, m: np.ndarray, degree: int = 3) -> np.ndarray:
     return out
 
 
-def _gen_commuting_pair(rng, dim, rank, cond, tol) -> tuple[np.ndarray, np.ndarray]:
-    t = _gen_ep(rng, dim, rank, cond, tol)
+def _gen_commuting_pair(rng, dim, rank, cond) -> tuple[np.ndarray, np.ndarray]:
+    t = _gen_ep(rng, dim, rank, cond)
     return t, _random_poly_in(rng, t)
 
 
 def _gen_perturbation_pair(
-    rng, dim, rank, cond, tol, loose: bool = False
+    rng, dim, rank, cond, loose: bool = False, tol: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
     """EP base T plus a perturbation S dominated at DOMINANCE_BOUND by construction.
 
@@ -246,9 +250,10 @@ def _gen_perturbation_pair(
     loose construction draws a dense direction, confines it to map the
     carrier into the range, and shrinks its norm to 0.8 a gamma(T), so
     ||Sx|| <= 0.8 a ||Tx|| on the carrier and Sx = 0 off it, and likewise for
-    the adjoints.  thm2.16 certifies the pair with ``psd_dominates`` itself.
+    the adjoints; ``tol`` decides the rank of T there, and only there.
+    thm2.16 certifies the pair with ``psd_dominates`` itself.
     """
-    t = _gen_ep(rng, dim, rank, cond, tol)
+    t = _gen_ep(rng, dim, rank, cond)
     if not loose:
         c = DOMINANCE_BOUND * rng.uniform(0.2, 0.95) * np.exp(2j * np.pi * rng.uniform())
         s = c * t
@@ -266,14 +271,14 @@ def _gen_perturbation_pair(
     return t, s
 
 
-def _gen_product_pair(rng, dim, rank, cond, tol) -> tuple[np.ndarray, np.ndarray]:
-    s = _gen_ep(rng, dim, rank, cond, tol)
-    t = _gen_ep(rng, dim, rank, cond, tol)
+def _gen_product_pair(rng, dim, rank, cond) -> tuple[np.ndarray, np.ndarray]:
+    s = _gen_ep(rng, dim, rank, cond)
+    t = _gen_ep(rng, dim, rank, cond)
     return s, t
 
 
-def _gen_sequence(rng, dim, rank, cond, tol) -> MatrixSequence:
-    t = _gen_ep(rng, dim, rank, cond, tol)
+def _gen_sequence(rng, dim, rank, cond) -> MatrixSequence:
+    t = _gen_ep(rng, dim, rank, cond)
     terms = tuple((1.0 + 1.0 / k) * t for k in range(1, SEQUENCE_LENGTH + 1))
     return MatrixSequence(terms=terms, limit=t)
 
@@ -289,10 +294,7 @@ _GENERATORS = {
 }
 
 
-def gen_matrix(
-    spec: GeneratorSpec,
-    tol: ToleranceConfig = DEFAULT_TOL,
-):
+def gen_matrix(spec: GeneratorSpec):
     """Generate one instance of the spec's family, deterministically from its seed.
 
     Returns a matrix, a pair of matrices, or a MatrixSequence depending on
@@ -301,7 +303,7 @@ def gen_matrix(
     with the verifiers, which compare their decisions with the family drawn.
     """
     rng = np.random.default_rng([spec.seed, 0xA5])
-    return _GENERATORS[spec.family](rng, spec.dim, spec.rank, spec.condition_bound, tol)
+    return _GENERATORS[spec.family](rng, spec.dim, spec.rank, spec.condition_bound)
 
 
 def psd_dominates(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -379,12 +381,13 @@ def _ctl_rank(spec: GeneratorSpec) -> int:
 def _gen_for(ctx: _Ctx, rng, family: str, cond: float | None = None, **extra):
     """One instance of a family at the run's spec; non_ep is drawn at the control rank.
 
-    ``extra`` reaches the generator as keywords (perturbation_pair's ``loose``).
+    ``extra`` reaches the generator as keywords: perturbation_pair's ``loose``,
+    and the run's ``tol``, which only its loose construction reads.
     """
     spec = ctx.spec
     rank = _ctl_rank(spec) if family == "non_ep" else spec.rank
     c = spec.condition_bound if cond is None else min(cond, spec.condition_bound)
-    return _GENERATORS[family](rng, spec.dim, rank, c, ctx.tol, **extra)
+    return _GENERATORS[family](rng, spec.dim, rank, c, **extra)
 
 
 def _multiset_gap(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -618,6 +621,8 @@ def _check_thm2_12(ctx: _Ctx, rng, t: int) -> _Trial:
     """Product of two EP matrices is EP iff it preserves range and null space."""
     tol = ctx.tol
     spec = ctx.spec
+    if spec.rank == spec.dim:  # invertible S and T: ST keeps range and null space
+        raise InvalidSpec("thm2.12 needs rank < dim: at full rank no instance rejects")
     aligned = t % 2 == 1
     if aligned:
         v = _haar_unitary(rng, spec.dim)
@@ -705,7 +710,7 @@ def _check_thm2_16(ctx: _Ctx, rng, t: int) -> _Trial:
         s = c * base
         t_mat = base
     else:
-        t_mat, s = _gen_for(ctx, rng, "perturbation_pair", loose=mode == 3)
+        t_mat, s = _gen_for(ctx, rng, "perturbation_pair", loose=mode == 3, tol=ctx.tol)
     ta = adjoint(t_mat)
     sa = adjoint(s)
     cert = psd_dominates(squared * (ta @ t_mat), sa @ s, tol) and psd_dominates(
@@ -821,35 +826,36 @@ def _cayley_unitary(x: np.ndarray) -> np.ndarray:
     return (eye - x) @ np.linalg.inv(eye + x)
 
 
-def _check_thm3_2(ctx: _Ctx, rng, t: int) -> _Trial:
-    """Norm limits of EP matrices with gamma >= delta stay EP with gamma >= delta."""
-    tol = ctx.tol
-    delta = EP_MEMBERSHIP_DELTA
-    base = _gen_for(ctx, rng, "ep")
+def _membership_sequence(rng, dim, rank, cond, tol, rotate: bool):
+    """``(terms, limit)``: a stack of SEQUENCE_LENGTH terms converging to an EP limit L.
+
+    gamma(L) lies in [delta, 2 delta).  Term k is (1 + 2^-k) L, or q_k L q_k*
+    for a Cayley unitary q_k within about 2^-k of I when ``rotate``, so every
+    term is EP with gamma >= delta by construction and is returned untested.
+    """
+    base = _GENERATORS["ep"](rng, dim, rank, cond)
     gamma0 = reduced_min_modulus(base, tol)
     if gamma0 <= 0.0:
         raise GenerationError("membership sequence needs a nonzero base matrix")
-    target = delta * (1.0 + rng.uniform(0.0, 1.0))
+    target = EP_MEMBERSHIP_DELTA * (1.0 + rng.uniform(0.0, 1.0))
     limit = base * (target / gamma0)
-
     steps = 2.0 ** -np.arange(1, SEQUENCE_LENGTH + 1)
-    if t % 2 == 0:
-        terms = (1.0 + steps)[:, None, None] * limit
-    else:
-        g = rng.standard_normal(limit.shape) + 1j * rng.standard_normal(limit.shape)
-        skew = (g - g.conj().T) / 2.0
-        skew = skew / max(norm2(skew), 1e-300)
-        q = _cayley_unitary(steps[:, None, None] * skew)
-        terms = q @ limit @ q.conj().swapaxes(-1, -2)
+    if not rotate:
+        return (1.0 + steps)[:, None, None] * limit, limit
+    g = rng.standard_normal(limit.shape) + 1j * rng.standard_normal(limit.shape)
+    skew = (g - g.conj().T) / 2.0
+    skew = skew / max(norm2(skew), 1e-300)
+    q = _cayley_unitary(steps[:, None, None] * skew)
+    return q @ limit @ q.conj().swapaxes(-1, -2), limit
 
-    fact = svd(terms, tol)
-    # sigma_r of each term; a rank-0 term is all zeros, so index -1 reads 0.
-    gammas = fact.singular_values[np.arange(SEQUENCE_LENGTH), fact.numerical_rank - 1]
-    ep = range_corange_test(fact, tol)[0]
-    left = (gammas < delta - 1e-9) | ~ep
-    if left.any():
-        return _pass_fail(False, {"T_k": terms[int(np.argmax(left))]},
-                          "sequence term left the certified EP membership set")
+
+def _check_thm3_2(ctx: _Ctx, rng, t: int) -> _Trial:
+    """Norm limits of EP matrices with gamma >= delta stay EP with gamma >= delta."""
+    tol = ctx.tol
+    spec = ctx.spec
+    delta = EP_MEMBERSHIP_DELTA
+    terms, limit = _membership_sequence(rng, spec.dim, spec.rank, spec.condition_bound, tol,
+                                        rotate=t % 2 == 1)
     # The last term lies within about 2^-50 ||limit|| of the limit plus
     # roundoff of the order of eps ||limit||, so the bound scales with it.
     if norm2(terms[-1] - limit) > 1e-9 * (1.0 + norm2(limit)):
@@ -952,8 +958,8 @@ _CHECKERS: dict[str, _CheckerEntry] = {
     "thm2.19": _CheckerEntry(_check_thm2_19, 2),
     "thm3.2": _CheckerEntry(
         _check_thm3_2, 1,
-        ("sequence terms are certified EP with gamma >= delta before the "
-         "limit is tested; delta = 0.1",),
+        ("sequence terms are EP with gamma >= delta by construction; "
+         "delta = 0.1",),
     ),
     "thm3.4": _CheckerEntry(_check_thm3_4, 2),
 }
@@ -986,6 +992,8 @@ def run_theorem_check(
     cannot exercise: all verifiers need rank >= 1, and two-direction
     verifiers need dim >= 2 for the non-EP control family and enough trials
     for their schedule to reach both directions (``_CheckerEntry.min_trials``).
+    thm2.12 raises it on its first trial at rank = dim, where no rejecting
+    instance exists.
     """
     entry = _CHECKERS.get(theorem_id)
     if entry is None:

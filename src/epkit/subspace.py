@@ -94,14 +94,14 @@ def projector(basis: OrthonormalBasis) -> Projector:
     return Projector(v @ v.conj().T)
 
 
-def columns_included(a: np.ndarray, b: np.ndarray, atol: float):
-    """||(I - B B*) A|| <= atol for orthonormal columns A and B, or per pair of a stack.
+def columns_included(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
+    """||(I - B B*) A|| <= atol for orthonormal columns A and B of one ambient space.
 
     The one inclusion rule: ``subspace_leq`` and the EP decision both call
     it.  A needs at least one column.  The residual feeds nothing but the
     verdict, so norm2_at_most decides it.
     """
-    return norm2_at_most(a - b @ (b.conj().swapaxes(-1, -2) @ a), atol)
+    return norm2_at_most(a - b @ (b.conj().T @ a), atol)
 
 
 def subspace_leq(

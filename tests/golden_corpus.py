@@ -97,8 +97,8 @@ def corrupt_ep_generation():
     """
     real = harness._GENERATORS["ep"]
 
-    def non_ep(rng, dim, rank, cond, tol):
-        real(rng, dim, rank, cond, tol)
+    def non_ep(rng, dim, rank, cond):
+        real(rng, dim, rank, cond)
         m = np.zeros((dim, dim), dtype=np.complex128)
         m[0, min(1, dim - 1)] = 1.0
         return m

@@ -186,7 +186,7 @@ def test_criterion_6_membership_set_closed_under_limits():
     report_line(
         6,
         ok,
-        f"50 seeded sequences with gamma >= 0.1 certified per term: every limit EP "
+        f"50 seeded sequences of terms EP with gamma >= 0.1 by construction: every limit EP "
         f"with gamma >= 0.1 - 1e-9 (worst deficit {verdict.worst_residual:.2e})",
     )
 

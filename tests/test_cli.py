@@ -167,6 +167,12 @@ class TestSuiteCommand:
         assert captured.out == ""
         assert "needs trials >= " in captured.err
 
+    def test_thm2_12_at_full_rank_exits_2(self, capsys):
+        assert main(["suite", "--dim", "4", "--rank", "4", "--trials", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "thm2.12 needs rank < dim" in captured.err
+
     def test_corrupt_env_var_is_not_read(self, tmp_path, monkeypatch):
         argv = ["suite", "--seed", "1", "--trials", "4", "--output"]
         monkeypatch.delenv("EPKIT_TEST_CORRUPT", raising=False)

@@ -87,7 +87,7 @@ VERIFIER_BUDGETS = {
     "thm2.15": (3.0, 0.0, 3.0, 0.0),
     "thm2.16": (1.0, 2.8, 1.0, 2.8),
     "thm2.19": (2.0, 3.0, 2.0, 3.0),
-    "thm3.2": (3.0, 4.5, 52.0, 4.5),
+    "thm3.2": (2.0, 4.5, 2.0, 4.5),
     "thm3.4": (1.8, 2.1, 1.8, 2.1),
 }
 

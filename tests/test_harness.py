@@ -27,7 +27,10 @@ from epkit import (
     operator_norm,
     psd_dominates,
     run_theorem_check,
+    svd,
 )
+from epkit.classify import range_corange_test
+from epkit.pinv import reduced_min_modulus_of
 from epkit.serialize import matrix_to_payload, report_payload
 
 
@@ -50,6 +53,15 @@ class TestGeneratorSpec:
     def test_rejects_non_finite_condition(self, bound):
         with pytest.raises(InvalidSpec, match="finite"):
             GeneratorSpec(dim=8, rank=6, condition_bound=bound)
+
+    @pytest.mark.parametrize("bound", ["1e4", True, None])
+    def test_rejects_a_condition_bound_that_is_not_a_real_number(self, bound):
+        with pytest.raises(InvalidSpec, match="must be a real number"):
+            GeneratorSpec(dim=8, rank=6, condition_bound=bound)
+
+    @pytest.mark.parametrize("bound", [100, 100.0, np.float32(100.0), np.int64(100)])
+    def test_accepts_int_float_and_numpy_condition_bounds(self, bound):
+        assert GeneratorSpec(dim=8, rank=6, condition_bound=bound).condition_bound == 100
 
     def test_rejects_unknown_family(self):
         with pytest.raises(InvalidSpec):
@@ -126,10 +138,20 @@ class TestGenMatrix:
                 assert operator_norm(s @ t - t @ s) <= 10 * tol.eq_atol * scale
                 for loose in (False, True):
                     rng = np.random.default_rng([seed, 0xA5])
-                    t, s = harness._gen_perturbation_pair(rng, dim, rank, 100.0, tol, loose)
+                    t, s = harness._gen_perturbation_pair(rng, dim, rank, 100.0, loose, tol)
                     ta, sa = adjoint(t), adjoint(s)
                     assert psd_dominates(squared * (ta @ t), sa @ s, tol)
                     assert psd_dominates(squared * (t @ ta), s @ sa, tol)
+                # thm3.2's terms, both kinds: EP with gamma >= delta.  Its
+                # base needs rank >= 1.
+                for rotate in (False, True) if rank else ():
+                    rng = np.random.default_rng([seed, 0xA5])
+                    terms, _ = harness._membership_sequence(rng, dim, rank, 100.0, tol, rotate)
+                    assert len(terms) == harness.SEQUENCE_LENGTH
+                    for term in terms:
+                        fact = svd(term, tol)
+                        assert range_corange_test(fact, tol)[0]
+                        assert reduced_min_modulus_of(fact) >= harness.EP_MEMBERSHIP_DELTA
 
     def test_sequence_converges_to_declared_limit(self, tol):
         seq = gen_matrix(spec(family="sequence", seed=29))
@@ -202,6 +224,12 @@ class TestRunTheoremCheck:
     def test_rejects_zero_rank(self, tol):
         with pytest.raises(InvalidSpec):
             run_theorem_check("thm2.1", spec(rank=0), 4, tol)
+
+    def test_thm2_12_rejects_full_rank(self, tol):
+        # Invertible S and T: ST keeps their range and null space, so no
+        # rejecting instance can occur.
+        with pytest.raises(InvalidSpec, match="rank < dim"):
+            run_theorem_check("thm2.12", spec(rank=6), 4, tol)
 
     def test_verdict_is_deterministic(self, tol):
         v1 = run_theorem_check("thm3.4", spec(seed=42), 30, tol)
