@@ -233,6 +233,26 @@ class TestFullRankVerdictEqualsTheProducts:
             assert f.numerical_rank == n - drop
             assert range_corange_test(f, tol) == range_corange_by_products(f, tol)
 
+    @pytest.mark.parametrize("tol", SHORTCUT_TOLS)
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_stacks_of_mixed_rank(self, rng, tol, n):
+        matrices = [
+            complex_normal(rng, (n, n)),
+            ep_of_rank(rng, n, n - 1),
+            with_singular_values(rng, np.r_[np.ones(n - 1), 0.0]),
+            np.zeros((n, n)),
+            1e150 * complex_normal(rng, (n, n)),
+            1e-150 * ep_of_rank(rng, n, n - 1),
+        ]
+        order = rng.permutation(len(matrices))
+        stack = np.stack([matrices[i] for i in order])
+        facts = [svd(m, tol) for m in stack]
+        ranks = [f.numerical_rank for f in facts]
+        assert sorted(set(ranks)) == [0, n - 1, n]
+        assert svd(stack, tol).numerical_rank.tolist() == ranks
+        for f in facts:
+            assert range_corange_test(f, tol) == range_corange_by_products(f, tol)
+
     def test_rectangular_factorization_still_fails(self, rng, tol):
         # The shortcut is for square factorizations; a full-rank rectangular
         # one still reaches the products, whose shapes do not match.

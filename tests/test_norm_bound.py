@@ -91,6 +91,37 @@ class TestAgreesWithExactNorm:
             assert norm2_at_most(x, bound) == exact(x, bound)
 
 
+class TestSvdOnlyWhenOpen:
+    def test_mixed_matrices_run_the_svd_on_the_open_ones_only(self, rng, svd_calls):
+        x = complex_normal(rng, (6, 8, 8))
+        x[0] = 0.0
+        x[1] *= 1e-12  # proved
+        x[2] *= 1e3  # disproved
+        x[3] *= 1e-8 / np.linalg.norm(x[3], 2)  # open: at the bound
+        x[4] = rank_one(rng, 8, 8) * 1e-10  # proved
+        x[5] *= 1.5e-8 / np.linalg.norm(x[5], 2)  # open: beside the bound
+        want = [exact(m, 1e-8) for m in x]
+        assert want == [True, True, False, True, True, False]
+        for m, verdict, svds in zip(x, want, [0, 0, 0, 1, 0, 1]):
+            svd_calls.clear()
+            assert norm2_at_most(m, 1e-8) is verdict
+            assert svd_calls["values"] == svds
+
+    def test_settled_matrices_run_no_svd(self, rng, svd_calls):
+        x = complex_normal(rng, (5, 8, 8))
+        x[:2] *= 1e-12
+        x[2:] *= 10.0
+        svd_calls.clear()
+        assert [norm2_at_most(m, 1e-8) for m in x] == [True, True, False, False, False]
+        assert svd_calls["values"] == 0
+
+    @pytest.mark.parametrize("shape", [(9, 4), (4, 9)])
+    def test_rectangular_at_every_threshold(self, rng, shape):
+        x = complex_normal(rng, shape)
+        for bound in thresholds(x):
+            assert norm2_at_most(x, bound) == exact(x, bound)
+
+
 class TestDecidedWithoutSvd:
     def test_far_thresholds_run_no_svd(self, rng, svd_calls):
         x = complex_normal(rng, (32, 32))

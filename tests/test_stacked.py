@@ -12,11 +12,13 @@ from epkit import (
     GeneratorSpec,
     gen_matrix,
     harmonic_truncation,
+    is_ep,
+    is_hypo_ep,
     pseudoinverse,
     svd,
 )
 from epkit.classify import range_corange_test
-from epkit.core import norm2
+from epkit.core import SvdFactorization, norm2
 from epkit.harness import SEQUENCE_LENGTH, _window_conditions
 
 
@@ -88,6 +90,26 @@ class TestStackedPseudoinverse:
 
 
 class TestRangeCorangeTest:
+    def test_stack_verdicts_match_each_matrix(self):
+        matrices = [
+            gen_matrix(GeneratorSpec(dim=6, rank=rank, seed=seed, family=family))
+            for seed in range(4)
+            for family, rank in (("ep", 4), ("non_ep", 3), ("normal_ep", 2), ("ep", 0))
+        ]
+        fact = svd(np.stack(matrices))
+        slices = [
+            SvdFactorization(
+                left_vectors=fact.left_vectors[i],
+                singular_values=fact.singular_values[i],
+                right_vectors=fact.right_vectors[i],
+                numerical_rank=int(fact.numerical_rank[i]),
+            )
+            for i in range(len(matrices))
+        ]
+        verdicts = [range_corange_test(f) for f in slices]
+        assert verdicts == [(is_ep(m), is_hypo_ep(m)) for m in matrices]
+        assert [ep for ep, _ in verdicts] == [True, False, True, True] * 4
+
     def test_single_factorization_gives_bools(self):
         m = gen_matrix(GeneratorSpec(dim=5, rank=2, seed=1, family="non_ep"))
         assert range_corange_test(svd(m)) == (False, False)
