@@ -66,6 +66,18 @@ CASES = {
     "verify-thm2.1-d4-r2-t4-corrupt-ep": [
         "verify", "thm2.1", "--dim", "4", "--rank", "2", "--trials", "4", "--seed", "3",
     ],
+    # Tolerances off the default reach false counterexamples at the default
+    # condition bound: thm2.13 fails 2 trials at --tol-rank 1e-4, and at
+    # --tol-eq 1e-14 thm2.1, thm2.6 and thm2.12 fail 1 each, thm2.13 3.
+    # Their failing verdicts are pinned as they stand.
+    "verify-thm2.13-d8-r6-t6-s7-tolrank1e-4": [
+        "verify", "thm2.13", "--dim", "8", "--rank", "6", "--trials", "6", "--seed", "7",
+        "--tol-rank", "1e-4",
+    ],
+    "suite-d8-r6-t6-s7-toleq1e-14": [
+        "suite", "--dim", "8", "--rank", "6", "--trials", "6", "--seed", "7",
+        "--tol-eq", "1e-14",
+    ],
 }
 
 # Every verifier at dim 8, rank 6, seed 7 and 6 trials, at condition bounds
