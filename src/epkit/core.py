@@ -37,12 +37,25 @@ from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
     InvalidDimension,
+    InvalidSpec,
     NotHermitian,
     NotSquare,
 )
 
 # Desk-scale verifier, not an HPC kernel.
 MAX_DIM = 256
+
+
+def require_int(name: str, value) -> None:
+    """Reject a count that is not an integer; numpy integers pass, bool does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+
+
+def require_real(name: str, value) -> None:
+    """Reject a value that is not a real number; numpy reals pass, bool does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidSpec(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,10 +77,10 @@ class ToleranceConfig:
     eq_atol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.rank_rtol < 1.0:
-            raise ValueError(f"rank_rtol must lie in (0, 1), got {self.rank_rtol}")
-        if not 0.0 < self.eq_atol < 1.0:
-            raise ValueError(f"eq_atol must lie in (0, 1), got {self.eq_atol}")
+        for name, value in (("rank_rtol", self.rank_rtol), ("eq_atol", self.eq_atol)):
+            require_real(name, value)
+            if not 0.0 < value < 1.0:
+                raise InvalidSpec(f"{name} must lie in (0, 1), got {value}")
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -12,17 +12,16 @@ trial fails when a boolean claim is violated or a residual exceeds ten times
 eq_atol at its natural scale; residuals between eq_atol and that threshold
 are counted as warnings, not failures.
 
-Sequence verifiers hold their terms as one stack of matrices, a 3-D array
-with the terms along the leading axis.  thm1.5 factors its whole window
-with one stacked SVD, assembles pseudoinverses per group of equal rank, and
-takes each diagnostic as one stacked norm2 call over only the terms the
-verdict reads: the pseudoinverse norms over the whole window, their gaps to
-the limit at its two ends, and the last five successive differences.
-Stacked kernels give each term the bits it gets on its own, so the verdicts
-and residuals are those of a term-by-term loop.  thm1.5's
-harmonic-truncation control draws nothing from the rng, so a run factors
-it once and holds it on its ``_Ctx``.  thm3.2's terms are EP with gamma >=
-delta by construction, so it factors none of them, only its limit.
+thm1.5 holds its window as one stack of matrices, a 3-D array with the
+terms along the leading axis.  It factors the window with one stacked SVD,
+assembles pseudoinverses per group of equal rank, and takes each diagnostic
+as one stacked norm2 call over only the terms the verdict reads: the
+pseudoinverse norms over the whole window, their gaps to the limit at its
+two ends, and the last five successive differences.  Stacked kernels give
+each term the bits it gets on its own.  Its harmonic-truncation control
+draws nothing from the rng, so a run factors it once and holds it on its
+``_Ctx``.  thm3.2 builds its limit and the one term it reads; its terms are
+EP with gamma >= delta by construction, so it factors only the limit.
 
 One factorization per matrix feeds every decision about it: its rank, EP
 verdict, pseudoinverse, polar factors and subspace bases all come from one
@@ -62,6 +61,8 @@ from .core import (
     norm2,
     operator_norm,
     require_hermitian,
+    require_int,
+    require_real,
     svd,
 )
 from .errors import DimensionMismatch, GenerationError, InvalidSpec, UnknownTheorem
@@ -95,12 +96,6 @@ FRACTIONAL_ALPHA_GRID = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
 DOMINANCE_BOUND = 0.5
 
 
-def _require_int(name: str, value) -> None:
-    """Reject a count that is not an integer; numpy integers pass, bool does not."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidSpec(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Shape, rank, conditioning, seed, and family of generated instances."""
@@ -117,14 +112,13 @@ class GeneratorSpec:
                 f"unknown family {self.family!r}; known: {', '.join(_GENERATORS)}"
             )
         for name in ("dim", "rank", "seed"):
-            _require_int(name, getattr(self, name))
+            require_int(name, getattr(self, name))
         if not 1 <= self.dim <= MAX_DIM:
             raise InvalidSpec(f"dim must be in [1, {MAX_DIM}], got {self.dim}")
         if self.rank < 0 or self.rank > self.dim:
             raise InvalidSpec(f"rank {self.rank} outside [0, dim={self.dim}]")
         bound = self.condition_bound
-        if isinstance(bound, bool) or not isinstance(bound, (int, float, np.integer, np.floating)):
-            raise InvalidSpec(f"condition_bound must be a real number, got {bound!r}")
+        require_real("condition_bound", bound)
         if not 1.0 <= bound < np.inf:
             raise InvalidSpec(f"condition_bound must be finite and >= 1, got {bound}")
         if not 0 <= self.seed < 2**64:
@@ -272,9 +266,7 @@ def _gen_perturbation_pair(
 
 
 def _gen_product_pair(rng, dim, rank, cond) -> tuple[np.ndarray, np.ndarray]:
-    s = _gen_ep(rng, dim, rank, cond)
-    t = _gen_ep(rng, dim, rank, cond)
-    return s, t
+    return _gen_ep(rng, dim, rank, cond), _gen_ep(rng, dim, rank, cond)
 
 
 def _gen_sequence(rng, dim, rank, cond) -> MatrixSequence:
@@ -374,10 +366,6 @@ def _pass_fail(
     return _Trial(False, 1.0, direction=direction, payload=payload, note=note)
 
 
-def _ctl_rank(spec: GeneratorSpec) -> int:
-    return min(max(spec.rank, 1), spec.dim - 1)
-
-
 def _gen_for(ctx: _Ctx, rng, family: str, cond: float | None = None, **extra):
     """One instance of a family at the run's spec; non_ep is drawn at the control rank.
 
@@ -385,7 +373,7 @@ def _gen_for(ctx: _Ctx, rng, family: str, cond: float | None = None, **extra):
     and the run's ``tol``, which only its loose construction reads.
     """
     spec = ctx.spec
-    rank = _ctl_rank(spec) if family == "non_ep" else spec.rank
+    rank = min(max(spec.rank, 1), spec.dim - 1) if family == "non_ep" else spec.rank
     c = spec.condition_bound if cond is None else min(cond, spec.condition_bound)
     return _GENERATORS[family](rng, spec.dim, rank, c, **extra)
 
@@ -820,51 +808,46 @@ def _check_thm1_5(ctx: _Ctx, rng, t: int) -> _Trial:
     return _pass_fail(ok, {"T_limit": limit}, f"divergent sequence conditions {conds}", "reject")
 
 
-def _cayley_unitary(x: np.ndarray) -> np.ndarray:
-    """(I - X)(I + X)^-1, unitary for skew-Hermitian X; per matrix of a stack."""
-    eye = np.eye(x.shape[-1], dtype=np.complex128)
-    return (eye - x) @ np.linalg.inv(eye + x)
+def _membership_term(ctx: _Ctx, rng, rotate: bool):
+    """``(term, limit)``: term k = SEQUENCE_LENGTH of a sequence converging to an EP limit L.
 
-
-def _membership_sequence(rng, dim, rank, cond, tol, rotate: bool):
-    """``(terms, limit)``: a stack of SEQUENCE_LENGTH terms converging to an EP limit L.
-
-    gamma(L) lies in [delta, 2 delta).  Term k is (1 + 2^-k) L, or q_k L q_k*
-    for a Cayley unitary q_k within about 2^-k of I when ``rotate``, so every
-    term is EP with gamma >= delta by construction and is returned untested.
+    L is the run's ep draw scaled so that gamma(L) lies in [delta, 2 delta).
+    Term k is (1 + 2^-k) L, or, when ``rotate``, q L q* for the Cayley unitary
+    q = (I - X)(I + X)^-1 of a skew-Hermitian X of norm 2^-k.  Every term is
+    EP with gamma >= delta by construction; only term k is built, untested.
     """
-    base = _GENERATORS["ep"](rng, dim, rank, cond)
-    gamma0 = reduced_min_modulus(base, tol)
+    base = _gen_for(ctx, rng, "ep")
+    gamma0 = reduced_min_modulus(base, ctx.tol)
     if gamma0 <= 0.0:
         raise GenerationError("membership sequence needs a nonzero base matrix")
     target = EP_MEMBERSHIP_DELTA * (1.0 + rng.uniform(0.0, 1.0))
     limit = base * (target / gamma0)
-    steps = 2.0 ** -np.arange(1, SEQUENCE_LENGTH + 1)
+    step = 2.0**-SEQUENCE_LENGTH
     if not rotate:
-        return (1.0 + steps)[:, None, None] * limit, limit
+        return (1.0 + step) * limit, limit
     g = rng.standard_normal(limit.shape) + 1j * rng.standard_normal(limit.shape)
     skew = (g - g.conj().T) / 2.0
-    skew = skew / max(norm2(skew), 1e-300)
-    q = _cayley_unitary(steps[:, None, None] * skew)
-    return q @ limit @ q.conj().swapaxes(-1, -2), limit
+    x = step * (skew / max(norm2(skew), 1e-300))
+    eye = np.eye(limit.shape[0], dtype=np.complex128)
+    q = (eye - x) @ np.linalg.inv(eye + x)
+    return q @ limit @ q.conj().T, limit
 
 
 def _check_thm3_2(ctx: _Ctx, rng, t: int) -> _Trial:
     """Norm limits of EP matrices with gamma >= delta stay EP with gamma >= delta."""
     tol = ctx.tol
-    spec = ctx.spec
     delta = EP_MEMBERSHIP_DELTA
-    terms, limit = _membership_sequence(rng, spec.dim, spec.rank, spec.condition_bound, tol,
-                                        rotate=t % 2 == 1)
-    # The last term lies within about 2^-50 ||limit|| of the limit plus
-    # roundoff of the order of eps ||limit||, so the bound scales with it.
-    if norm2(terms[-1] - limit) > 1e-9 * (1.0 + norm2(limit)):
+    term, limit = _membership_term(ctx, rng, rotate=t % 2 == 1)
+    # The term lies within about 2^-50 ||limit|| of the limit plus roundoff
+    # of the order of eps ||limit||, so the bound scales with it.
+    if norm2(term - limit) > 1e-9 * (1.0 + norm2(limit)):
         return _pass_fail(False, {"T": limit}, "sequence failed to converge to its declared limit")
-    rep = classify(limit, tol)
-    residual = max(0.0, delta - rep.gamma)
-    ok = rep.is_ep and rep.gamma >= delta - 1e-9
-    return _Trial(ok, residual, payload=None if ok else {"T": limit},
-                  note=None if ok else f"limit is_ep={rep.is_ep}, gamma={rep.gamma}")
+    fact = svd(limit, tol)
+    ep = range_corange_test(fact, tol)[0]
+    gamma = reduced_min_modulus_of(fact)
+    ok = ep and gamma >= delta - 1e-9
+    return _Trial(ok, max(0.0, delta - gamma), payload=None if ok else {"T": limit},
+                  note=None if ok else f"limit is_ep={ep}, gamma={gamma}")
 
 
 def _check_thm3_4(ctx: _Ctx, rng, t: int) -> _Trial:
@@ -1000,7 +983,7 @@ def run_theorem_check(
         raise UnknownTheorem(
             f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}"
         )
-    _require_int("trials", trials)
+    require_int("trials", trials)
     if trials < entry.min_trials:
         raise InvalidSpec(
             f"{theorem_id} needs trials >= {entry.min_trials} to reach every direction "

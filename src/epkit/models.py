@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from .classify import range_corange_test
-from .core import DEFAULT_TOL, MAX_DIM, ToleranceConfig, norm2, svd
+from .core import DEFAULT_TOL, MAX_DIM, ToleranceConfig, norm2, require_int, svd
 from .errors import InvalidDimension, InvalidSpec
 from .pinv import pseudoinverse_of, reduced_min_modulus_of, spectral_radius
 
@@ -60,6 +60,7 @@ def diagonal_entries(family: str, n: int) -> np.ndarray:
     diagonal = _DIAGONALS.get(family)
     if diagonal is None:
         raise InvalidSpec(f"unknown model family {family!r}; known: {', '.join(FAMILIES)}")
+    require_int("n", n)
     if n < 1:
         raise InvalidDimension(f"truncation parameter must be >= 1, got {n}")
     _require_dim(n)
@@ -81,6 +82,7 @@ def limit_study(
     every truncation stays EP, and for diag_n gamma is uniformly 1.  One SVD
     of each truncation feeds its gamma, its EP verdict and its pseudoinverse.
     """
+    require_int("n_max", n_max)
     if n_max < 2:
         raise InvalidDimension(f"n_max must be >= 2, got {n_max}")
     # Check every n before the first SVD, so a bad n_max fails at once.
@@ -104,6 +106,8 @@ def limit_study(
 
 def harmonic_truncation(n: int, ambient_dim: int) -> np.ndarray:
     """diag(1, 1/2, ..., 1/n, 0, ..., 0) in a fixed ambient dimension."""
+    require_int("n", n)
+    require_int("ambient_dim", ambient_dim)
     if ambient_dim < n:
         raise InvalidDimension(
             f"ambient dimension {ambient_dim} is smaller than truncation {n}"

@@ -26,23 +26,38 @@ def corrupt_ep_generation():
 
 @pytest.fixture
 def svd_calls(monkeypatch):
-    """Count np.linalg.svd calls made while the test runs.
+    """Count np.linalg.svd calls, and inverses and eigenvalue calls, made while the test runs.
 
     ``svd_calls["full"]`` counts calls that return singular vectors and
     ``svd_calls["values"]`` those with compute_uv=False (every norm2); a
     stacked call counts once.  ``svd_calls["full_matrices"]`` and
     ``svd_calls["values_matrices"]`` count the matrices those calls factor,
-    every matrix of a stack.  ``svd_calls.clear()`` starts a fresh count.
+    every matrix of a stack.  ``svd_calls["inv_matrices"]`` counts the
+    matrices np.linalg.inv inverts and ``svd_calls["eigvals"]`` the
+    np.linalg.eigvals calls.  ``svd_calls.clear()`` starts a fresh count.
     """
     counts = Counter()
-    real = np.linalg.svd
+    real_svd, real_inv, real_eigvals = np.linalg.svd, np.linalg.inv, np.linalg.eigvals
 
-    def counting(a, *args, **kwargs):
+    def matrices(a):
+        return int(np.prod(np.shape(a)[:-2]))
+
+    def svd(a, *args, **kwargs):
         compute_uv = kwargs.get("compute_uv", args[1] if len(args) > 1 else True)
         kind = "full" if compute_uv else "values"
         counts[kind] += 1
-        counts[f"{kind}_matrices"] += int(np.prod(np.shape(a)[:-2]))
-        return real(a, *args, **kwargs)
+        counts[f"{kind}_matrices"] += matrices(a)
+        return real_svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    def inv(a):
+        counts["inv_matrices"] += matrices(a)
+        return real_inv(a)
+
+    def eigvals(a):
+        counts["eigvals"] += 1
+        return real_eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
     return counts

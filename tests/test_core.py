@@ -6,6 +6,7 @@ from epkit import (
     ConvergenceFailure,
     DimensionMismatch,
     InvalidDimension,
+    InvalidSpec,
     NotHermitian,
     NotSquare,
     ToleranceConfig,
@@ -174,10 +175,26 @@ class TestNormSubmultiplicativity:
 
 class TestValidation:
     def test_tolerance_config_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec):
             ToleranceConfig(rank_rtol=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec):
             ToleranceConfig(eq_atol=1.5)
+
+    @pytest.mark.parametrize("field", ["rank_rtol", "eq_atol"])
+    @pytest.mark.parametrize("value", ["1e-8", None, True, False, 1e-8j, [1e-8]])
+    def test_tolerance_config_rejects_what_is_not_a_real_number(self, field, value):
+        with pytest.raises(InvalidSpec, match=f"{field} must be a real number"):
+            ToleranceConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["rank_rtol", "eq_atol"])
+    @pytest.mark.parametrize("value", [0, 1, -1e-8, 1.0, float("nan"), float("inf")])
+    def test_tolerance_config_rejects_reals_outside_the_unit_interval(self, field, value):
+        with pytest.raises(InvalidSpec, match=rf"{field} must lie in \(0, 1\)"):
+            ToleranceConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [1e-6, np.float64(1e-6), np.float32(1e-6)])
+    def test_tolerance_config_accepts_python_and_numpy_reals(self, value):
+        assert ToleranceConfig(rank_rtol=value, eq_atol=value).eq_atol == value
 
     def test_rejects_non_finite_entries(self):
         with pytest.raises(ValueError):

@@ -87,7 +87,7 @@ VERIFIER_BUDGETS = {
     "thm2.15": (3.0, 0.0, 3.0, 0.0),
     "thm2.16": (1.0, 2.8, 1.0, 2.8),
     "thm2.19": (2.0, 3.0, 2.0, 3.0),
-    "thm3.2": (2.0, 4.5, 2.0, 4.5),
+    "thm3.2": (2.0, 2.5, 2.0, 2.5),
     "thm3.4": (1.8, 2.1, 1.8, 2.1),
 }
 
@@ -105,3 +105,13 @@ def test_verifier_svd_budget(svd_calls, theorem_id):
     assert svd_calls["values"] / trials <= values
     assert svd_calls["full_matrices"] / trials <= full_matrices
     assert svd_calls["values_matrices"] / trials <= values_matrices
+
+
+def test_thm3_2_builds_one_term_and_decides_its_limit_from_its_svd(svd_calls):
+    trials = 20
+    run_theorem_check("thm3.2", GeneratorSpec(dim=8, rank=6, seed=1), trials)
+    # One Cayley inverse per rotated trial, which is every other one; no
+    # term before the last is built.  The limit's EP verdict and gamma come
+    # from its SVD, so no spectral radius is computed.
+    assert svd_calls["inv_matrices"] / trials <= 0.5
+    assert svd_calls["eigvals"] == 0

@@ -142,16 +142,17 @@ class TestGenMatrix:
                     ta, sa = adjoint(t), adjoint(s)
                     assert psd_dominates(squared * (ta @ t), sa @ s, tol)
                     assert psd_dominates(squared * (t @ ta), s @ sa, tol)
-                # thm3.2's terms, both kinds: EP with gamma >= delta.  Its
-                # base needs rank >= 1.
+                # thm3.2's term, both kinds: EP with gamma >= delta, and its
+                # limit has gamma in [delta, 2 delta).  Its base needs rank >= 1.
+                delta = harness.EP_MEMBERSHIP_DELTA
                 for rotate in (False, True) if rank else ():
+                    ctx = harness._Ctx(GeneratorSpec(dim=dim, rank=rank, seed=seed), tol)
                     rng = np.random.default_rng([seed, 0xA5])
-                    terms, _ = harness._membership_sequence(rng, dim, rank, 100.0, tol, rotate)
-                    assert len(terms) == harness.SEQUENCE_LENGTH
-                    for term in terms:
-                        fact = svd(term, tol)
-                        assert range_corange_test(fact, tol)[0]
-                        assert reduced_min_modulus_of(fact) >= harness.EP_MEMBERSHIP_DELTA
+                    term, limit = harness._membership_term(ctx, rng, rotate)
+                    fact = svd(term, tol)
+                    assert range_corange_test(fact, tol)[0]
+                    assert reduced_min_modulus_of(fact) >= delta
+                    assert delta <= reduced_min_modulus_of(svd(limit, tol)) < 2 * delta
 
     def test_sequence_converges_to_declared_limit(self, tol):
         seq = gen_matrix(spec(family="sequence", seed=29))

@@ -51,6 +51,25 @@ class TestRealize:
         with pytest.raises(InvalidSpec):
             realize("bogus", 3)
 
+    @pytest.mark.parametrize("call", [
+        lambda n: realize("diag_n", n),
+        lambda n: limit_study("diag_n", n),
+        lambda n: harmonic_truncation(n, 8),
+        lambda n: harmonic_truncation(2, n),
+    ])
+    @pytest.mark.parametrize("n", [2.5, 5.0, True, "5", None])
+    def test_counts_must_be_integers(self, call, n):
+        with pytest.raises(InvalidSpec, match="must be an integer"):
+            call(n)
+
+    def test_numpy_integer_counts_give_the_same_bits(self, tol):
+        n = np.int64(5)
+        assert np.array_equal(realize("diag_n", n), realize("diag_n", 5))
+        assert np.array_equal(harmonic_truncation(np.int32(3), n), harmonic_truncation(3, 5))
+        assert limit_study("diag_harmonic_truncated", n, tol) == limit_study(
+            "diag_harmonic_truncated", 5, tol
+        )
+
     def test_family_list(self):
         assert set(FAMILIES) == {
             "mult_inv_sqrt",
