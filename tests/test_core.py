@@ -179,17 +179,15 @@ class TestValidation:
             ToleranceConfig(rank_rtol=0.0)
         with pytest.raises(InvalidSpec):
             ToleranceConfig(eq_atol=1.5)
+        for field in ("rank_rtol", "eq_atol"):
+            for value in (0, 1, -1e-8, 1.0, float("nan"), float("inf")):
+                with pytest.raises(InvalidSpec, match=rf"{field} must lie in \(0, 1\)"):
+                    ToleranceConfig(**{field: value})
 
     @pytest.mark.parametrize("field", ["rank_rtol", "eq_atol"])
     @pytest.mark.parametrize("value", ["1e-8", None, True, False, 1e-8j, [1e-8]])
     def test_tolerance_config_rejects_what_is_not_a_real_number(self, field, value):
         with pytest.raises(InvalidSpec, match=f"{field} must be a real number"):
-            ToleranceConfig(**{field: value})
-
-    @pytest.mark.parametrize("field", ["rank_rtol", "eq_atol"])
-    @pytest.mark.parametrize("value", [0, 1, -1e-8, 1.0, float("nan"), float("inf")])
-    def test_tolerance_config_rejects_reals_outside_the_unit_interval(self, field, value):
-        with pytest.raises(InvalidSpec, match=rf"{field} must lie in \(0, 1\)"):
             ToleranceConfig(**{field: value})
 
     @pytest.mark.parametrize("value", [1e-6, np.float64(1e-6), np.float32(1e-6)])
