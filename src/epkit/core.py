@@ -1,4 +1,4 @@
-"""Dense complex-matrix kernels: adjoint, products, SVD, eigendecompositions.
+"""Dense matrix kernels: adjoint, products, SVD, eigendecompositions.
 
 Everything downstream (subspaces, pseudoinverses, classification, theorem
 verifiers) funnels through the factorizations in this module so that rank
@@ -21,6 +21,13 @@ threshold; its verdict is the exact one.  Here that is
 ``require_hermitian``, the one Hermitian check (``hermitian_eig`` and
 ``harness.psd_dominates`` call it); in ``classify`` the EP and normality
 checks.  Every spectral norm that reaches a report is an exact ``norm2``.
+
+Validation keeps real matrices real: input whose dtype is real, integer or
+bool becomes float64 and takes the real LAPACK kernels (dgesdd, dgeev,
+dgemm), which cost a fraction of the complex ones; every other input
+becomes complex128.  The rule reads the dtype, never the values, so a
+complex array with zero imaginary part stays complex.  ``eigenvalues``
+returns complex128 either way.
 
 All functions are pure: inputs are validated, never mutated, and returned
 arrays are fresh.  Values are safe to share across threads.
@@ -87,16 +94,18 @@ DEFAULT_TOL = ToleranceConfig()
 
 
 def as_matrix(values) -> np.ndarray:
-    """Validate and normalize input into a fresh complex128 2-D array.
+    """Validate and normalize input into a fresh 2-D array.
 
-    Rejects non-2-D input, empty axes, dimensions beyond MAX_DIM, and
-    non-finite entries.
+    The array is float64 when the input's dtype is real, integer or bool,
+    and complex128 otherwise, whatever the values.  Rejects non-2-D input,
+    empty axes, dimensions beyond MAX_DIM, and non-finite entries.
     """
     return _validated(values, "a 2-D matrix", (2,))
 
 
 def _validated(values, expected: str, ndims: tuple[int, ...]) -> np.ndarray:
-    m = np.array(values, dtype=np.complex128, copy=True)
+    m = np.asarray(values)
+    m = np.array(m, dtype=np.float64 if m.dtype.kind in "biuf" else np.complex128, copy=True)
     if m.ndim not in ndims:
         raise InvalidDimension(f"expected {expected}, got ndim={m.ndim}")
     if m.size == 0:
@@ -256,11 +265,12 @@ def eigenvalues(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """All eigenvalues of a square matrix, in a canonical deterministic order.
 
     Sorted by descending real part, then descending imaginary part; the
-    result is a multiset, so only the multiset is contractual.
+    result is a complex128 multiset, also for a real matrix, so only the
+    multiset is contractual.
     """
     m = require_square(as_matrix(matrix))
     try:
-        vals = np.linalg.eigvals(m)
+        vals = np.linalg.eigvals(m).astype(np.complex128, copy=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(
             f"eigenvalue iteration did not converge for shape {m.shape}"

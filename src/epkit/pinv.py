@@ -54,9 +54,13 @@ def pseudoinverse(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 
 def pseudoinverse_of(fact: SvdFactorization) -> np.ndarray:
-    """Pseudoinverse (or stack of them) from an existing factorization."""
+    """Pseudoinverse (or stack of them) from an existing factorization.
+
+    The result has the factors' dtype: float64 for a real matrix, complex128
+    otherwise.
+    """
     u, s, v = fact.left_vectors, fact.singular_values, fact.right_vectors
-    out = np.zeros(v.shape[:-1] + u.shape[-1:], dtype=np.complex128)
+    out = np.zeros(v.shape[:-1] + u.shape[-1:], dtype=u.dtype)
     for r, idx in fact.rank_groups():
         if r:
             inv_sigma = 1.0 / s[idx][..., None, :r]

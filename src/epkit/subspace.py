@@ -90,7 +90,7 @@ def projector(basis: OrthonormalBasis) -> Projector:
     """Orthogonal projector P = V V* onto the basis span."""
     v = basis.vectors
     if basis.dim == 0:
-        return Projector(np.zeros((basis.ambient_dim, basis.ambient_dim), dtype=np.complex128))
+        return Projector(np.zeros((basis.ambient_dim, basis.ambient_dim), dtype=v.dtype))
     return Projector(v @ v.conj().T)
 
 

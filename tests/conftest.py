@@ -32,9 +32,11 @@ def svd_calls(monkeypatch):
     ``svd_calls["values"]`` those with compute_uv=False (every norm2); a
     stacked call counts once.  ``svd_calls["full_matrices"]`` and
     ``svd_calls["values_matrices"]`` count the matrices those calls factor,
-    every matrix of a stack.  ``svd_calls["inv_matrices"]`` counts the
-    matrices np.linalg.inv inverts and ``svd_calls["eigvals"]`` the
-    np.linalg.eigvals calls.  ``svd_calls.clear()`` starts a fresh count.
+    every matrix of a stack, and ``svd_calls["real_matrices"]`` those of
+    either kind that are float64, so take the real LAPACK kernel.
+    ``svd_calls["inv_matrices"]`` counts the matrices np.linalg.inv inverts
+    and ``svd_calls["eigvals"]`` the np.linalg.eigvals calls.
+    ``svd_calls.clear()`` starts a fresh count.
     """
     counts = Counter()
     real_svd, real_inv, real_eigvals = np.linalg.svd, np.linalg.inv, np.linalg.eigvals
@@ -47,6 +49,8 @@ def svd_calls(monkeypatch):
         kind = "full" if compute_uv else "values"
         counts[kind] += 1
         counts[f"{kind}_matrices"] += matrices(a)
+        if np.asarray(a).dtype == np.float64:
+            counts["real_matrices"] += matrices(a)
         return real_svd(a, *args, **kwargs)
 
     def inv(a):

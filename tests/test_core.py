@@ -16,6 +16,8 @@ from epkit import (
     hermitian_eig,
     multiply,
     operator_norm,
+    polar_decomposition,
+    pseudoinverse,
     svd,
 )
 
@@ -171,6 +173,65 @@ class TestNormSubmultiplicativity:
             lhs = operator_norm(a @ b)
             rhs = operator_norm(a) * operator_norm(b)
             assert lhs <= rhs * (1.0 + 1e-12)
+
+
+REAL_INPUTS = [
+    np.array([[2.0, 1.0], [0.0, 3.0]]),
+    [[2, 1], [0, 3]],
+    np.array([[1, 0], [1, 1]], dtype=np.int32),
+    [[True, False], [True, True]],
+]
+COMPLEX_INPUTS = [
+    np.array([[2.0, 1j], [0.0, 3.0]]),
+    # The rule reads the dtype, not the values: zero imaginary parts stay complex.
+    np.array([[2.0, 1.0], [0.0, 3.0]], dtype=np.complex128),
+    np.array([[2, 1], [0, 3]], dtype=object),
+]
+
+
+class TestDtypeContract:
+    """Real, integer and bool input stays real (float64); the rest is complex128."""
+
+    @pytest.mark.parametrize(
+        "values,dtype",
+        [(v, np.float64) for v in REAL_INPUTS] + [(v, np.complex128) for v in COMPLEX_INPUTS],
+    )
+    def test_kernels_keep_the_input_dtype(self, tol, values, dtype):
+        assert as_matrix(values).dtype == dtype
+        fact = svd(values, tol)
+        assert fact.left_vectors.dtype == fact.right_vectors.dtype == dtype
+        assert pseudoinverse(values, tol).dtype == dtype
+        polar = polar_decomposition(values, tol)
+        assert polar.isometry_part.dtype == polar.modulus_part.dtype == dtype
+        assert eigenvalues(values, tol).dtype == np.complex128
+
+    def test_a_real_stack_stays_real(self, tol):
+        stack = np.stack([np.eye(3), np.zeros((3, 3))])
+        assert svd(stack, tol).left_vectors.dtype == np.float64
+        assert pseudoinverse(stack, tol).dtype == np.float64
+
+    def test_real_eigenvalues_of_a_rotation_are_complex(self, tol):
+        vals = eigenvalues([[0.0, -1.0], [1.0, 0.0]], tol)
+        assert vals.dtype == np.complex128
+        np.testing.assert_allclose(vals, [1j, -1j], atol=1e-15)
+
+    def test_a_fresh_array(self):
+        m = np.eye(2)
+        out = as_matrix(m)
+        out[0, 0] = 5.0
+        assert m[0, 0] == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_real_non_finite_entries_raise(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            as_matrix(np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            svd(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("shape", [(257, 2), (2, 257), (2, 257, 3)])
+    def test_real_shapes_past_the_cap_raise(self, shape):
+        with pytest.raises(InvalidDimension, match="exceeds the 256x256 cap"):
+            svd(np.zeros(shape))
 
 
 class TestValidation:

@@ -41,6 +41,8 @@ class TestLimitStudy:
         # The pseudoinverse norm only: a full-rank truncation gets its EP
         # verdict from its rank.
         assert svd_calls["values"] == 24
+        # Every truncation is real, and so is its pseudoinverse.
+        assert svd_calls["real_matrices"] == 48
 
     def test_embedded_truncation_settles_its_inclusions_without_an_svd(self, svd_calls):
         for n in range(1, 25):
@@ -48,6 +50,7 @@ class TestLimitStudy:
         assert svd_calls["full"] == 24
         # The Frobenius bracket settles every inclusion of a rank-n EP matrix.
         assert svd_calls["values"] == 0
+        assert svd_calls["real_matrices"] == 24
 
 
 class TestFractionalPowerVerifiers:
@@ -105,6 +108,13 @@ def test_verifier_svd_budget(svd_calls, theorem_id):
     assert svd_calls["values"] / trials <= values
     assert svd_calls["full_matrices"] / trials <= full_matrices
     assert svd_calls["values_matrices"] / trials <= values_matrices
+    # Generators draw complex matrices, so the verifiers factor complex
+    # ones; only thm1.5's control window, the real harmonic truncations,
+    # takes the real kernels.
+    factored = svd_calls["full_matrices"] + svd_calls["values_matrices"]
+    assert svd_calls["real_matrices"] < factored
+    if theorem_id != "thm1.5":
+        assert svd_calls["real_matrices"] == 0
 
 
 def test_thm3_2_builds_one_term_and_decides_its_limit_from_its_svd(svd_calls):

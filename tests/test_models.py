@@ -12,13 +12,19 @@ from epkit import (
     limit_study,
     pseudoinverse,
     realize,
+    spectral_radius,
+    svd,
 )
+from epkit.classify import range_corange_test
+from epkit.core import norm2
+from epkit.pinv import pseudoinverse_of, reduced_min_modulus_of
 
 
 class TestRealize:
     def test_diag_n_values(self, tol):
         m = realize("diag_n", 3)
-        np.testing.assert_array_equal(m, np.diag([1.0, 2.0, 3.0]).astype(complex))
+        assert m.dtype == np.float64
+        np.testing.assert_array_equal(m, np.diag([1.0, 2.0, 3.0]))
         rep = classify(m, tol)
         assert rep.is_ep and rep.gamma == pytest.approx(1.0)
         assert rep.spectral_radius == pytest.approx(3.0)
@@ -124,6 +130,12 @@ class TestLimitStudy:
         assert str(exc.value) == message
         assert svd_calls["full"] == svd_calls["values"] == 0
 
+    @pytest.mark.parametrize("family,n_max", [("bogus", 8), ("diag_n", 8.0)])
+    def test_rejects_a_bad_spec_before_the_first_svd(self, svd_calls, tol, family, n_max):
+        with pytest.raises(InvalidSpec):
+            limit_study(family, n_max, tol)
+        assert svd_calls["full"] == svd_calls["values"] == 0
+
 
 class TestFamilyInvariants:
     def test_all_families_normal_hence_ep(self, tol):
@@ -149,7 +161,7 @@ class TestFamilyInvariants:
 
 
 def harmonic_truncation_reference(n, ambient_dim):
-    m = np.zeros((ambient_dim, ambient_dim), dtype=np.complex128)
+    m = np.zeros((ambient_dim, ambient_dim), dtype=np.float64)
     for k in range(1, n + 1):
         m[k - 1, k - 1] = 1.0 / k
     return m
@@ -194,3 +206,29 @@ class TestLimitStudySharesOneFactorization:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_rows_match_reference_bit_for_bit(self, tol, family):
         assert limit_study(family, 40, tol) == limit_study_reference(family, 40, tol)
+
+
+def complex_route_rows(family, n_max, tol):
+    """limit_study's kernels on each truncation cast to complex128."""
+    rows = []
+    for n in range(1, n_max + 1):
+        m = realize(family, n).astype(np.complex128)
+        fact = svd(m, tol)
+        rows.append(
+            {
+                "n": n,
+                "gamma": reduced_min_modulus_of(fact),
+                "spectral_radius": spectral_radius(m, tol),
+                "is_ep": range_corange_test(fact, tol)[0],
+                "pinv_norm": norm2(pseudoinverse_of(fact)),
+            }
+        )
+    return rows
+
+
+class TestRealKernelsGiveTheComplexRows:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_rows_equal_field_by_field(self, tol, family):
+        # Real truncations take the real LAPACK kernels; a row must not
+        # depend on that.  No fingerprint condition: every machine checks it.
+        assert limit_study(family, 64, tol) == complex_route_rows(family, 64, tol)
