@@ -27,7 +27,8 @@ One factorization per matrix feeds every decision about it: its rank, EP
 verdict, pseudoinverse, polar factors and subspace bases all come from one
 ``SvdFactorization``, and a yes/no subspace comparison is ``subspace_eq``,
 never a projector gap against eq_atol.  By design, the routes that thm2.1
-and thm2.13 compare stay independent, and scales are exact norm2s.
+and thm2.13 compare stay independent.  Scales are exact spectral norms; a
+verifier that holds a matrix's factorization reads sigma_1 from it.
 
 Generators build and verifiers decide: each family's property holds by
 construction, so a generator returns its draw untested, and a verifier
@@ -379,17 +380,59 @@ def _gen_for(ctx: _Ctx, rng, family: str, cond: float | None = None, **extra):
 
 
 def _multiset_gap(xs: np.ndarray, ys: np.ndarray) -> float:
-    # Imported here: scipy.optimize costs more start-up time than the rest
-    # of epkit, and only thm2.7 needs it.
-    from scipy.optimize import linear_sum_assignment
+    """Bottleneck distance between two equal-size multisets of complex numbers.
 
+    The least t such that some bijection moves every x to within t of its
+    partner y, exactly: the largest cost of a sum-minimizing assignment only
+    bounds it from above.  Every x and every y lies at least its nearest-
+    neighbour distance from its partner, so the largest of those, L, is a
+    lower bound.  When the pairs within L form a permutation, that
+    permutation attains L; thm2.7's nearly equal spectra take this exit.
+    Otherwise the answer is the least cost, L or above, whose threshold
+    graph has a perfect matching (Gabow & Tarjan, J. Algorithms 9, 1988),
+    found by bisection over the sorted distinct costs.
+    """
     if xs.size != ys.size:
         raise DimensionMismatch("multisets must have equal cardinality")
     if xs.size == 0:
         return 0.0
     cost = np.abs(xs[:, None] - ys[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    low = max(cost.min(axis=1).max(), cost.min(axis=0).max())
+    allowed = cost <= low
+    # Every row and every column has a pair within L, so xs.size pairs in
+    # all means exactly one in each: a permutation.
+    if np.count_nonzero(allowed) == xs.size or _has_perfect_matching(allowed):
+        return float(low)
+    levels = np.unique(cost[cost > low])
+    lo, hi = 0, levels.size - 1  # the largest cost admits every pairing
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _has_perfect_matching(cost <= levels[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(levels[lo])
+
+
+def _has_perfect_matching(allowed: np.ndarray) -> bool:
+    """Whether the square bipartite graph ``allowed`` (rows to columns) has a perfect matching.
+
+    Kuhn's augmenting paths: each row in turn claims a free column, or a
+    column whose row can move along an alternating path to another one.
+    """
+    partners = [np.flatnonzero(row).tolist() for row in allowed]
+    row_of = [-1] * allowed.shape[1]
+
+    def augment(i: int, seen: set) -> bool:
+        for j in partners[i]:
+            if j not in seen:
+                seen.add(j)
+                if row_of[j] < 0 or augment(row_of[j], seen):
+                    row_of[j] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(partners)))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +474,7 @@ def _check_thm2_2(ctx: _Ctx, rng, t: int) -> _Trial:
     ep_d = range_corange_test(fact_d, tol)[0]
     block = direct_sum(pseudoinverse_of(fact_a), pseudoinverse_of(fact_b))
     pinv_resid = norm2(pseudoinverse_of(fact_d) - block)
-    norm_scale = 1.0 + operator_norm(a) + operator_norm(b)
+    norm_scale = 1.0 + fact_a.singular_values[0] + fact_b.singular_values[0]
     pinv_scale = norm_scale + norm2(block)
 
     gamma_a = reduced_min_modulus_of(fact_a)
@@ -512,12 +555,13 @@ def _check_thm2_5(ctx: _Ctx, rng, t: int) -> _Trial:
         tp = pseudoinverse_of(fact)
         premise = norm2(s @ tp - tp @ s)
         conclusion = norm2(s @ t_mat - t_mat @ s)
-        scale = (1.0 + operator_norm(s)) * (1.0 + operator_norm(t_mat) + norm2(tp))
+        scale = (1.0 + operator_norm(s)) * (1.0 + fact.singular_values[0] + norm2(tp))
         return _residual_trial(max(premise, conclusion), scale, tol,
                                payload={"T": t_mat, "S": s})
     t_mat = _gen_for(ctx, rng, "ep")
-    tp = pseudoinverse(t_mat, tol)
-    floor = 1e-3 * (1.0 + operator_norm(t_mat))
+    fact = svd(t_mat, tol)
+    tp = pseudoinverse_of(fact)
+    floor = 1e-3 * (1.0 + fact.singular_values[0])
     s = None
     for _ in range(8):
         cand = rng.standard_normal(t_mat.shape) + 1j * rng.standard_normal(t_mat.shape)
@@ -590,7 +634,7 @@ def _check_thm2_7(ctx: _Ctx, rng, t: int) -> _Trial:
     r = fact.numerical_rank
     basis = fact.carrier_vectors()
     compression = basis.conj().T @ m @ basis
-    scale = 1.0 + operator_norm(m)
+    scale = 1.0 + fact.singular_values[0]
     payload = {"T": m}
 
     invertible = _compression_invertible(compression, fact, tol)
@@ -727,7 +771,7 @@ def _check_thm2_19(ctx: _Ctx, rng, t: int) -> _Trial:
     madj_p = pseudoinverse(madj, tol)
     r1 = norm2(m @ (eye - m @ mp))
     r2 = norm2(madj @ (eye - madj @ madj_p))
-    scale = 1.0 + operator_norm(m)
+    scale = 1.0 + fact.singular_values[0]
     pred = r1 <= tol.eq_atol * scale and r2 <= tol.eq_atol * scale
     ep = range_corange_test(fact, tol)[0]
     expected = family == "ep"
@@ -880,8 +924,9 @@ def _check_thm3_4(ctx: _Ctx, rng, t: int) -> _Trial:
                       note=None if ok else
                       f"gamma={rep.gamma} exceeds spectral radius={rep.spectral_radius}")
     m = _gen_for(ctx, rng, "ep", cond=30.0)
-    gamma1 = reduced_min_modulus(m, tol)
-    norm = operator_norm(m)
+    fact = svd(m, tol)
+    gamma1 = reduced_min_modulus_of(fact)
+    norm = float(fact.singular_values[0])
     worst = 0.0
     power = m
     for n in (2, 3):

@@ -262,12 +262,13 @@ def direct_sum(a, b) -> np.ndarray:
 
     The pseudoinverse distributes over the blocks and the reduced minimum
     modulus of the sum is the minimum of the blocks' values when both are
-    nonzero.
+    nonzero.  The sum is float64 when both blocks are real, complex128
+    otherwise.
     """
     am = as_matrix(a)
     bm = as_matrix(b)
     out = np.zeros(
-        (am.shape[0] + bm.shape[0], am.shape[1] + bm.shape[1]), dtype=np.complex128
+        (am.shape[0] + bm.shape[0], am.shape[1] + bm.shape[1]), dtype=np.result_type(am, bm)
     )
     out[: am.shape[0], : am.shape[1]] = am
     out[am.shape[0] :, am.shape[1] :] = bm

@@ -87,7 +87,10 @@ def gram_schmidt(columns: np.ndarray) -> np.ndarray:
 
 
 def multiset_gap(xs: np.ndarray, ys: np.ndarray) -> float:
-    """Max distance of an optimal matching between two equal-size multisets."""
+    """Largest cost of the sum-minimizing matching between two equal-size multisets.
+
+    An upper bound on their bottleneck distance, which it can exceed.
+    """
     xs = np.asarray(xs, dtype=np.complex128).ravel()
     ys = np.asarray(ys, dtype=np.complex128).ravel()
     assert xs.size == ys.size

@@ -323,6 +323,19 @@ class TestConsoleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_verify_and_suite_leave_scipy_unloaded(self, tmp_path):
+        # thm2.7 matches spectra in numpy alone; no verifier needs scipy.
+        out = str(tmp_path / "r.json")
+        code = (
+            "import sys, epkit.cli\n"
+            f"assert epkit.cli.main(['verify', 'thm2.7', '--trials', '8', '--output', {out!r}]) == 0\n"
+            f"assert epkit.cli.main(['suite', '--trials', '3', '--output', {out!r}]) == 0\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
+        proc = _python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_classify_loads_neither_harness_nor_models(self, tmp_path):
         path = tmp_path / "m.json"
         write_matrix_file(path, np.eye(2))

@@ -12,6 +12,7 @@ from epkit import (
     ToleranceConfig,
     adjoint,
     as_matrix,
+    direct_sum,
     eigenvalues,
     hermitian_eig,
     multiply,
@@ -209,6 +210,15 @@ class TestDtypeContract:
         stack = np.stack([np.eye(3), np.zeros((3, 3))])
         assert svd(stack, tol).left_vectors.dtype == np.float64
         assert pseudoinverse(stack, tol).dtype == np.float64
+
+    def test_a_direct_sum_of_real_blocks_stays_real(self, tol):
+        d = direct_sum(np.eye(2), np.diag([2.0]))
+        assert d.dtype == np.float64
+        assert pseudoinverse(d, tol).dtype == np.float64
+        np.testing.assert_array_equal(d, np.diag([1.0, 1.0, 2.0]))
+        # One complex block makes the sum complex.
+        assert direct_sum(np.eye(2), np.diag([2j])).dtype == np.complex128
+        assert direct_sum(np.eye(2, dtype=complex), np.diag([2.0])).dtype == np.complex128
 
     def test_real_eigenvalues_of_a_rotation_are_complex(self, tol):
         vals = eigenvalues([[0.0, -1.0], [1.0, 0.0]], tol)

@@ -79,19 +79,19 @@ class TestFractionalPowerVerifiers:
 VERIFIER_BUDGETS = {
     "thm1.5": (1.1, 2.2, 26.3, 30.7),
     "thm2.1": (1.0, 2.5, 1.0, 2.5),
-    "thm2.2": (3.0, 4.0, 3.0, 4.0),
+    "thm2.2": (3.0, 2.0, 3.0, 2.0),
     "thm2.3": (2.0, 2.0, 2.0, 2.0),
     "thm2.4": (1.0, 0.5, 1.0, 0.5),
-    "thm2.5": (1.0, 4.0, 1.0, 4.0),
+    "thm2.5": (1.0, 3.35, 1.0, 3.35),
     "thm2.6": (3.0, 1.5, 3.0, 1.5),
-    "thm2.7": (1.0, 1.85, 1.0, 1.85),
+    "thm2.7": (1.0, 1.0, 1.0, 1.0),
     "thm2.12": (2.0, 0.0, 2.0, 0.0),
     "thm2.13": (8.0, 6.65, 8.0, 6.65),
     "thm2.15": (3.0, 0.0, 3.0, 0.0),
     "thm2.16": (1.0, 2.8, 1.0, 2.8),
-    "thm2.19": (2.0, 3.0, 2.0, 3.0),
+    "thm2.19": (2.0, 2.0, 2.0, 2.0),
     "thm3.2": (2.0, 2.5, 2.0, 2.5),
-    "thm3.4": (1.8, 2.1, 1.8, 2.1),
+    "thm3.4": (1.8, 1.7, 1.8, 1.7),
 }
 
 

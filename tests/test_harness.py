@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import epkit
+import oracles
 from epkit import (
     DimensionMismatch,
     GeneratorSpec,
@@ -183,6 +185,83 @@ class TestPsdDominates:
     def test_rejects_shape_mismatch(self, tol):
         with pytest.raises(DimensionMismatch):
             psd_dominates(np.eye(2), np.eye(3), tol)
+
+
+def brute_force_bottleneck(xs, ys) -> float:
+    """The least largest cost over every bijection, by enumerating them all."""
+    cost = np.abs(xs[:, None] - ys[None, :])
+    perms = np.array(list(itertools.permutations(range(xs.size))))
+    return float(cost[np.arange(xs.size), perms].max(axis=1).min())
+
+
+def small_multisets():
+    """Pairs of size 1 to 6 on a small grid, so ties, repeats and zeros abound."""
+    rng = np.random.default_rng(2024)
+    for k in range(240):
+        n = 1 + k % 6
+        grid = rng.integers(-2, 3, size=(2, n))
+        if k % 2:  # complex
+            grid = grid + 1j * rng.integers(-2, 3, size=(2, n))
+        xs, ys = grid.astype(complex if k % 2 else float)
+        yield xs, ys
+
+
+class TestMultisetGap:
+    """harness._multiset_gap is the exact bottleneck distance behind thm2.7."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_the_brute_force_bottleneck(self, n):
+        for xs, ys in small_multisets():
+            if xs.size == n:
+                assert harness._multiset_gap(xs, ys) == brute_force_bottleneck(xs, ys)
+
+    def test_never_above_the_sum_minimizing_assignment(self):
+        for xs, ys in small_multisets():
+            assert harness._multiset_gap(xs, ys) <= oracles.multiset_gap(xs, ys)
+
+    def test_strictly_below_the_sum_minimizing_assignment(self):
+        # The sum-minimizing assignment pairs 0 with 0 (cost 0) and 2j with
+        # 2 (cost 2 sqrt 2); crossing them costs 2 + 2 in sum but 2 at most.
+        xs, ys = np.array([0, 2j]), np.array([0, 2 + 0j])
+        assert harness._multiset_gap(xs, ys) == 2.0
+        assert oracles.multiset_gap(xs, ys) == pytest.approx(2.0 * np.sqrt(2.0))
+
+    @pytest.fixture
+    def matchings(self, monkeypatch):
+        """The threshold graphs _multiset_gap hands to its matching search."""
+        graphs = []
+        search = harness._has_perfect_matching
+
+        def counted(allowed):
+            graphs.append(allowed)
+            return search(allowed)
+
+        monkeypatch.setattr(harness, "_has_perfect_matching", counted)
+        return graphs
+
+    def test_nearly_equal_spectra_take_the_permutation_path(self, matchings):
+        xs = np.random.default_rng(5).standard_normal(30) * np.exp(1j * np.arange(30))
+        ys = xs[::-1] * (1.0 + 1e-12)
+        assert harness._multiset_gap(xs, ys) == pytest.approx(1e-12 * np.abs(xs).max())
+        assert matchings == []
+
+    def test_a_matching_at_the_lower_bound_returns_it(self, matchings):
+        assert harness._multiset_gap(np.array([0, 2j]), np.array([0, 2 + 0j])) == 2.0
+        assert len(matchings) == 1
+
+    def test_bisection_above_the_lower_bound(self, matchings):
+        # Both zeros are within the lower bound 1 of x = 1 alone, so 1 admits
+        # no perfect matching; 2 does (1 -> 0, 2 -> 0, 3 -> 3).
+        assert harness._multiset_gap(np.array([1.0, 2.0, 3.0]), np.array([3.0, 0.0, 0.0])) == 2.0
+        # The lower bound failed, so the bisection searched at least once more.
+        assert len(matchings) >= 2
+
+    def test_unequal_sizes_raise(self):
+        with pytest.raises(DimensionMismatch):
+            harness._multiset_gap(np.zeros(2), np.zeros(3))
+
+    def test_two_empty_multisets_are_at_distance_zero(self):
+        assert harness._multiset_gap(np.zeros(0), np.zeros(0)) == 0.0
 
 
 class TestRunTheoremCheck:
