@@ -6,6 +6,11 @@ decisions stay mutually consistent.  LAPACK, via numpy, supplies the
 similarity-reduction iterations; the test suite pins accuracy against
 independent characteristic-polynomial and residual oracles.
 
+``singular_values`` is the values-only SVD of one matrix, with the numerical
+rank under the same cutoff as ``svd``: a caller that needs no singular
+vectors (``models.limit_study``) reads the rank and gamma from it at about
+half the cost of the full factorization.
+
 ``svd`` and ``norm2`` take one matrix or a stack of matrices (a 3-D array
 whose trailing two axes hold each matrix); a stack costs one LAPACK call
 from Python instead of one per matrix, and gives each matrix the same bits
@@ -20,7 +25,9 @@ Frobenius norm and runs the SVD only when the bracket straddles the
 threshold; its verdict is the exact one.  Here that is
 ``require_hermitian``, the one Hermitian check (``hermitian_eig`` and
 ``harness.psd_dominates`` call it); in ``classify`` the EP and normality
-checks.  Every spectral norm that reaches a report is an exact ``norm2``.
+checks.  Every spectral norm that reaches a report is an exact ``norm2``,
+except a model row's pseudoinverse norm, which ``models.limit_study`` reads
+as 1/gamma.
 
 Validation keeps real matrices real: input whose dtype is real, integer or
 bool becomes float64 and takes the real LAPACK kernels (dgesdd, dgeev,
@@ -216,14 +223,36 @@ def svd(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> SvdFactorization:
         u, s, vh = np.linalg.svd(m, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD did not converge for shape {m.shape}") from exc
-    # All-zero singular values (the zero matrix) count nothing above 0.
-    rank = (s > tol.rank_rtol * s[..., :1]).sum(axis=-1)
+    rank = _numerical_rank(s, tol)
     return SvdFactorization(
         left_vectors=u,
         singular_values=s,
         right_vectors=vh.conj().swapaxes(-1, -2),
         numerical_rank=int(rank) if m.ndim == 2 else rank,
     )
+
+
+def singular_values(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, int]:
+    """``(s, rank)``: the singular values of one matrix, without vectors, and its rank.
+
+    s is sorted non-increasing and the rank is thresholded as by ``svd``.
+    The values-only kernel (dqds) costs about half the full one and does
+    not perturb the values the way the vector route does: on the diagonals
+    of ``models`` it returns the |entries| bit for bit.  Validates as
+    as_matrix; raises ConvergenceFailure if the iteration does not converge.
+    """
+    m = as_matrix(matrix)
+    try:
+        s = np.linalg.svd(m, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"SVD did not converge for shape {m.shape}") from exc
+    return s, int(_numerical_rank(s, tol))
+
+
+def _numerical_rank(s: np.ndarray, tol: ToleranceConfig):
+    """How many of the sorted singular values s exceed rank_rtol * sigma_1, per matrix."""
+    # All-zero singular values (the zero matrix) count nothing above 0.
+    return (s > tol.rank_rtol * s[..., :1]).sum(axis=-1)
 
 
 def hermitian_eig(

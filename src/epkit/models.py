@@ -20,13 +20,16 @@ LAPACK routines (see ``core``), at a fraction of the cost of the complex
 ones.  The tests check that each row equals, bit for bit, the row of the
 same matrix cast to complex128.
 
-``limit_study`` factors each truncation once and computes only the four
-values a row holds: gamma and the EP verdict come from one full SVD, the
-spectral radius from the eigenvalue kernel, and the pseudoinverse norm is
-an exact ``norm2``.  Every truncation has full rank, so it gets its EP
-verdict from its rank (see ``classify.range_corange_test``) and costs one
-full SVD, one singular-value-only one (the pseudoinverse norm), one
-eigenvalue call and no inclusion products.
+``limit_study`` computes only the four values a row holds.  One
+singular-value-only SVD per truncation gives its rank and gamma, the
+smallest singular value above the cutoff; on these diagonals it returns the
+|entries| bit for bit, so gamma is exact.  The pseudoinverse norm is
+1/gamma, since T+ = V S+ U* has sigma_1 = 1/sigma_r, and the spectral
+radius comes from the eigenvalue kernel.  A truncation of rank 0 or n gets
+its EP verdict from its rank (``classify.rank_forces_ep``), and every
+truncation has full rank at the default cutoff.  Only a coarser
+``rank_rtol`` leaves a rank strictly between; such a row takes its rank,
+gamma and EP verdict from a full SVD and ``range_corange_test``.
 
 Truncation means leading principal submatrix; the midpoint grid avoids the
 t = 0 singularity by construction.  The unbounded growth families (diag_n,
@@ -40,10 +43,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .classify import range_corange_test
-from .core import DEFAULT_TOL, MAX_DIM, ToleranceConfig, norm2, require_int, svd
+from .classify import range_corange_test, rank_forces_ep
+from .core import DEFAULT_TOL, MAX_DIM, ToleranceConfig, require_int, singular_values, svd
 from .errors import InvalidDimension, InvalidSpec
-from .pinv import pseudoinverse_of, reduced_min_modulus_of, spectral_radius
+from .pinv import spectral_radius
 
 # Each family's diagonal, from k = (1, ..., n) as floats and n.
 _DIAGONALS = {
@@ -84,9 +87,11 @@ def limit_study(
 
     Each row records n, gamma, spectral_radius, is_ep, and the pseudoinverse
     norm; for diag_harmonic_truncated the gamma column is exactly 1/n while
-    every truncation stays EP, and for diag_n gamma is uniformly 1.  One SVD
-    of each real truncation feeds its gamma, its EP verdict and its
-    pseudoinverse, all through the real kernels.
+    every truncation stays EP, and for diag_n gamma is uniformly 1.  One
+    values-only SVD of each real truncation gives its rank and gamma, and
+    the pseudoinverse norm is 1/gamma (both 0.0 at rank 0).  A full SVD
+    runs only for a rank strictly between 0 and n, which the rank cannot
+    decide.
     """
     require_int("n_max", n_max)
     if n_max < 2:
@@ -96,14 +101,21 @@ def limit_study(
     rows = []
     for n in range(1, n_max + 1):
         m = realize(family, n)
-        fact = svd(m, tol)
+        s, r = singular_values(m, tol)
+        if rank_forces_ep(r, n, n):
+            is_ep = True
+        else:
+            fact = svd(m, tol)
+            s, r = fact.singular_values, fact.numerical_rank
+            is_ep = range_corange_test(fact, tol)[0]
+        gamma = float(s[r - 1]) if r else 0.0
         rows.append(
             {
                 "n": n,
-                "gamma": reduced_min_modulus_of(fact),
+                "gamma": gamma,
                 "spectral_radius": spectral_radius(m, tol),
-                "is_ep": range_corange_test(fact, tol)[0],
-                "pinv_norm": norm2(pseudoinverse_of(fact)),
+                "is_ep": is_ep,
+                "pinv_norm": 1.0 / gamma if r else 0.0,
             }
         )
     return rows

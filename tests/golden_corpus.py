@@ -56,6 +56,11 @@ CLASSIFY_INPUTS = (
 
 CASES = {
     **{f"model-{f}": ["model", f, "--n-max", "64"] for f in FAMILIES},
+    # At --tol-rank 1e-3 the truncations from n = 33 on are rank-deficient,
+    # so their rows come from a full SVD and the range comparison.
+    "model-diag_alternating-n64-tolrank1e-3": [
+        "model", "diag_alternating", "--n-max", "64", "--tol-rank", "1e-3",
+    ],
     "suite-seed1-d8-t10": ["suite", "--seed", "1", "--dim", "8", "--trials", "10"],
     "verify-thm1.5-d32-t6": ["verify", "thm1.5", "--dim", "32", "--trials", "6"],
     # Ten trials cover each of thm2.16's five dominance modes twice.

@@ -21,6 +21,7 @@ from epkit import (
     pseudoinverse,
     svd,
 )
+from epkit.core import singular_values
 
 
 class TestAdjoint:
@@ -95,6 +96,41 @@ class TestSvd:
         assert np.array_equal(f1.singular_values, f2.singular_values)
         assert np.array_equal(f1.right_vectors, f2.right_vectors)
         assert f1.numerical_rank == f2.numerical_rank
+
+
+class TestSingularValues:
+    def test_rank_is_the_svd_rank(self, rng, tol):
+        a = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+        inputs = [
+            rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)),
+            rng.standard_normal((5, 8)),
+            a @ a.conj().T,  # rank 3 in dim 7
+            np.diag([4.0, 1.0, 1e-12, 0.0]),
+            np.zeros((3, 2)),
+        ]
+        for m in inputs:
+            s, rank = singular_values(m, tol)
+            fact = svd(m, tol)
+            assert rank == fact.numerical_rank
+            np.testing.assert_allclose(s, fact.singular_values, rtol=1e-12, atol=1e-12)
+        assert [singular_values(m, tol)[1] for m in inputs[2:]] == [3, 2, 0]
+
+    def test_real_input_stays_real(self, tol):
+        s, rank = singular_values([[3, 0], [0, -1]], tol)
+        assert s.dtype == np.float64
+        assert s.tolist() == [3.0, 1.0] and rank == 2
+
+    def test_rejects_non_finite_entries(self, tol):
+        with pytest.raises(ValueError, match="finite"):
+            singular_values([[np.nan, 0.0], [0.0, 1.0]], tol)
+
+    def test_lapack_failure_is_a_convergence_failure(self, monkeypatch, tol):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            singular_values(np.eye(2), tol)
 
 
 class TestHermitianEig:

@@ -35,14 +35,14 @@ class TestClassify:
 
 class TestLimitStudy:
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_one_full_svd_per_truncation(self, svd_calls, family):
+    def test_one_values_only_svd_per_truncation(self, svd_calls, family):
         limit_study(family, 24)
-        assert svd_calls["full"] == 24
-        # The pseudoinverse norm only: a full-rank truncation gets its EP
-        # verdict from its rank.
+        # A full-rank truncation gets its EP verdict from its rank and its
+        # pseudoinverse norm from its gamma, so no singular vectors.
+        assert svd_calls["full"] == 0
         assert svd_calls["values"] == 24
-        # Every truncation is real, and so is its pseudoinverse.
-        assert svd_calls["real_matrices"] == 48
+        # Every truncation is real.
+        assert svd_calls["real_matrices"] == 24
 
     def test_embedded_truncation_settles_its_inclusions_without_an_svd(self, svd_calls):
         for n in range(1, 25):

@@ -10,14 +10,13 @@ from epkit import (
     harmonic_truncation,
     is_normal,
     limit_study,
-    pseudoinverse,
     realize,
     spectral_radius,
     svd,
 )
-from epkit.classify import range_corange_test
-from epkit.core import norm2
-from epkit.pinv import pseudoinverse_of, reduced_min_modulus_of
+from epkit.classify import range_corange_test, rank_forces_ep
+from epkit.core import ToleranceConfig, singular_values
+from epkit.models import diagonal_entries
 
 
 class TestRealize:
@@ -184,43 +183,62 @@ class TestHarmonicTruncation:
             harmonic_truncation(4, MAX_DIM + 1)
 
 
-def limit_study_reference(family, n_max, tol):
-    """The truncation loop with a classification and a fresh pseudoinverse each."""
-    rows = []
-    for n in range(1, n_max + 1):
-        m = realize(family, n)
-        report = classify(m, tol)
-        rows.append(
-            {
-                "n": n,
-                "gamma": report.gamma,
-                "spectral_radius": report.spectral_radius,
-                "is_ep": report.is_ep,
-                "pinv_norm": float(np.linalg.norm(pseudoinverse(m, tol), 2)),
-            }
-        )
-    return rows
+def classify_reference(family, n_max, tol):
+    """Each truncation's full classification."""
+    return [classify(realize(family, n), tol) for n in range(1, n_max + 1)]
 
 
 class TestLimitStudySharesOneFactorization:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_rows_match_reference_bit_for_bit(self, tol, family):
-        assert limit_study(family, 40, tol) == limit_study_reference(family, 40, tol)
+        rows = limit_study(family, 256, tol)
+        for row in rows:
+            gamma = float(np.min(np.abs(diagonal_entries(family, row["n"]))))
+            assert row["gamma"] == gamma
+            assert row["pinv_norm"] == 1.0 / gamma
+        # A classification per truncation costs about 2 s at n_max 256.
+        reference = classify_reference(family, 40, tol)
+        assert [(row["is_ep"], row["spectral_radius"]) for row in rows[:40]] == [
+            (report.is_ep, report.spectral_radius) for report in reference
+        ]
+
+    def test_rank_deficient_rows_take_the_full_factorization(self, svd_calls):
+        # At rank_rtol 1e-3 the alternating truncations from n = 33 on lose
+        # their 1/k entries below the cutoff, so the rank decides nothing.
+        tol = ToleranceConfig(rank_rtol=1e-3)
+        rows = limit_study("diag_alternating", 64, tol)
+        full = svd_calls["full"]
+        deficient = [
+            row for row in rows
+            if singular_values(realize("diag_alternating", row["n"]), tol)[1] < row["n"]
+        ]
+        assert [row["n"] for row in deficient] == list(range(33, 65))
+        assert full == len(deficient)
+        for row in deficient:
+            report = classify(realize("diag_alternating", row["n"]), tol)
+            assert (row["gamma"], row["is_ep"]) == (report.gamma, report.is_ep)
+            assert row["pinv_norm"] == 1.0 / row["gamma"]
 
 
 def complex_route_rows(family, n_max, tol):
-    """limit_study's kernels on each truncation cast to complex128."""
+    """limit_study's route on each truncation cast to complex128."""
     rows = []
     for n in range(1, n_max + 1):
         m = realize(family, n).astype(np.complex128)
-        fact = svd(m, tol)
+        s, r = singular_values(m, tol)
+        is_ep = rank_forces_ep(r, n, n)
+        if not is_ep:
+            fact = svd(m, tol)
+            s, r = fact.singular_values, fact.numerical_rank
+            is_ep = range_corange_test(fact, tol)[0]
+        gamma = float(s[r - 1]) if r else 0.0
         rows.append(
             {
                 "n": n,
-                "gamma": reduced_min_modulus_of(fact),
+                "gamma": gamma,
                 "spectral_radius": spectral_radius(m, tol),
-                "is_ep": range_corange_test(fact, tol)[0],
-                "pinv_norm": norm2(pseudoinverse_of(fact)),
+                "is_ep": is_ep,
+                "pinv_norm": 1.0 / gamma if r else 0.0,
             }
         )
     return rows
