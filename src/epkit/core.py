@@ -11,11 +11,8 @@ rank under the same cutoff as ``svd``: a caller that needs no singular
 vectors (``models.limit_study``) reads the rank and gamma from it at about
 half the cost of the full factorization.
 
-``svd`` and ``norm2`` take one matrix or a stack of matrices (a 3-D array
-whose trailing two axes hold each matrix); a stack costs one LAPACK call
-from Python instead of one per matrix, and gives each matrix the same bits
-as factoring it alone.  thm1.5 holds its window as such a stack.  ``norm2``
-is the package's only spectral norm: it reads sigma_1 from the
+Every kernel takes one matrix; a 3-D array raises InvalidDimension.
+``norm2`` is the package's only spectral norm: it reads sigma_1 from the
 singular-value-only kernel, the same routine and the same bits as
 ``np.linalg.norm(x, 2)`` without that function's axis handling.
 
@@ -107,14 +104,10 @@ def as_matrix(values) -> np.ndarray:
     and complex128 otherwise, whatever the values.  Rejects non-2-D input,
     empty axes, dimensions beyond MAX_DIM, and non-finite entries.
     """
-    return _validated(values, "a 2-D matrix", (2,))
-
-
-def _validated(values, expected: str, ndims: tuple[int, ...]) -> np.ndarray:
     m = np.asarray(values)
     m = np.array(m, dtype=np.float64 if m.dtype.kind in "biuf" else np.complex128, copy=True)
-    if m.ndim not in ndims:
-        raise InvalidDimension(f"expected {expected}, got ndim={m.ndim}")
+    if m.ndim != 2:
+        raise InvalidDimension(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.size == 0:
         raise InvalidDimension(f"matrix axes must be positive, got {m.shape}")
     require_within_cap(m.shape)
@@ -123,9 +116,9 @@ def _validated(values, expected: str, ndims: tuple[int, ...]) -> np.ndarray:
     return m
 
 
-def require_within_cap(shape: tuple[int, ...]) -> None:
-    """Reject a shape whose trailing two axes exceed MAX_DIM."""
-    rows, cols = shape[-2:]
+def require_within_cap(shape: tuple[int, int]) -> None:
+    """Reject a matrix shape with an axis beyond MAX_DIM."""
+    rows, cols = shape
     if rows > MAX_DIM or cols > MAX_DIM:
         raise InvalidDimension(
             f"matrix of shape {shape} exceeds the {MAX_DIM}x{MAX_DIM} cap"
@@ -147,38 +140,20 @@ class SvdFactorization:
     non-increasing, and ``numerical_rank`` counts those above
     rank_rtol * sigma_1.  Column blocks of the two unitary factors give
     orthonormal bases of the four fundamental subspaces.
-
-    The factorization of a stack of k matrices has a leading axis of length
-    k on every array, and ``numerical_rank`` is then an int array of the k
-    ranks; the basis methods below apply to a single matrix only.
     """
 
     left_vectors: np.ndarray
     singular_values: np.ndarray
     right_vectors: np.ndarray
-    numerical_rank: int | np.ndarray
+    numerical_rank: int
 
     @property
     def rows(self) -> int:
-        return self.left_vectors.shape[-1]
+        return self.left_vectors.shape[0]
 
     @property
     def cols(self) -> int:
-        return self.right_vectors.shape[-1]
-
-    def rank_groups(self) -> list[tuple[int, object]]:
-        """``(rank, index)`` pairs, one per distinct numerical rank.
-
-        ``index`` selects the matrices of that rank along the leading axis
-        (``()`` selects everything), so kernels that slice the factors to
-        the rank run once per group, not once per matrix.
-        """
-        ranks = self.numerical_rank
-        if np.ndim(ranks) == 0:
-            return [(int(ranks), ())]
-        if (ranks == ranks[0]).all():
-            return [(int(ranks[0]), ())]
-        return [(int(r), np.flatnonzero(ranks == r)) for r in np.unique(ranks)]
+        return self.right_vectors.shape[0]
 
     def range_vectors(self) -> np.ndarray:
         """Orthonormal columns spanning the range (column space)."""
@@ -211,24 +186,22 @@ def multiply(a, b) -> np.ndarray:
 
 
 def svd(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> SvdFactorization:
-    """Full SVD of a matrix or a stack, with rank thresholded at rank_rtol * sigma_1.
+    """Full SVD of one matrix, with rank thresholded at rank_rtol * sigma_1.
 
-    A stack is a 3-D array, or a sequence of equally shaped matrices, with
-    the matrices along its leading axis; each is validated as by as_matrix.
-    The zero matrix yields numerical_rank 0 (empty range basis).  Raises
-    ConvergenceFailure if the underlying iteration does not converge.
+    Validates as as_matrix.  The zero matrix yields numerical_rank 0 (empty
+    range basis).  Raises ConvergenceFailure if the underlying iteration
+    does not converge.
     """
-    m = _validated(matrix, "a 2-D matrix or a 3-D stack of matrices", (2, 3))
+    m = as_matrix(matrix)
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD did not converge for shape {m.shape}") from exc
-    rank = _numerical_rank(s, tol)
     return SvdFactorization(
         left_vectors=u,
         singular_values=s,
-        right_vectors=vh.conj().swapaxes(-1, -2),
-        numerical_rank=int(rank) if m.ndim == 2 else rank,
+        right_vectors=vh.conj().T,
+        numerical_rank=_numerical_rank(s, tol),
     )
 
 
@@ -246,13 +219,13 @@ def singular_values(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndar
         s = np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD did not converge for shape {m.shape}") from exc
-    return s, int(_numerical_rank(s, tol))
+    return s, _numerical_rank(s, tol)
 
 
-def _numerical_rank(s: np.ndarray, tol: ToleranceConfig):
-    """How many of the sorted singular values s exceed rank_rtol * sigma_1, per matrix."""
+def _numerical_rank(s: np.ndarray, tol: ToleranceConfig) -> int:
+    """How many of the sorted singular values s exceed rank_rtol * sigma_1."""
     # All-zero singular values (the zero matrix) count nothing above 0.
-    return (s > tol.rank_rtol * s[..., :1]).sum(axis=-1)
+    return int(np.count_nonzero(s > tol.rank_rtol * s[0]))
 
 
 def hermitian_eig(
@@ -308,14 +281,13 @@ def eigenvalues(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return vals[order].copy()
 
 
-def norm2(x: np.ndarray):
-    """Spectral norm of a matrix (a float), or of each matrix in a stack (an array).
+def norm2(x: np.ndarray) -> float:
+    """Spectral norm of one matrix.
 
-    No validation: callers pass arrays they built.  Same bits as
+    No validation: callers pass 2-D arrays they built.  Same bits as
     np.linalg.norm(x, 2), which runs the same kernel.
     """
-    sigma1 = np.linalg.svd(x, compute_uv=False)[..., 0]
-    return float(sigma1) if sigma1.ndim == 0 else sigma1
+    return float(np.linalg.svd(x, compute_uv=False)[0])
 
 
 def operator_norm(matrix) -> float:

@@ -12,16 +12,13 @@ trial fails when a boolean claim is violated or a residual exceeds ten times
 eq_atol at its natural scale; residuals between eq_atol and that threshold
 are counted as warnings, not failures.
 
-thm1.5 holds its window as one stack of matrices, a 3-D array with the
-terms along the leading axis.  It factors the window with one stacked SVD,
-assembles pseudoinverses per group of equal rank, and takes each diagnostic
-as one stacked norm2 call over only the terms the verdict reads: the
-pseudoinverse norms over the whole window, their gaps to the limit at its
-two ends, and the last five successive differences.  Stacked kernels give
-each term the bits it gets on its own.  Its harmonic-truncation control
-draws nothing from the rng, so a run factors it once and holds it on its
-``_Ctx``.  thm3.2 builds its limit and the one term it reads; its terms are
-EP with gamma >= delta by construction, so it factors only the limit.
+thm1.5 factors each term of its window once and reads ||T_k+|| as
+1 / gamma(T_k), so only the seven terms whose pseudoinverse the verdict
+reads get a full SVD; every other term gets the values-only SVD.  Its
+harmonic-truncation control draws nothing from the rng, so a run factors it
+once and holds it on its ``_Ctx``.  thm3.2 builds its limit and the one
+term it reads; its terms are EP with gamma >= delta by construction, so it
+factors only the limit.
 
 One factorization per matrix feeds every decision about it: its rank, EP
 verdict, pseudoinverse, polar factors and subspace bases all come from one
@@ -64,6 +61,7 @@ from .core import (
     require_hermitian,
     require_int,
     require_real,
+    singular_values,
     svd,
 )
 from .errors import DimensionMismatch, GenerationError, InvalidSpec, UnknownTheorem
@@ -794,32 +792,44 @@ def _window_conditions(
     (c) uniform boundedness of ||T_k+||.  On a finite window these are
     decided by scale-free ratios: the tail must shrink below a quarter of
     the head (a, b) and the pinv norms may not spread by more than 10x (c).
+
+    Each term is factored once, and ||T_k+|| = 1 / gamma(T_k) (0.0 at rank
+    0) is read from that factorization.  The verdict reads T_k+ itself only
+    at the first term and the last six: the gaps to the limit at the two
+    ends and the last five successive differences.  Those seven terms get
+    a full SVD and their pseudoinverse; the others get the values-only SVD.
     """
     limit_pinv = pseudoinverse(limit, tol)
     limit_proj = limit_pinv @ limit
-    window = np.stack(terms)
-    pinvs = pseudoinverse(window, tol)
-    pinv_norms = norm2(pinvs)
-    # Of the gaps only the first and the last term are read, and of the
-    # successive differences only the last five.
-    ends = [0, -1]
-    gaps = norm2(pinvs[ends] - limit_pinv)
-    proj_gaps = norm2(pinvs[ends] @ window[ends] - limit_proj)
-    tail = pinvs[-6:]
-    successive = norm2(tail[1:] - tail[:-1])
-    sup_norm = float(pinv_norms.max())
-    growth_ratio = sup_norm / max(float(pinv_norms.min()), 1e-300)
+    n = len(terms)
+    tail = range(max(n - 6, 0), n)
+    pinvs = {}
+    pinv_norms = []
+    for k, term in enumerate(terms):
+        if k == 0 or k in tail:
+            fact = svd(term, tol)
+            pinvs[k] = pseudoinverse_of(fact)
+            s, r = fact.singular_values, fact.numerical_rank
+        else:
+            s, r = singular_values(term, tol)
+        pinv_norms.append(1.0 / float(s[r - 1]) if r else 0.0)
+    ends = (0, n - 1)
+    gaps = [norm2(pinvs[k] - limit_pinv) for k in ends]
+    proj_gaps = [norm2(pinvs[k] @ terms[k] - limit_proj) for k in ends]
+    successive = [norm2(pinvs[k] - pinvs[k - 1]) for k in tail[1:]]
+    sup_norm = max(pinv_norms)
+    growth_ratio = sup_norm / max(min(pinv_norms), 1e-300)
     cond_c = growth_ratio <= 10.0
-    cond_a = bool(gaps[-1] <= max(0.25 * gaps[0], 10.0 * tol.eq_atol * (1.0 + sup_norm)))
-    cond_b = bool(proj_gaps[-1] <= max(0.25 * proj_gaps[0], 10.0 * tol.eq_atol * 2.0))
+    cond_a = gaps[-1] <= max(0.25 * gaps[0], 10.0 * tol.eq_atol * (1.0 + sup_norm))
+    cond_b = proj_gaps[-1] <= max(0.25 * proj_gaps[0], 10.0 * tol.eq_atol * 2.0)
     diag = {
-        "window": len(terms),
+        "window": n,
         "sup_pinv_norm": sup_norm,
         "pinv_norm_growth_ratio": growth_ratio,
-        "first_pinv_gap": float(gaps[0]),
-        "final_pinv_gap": float(gaps[-1]),
-        "final_projector_gap": float(proj_gaps[-1]),
-        "min_successive_pinv_gap_tail": float(successive.min()) if successive.size else 0.0,
+        "first_pinv_gap": gaps[0],
+        "final_pinv_gap": gaps[-1],
+        "final_projector_gap": proj_gaps[-1],
+        "min_successive_pinv_gap_tail": min(successive, default=0.0),
         "cond_a_holds": cond_a,
         "cond_b_holds": cond_b,
         "cond_c_holds": cond_c,

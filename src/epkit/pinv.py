@@ -6,11 +6,8 @@ the rest annihilated, which realizes "invert on the carrier, kill the
 orthocomplement of the range" exactly.  The same factorization also yields
 the polar decomposition, fractional powers of the modulus |M| = (M*M)^(1/2)
 (one eigendecomposition of |M| for a whole grid of exponents), the reduced
-minimum modulus, and the spectral radius.
-
-``pseudoinverse`` also takes a stack of matrices: one stacked SVD factors
-them all, and the inverse is then assembled once per group of equal
-numerical rank, so every matrix gets the bits its own factorization gives.
+minimum modulus, and the spectral radius.  Every function takes one
+matrix.
 """
 
 from __future__ import annotations
@@ -47,25 +44,22 @@ def pseudoinverse(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
     Satisfies the four Penrose identities at roundoff level for reasonably
     conditioned input, and pseudoinverse(pseudoinverse(M)) reproduces M.
-    The zero matrix maps to the zero matrix of transposed shape.  A stack
-    of matrices maps to the stack of their pseudoinverses.
+    The zero matrix maps to the zero matrix of transposed shape.
     """
     return pseudoinverse_of(svd(matrix, tol))
 
 
 def pseudoinverse_of(fact: SvdFactorization) -> np.ndarray:
-    """Pseudoinverse (or stack of them) from an existing factorization.
+    """Pseudoinverse from an existing factorization of one matrix.
 
     The result has the factors' dtype: float64 for a real matrix, complex128
     otherwise.
     """
     u, s, v = fact.left_vectors, fact.singular_values, fact.right_vectors
-    out = np.zeros(v.shape[:-1] + u.shape[-1:], dtype=u.dtype)
-    for r, idx in fact.rank_groups():
-        if r:
-            inv_sigma = 1.0 / s[idx][..., None, :r]
-            out[idx] = (v[idx][..., :r] * inv_sigma) @ u[idx][..., :r].conj().swapaxes(-1, -2)
-    return out
+    r = fact.numerical_rank
+    if r == 0:
+        return np.zeros((fact.cols, fact.rows), dtype=u.dtype)
+    return (v[:, :r] * (1.0 / s[:r])) @ u[:, :r].conj().T
 
 
 def penrose_residuals(matrix, candidate) -> dict[str, float]:

@@ -5,11 +5,13 @@ import pytest
 
 from epkit import (
     FAMILIES,
+    GeneratorSpec,
     NotSquare,
     ToleranceConfig,
     adjoint,
     carrier_basis,
     classify,
+    gen_matrix,
     harmonic_truncation,
     is_ep,
     is_hypo_ep,
@@ -235,7 +237,7 @@ class TestFullRankVerdictEqualsTheProducts:
 
     @pytest.mark.parametrize("tol", SHORTCUT_TOLS)
     @pytest.mark.parametrize("n", [2, 8, 32])
-    def test_stacks_of_mixed_rank(self, rng, tol, n):
+    def test_matrices_of_mixed_rank(self, rng, tol, n):
         matrices = [
             complex_normal(rng, (n, n)),
             ep_of_rank(rng, n, n - 1),
@@ -245,11 +247,9 @@ class TestFullRankVerdictEqualsTheProducts:
             1e-150 * ep_of_rank(rng, n, n - 1),
         ]
         order = rng.permutation(len(matrices))
-        stack = np.stack([matrices[i] for i in order])
-        facts = [svd(m, tol) for m in stack]
+        facts = [svd(matrices[i], tol) for i in order]
         ranks = [f.numerical_rank for f in facts]
         assert sorted(set(ranks)) == [0, n - 1, n]
-        assert svd(stack, tol).numerical_rank.tolist() == ranks
         for f in facts:
             assert range_corange_test(f, tol) == range_corange_by_products(f, tol)
 
@@ -259,6 +259,10 @@ class TestFullRankVerdictEqualsTheProducts:
         for shape in ((3, 5), (5, 3)):
             with pytest.raises(ValueError):
                 range_corange_test(svd(complex_normal(rng, shape), tol), tol)
+
+    def test_single_factorization_gives_bools(self):
+        m = gen_matrix(GeneratorSpec(dim=5, rank=2, seed=1, family="non_ep"))
+        assert range_corange_test(svd(m)) == (False, False)
 
 
 @pytest.fixture

@@ -23,11 +23,14 @@ from epkit import (
     adjoint,
     classify,
     gen_matrix,
+    harmonic_truncation,
     harness,
     is_ep,
     is_normal,
     operator_norm,
     psd_dominates,
+    pseudoinverse,
+    reduced_min_modulus,
     run_theorem_check,
     svd,
 )
@@ -459,3 +462,90 @@ class TestThm15ControlIsPerRun:
         expected = json.dumps(report_payload(dataclasses.replace(verdict, elapsed_ms=0)))
         verdict.details["negative_example"].clear()
         assert _thm1_5_report(8) == expected
+
+
+def window_conditions_loop(terms, limit, tol):
+    """The window diagnostics with every pseudoinverse formed and every norm by np.linalg.norm."""
+    limit_pinv = pseudoinverse(limit, tol)
+    limit_proj = limit_pinv @ limit
+    pinv_norms, gaps, proj_gaps, successive = [], [], [], []
+    prev = None
+    for term in terms:
+        tp = pseudoinverse(term, tol)
+        pinv_norms.append(float(np.linalg.norm(tp, 2)))
+        gaps.append(float(np.linalg.norm(tp - limit_pinv, 2)))
+        proj_gaps.append(float(np.linalg.norm(tp @ term - limit_proj, 2)))
+        if prev is not None:
+            successive.append(float(np.linalg.norm(tp - prev, 2)))
+        prev = tp
+    sup_norm = max(pinv_norms)
+    growth_ratio = sup_norm / max(min(pinv_norms), 1e-300)
+    cond_c = growth_ratio <= 10.0
+    cond_a = gaps[-1] <= max(0.25 * gaps[0], 10.0 * tol.eq_atol * (1.0 + sup_norm))
+    cond_b = proj_gaps[-1] <= max(0.25 * proj_gaps[0], 10.0 * tol.eq_atol * 2.0)
+    diag = {
+        "window": len(terms),
+        "sup_pinv_norm": sup_norm,
+        "pinv_norm_growth_ratio": growth_ratio,
+        "first_pinv_gap": gaps[0],
+        "final_pinv_gap": gaps[-1],
+        "final_projector_gap": proj_gaps[-1],
+        "min_successive_pinv_gap_tail": min(successive[-5:]) if successive else 0.0,
+        "cond_a_holds": cond_a,
+        "cond_b_holds": cond_b,
+        "cond_c_holds": cond_c,
+    }
+    return (cond_a, cond_b, cond_c), diag
+
+
+def fixed_range_window(length):
+    seq = gen_matrix(GeneratorSpec(dim=8, rank=6, seed=4, family="sequence"))
+    return seq.terms[:length], seq.limit
+
+
+def harmonic_window(length):
+    ambient = max(length + 1, 16)
+    terms = tuple(harmonic_truncation(k, ambient) for k in range(1, length + 1))
+    return terms, harmonic_truncation(ambient, ambient)
+
+
+# Read as 1 / gamma(T_k), a pseudoinverse norm may differ from the norm of
+# the formed pseudoinverse in its last bits.
+NORM_FIELDS = ("sup_pinv_norm", "pinv_norm_growth_ratio")
+
+
+class TestThm15Window:
+    # Lengths around the six-term tail of successive differences, the one-
+    # and two-term windows whose two ends coincide or touch, and the
+    # verifier's own window.
+    @pytest.mark.parametrize("length", [1, 2, 5, 6, 7, harness.SEQUENCE_LENGTH])
+    @pytest.mark.parametrize("window", [fixed_range_window, harmonic_window])
+    def test_matches_the_window_with_every_pseudoinverse_formed(self, tol, window, length):
+        terms, limit = window(length)
+        conds, diag = harness._window_conditions(terms, limit, tol)
+        ref_conds, ref_diag = window_conditions_loop(terms, limit, tol)
+        assert conds == ref_conds
+        assert list(diag) == list(ref_diag)
+        for key in NORM_FIELDS:
+            assert diag[key] == pytest.approx(ref_diag[key], rel=1e-13)
+        assert {k: v for k, v in diag.items() if k not in NORM_FIELDS} == {
+            k: v for k, v in ref_diag.items() if k not in NORM_FIELDS
+        }
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pinv_norms_of_a_scaled_sequence_are_exact(self, tol, seed):
+        # ||T_k+|| = k / ((k + 1) gamma(T)) for T_k = (1 + 1/k) T, k = 1..50.
+        seq = gen_matrix(GeneratorSpec(dim=8, rank=6, seed=seed, family="sequence"))
+        conds, diag = harness._window_conditions(seq.terms, seq.limit, tol)
+        assert conds == (True, True, True)
+        assert diag["pinv_norm_growth_ratio"] == pytest.approx(100 / 51, rel=1e-14)
+        gamma = reduced_min_modulus(seq.limit, tol)
+        assert diag["sup_pinv_norm"] == pytest.approx(50 / (51 * gamma), rel=1e-13)
+
+    def test_each_term_is_factored_once(self, svd_calls, tol):
+        terms, limit = fixed_range_window(harness.SEQUENCE_LENGTH)
+        harness._window_conditions(terms, limit, tol)
+        # The limit, the first term and the last six; the 43 terms between
+        # them, plus the two gaps at each end and the five successive ones.
+        assert svd_calls["full"] == 1 + 7
+        assert svd_calls["values"] == 43 + 4 + 5

@@ -9,6 +9,7 @@ from epkit import (
     adjoint,
     direct_sum,
     fractional_abs_power,
+    harmonic_truncation,
     hermitian_eig,
     mp_identity_suite,
     operator_norm,
@@ -47,6 +48,17 @@ class TestPseudoinverse:
 
     def test_zero_matrix(self, tol):
         np.testing.assert_array_equal(pseudoinverse(np.zeros((2, 3)), tol), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_zero_matrix_keeps_its_dtype(self, tol, dtype):
+        assert pseudoinverse(np.zeros((2, 3), dtype=dtype), tol).dtype == dtype
+
+    def test_harmonic_truncations_of_every_rank(self, tol):
+        for k in range(1, 16):
+            expected = np.diag(np.r_[np.arange(1.0, k + 1), np.zeros(16 - k)])
+            got = pseudoinverse(harmonic_truncation(k, 16), tol)
+            assert got.dtype == np.float64
+            np.testing.assert_allclose(got, expected, rtol=1e-14, atol=1e-14)
 
     def test_rank_preserved_exactly(self, rng, tol):
         m = oracles.random_matrix(rng, 6, 4, 3, cond=100.0)
