@@ -147,7 +147,7 @@ def classify(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> ClassificationReport
         is_hypo_ep=hypo,
         is_normal=is_normal(m, tol),
         gamma=reduced_min_modulus_of(fact),
-        spectral_radius=spectral_radius(m, tol),
+        spectral_radius=spectral_radius(m),
         commutator_residual=norm2(mp @ m - m @ mp),
         range_gap=projector_gap(range_basis_of(fact), carrier_basis_of(fact)),
         zero_operator=r == 0,

@@ -263,7 +263,7 @@ def require_hermitian(
     return h
 
 
-def eigenvalues(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def eigenvalues(matrix) -> np.ndarray:
     """All eigenvalues of a square matrix, in a canonical deterministic order.
 
     Sorted by descending real part, then descending imaginary part; the

@@ -97,19 +97,14 @@ DOMINANCE_BOUND = 0.5
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Shape, rank, conditioning, seed, and family of generated instances."""
+    """Shape, rank, conditioning and seed of generated instances (not their family)."""
 
     dim: int
     rank: int
     condition_bound: float = 100.0
     seed: int = 0
-    family: str = "ep"
 
     def __post_init__(self) -> None:
-        if self.family not in _GENERATORS:
-            raise InvalidSpec(
-                f"unknown family {self.family!r}; known: {', '.join(_GENERATORS)}"
-            )
         for name in ("dim", "rank", "seed"):
             require_int(name, getattr(self, name))
         if not 1 <= self.dim <= MAX_DIM:
@@ -122,11 +117,6 @@ class GeneratorSpec:
             raise InvalidSpec(f"condition_bound must be finite and >= 1, got {bound}")
         if not 0 <= self.seed < 2**64:
             raise InvalidSpec("seed must fit in an unsigned 64-bit integer")
-        if self.family == "non_ep" and not 1 <= self.rank <= self.dim - 1:
-            raise InvalidSpec(
-                "non_ep family needs 1 <= rank <= dim - 1: a full-rank square "
-                "matrix has equal range and adjoint range"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,8 +208,9 @@ def _gen_normal_ep(rng, dim, rank, cond) -> np.ndarray:
     return (v * lam) @ v.conj().T
 
 
-def _random_poly_in(rng, m: np.ndarray, degree: int = 3) -> np.ndarray:
-    coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+def _random_poly_in(rng, m: np.ndarray) -> np.ndarray:
+    """A random cubic polynomial in m, with standard complex normal coefficients."""
+    coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     out = coeffs[0] * np.eye(m.shape[0], dtype=np.complex128)
     power = np.eye(m.shape[0], dtype=np.complex128)
     for c in coeffs[1:]:
@@ -233,35 +224,16 @@ def _gen_commuting_pair(rng, dim, rank, cond) -> tuple[np.ndarray, np.ndarray]:
     return t, _random_poly_in(rng, t)
 
 
-def _gen_perturbation_pair(
-    rng, dim, rank, cond, loose: bool = False, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """EP base T plus a perturbation S dominated at DOMINANCE_BOUND by construction.
+def _gen_perturbation_pair(rng, dim, rank, cond) -> tuple[np.ndarray, np.ndarray]:
+    """EP base T plus a perturbation S = c T dominated at DOMINANCE_BOUND by construction.
 
-    The scaled construction S = c T with |c| < DOMINANCE_BOUND meets both
-    hypotheses ||Sx|| <= a ||Tx|| and ||S*x|| <= a ||T*x|| exactly.  The
-    loose construction draws a dense direction, confines it to map the
-    carrier into the range, and shrinks its norm to 0.8 a gamma(T), so
-    ||Sx|| <= 0.8 a ||Tx|| on the carrier and Sx = 0 off it, and likewise for
-    the adjoints; ``tol`` decides the rank of T there, and only there.
-    thm2.16 certifies the pair with ``psd_dominates`` itself.
+    With |c| < DOMINANCE_BOUND, S meets both hypotheses ||Sx|| <= a ||Tx||
+    and ||S*x|| <= a ||T*x|| exactly.  thm2.16 certifies the pair with
+    ``psd_dominates`` itself.
     """
     t = _gen_ep(rng, dim, rank, cond)
-    if not loose:
-        c = DOMINANCE_BOUND * rng.uniform(0.2, 0.95) * np.exp(2j * np.pi * rng.uniform())
-        s = c * t
-    else:
-        fact = svd(t, tol)
-        r = fact.numerical_rank
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        p_range = fact.left_vectors[:, :r] @ fact.left_vectors[:, :r].conj().T
-        p_carrier = fact.right_vectors[:, :r] @ fact.right_vectors[:, :r].conj().T
-        confined = p_range @ g @ p_carrier
-        gamma = reduced_min_modulus_of(fact)
-        norm_confined = norm2(confined)
-        eps = 0.8 * DOMINANCE_BOUND * gamma / max(norm_confined, 1e-300)
-        s = eps * confined
-    return t, s
+    c = DOMINANCE_BOUND * rng.uniform(0.2, 0.95) * np.exp(2j * np.pi * rng.uniform())
+    return t, c * t
 
 
 def _gen_product_pair(rng, dim, rank, cond) -> tuple[np.ndarray, np.ndarray]:
@@ -285,16 +257,26 @@ _GENERATORS = {
 }
 
 
-def gen_matrix(spec: GeneratorSpec):
-    """Generate one instance of the spec's family, deterministically from its seed.
+def gen_matrix(family: str, spec: GeneratorSpec):
+    """Generate one instance of ``family`` at the spec, deterministically from its seed.
 
     Returns a matrix, a pair of matrices, or a MatrixSequence depending on
-    the family.  Each instance has its family's property by construction
-    and is returned untested: deciding what a matrix numerically is stays
-    with the verifiers, which compare their decisions with the family drawn.
+    the family.  Raises InvalidSpec for an unknown family, and for non_ep
+    outside 1 <= rank <= dim - 1.  Each instance has its family's property
+    by construction and is returned untested: deciding what a matrix
+    numerically is stays with the verifiers, which compare their decisions
+    with the family drawn.
     """
+    generate = _GENERATORS.get(family)
+    if generate is None:
+        raise InvalidSpec(f"unknown family {family!r}; known: {', '.join(_GENERATORS)}")
+    if family == "non_ep" and not 1 <= spec.rank <= spec.dim - 1:
+        raise InvalidSpec(
+            "non_ep family needs 1 <= rank <= dim - 1: a full-rank square "
+            "matrix has equal range and adjoint range"
+        )
     rng = np.random.default_rng([spec.seed, 0xA5])
-    return _GENERATORS[spec.family](rng, spec.dim, spec.rank, spec.condition_bound)
+    return generate(rng, spec.dim, spec.rank, spec.condition_bound)
 
 
 def psd_dominates(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -365,16 +347,12 @@ def _pass_fail(
     return _Trial(False, 1.0, direction=direction, payload=payload, note=note)
 
 
-def _gen_for(ctx: _Ctx, rng, family: str, cond: float | None = None, **extra):
-    """One instance of a family at the run's spec; non_ep is drawn at the control rank.
-
-    ``extra`` reaches the generator as keywords: perturbation_pair's ``loose``,
-    and the run's ``tol``, which only its loose construction reads.
-    """
+def _gen_for(ctx: _Ctx, rng, family: str, cond: float | None = None):
+    """One instance of a family at the run's spec; non_ep is drawn at the control rank."""
     spec = ctx.spec
     rank = min(max(spec.rank, 1), spec.dim - 1) if family == "non_ep" else spec.rank
     c = spec.condition_bound if cond is None else min(cond, spec.condition_bound)
-    return _GENERATORS[family](rng, spec.dim, rank, c, **extra)
+    return _GENERATORS[family](rng, spec.dim, rank, c)
 
 
 def _multiset_gap(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -610,7 +588,7 @@ def _compression_invertible(
     """
     if compression.shape[0] == 0:
         return True
-    sv = np.linalg.svd(compression, compute_uv=False)
+    sv, _ = singular_values(compression, tol)
     parent_sigma1 = float(parent.singular_values[0]) if parent.singular_values.size else 0.0
     return bool(sv.min() > tol.rank_rtol * parent_sigma1)
 
@@ -636,12 +614,12 @@ def _check_thm2_7(ctx: _Ctx, rng, t: int) -> _Trial:
     payload = {"T": m}
 
     invertible = _compression_invertible(compression, fact, tol)
-    eig_all = eigenvalues(m, tol)
+    eig_all = eigenvalues(m)
     order = np.argsort(np.abs(eig_all), kind="stable")
     zero_part = eig_all[order[: m.shape[0] - r]]
     nonzero_part = eig_all[order[m.shape[0] - r :]]
     zero_resid = float(np.max(np.abs(zero_part))) if zero_part.size else 0.0
-    match_resid = _multiset_gap(nonzero_part, eigenvalues(compression, tol))
+    match_resid = _multiset_gap(nonzero_part, eigenvalues(compression))
     return _residual_trial(max(zero_resid, match_resid), scale, tol,
                            extra_ok=invertible, payload=payload,
                            note=None if invertible else "carrier compression lost rank")
@@ -721,6 +699,22 @@ def _check_thm2_15(ctx: _Ctx, rng, t: int) -> _Trial:
                       "non-EP matrix satisfied range(T) = range(|T|)", "reject")
 
 
+def _confined_perturbation(rng, fact: SvdFactorization) -> np.ndarray:
+    """thm2.16's loose S for the T that ``fact`` factors, at norm 0.8 a gamma(T).
+
+    A dense direction confined to map the carrier into the range, so
+    ||Sx|| <= 0.8 a ||Tx|| on the carrier, Sx = 0 off it, and likewise for
+    the adjoints.
+    """
+    r = fact.numerical_rank
+    u, v = fact.left_vectors[:, :r], fact.right_vectors[:, :r]
+    shape = (fact.rows, fact.cols)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    confined = (u @ u.conj().T) @ g @ (v @ v.conj().T)
+    eps = 0.8 * DOMINANCE_BOUND * reduced_min_modulus_of(fact) / max(norm2(confined), 1e-300)
+    return eps * confined
+
+
 def _check_thm2_16(ctx: _Ctx, rng, t: int) -> _Trial:
     """Certified dominated perturbations keep EP-ness (hypo-EP collapses to EP here)."""
     tol = ctx.tol
@@ -739,8 +733,11 @@ def _check_thm2_16(ctx: _Ctx, rng, t: int) -> _Trial:
         c = DOMINANCE_BOUND * rng.uniform(0.2, 0.9)
         s = c * base
         t_mat = base
+    elif mode == 3:
+        t_mat = _gen_for(ctx, rng, "ep")
+        s = _confined_perturbation(rng, svd(t_mat, tol))
     else:
-        t_mat, s = _gen_for(ctx, rng, "perturbation_pair", loose=mode == 3, tol=ctx.tol)
+        t_mat, s = _gen_for(ctx, rng, "perturbation_pair")
     ta = adjoint(t_mat)
     sa = adjoint(s)
     cert = psd_dominates(squared * (ta @ t_mat), sa @ s, tol) and psd_dominates(
@@ -1025,11 +1022,11 @@ def run_theorem_check(
 
     The spec supplies dimension, rank, conditioning and the master seed; each
     verifier schedules its own accepting and control families across the
-    trial indices (spec.family is not consulted).  Raises UnknownTheorem for
-    ids outside the dispatch table and InvalidSpec for runs the verifier
-    cannot exercise: all verifiers need rank >= 1, and two-direction
-    verifiers need dim >= 2 for the non-EP control family and enough trials
-    for their schedule to reach both directions (``_CheckerEntry.min_trials``).
+    trial indices.  Raises UnknownTheorem for ids outside the dispatch table
+    and InvalidSpec for runs the verifier cannot exercise: all verifiers
+    need rank >= 1, and two-direction verifiers need dim >= 2 for the non-EP
+    control family and enough trials for their schedule to reach both
+    directions (``_CheckerEntry.min_trials``).
     thm2.12 raises it on its first trial at rank = dim, where no rejecting
     instance exists.
     """

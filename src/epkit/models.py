@@ -113,7 +113,7 @@ def limit_study(
             {
                 "n": n,
                 "gamma": gamma,
-                "spectral_radius": spectral_radius(m, tol),
+                "spectral_radius": spectral_radius(m),
                 "is_ep": is_ep,
                 "pinv_norm": 1.0 / gamma if r else 0.0,
             }

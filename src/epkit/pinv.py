@@ -171,9 +171,9 @@ def reduced_min_modulus_of(fact: SvdFactorization) -> float:
     return float(fact.singular_values[r - 1]) if r else 0.0
 
 
-def spectral_radius(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def spectral_radius(matrix) -> float:
     """Largest eigenvalue modulus of a square matrix."""
-    vals = eigenvalues(matrix, tol)
+    vals = eigenvalues(matrix)
     return float(np.max(np.abs(vals)))
 
 

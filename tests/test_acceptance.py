@@ -72,16 +72,14 @@ def test_criterion_2_commutation_equivalence():
     start = time.monotonic()
     mismatches = 0
     for i in range(1000):
-        spec = GeneratorSpec(dim=8, rank=1 + i % 8, condition_bound=100.0,
-                             seed=10_000 + i, family="ep")
-        rep = classify(gen_matrix(spec), TOL)
+        spec = GeneratorSpec(dim=8, rank=1 + i % 8, condition_bound=100.0, seed=10_000 + i)
+        rep = classify(gen_matrix("ep", spec), TOL)
         comm_says_ep = rep.commutator_residual <= TOL.eq_atol
         if not (rep.is_ep and comm_says_ep):
             mismatches += 1
     for i in range(1000):
-        spec = GeneratorSpec(dim=8, rank=1 + i % 7, condition_bound=100.0,
-                             seed=20_000 + i, family="non_ep")
-        rep = classify(gen_matrix(spec), TOL)
+        spec = GeneratorSpec(dim=8, rank=1 + i % 7, condition_bound=100.0, seed=20_000 + i)
+        rep = classify(gen_matrix("non_ep", spec), TOL)
         comm_says_ep = rep.commutator_residual <= TOL.eq_atol
         if rep.is_ep or comm_says_ep:
             mismatches += 1
@@ -127,9 +125,8 @@ def test_criterion_4_gamma_bounded_by_spectral_radius():
     worst = -np.inf
     for i in range(1000):
         dim = 4 + i % 13
-        spec = GeneratorSpec(dim=dim, rank=1 + i % dim, condition_bound=1e3,
-                             seed=40_000 + i, family="ep")
-        rep = classify(gen_matrix(spec), TOL)
+        spec = GeneratorSpec(dim=dim, rank=1 + i % dim, condition_bound=1e3, seed=40_000 + i)
+        rep = classify(gen_matrix("ep", spec), TOL)
         excess = rep.gamma - rep.spectral_radius
         worst = max(worst, excess)
         if not rep.is_ep or excess > 1e-10:
@@ -155,7 +152,7 @@ def test_criterion_5_harmonic_truncation_reproduction():
         for row in rows
     )
     verdict = run_theorem_check(
-        "thm1.5", GeneratorSpec(dim=51, rank=49, seed=1, family="sequence"), 4, TOL
+        "thm1.5", GeneratorSpec(dim=51, rank=49, seed=1), 4, TOL
     )
     neg = verdict.details["negative_example"]
     verifier_ok = (
@@ -180,7 +177,7 @@ def test_criterion_5_harmonic_truncation_reproduction():
 
 def test_criterion_6_membership_set_closed_under_limits():
     verdict = run_theorem_check(
-        "thm3.2", GeneratorSpec(dim=8, rank=6, seed=606, family="sequence"), 50, TOL
+        "thm3.2", GeneratorSpec(dim=8, rank=6, seed=606), 50, TOL
     )
     ok = verdict.failures == 0 and verdict.trials == 50 and verdict.worst_residual <= 1e-9
     report_line(
@@ -200,9 +197,8 @@ def test_criterion_7_fractional_power_ranges():
         family = families[i % 4]
         dim = 4 + i % 7
         rank = 1 + i % (dim - 1 if family == "non_ep" else dim)
-        spec = GeneratorSpec(dim=dim, rank=rank, condition_bound=100.0,
-                             seed=70_000 + i, family=family)
-        m = gen_matrix(spec)
+        spec = GeneratorSpec(dim=dim, rank=rank, condition_bound=100.0, seed=70_000 + i)
+        m = gen_matrix(family, spec)
         base = range_basis(polar_decomposition(m, TOL).modulus_part, TOL)
         for alpha in (0.25, 0.5, 1.5, 3.0):
             gap = projector_gap(range_basis(fractional_abs_power(m, alpha, TOL), TOL), base)
@@ -228,9 +224,8 @@ def test_criterion_8_certified_perturbations():
     certified = 0
     ep_sums = 0
     for i in range(200):
-        spec = GeneratorSpec(dim=6, rank=4, condition_bound=100.0,
-                             seed=80_000 + i, family="perturbation_pair")
-        t, s = gen_matrix(spec)
+        spec = GeneratorSpec(dim=6, rank=4, condition_bound=100.0, seed=80_000 + i)
+        t, s = gen_matrix("perturbation_pair", spec)
         ta, sa = adjoint(t), adjoint(s)
         if psd_dominates(0.25 * (ta @ t), sa @ s, TOL) and psd_dominates(
             0.25 * (t @ ta), s @ sa, TOL

@@ -261,7 +261,7 @@ class TestFullRankVerdictEqualsTheProducts:
                 range_corange_test(svd(complex_normal(rng, shape), tol), tol)
 
     def test_single_factorization_gives_bools(self):
-        m = gen_matrix(GeneratorSpec(dim=5, rank=2, seed=1, family="non_ep"))
+        m = gen_matrix("non_ep", GeneratorSpec(dim=5, rank=2, seed=1))
         assert range_corange_test(svd(m)) == (False, False)
 
 

@@ -14,6 +14,7 @@ from epkit import (
     classify,
     gen_matrix,
     harmonic_truncation,
+    harness,
     is_ep,
     limit_study,
     run_theorem_check,
@@ -24,7 +25,7 @@ class TestClassify:
     @pytest.mark.parametrize("dim", [8, 32])
     @pytest.mark.parametrize("family", ["ep", "non_ep", "normal_ep"])
     def test_one_full_svd(self, svd_calls, dim, family):
-        m = gen_matrix(GeneratorSpec(dim=dim, rank=dim - 2, seed=1, family=family))
+        m = gen_matrix(family, GeneratorSpec(dim=dim, rank=dim - 2, seed=1))
         svd_calls.clear()
         classify(m)
         assert svd_calls["full"] == 1
@@ -69,9 +70,19 @@ class TestFractionalPowerVerifiers:
         assert svd_calls["full"] / trials <= 3
 
 
+@pytest.mark.parametrize("dim", [2, 8])
+@pytest.mark.parametrize("family", list(harness._GENERATORS))
+def test_generators_factor_nothing(svd_calls, dim, family):
+    ranks = range(1, dim) if family == "non_ep" else range(dim + 1)
+    for rank in ranks:
+        gen_matrix(family, GeneratorSpec(dim=dim, rank=rank, seed=1))
+    assert svd_calls["full"] == svd_calls["values"] == 0
+    assert svd_calls["inv_matrices"] == svd_calls["eigvals"] == 0
+
+
 # Full and values-only SVDs per trial of each verifier at dim 8, rank 6,
 # seed 1, 20 trials.  Generators factor nothing: their draws are correct by
-# construction.  A verifier that starts to factor a matrix twice, to spend
+# construction (``test_generators_factor_nothing``).  A verifier that starts to factor a matrix twice, to spend
 # an exact norm on a yes/no check, or to take a norm over terms of a window
 # that no verdict reads, goes over its budget, and so does a generator that
 # tests its draw.

@@ -40,7 +40,7 @@ from epkit.serialize import matrix_to_payload, report_payload
 
 
 def spec(**kwargs):
-    base = dict(dim=6, rank=4, condition_bound=50.0, seed=7, family="ep")
+    base = dict(dim=6, rank=4, condition_bound=50.0, seed=7)
     base.update(kwargs)
     return GeneratorSpec(**base)
 
@@ -68,13 +68,9 @@ class TestGeneratorSpec:
     def test_accepts_int_float_and_numpy_condition_bounds(self, bound):
         assert GeneratorSpec(dim=8, rank=6, condition_bound=bound).condition_bound == 100
 
-    def test_rejects_unknown_family(self):
-        with pytest.raises(InvalidSpec):
-            GeneratorSpec(dim=3, rank=2, family="weird")
-
-    def test_rejects_full_rank_non_ep(self):
-        with pytest.raises(InvalidSpec):
-            GeneratorSpec(dim=3, rank=3, family="non_ep")
+    def test_holds_only_what_a_run_reads(self):
+        fields = [f.name for f in dataclasses.fields(GeneratorSpec)]
+        assert fields == ["dim", "rank", "condition_bound", "seed"]
 
     @pytest.mark.parametrize("name, value", [
         ("dim", 8.0), ("rank", 6.0), ("seed", 1.5), ("dim", True), ("seed", False),
@@ -96,32 +92,40 @@ class TestGeneratorSpec:
 
 
 class TestGenMatrix:
+    def test_rejects_unknown_family(self):
+        with pytest.raises(InvalidSpec, match="unknown family 'weird'; known: ep, non_ep"):
+            gen_matrix("weird", GeneratorSpec(dim=3, rank=2))
+
+    def test_rejects_full_rank_non_ep(self):
+        with pytest.raises(InvalidSpec, match="non_ep family needs 1 <= rank <= dim - 1"):
+            gen_matrix("non_ep", GeneratorSpec(dim=3, rank=3))
+
     def test_ep_full_rank_is_invertible_ep(self, tol):
-        m = gen_matrix(spec(dim=4, rank=4, seed=3))
+        m = gen_matrix("ep", spec(dim=4, rank=4, seed=3))
         assert m.shape == (4, 4)
         assert is_ep(m, tol)
         assert classify(m, tol).rank == 4
 
     def test_condition_bound_respected(self, tol):
-        m = gen_matrix(spec(dim=5, rank=5, condition_bound=20.0, seed=9))
+        m = gen_matrix("ep", spec(dim=5, rank=5, condition_bound=20.0, seed=9))
         rep = classify(m, tol)
         assert operator_norm(m) / rep.gamma <= 20.0 * (1.0 + 1e-10)
 
     def test_same_seed_bit_identical(self):
-        a = gen_matrix(spec(seed=11))
-        b = gen_matrix(spec(seed=11))
+        a = gen_matrix("ep", spec(seed=11))
+        b = gen_matrix("ep", spec(seed=11))
         assert np.array_equal(a, b)
-        s1 = gen_matrix(spec(seed=11, family="sequence"))
-        s2 = gen_matrix(spec(seed=11, family="sequence"))
+        s1 = gen_matrix("sequence", spec(seed=11))
+        s2 = gen_matrix("sequence", spec(seed=11))
         assert np.array_equal(s1.limit, s2.limit)
         assert all(np.array_equal(x, y) for x, y in zip(s1.terms, s2.terms))
 
     def test_normal_ep_family(self, tol):
-        m = gen_matrix(spec(family="normal_ep", seed=13))
+        m = gen_matrix("normal_ep", spec(seed=13))
         assert is_normal(m, tol) and is_ep(m, tol)
 
     def test_product_pair_both_ep(self, tol):
-        s, t = gen_matrix(spec(family="product_pair", seed=23))
+        s, t = gen_matrix("product_pair", spec(seed=23))
         assert is_ep(s, tol) and is_ep(t, tol)
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 32])
@@ -132,7 +136,7 @@ class TestGenMatrix:
         for rank in range(dim + 1):
             for seed in range(3):
                 def draw(family):
-                    return gen_matrix(GeneratorSpec(dim=dim, rank=rank, seed=seed, family=family))
+                    return gen_matrix(family, GeneratorSpec(dim=dim, rank=rank, seed=seed))
 
                 assert is_ep(draw("ep"), tol)
                 assert is_ep(draw("normal_ep"), tol)
@@ -141,9 +145,12 @@ class TestGenMatrix:
                 t, s = draw("commuting_pair")
                 scale = (1.0 + operator_norm(s)) * (1.0 + operator_norm(t))
                 assert operator_norm(s @ t - t @ s) <= 10 * tol.eq_atol * scale
-                for loose in (False, True):
-                    rng = np.random.default_rng([seed, 0xA5])
-                    t, s = harness._gen_perturbation_pair(rng, dim, rank, 100.0, loose, tol)
+                # The scaled pair, and thm2.16's confined perturbation of an ep draw.
+                t_ep = draw("ep")
+                confined = harness._confined_perturbation(
+                    np.random.default_rng(seed), svd(t_ep, tol)
+                )
+                for t, s in (draw("perturbation_pair"), (t_ep, confined)):
                     ta, sa = adjoint(t), adjoint(s)
                     assert psd_dominates(squared * (ta @ t), sa @ s, tol)
                     assert psd_dominates(squared * (t @ ta), s @ sa, tol)
@@ -160,7 +167,7 @@ class TestGenMatrix:
                     assert delta <= reduced_min_modulus_of(svd(limit, tol)) < 2 * delta
 
     def test_sequence_converges_to_declared_limit(self, tol):
-        seq = gen_matrix(spec(family="sequence", seed=29))
+        seq = gen_matrix("sequence", spec(seed=29))
         assert isinstance(seq, MatrixSequence)
         assert len(seq.terms) == 50
         gaps = [np.linalg.norm(term - seq.limit, 2) for term in seq.terms]
@@ -499,7 +506,7 @@ def window_conditions_loop(terms, limit, tol):
 
 
 def fixed_range_window(length):
-    seq = gen_matrix(GeneratorSpec(dim=8, rank=6, seed=4, family="sequence"))
+    seq = gen_matrix("sequence", GeneratorSpec(dim=8, rank=6, seed=4))
     return seq.terms[:length], seq.limit
 
 
@@ -535,7 +542,7 @@ class TestThm15Window:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_pinv_norms_of_a_scaled_sequence_are_exact(self, tol, seed):
         # ||T_k+|| = k / ((k + 1) gamma(T)) for T_k = (1 + 1/k) T, k = 1..50.
-        seq = gen_matrix(GeneratorSpec(dim=8, rank=6, seed=seed, family="sequence"))
+        seq = gen_matrix("sequence", GeneratorSpec(dim=8, rank=6, seed=seed))
         conds, diag = harness._window_conditions(seq.terms, seq.limit, tol)
         assert conds == (True, True, True)
         assert diag["pinv_norm_growth_ratio"] == pytest.approx(100 / 51, rel=1e-14)

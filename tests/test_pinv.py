@@ -136,24 +136,24 @@ class TestReducedMinModulus:
 
 
 class TestSpectralRadius:
-    def test_nilpotent_is_zero(self, tol):
-        assert spectral_radius([[0, 1], [0, 0]], tol) <= 1e-12
+    def test_nilpotent_is_zero(self):
+        assert spectral_radius([[0, 1], [0, 0]]) <= 1e-12
 
-    def test_diagonal(self, tol):
-        assert spectral_radius(np.diag([2.0, -3.0]), tol) == pytest.approx(3.0)
+    def test_diagonal(self):
+        assert spectral_radius(np.diag([2.0, -3.0])) == pytest.approx(3.0)
 
-    def test_matches_gelfand_oracle(self, tol):
+    def test_matches_gelfand_oracle(self):
         for seed in (0, 3, 7, 11):
             rng = np.random.default_rng(seed)
             m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             m = m / operator_norm(m)
-            assert spectral_radius(m, tol) == pytest.approx(
+            assert spectral_radius(m) == pytest.approx(
                 oracles.gelfand_radius(m, 64), abs=5e-2
             )
 
-    def test_rejects_non_square(self, tol):
+    def test_rejects_non_square(self):
         with pytest.raises(NotSquare):
-            spectral_radius(np.ones((2, 3)), tol)
+            spectral_radius(np.ones((2, 3)))
 
 
 class TestPolarDecomposition:
