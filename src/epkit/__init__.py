@@ -81,7 +81,6 @@ __all__ = [
     "InvalidSpec",
     "MAX_DIM",
     "MatrixFileError",
-    "MatrixSequence",
     "MpIdentityReport",
     "NotHermitian",
     "NotSquare",
@@ -131,7 +130,6 @@ _LAZY = {
     **dict.fromkeys(
         (
             "GeneratorSpec",
-            "MatrixSequence",
             "TheoremVerdict",
             "THEOREM_IDS",
             "gen_matrix",

@@ -33,11 +33,13 @@ decision that disagrees with the family drawn is a counterexample that
 carries its matrix.
 
 Generation dispatches through one table, ``_GENERATORS``, from family name
-to generator; ``gen_matrix`` and the verifiers both index it.  A test that
-needs a faulty generator patches an entry of that table for its own run
-(``monkeypatch.setitem``); the package itself never mutates module-level
-state, so everything a run depends on travels in its arguments and its
-``_Ctx``.
+to a generator of one matrix; ``gen_matrix`` and the verifiers both index
+it.  A verifier that needs a pair or a window builds it from its own draws
+(thm2.12 draws two ep matrices, thm1.5 scales one), so every generated
+matrix passes through the table.  A test that needs a faulty generator
+patches an entry of that table for its own run (``monkeypatch.setitem``);
+the package itself never mutates module-level state, so everything a run
+depends on travels in its arguments and its ``_Ctx``.
 """
 
 from __future__ import annotations
@@ -117,14 +119,6 @@ class GeneratorSpec:
             raise InvalidSpec(f"condition_bound must be finite and >= 1, got {bound}")
         if not 0 <= self.seed < 2**64:
             raise InvalidSpec("seed must fit in an unsigned 64-bit integer")
-
-
-@dataclass(frozen=True, eq=False)
-class MatrixSequence:
-    """A finite matrix sequence together with its declared limit."""
-
-    terms: tuple[np.ndarray, ...]
-    limit: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -219,51 +213,19 @@ def _random_poly_in(rng, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gen_commuting_pair(rng, dim, rank, cond) -> tuple[np.ndarray, np.ndarray]:
-    t = _gen_ep(rng, dim, rank, cond)
-    return t, _random_poly_in(rng, t)
-
-
-def _gen_perturbation_pair(rng, dim, rank, cond) -> tuple[np.ndarray, np.ndarray]:
-    """EP base T plus a perturbation S = c T dominated at DOMINANCE_BOUND by construction.
-
-    With |c| < DOMINANCE_BOUND, S meets both hypotheses ||Sx|| <= a ||Tx||
-    and ||S*x|| <= a ||T*x|| exactly.  thm2.16 certifies the pair with
-    ``psd_dominates`` itself.
-    """
-    t = _gen_ep(rng, dim, rank, cond)
-    c = DOMINANCE_BOUND * rng.uniform(0.2, 0.95) * np.exp(2j * np.pi * rng.uniform())
-    return t, c * t
-
-
-def _gen_product_pair(rng, dim, rank, cond) -> tuple[np.ndarray, np.ndarray]:
-    return _gen_ep(rng, dim, rank, cond), _gen_ep(rng, dim, rank, cond)
-
-
-def _gen_sequence(rng, dim, rank, cond) -> MatrixSequence:
-    t = _gen_ep(rng, dim, rank, cond)
-    terms = tuple((1.0 + 1.0 / k) * t for k in range(1, SEQUENCE_LENGTH + 1))
-    return MatrixSequence(terms=terms, limit=t)
-
-
 _GENERATORS = {
     "ep": _gen_ep,
     "non_ep": _gen_non_ep,
     "normal_ep": _gen_normal_ep,
-    "commuting_pair": _gen_commuting_pair,
-    "perturbation_pair": _gen_perturbation_pair,
-    "product_pair": _gen_product_pair,
-    "sequence": _gen_sequence,
 }
 
 
-def gen_matrix(family: str, spec: GeneratorSpec):
-    """Generate one instance of ``family`` at the spec, deterministically from its seed.
+def gen_matrix(family: str, spec: GeneratorSpec) -> np.ndarray:
+    """Generate one matrix of ``family`` at the spec, deterministically from its seed.
 
-    Returns a matrix, a pair of matrices, or a MatrixSequence depending on
-    the family.  Raises InvalidSpec for an unknown family, and for non_ep
-    outside 1 <= rank <= dim - 1.  Each instance has its family's property
-    by construction and is returned untested: deciding what a matrix
+    Raises InvalidSpec for an unknown family, and for non_ep outside
+    1 <= rank <= dim - 1.  Each matrix has its family's property by
+    construction and is returned untested: deciding what a matrix
     numerically is stays with the verifiers, which compare their decisions
     with the family drawn.
     """
@@ -510,7 +472,8 @@ def _check_thm2_5(ctx: _Ctx, rng, t: int) -> _Trial:
     tol = ctx.tol
     kind = t % 3
     if kind == 0:
-        t_mat, s = _gen_for(ctx, rng, "commuting_pair")
+        t_mat = _gen_for(ctx, rng, "ep")
+        s = _random_poly_in(rng, t_mat)
         tp = pseudoinverse(t_mat, tol)
         resid = norm2(s @ tp - tp @ s)
         scale = (1.0 + operator_norm(s)) * (1.0 + norm2(tp))
@@ -634,12 +597,13 @@ def _check_thm2_12(ctx: _Ctx, rng, t: int) -> _Trial:
     aligned = t % 2 == 1
     if aligned:
         v = _haar_unitary(rng, spec.dim)
-        a1 = _conditioned_invertible(rng, max(spec.rank, 1), spec.condition_bound)
-        a2 = _conditioned_invertible(rng, max(spec.rank, 1), spec.condition_bound)
+        a1 = _conditioned_invertible(rng, spec.rank, spec.condition_bound)
+        a2 = _conditioned_invertible(rng, spec.rank, spec.condition_bound)
         s = _embed_conjugated(v, a1)
         t_mat = _embed_conjugated(v, a2)
     else:
-        s, t_mat = _gen_for(ctx, rng, "product_pair")
+        s = _gen_for(ctx, rng, "ep")
+        t_mat = _gen_for(ctx, rng, "ep")
     product = s @ t_mat
     fact_p = svd(product, tol)
     fact_t = svd(t_mat, tol)
@@ -699,6 +663,16 @@ def _check_thm2_15(ctx: _Ctx, rng, t: int) -> _Trial:
                       "non-EP matrix satisfied range(T) = range(|T|)", "reject")
 
 
+def _scaled_perturbation(rng, t: np.ndarray) -> np.ndarray:
+    """thm2.16's scaled S = c T, with |c| < DOMINANCE_BOUND.
+
+    S meets both hypotheses ||Sx|| <= a ||Tx|| and ||S*x|| <= a ||T*x||
+    exactly; thm2.16 certifies the pair with ``psd_dominates`` itself.
+    """
+    c = DOMINANCE_BOUND * rng.uniform(0.2, 0.95) * np.exp(2j * np.pi * rng.uniform())
+    return c * t
+
+
 def _confined_perturbation(rng, fact: SvdFactorization) -> np.ndarray:
     """thm2.16's loose S for the T that ``fact`` factors, at norm 0.8 a gamma(T).
 
@@ -737,7 +711,8 @@ def _check_thm2_16(ctx: _Ctx, rng, t: int) -> _Trial:
         t_mat = _gen_for(ctx, rng, "ep")
         s = _confined_perturbation(rng, svd(t_mat, tol))
     else:
-        t_mat, s = _gen_for(ctx, rng, "perturbation_pair")
+        t_mat = _gen_for(ctx, rng, "ep")
+        s = _scaled_perturbation(rng, t_mat)
     ta = adjoint(t_mat)
     sa = adjoint(s)
     cert = psd_dominates(squared * (ta @ t_mat), sa @ s, tol) and psd_dominates(
@@ -839,12 +814,13 @@ def _check_thm1_5(ctx: _Ctx, rng, t: int) -> _Trial:
     tol = ctx.tol
     spec = ctx.spec
     if t % 2 == 0:
-        seq = _gen_for(ctx, rng, "sequence")
-        conds, diag = _window_conditions(seq.terms, seq.limit, tol)
+        limit = _gen_for(ctx, rng, "ep")
+        terms = tuple((1.0 + 1.0 / k) * limit for k in range(1, SEQUENCE_LENGTH + 1))
+        conds, diag = _window_conditions(terms, limit, tol)
         diag["kind"] = "fixed_range_scaling"
         ctx.details.setdefault("positive_example", diag)
         ok = all(conds)
-        return _pass_fail(ok, {"T": seq.limit}, f"positive sequence conditions {conds}")
+        return _pass_fail(ok, {"T": limit}, f"positive sequence conditions {conds}")
     if ctx.thm1_5_control is None:
         ambient = max(spec.dim, 16)
         terms = tuple(harmonic_truncation(k, ambient) for k in range(1, ambient))
@@ -889,11 +865,11 @@ def _check_thm3_2(ctx: _Ctx, rng, t: int) -> _Trial:
     tol = ctx.tol
     delta = EP_MEMBERSHIP_DELTA
     term, limit = _membership_term(ctx, rng, rotate=t % 2 == 1)
+    fact = svd(limit, tol)
     # The term lies within about 2^-50 ||limit|| of the limit plus roundoff
     # of the order of eps ||limit||, so the bound scales with it.
-    if norm2(term - limit) > 1e-9 * (1.0 + norm2(limit)):
+    if norm2(term - limit) > 1e-9 * (1.0 + fact.singular_values[0]):
         return _pass_fail(False, {"T": limit}, "sequence failed to converge to its declared limit")
-    fact = svd(limit, tol)
     ep = range_corange_test(fact, tol)[0]
     gamma = reduced_min_modulus_of(fact)
     ok = ep and gamma >= delta - 1e-9

@@ -109,8 +109,9 @@ CORRUPT_EP = {"verify-thm2.1-d4-r2-t4-corrupt-ep"}
 def corrupt_ep_generation():
     """Make the ep family return a non-EP matrix after drawing its usual instance.
 
-    Verifiers that generate through the family table then see genuine
-    counterexamples; the patch is undone when the block ends.
+    Every verifier draws its ep matrices, pairs and windows included, through
+    the family table, so each sees genuine counterexamples; the patch is
+    undone when the block ends.
     """
     real = harness._GENERATORS["ep"]
 

@@ -100,7 +100,7 @@ VERIFIER_BUDGETS = {
     "thm2.15": (3.0, 0.0),
     "thm2.16": (1.0, 2.8),
     "thm2.19": (2.0, 2.0),
-    "thm3.2": (2.0, 2.5),
+    "thm3.2": (2.0, 1.5),
     "thm3.4": (1.8, 1.7),
 }
 

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import itertools
 import json
@@ -15,7 +16,6 @@ from epkit import (
     DimensionMismatch,
     GeneratorSpec,
     InvalidSpec,
-    MatrixSequence,
     NotHermitian,
     THEOREM_IDS,
     TheoremVerdict,
@@ -115,18 +115,37 @@ class TestGenMatrix:
         a = gen_matrix("ep", spec(seed=11))
         b = gen_matrix("ep", spec(seed=11))
         assert np.array_equal(a, b)
-        s1 = gen_matrix("sequence", spec(seed=11))
-        s2 = gen_matrix("sequence", spec(seed=11))
-        assert np.array_equal(s1.limit, s2.limit)
-        assert all(np.array_equal(x, y) for x, y in zip(s1.terms, s2.terms))
 
     def test_normal_ep_family(self, tol):
         m = gen_matrix("normal_ep", spec(seed=13))
         assert is_normal(m, tol) and is_ep(m, tol)
 
-    def test_product_pair_both_ep(self, tol):
-        s, t = gen_matrix("product_pair", spec(seed=23))
-        assert is_ep(s, tol) and is_ep(t, tol)
+    def test_every_family_draws_one_matrix(self):
+        assert list(harness._GENERATORS) == ["ep", "non_ep", "normal_ep"]
+        for family in harness._GENERATORS:
+            m = gen_matrix(family, spec())
+            assert isinstance(m, np.ndarray) and m.shape == (6, 6)
+
+    def test_only_the_table_names_a_generator(self):
+        # Verifiers draw through ``_GENERATORS``, so a patched entry reaches
+        # every draw of its family.
+        names = {generate.__name__ for generate in harness._GENERATORS.values()}
+        stray = []
+        for path in Path(epkit.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            in_table = {
+                id(node)
+                for top in tree.body
+                if isinstance(top, ast.Assign)
+                and any(getattr(t, "id", None) == "_GENERATORS" for t in top.targets)
+                for node in ast.walk(top.value)
+            }
+            stray += [
+                f"{path.name}:{node.lineno}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id in names and id(node) not in in_table
+            ]
+        assert stray == []
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 32])
     def test_every_family_has_its_property_by_construction(self, dim, tol):
@@ -142,15 +161,17 @@ class TestGenMatrix:
                 assert is_ep(draw("normal_ep"), tol)
                 if 1 <= rank <= dim - 1:
                     assert not is_ep(draw("non_ep"), tol)
-                t, s = draw("commuting_pair")
-                scale = (1.0 + operator_norm(s)) * (1.0 + operator_norm(t))
-                assert operator_norm(s @ t - t @ s) <= 10 * tol.eq_atol * scale
-                # The scaled pair, and thm2.16's confined perturbation of an ep draw.
+                # thm2.5's commuting pair: a polynomial in an ep draw.
                 t_ep = draw("ep")
+                poly = harness._random_poly_in(np.random.default_rng(seed), t_ep)
+                scale = (1.0 + operator_norm(poly)) * (1.0 + operator_norm(t_ep))
+                assert operator_norm(poly @ t_ep - t_ep @ poly) <= 10 * tol.eq_atol * scale
+                # thm2.16's scaled and confined perturbations of an ep draw.
+                scaled = harness._scaled_perturbation(np.random.default_rng(seed), t_ep)
                 confined = harness._confined_perturbation(
                     np.random.default_rng(seed), svd(t_ep, tol)
                 )
-                for t, s in (draw("perturbation_pair"), (t_ep, confined)):
+                for t, s in ((t_ep, scaled), (t_ep, confined)):
                     ta, sa = adjoint(t), adjoint(s)
                     assert psd_dominates(squared * (ta @ t), sa @ s, tol)
                     assert psd_dominates(squared * (t @ ta), s @ sa, tol)
@@ -165,14 +186,6 @@ class TestGenMatrix:
                     assert range_corange_test(fact, tol)[0]
                     assert reduced_min_modulus_of(fact) >= delta
                     assert delta <= reduced_min_modulus_of(svd(limit, tol)) < 2 * delta
-
-    def test_sequence_converges_to_declared_limit(self, tol):
-        seq = gen_matrix("sequence", spec(seed=29))
-        assert isinstance(seq, MatrixSequence)
-        assert len(seq.terms) == 50
-        gaps = [np.linalg.norm(term - seq.limit, 2) for term in seq.terms]
-        assert gaps == sorted(gaps, reverse=True)
-        assert is_ep(seq.limit, tol)
 
 
 class TestPsdDominates:
@@ -421,6 +434,14 @@ class TestRunTheoremCheck:
         if verdict.counterexample is not None:
             assert verdict.counterexample["matrices"]
 
+    @pytest.mark.parametrize("theorem_id", [tid for tid in THEOREM_IDS if tid != "thm1.5"])
+    def test_corrupted_ep_family_reaches_the_verdict(self, theorem_id, tol, corrupt_ep_generation):
+        # Every ep draw passes through the family table, so a non-EP "ep"
+        # matrix shows as a failure.  thm1.5 is exempt: its claim holds for
+        # any matrix window, so a non-EP limit is no counterexample.
+        verdict = run_theorem_check(theorem_id, GeneratorSpec(dim=8, rank=6, seed=1), 20, tol)
+        assert verdict.failures > 0
+
     def test_thm2_4_failure_note_states_its_one_verdict(self, tol, corrupt_ep_generation):
         verdict = run_theorem_check("thm2.4", spec(seed=1), 2, tol)
         assert verdict.failures == 1
@@ -505,9 +526,10 @@ def window_conditions_loop(terms, limit, tol):
     return (cond_a, cond_b, cond_c), diag
 
 
-def fixed_range_window(length):
-    seq = gen_matrix("sequence", GeneratorSpec(dim=8, rank=6, seed=4))
-    return seq.terms[:length], seq.limit
+def fixed_range_window(length, seed=4):
+    """thm1.5's accepting window: T_k = (1 + 1/k) T for an ep draw T, k = 1..length."""
+    limit = gen_matrix("ep", GeneratorSpec(dim=8, rank=6, seed=seed))
+    return tuple((1.0 + 1.0 / k) * limit for k in range(1, length + 1)), limit
 
 
 def harmonic_window(length):
@@ -542,11 +564,11 @@ class TestThm15Window:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_pinv_norms_of_a_scaled_sequence_are_exact(self, tol, seed):
         # ||T_k+|| = k / ((k + 1) gamma(T)) for T_k = (1 + 1/k) T, k = 1..50.
-        seq = gen_matrix("sequence", GeneratorSpec(dim=8, rank=6, seed=seed))
-        conds, diag = harness._window_conditions(seq.terms, seq.limit, tol)
+        terms, limit = fixed_range_window(harness.SEQUENCE_LENGTH, seed)
+        conds, diag = harness._window_conditions(terms, limit, tol)
         assert conds == (True, True, True)
         assert diag["pinv_norm_growth_ratio"] == pytest.approx(100 / 51, rel=1e-14)
-        gamma = reduced_min_modulus(seq.limit, tol)
+        gamma = reduced_min_modulus(limit, tol)
         assert diag["sup_pinv_norm"] == pytest.approx(50 / (51 * gamma), rel=1e-13)
 
     def test_each_term_is_factored_once(self, svd_calls, tol):
