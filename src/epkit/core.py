@@ -9,7 +9,11 @@ independent characteristic-polynomial and residual oracles.
 ``singular_values`` is the values-only SVD of one matrix, with the numerical
 rank under the same cutoff as ``svd``: a caller that needs no singular
 vectors (``models.limit_study``) reads the rank and gamma from it at about
-half the cost of the full factorization.
+half the cost of the full factorization.  A diagonal input, one with no
+nonzero entry off its diagonal, costs no LAPACK call: its singular values
+are its sorted |entries|.  ``svd``, ``norm2`` and ``eigenvalues`` run
+LAPACK on every input.  This module is the only one that calls
+``np.linalg.svd`` (``tests/test_kernel_module.py``).
 
 Every kernel takes one matrix; a 3-D array raises InvalidDimension.
 ``norm2`` is the package's only spectral norm: it reads sigma_1 from the
@@ -209,16 +213,23 @@ def singular_values(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndar
     """``(s, rank)``: the singular values of one matrix, without vectors, and its rank.
 
     s is sorted non-increasing and the rank is thresholded as by ``svd``.
-    The values-only kernel (dqds) costs about half the full one and does
-    not perturb the values the way the vector route does: on the diagonals
-    of ``models`` it returns the |entries| bit for bit.  Validates as
-    as_matrix; raises ConvergenceFailure if the iteration does not converge.
+    A diagonal input, one with no nonzero entry off its diagonal, gets its
+    |entries| sorted, with no LAPACK call; LAPACK's values-only kernel
+    agrees with them within two ulps, and bit for bit on the diagonals of
+    ``models``.  Any other input takes that kernel (dqds), which costs about
+    half the full one and does not perturb the values the way the vector
+    route does.  Validates as as_matrix; raises ConvergenceFailure if the
+    iteration does not converge.
     """
     m = as_matrix(matrix)
-    try:
-        s = np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"SVD did not converge for shape {m.shape}") from exc
+    d = m.diagonal()
+    if np.count_nonzero(m) == np.count_nonzero(d):
+        s = np.sort(np.abs(d))[::-1]
+    else:
+        try:
+            s = np.linalg.svd(m, compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(f"SVD did not converge for shape {m.shape}") from exc
     return s, _numerical_rank(s, tol)
 
 

@@ -16,9 +16,12 @@ thm1.5 factors each term of its window once and reads ||T_k+|| as
 1 / gamma(T_k), so only the seven terms whose pseudoinverse the verdict
 reads get a full SVD; every other term gets the values-only SVD.  Its
 harmonic-truncation control draws nothing from the rng, so a run factors it
-once and holds it on its ``_Ctx``.  thm3.2 builds its limit and the one
-term it reads; its terms are EP with gamma >= delta by construction, so it
-factors only the limit.
+once and holds it on its ``_Ctx``; its terms are diagonal, so their
+values-only SVDs make no LAPACK call (see ``core``).  thm3.2 scales its draw
+by the gamma of a values-only SVD, then builds its limit and the one term
+it reads; its terms are EP with gamma >= delta by construction, so it
+factors only the limit, and the Frobenius bracket decides that the term
+converges.
 
 One factorization per matrix feeds every decision about it: its rank, EP
 verdict, pseudoinverse, polar factors and subspace bases all come from one
@@ -59,6 +62,7 @@ from .core import (
     as_matrix,
     eigenvalues,
     norm2,
+    norm2_at_most,
     operator_norm,
     require_hermitian,
     require_int,
@@ -844,7 +848,8 @@ def _membership_term(ctx: _Ctx, rng, rotate: bool):
     EP with gamma >= delta by construction; only term k is built, untested.
     """
     base = _gen_for(ctx, rng, "ep")
-    gamma0 = reduced_min_modulus(base, ctx.tol)
+    s, r = singular_values(base, ctx.tol)
+    gamma0 = float(s[r - 1]) if r else 0.0
     if gamma0 <= 0.0:
         raise GenerationError("membership sequence needs a nonzero base matrix")
     target = EP_MEMBERSHIP_DELTA * (1.0 + rng.uniform(0.0, 1.0))
@@ -868,7 +873,7 @@ def _check_thm3_2(ctx: _Ctx, rng, t: int) -> _Trial:
     fact = svd(limit, tol)
     # The term lies within about 2^-50 ||limit|| of the limit plus roundoff
     # of the order of eps ||limit||, so the bound scales with it.
-    if norm2(term - limit) > 1e-9 * (1.0 + fact.singular_values[0]):
+    if not norm2_at_most(term - limit, 1e-9 * (1.0 + fact.singular_values[0])):
         return _pass_fail(False, {"T": limit}, "sequence failed to converge to its declared limit")
     ep = range_corange_test(fact, tol)[0]
     gamma = reduced_min_modulus_of(fact)

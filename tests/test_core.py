@@ -135,7 +135,49 @@ class TestSingularValues:
 
         monkeypatch.setattr(np.linalg, "svd", fail)
         with pytest.raises(ConvergenceFailure, match="did not converge"):
-            singular_values(np.eye(2), tol)
+            # Not diagonal, so it reaches LAPACK.
+            singular_values([[1.0, 1.0], [0.0, 1.0]], tol)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.diag([-3.0, 0.0, 2.0, -2.0, 0.5, 0.0]),  # signs, zeros and ties
+            np.diag([3 - 4j, -1j, 0.0, 2 + 0j, -5.0]),
+            np.eye(4, 6) * [1.0, -7.0, 0.0, 2.0, 0.0, 0.0],  # 4 x 6
+            np.eye(5, 3, dtype=np.complex128) * [2j, -1.0, 1e-12],  # 5 x 3
+            np.zeros((3, 4)),
+            np.zeros((2, 2), dtype=np.complex128),
+            [[-2.5]],
+            [[0.0]],
+        ],
+        ids=["real", "complex", "wide", "tall_complex", "zero", "zero_complex",
+             "one_by_one", "zero_one_by_one"],
+    )
+    def test_diagonal_gives_its_sorted_moduli_without_lapack(self, svd_calls, tol, m):
+        s, rank = singular_values(m, tol)
+        assert svd_calls["full"] == svd_calls["values"] == 0
+        expected = np.sort(np.abs(np.diagonal(np.asarray(m))))[::-1]
+        assert s.dtype == np.float64
+        assert s.tolist() == expected.tolist()
+        assert rank == svd(m, tol).numerical_rank
+
+    def test_diagonal_agrees_with_lapack_within_two_ulps(self, tol):
+        rng = np.random.default_rng(20)
+        eps = np.finfo(np.float64).eps
+        for _ in range(300):
+            n = int(rng.integers(1, 17))
+            d = rng.standard_normal(n) * np.exp(rng.uniform(-20.0, 20.0, n))
+            for m in (np.diag(d), np.diag(d + 1j * rng.standard_normal(n))):
+                s, _ = singular_values(m, tol)
+                reference = np.linalg.svd(m, compute_uv=False)
+                assert np.all(np.abs(s - reference) <= 2.0 * eps * reference)
+
+    @pytest.mark.parametrize("entry", [1e-3, 5e-324, 1j * 5e-324])
+    def test_one_off_diagonal_entry_reaches_lapack(self, svd_calls, tol, entry):
+        m = np.diag([3.0, 2.0, 1.0]).astype(type(entry))
+        m[2, 0] = entry
+        singular_values(m, tol)
+        assert svd_calls["values"] == 1
 
 
 class TestHermitianEig:

@@ -1,0 +1,68 @@
+"""``core`` is the only module that calls LAPACK's SVD.
+
+Every singular value in ``src/epkit`` comes from ``core.svd``,
+``core.singular_values`` or ``core.norm2``, so none bypasses the diagonal
+route of ``singular_values`` or the ``svd_calls`` count of the tests.  An
+AST walk finds every reference to ``np.linalg.svd``, under any alias,
+outside ``core.py``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "epkit").rglob("*.py"))
+KERNEL_MODULE = "core.py"
+
+
+def svd_references(source: str) -> list[int]:
+    """Sorted lines that name LAPACK's SVD: ``<...>linalg.svd``, an alias's
+    ``.svd`` or ``from numpy.linalg import svd``."""
+    tree = ast.parse(source)
+    aliases = {"linalg"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname for a in node.names if a.name == "numpy.linalg" and a.asname}
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            aliases |= {a.asname or a.name for a in node.names if a.name == "linalg"}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "svd":
+            if getattr(node.value, "attr", getattr(node.value, "id", None)) in aliases:
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            if any(alias.name == "svd" for alias in node.names):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_every_module_is_walked():
+    assert {p.name for p in MODULES} >= {KERNEL_MODULE, "harness.py", "models.py", "pinv.py"}
+
+
+def test_the_kernel_module_calls_it():
+    assert svd_references((ROOT / "src" / "epkit" / KERNEL_MODULE).read_text())
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != KERNEL_MODULE], ids=lambda p: p.name
+)
+def test_no_other_module_calls_lapack_svd(path):
+    lines = svd_references(path.read_text())
+    assert lines == [], f"{path.name} calls np.linalg.svd at lines {lines}; use core"
+
+
+def test_the_walk_finds_every_spelling():
+    source = (
+        "import numpy as np\n"
+        "import numpy.linalg as la\n"
+        "from numpy import linalg\n"
+        "from numpy.linalg import svd as factor\n"
+        "s = np.linalg.svd(a, compute_uv=False)\n"
+        "f = linalg.svd\n"
+        "u = la.svd(a)\n"
+        "ok = np.linalg.svdvals, obj.svd(a), np.linalg.eigvals(a)\n"
+    )
+    assert svd_references(source) == [4, 5, 6, 7]

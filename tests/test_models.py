@@ -202,6 +202,18 @@ class TestLimitStudySharesOneFactorization:
             (report.is_ep, report.spectral_radius) for report in reference
         ]
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_row_values_equal_lapack_bit_for_bit(self, tol, family):
+        # A diagonal's values never reach LAPACK (``core.singular_values``);
+        # LAPACK's own values-only SVD, real and complex, stays the reference.
+        for n in range(1, MAX_DIM + 1):
+            m = realize(family, n)
+            s = singular_values(m, tol)[0]
+            assert s.tobytes() == np.linalg.svd(m, compute_uv=False).tobytes()
+            if n <= 64:
+                reference = np.linalg.svd(m.astype(np.complex128), compute_uv=False)
+                assert s.tobytes() == reference.tobytes()
+
     def test_rank_deficient_rows_take_the_full_factorization(self, svd_calls):
         # At rank_rtol 1e-3 the alternating truncations from n = 33 on lose
         # their 1/k entries below the cutoff, so the rank decides nothing.
