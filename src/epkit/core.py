@@ -10,10 +10,12 @@ independent characteristic-polynomial and residual oracles.
 rank under the same cutoff as ``svd``: a caller that needs no singular
 vectors (``models.limit_study``) reads the rank and gamma from it at about
 half the cost of the full factorization.  A diagonal input, one with no
-nonzero entry off its diagonal, costs no LAPACK call: its singular values
-are its sorted |entries|.  ``svd``, ``norm2`` and ``eigenvalues`` run
+nonzero entry off its diagonal (``_is_diagonal``), costs ``singular_values``
+and ``eigenvalues`` no LAPACK call: its singular values are its sorted
+|entries|, and its eigenvalues are its entries.  ``svd`` and ``norm2`` run
 LAPACK on every input.  This module is the only one that calls
-``np.linalg.svd`` (``tests/test_kernel_module.py``).
+``np.linalg.svd``, ``np.linalg.eigvals`` or ``np.linalg.eig``
+(``tests/test_kernel_module.py``).
 
 Every kernel takes one matrix; a 3-D array raises InvalidDimension.
 ``norm2`` is the package's only spectral norm: it reads sigma_1 from the
@@ -222,15 +224,19 @@ def singular_values(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndar
     iteration does not converge.
     """
     m = as_matrix(matrix)
-    d = m.diagonal()
-    if np.count_nonzero(m) == np.count_nonzero(d):
-        s = np.sort(np.abs(d))[::-1]
+    if _is_diagonal(m):
+        s = np.sort(np.abs(m.diagonal()))[::-1]
     else:
         try:
             s = np.linalg.svd(m, compute_uv=False)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(f"SVD did not converge for shape {m.shape}") from exc
     return s, _numerical_rank(s, tol)
+
+
+def _is_diagonal(m: np.ndarray) -> bool:
+    """Whether m, square or not, has no nonzero entry off its diagonal."""
+    return np.count_nonzero(m) == np.count_nonzero(m.diagonal())
 
 
 def _numerical_rank(s: np.ndarray, tol: ToleranceConfig) -> int:
@@ -279,15 +285,22 @@ def eigenvalues(matrix) -> np.ndarray:
 
     Sorted by descending real part, then descending imaginary part; the
     result is a complex128 multiset, also for a real matrix, so only the
-    multiset is contractual.
+    multiset is contractual.  A diagonal input gets its entries, with no
+    LAPACK call.  LAPACK's balancing isolates every row of a diagonal and
+    returns those same entries, bit for bit, while their moduli lie between
+    about 1e-138 and 1e138; past that it rescales the matrix and may round
+    them, where this route stays exact.  Any other input takes LAPACK's general kernel.
     """
     m = require_square(as_matrix(matrix))
-    try:
-        vals = np.linalg.eigvals(m).astype(np.complex128, copy=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(
-            f"eigenvalue iteration did not converge for shape {m.shape}"
-        ) from exc
+    if _is_diagonal(m):
+        vals = m.diagonal().astype(np.complex128)
+    else:
+        try:
+            vals = np.linalg.eigvals(m).astype(np.complex128, copy=False)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(
+                f"eigenvalue iteration did not converge for shape {m.shape}"
+            ) from exc
     order = np.lexsort((-vals.imag, -vals.real))
     return vals[order].copy()
 
@@ -296,9 +309,14 @@ def norm2(x: np.ndarray) -> float:
     """Spectral norm of one matrix.
 
     No validation: callers pass 2-D arrays they built.  Same bits as
-    np.linalg.norm(x, 2), which runs the same kernel.
+    np.linalg.norm(x, 2), which runs the same kernel.  Raises
+    ConvergenceFailure if the iteration does not converge, as on an array
+    that holds NaN.
     """
-    return float(np.linalg.svd(x, compute_uv=False)[0])
+    try:
+        return float(np.linalg.svd(x, compute_uv=False)[0])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"SVD did not converge for shape {x.shape}") from exc
 
 
 def operator_norm(matrix) -> float:

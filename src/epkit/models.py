@@ -15,10 +15,8 @@ analytically forced:
   converge in norm while their pseudoinverse norms grow without bound: the
   canonical witness that the EP class is not closed under norm limits.
 
-Every truncation is a real float64 diagonal, so its eigenvalue kernel runs
-the real LAPACK routine (see ``core``), at a fraction of the cost of the
-complex one.  The tests check that each row equals, bit for bit, the row of
-the same matrix cast to complex128.
+Every truncation is a real float64 diagonal.  The tests check that each
+row equals, bit for bit, the row of the same matrix cast to complex128.
 
 ``limit_study`` computes only the four values a row holds.  One
 singular-value-only SVD per truncation gives its rank and gamma, the
@@ -27,11 +25,13 @@ smallest singular value above the cutoff; each truncation is diagonal, so
 and gamma is exact.  The tests check that these equal LAPACK's values-only
 SVD bit for bit.  The pseudoinverse norm is 1/gamma, since T+ = V S+ U*
 has sigma_1 = 1/sigma_r, and the spectral radius comes from the eigenvalue
-kernel.  A truncation of rank 0 or n gets its EP verdict from its rank
-(``classify.rank_forces_ep``), and every truncation has full rank at the
-default cutoff.  Only a coarser ``rank_rtol`` leaves a rank strictly
-between; such a row takes its rank, gamma and EP verdict from a full SVD
-and ``range_corange_test``.
+kernel, which reads a diagonal's entries with no LAPACK call; the tests
+check that they equal LAPACK's eigenvalues bit for bit.  A truncation of
+rank 0 or n gets its EP verdict from its rank (``classify.rank_forces_ep``),
+and every truncation has full rank at the default cutoff, so there a row
+calls no LAPACK routine at all.  Only a coarser ``rank_rtol`` leaves a rank
+strictly between; such a row takes its rank, gamma and EP verdict from a
+full SVD and ``range_corange_test``.
 
 Truncation means leading principal submatrix; the midpoint grid avoids the
 t = 0 singularity by construction.  The unbounded growth families (diag_n,
@@ -91,10 +91,10 @@ def limit_study(
     norm; for diag_harmonic_truncated the gamma column is exactly 1/n while
     every truncation stays EP, and for diag_n gamma is uniformly 1.  One
     values-only SVD of each real truncation gives its rank and gamma, and
-    the pseudoinverse norm is 1/gamma (both 0.0 at rank 0); the truncation
-    is diagonal, so that SVD reads its |entries| and calls no LAPACK.  A
-    full SVD runs only for a rank strictly between 0 and n, which the rank
-    cannot decide.
+    the pseudoinverse norm is 1/gamma (both 0.0 at rank 0).  The truncation
+    is diagonal, so that SVD reads its |entries| and the spectral radius
+    its entries, and neither calls LAPACK.  A full SVD runs only for a rank
+    strictly between 0 and n, which the rank cannot decide.
     """
     require_int("n_max", n_max)
     if n_max < 2:

@@ -101,6 +101,12 @@ def multiset_gap(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(cost[rows, cols].max())
 
 
+def lapack_eigenvalues(m) -> np.ndarray:
+    """numpy's general eigenvalues of m, as complex128 in ``eigenvalues``' order."""
+    vals = np.linalg.eigvals(np.asarray(m)).astype(np.complex128)
+    return vals[np.lexsort((-vals.imag, -vals.real))]
+
+
 def gelfand_radius(m: np.ndarray, power: int = 64) -> float:
     """Spectral radius estimate ||M^k||^(1/k) by repeated squaring (k a power of 2)."""
     assert power & (power - 1) == 0, "power must be a power of two"

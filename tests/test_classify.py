@@ -5,6 +5,7 @@ import pytest
 
 from epkit import (
     FAMILIES,
+    ConvergenceFailure,
     GeneratorSpec,
     NotSquare,
     ToleranceConfig,
@@ -133,6 +134,15 @@ class TestClassify:
     def test_rejects_non_square(self, tol):
         with pytest.raises(NotSquare):
             classify(np.ones((3, 2)), tol)
+
+    def test_a_failed_norm_is_a_convergence_failure(self, tol):
+        # The normality check's products overflow to inf and NaN, and the
+        # SVD of their difference fails; the API raises its own error, not
+        # numpy's.  This pins the error type, not that overflow.
+        m = [[1e200, 2e200, 0.0], [0.0, 1e200, 3e200], [1e200, 0.0, 1e200]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConvergenceFailure, match="did not converge"):
+                classify(m, tol)
 
     def test_report_internal_consistency(self, rng, tol):
         for m in (embedded_ep(rng, 6, 4), embedded_nilpotent(rng, 6)):

@@ -103,6 +103,13 @@ class TestSvd:
         assert type(svd(m).numerical_rank) is int
 
 
+def one_off_diagonal(entry) -> np.ndarray:
+    """diag(3, 2, 1) with entry at (2, 0), in entry's dtype."""
+    m = np.diag([3.0, 2.0, 1.0]).astype(type(entry))
+    m[2, 0] = entry
+    return m
+
+
 class TestSingularValues:
     def test_rank_is_the_svd_rank(self, rng, tol):
         a = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
@@ -174,9 +181,7 @@ class TestSingularValues:
 
     @pytest.mark.parametrize("entry", [1e-3, 5e-324, 1j * 5e-324])
     def test_one_off_diagonal_entry_reaches_lapack(self, svd_calls, tol, entry):
-        m = np.diag([3.0, 2.0, 1.0]).astype(type(entry))
-        m[2, 0] = entry
-        singular_values(m, tol)
+        singular_values(one_off_diagonal(entry), tol)
         assert svd_calls["values"] == 1
 
 
@@ -234,6 +239,72 @@ class TestEigenvalues:
             gap = oracles.multiset_gap(eigenvalues(adjoint(m)), eigenvalues(m).conj())
             assert gap <= 1e-8
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.diag([-3.0, 0.0, 2.0, -2.0, 0.5, 0.0, 2.0, -0.0]),  # signs, zeros and ties
+            np.diag([3 - 4j, -1j, 0.0, 2 + 0j, -5.0, -1j, complex(-0.0, -0.0)]),
+            np.zeros((3, 3)),
+            np.zeros((2, 2), dtype=np.complex128),
+            [[-2.5]],
+            [[0.0]],
+            [[1j]],
+        ],
+        ids=["real", "complex", "zero", "zero_complex", "one_by_one", "zero_one_by_one",
+             "complex_one_by_one"],
+    )
+    def test_diagonal_gives_its_entries_without_lapack(self, svd_calls, m):
+        reference = oracles.lapack_eigenvalues(m)
+        svd_calls.clear()
+        vals = eigenvalues(m)
+        assert svd_calls["eigvals"] == 0
+        assert vals.dtype == np.complex128
+        assert vals.tobytes() == reference.tobytes()
+        entries = np.diagonal(np.asarray(m)).astype(np.complex128)
+        assert np.sort_complex(vals).tolist() == np.sort_complex(entries).tolist()
+
+    def test_diagonal_equals_lapack_bit_for_bit(self, svd_calls):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            n = int(rng.integers(1, 17))
+            d = rng.standard_normal(n) * 10.0 ** rng.uniform(-137.0, 137.0, n)
+            d[rng.random(n) < 0.2] = 0.0
+            d[rng.random(n) < 0.2] = d[0]  # ties
+            z = d + 1j * rng.standard_normal(n) * 10.0 ** rng.uniform(-137.0, 137.0, n)
+            for m in (np.diag(d), np.diag(z)):
+                reference = oracles.lapack_eigenvalues(m)
+                calls = svd_calls["eigvals"]
+                assert eigenvalues(m).tobytes() == reference.tobytes()
+                assert svd_calls["eigvals"] == calls
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300, 1e-200, 1e-300])
+    def test_diagonal_past_lapack_rescaling_gives_exact_entries(self, svd_calls, scale):
+        # LAPACK rescales a matrix this far from 1 and may round its entries.
+        d = scale * np.array([1.1, -0.3, 0.7, 0.0, 1.1])
+        for entries in (d, d - 1j * d[::-1]):
+            vals = eigenvalues(np.diag(entries))
+            expected = entries.astype(np.complex128)
+            expected = expected[np.lexsort((-expected.imag, -expected.real))]
+            assert vals.tobytes() == expected.tobytes()
+        assert svd_calls["eigvals"] == 0
+
+    @pytest.mark.parametrize(
+        "m",
+        [*map(one_off_diagonal, [1e-3, 5e-324, 1j * 5e-324]), [[0.0, 1.0], [0.0, 0.0]]],
+        ids=["small", "subnormal", "imaginary_subnormal", "nilpotent"],
+    )
+    def test_one_off_diagonal_entry_reaches_lapack(self, svd_calls, m):
+        eigenvalues(m)
+        assert svd_calls["eigvals"] == 1
+
+    def test_lapack_failure_is_a_convergence_failure(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            eigenvalues([[1.0, 1.0], [0.0, 1.0]])
+
 
 class TestOperatorNorm:
     def test_zero(self):
@@ -263,6 +334,11 @@ class TestNorm2:
     def test_real_input(self, rng):
         m = rng.standard_normal((6, 6))
         assert norm2(m) == np.linalg.norm(m, 2)
+
+    def test_nan_is_a_convergence_failure(self):
+        for m in (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.full((3, 2), np.nan + 0j)):
+            with pytest.raises(ConvergenceFailure, match="did not converge"):
+                norm2(m)
 
 
 class TestNormSubmultiplicativity:

@@ -1,10 +1,13 @@
-"""``core`` is the only module that calls LAPACK's SVD.
+"""``core`` is the only module that calls LAPACK's SVD or general eigensolver.
 
 Every singular value in ``src/epkit`` comes from ``core.svd``,
-``core.singular_values`` or ``core.norm2``, so none bypasses the diagonal
-route of ``singular_values`` or the ``svd_calls`` count of the tests.  An
-AST walk finds every reference to ``np.linalg.svd``, under any alias,
-outside ``core.py``.
+``core.singular_values`` or ``core.norm2``, and every eigenvalue of a
+general matrix from ``core.eigenvalues``, so none bypasses the diagonal
+route of ``singular_values`` and ``eigenvalues`` or the ``svd_calls`` count
+of the tests.  An AST walk finds every reference to ``np.linalg.svd``,
+``np.linalg.eigvals`` and ``np.linalg.eig``, under any alias, outside
+``core.py``.  The Hermitian solvers (``eigh``, ``eigvalsh``) are not general
+ones and stay allowed.
 """
 
 import ast
@@ -15,11 +18,12 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "epkit").rglob("*.py"))
 KERNEL_MODULE = "core.py"
+KERNELS = {"svd", "eigvals", "eig"}
 
 
-def svd_references(source: str) -> list[int]:
-    """Sorted lines that name LAPACK's SVD: ``<...>linalg.svd``, an alias's
-    ``.svd`` or ``from numpy.linalg import svd``."""
+def lapack_references(source: str) -> list[int]:
+    """Sorted lines that name one of KERNELS: ``<...>linalg.svd``, an alias's
+    ``.eigvals`` or ``from numpy.linalg import eig``."""
     tree = ast.parse(source)
     aliases = {"linalg"}
     for node in ast.walk(tree):
@@ -29,11 +33,11 @@ def svd_references(source: str) -> list[int]:
             aliases |= {a.asname or a.name for a in node.names if a.name == "linalg"}
     lines = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "svd":
+        if isinstance(node, ast.Attribute) and node.attr in KERNELS:
             if getattr(node.value, "attr", getattr(node.value, "id", None)) in aliases:
                 lines.append(node.lineno)
         elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
-            if any(alias.name == "svd" for alias in node.names):
+            if any(alias.name in KERNELS for alias in node.names):
                 lines.append(node.lineno)
     return sorted(lines)
 
@@ -43,15 +47,15 @@ def test_every_module_is_walked():
 
 
 def test_the_kernel_module_calls_it():
-    assert svd_references((ROOT / "src" / "epkit" / KERNEL_MODULE).read_text())
+    assert lapack_references((ROOT / "src" / "epkit" / KERNEL_MODULE).read_text())
 
 
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != KERNEL_MODULE], ids=lambda p: p.name
 )
-def test_no_other_module_calls_lapack_svd(path):
-    lines = svd_references(path.read_text())
-    assert lines == [], f"{path.name} calls np.linalg.svd at lines {lines}; use core"
+def test_no_other_module_calls_lapack_svd_or_eig(path):
+    lines = lapack_references(path.read_text())
+    assert lines == [], f"{path.name} calls np.linalg.svd, eigvals or eig at lines {lines}; use core"
 
 
 def test_the_walk_finds_every_spelling():
@@ -63,6 +67,12 @@ def test_the_walk_finds_every_spelling():
         "s = np.linalg.svd(a, compute_uv=False)\n"
         "f = linalg.svd\n"
         "u = la.svd(a)\n"
-        "ok = np.linalg.svdvals, obj.svd(a), np.linalg.eigvals(a)\n"
+        "ok = np.linalg.svdvals, obj.svd(a), np.linalg.eigvalsh(a), la.eigh(a)\n"
+        "w = np.linalg.eigvals(a)\n"
+        "w, v = la.eig(a)\n"
+        "g = linalg.eigvals\n"
+        "from numpy.linalg import eigh, eig\n"
+        "from numpy.linalg import eigvals as spectrum\n"
+        "ok = obj.eig(a), obj.eigvals(a)\n"
     )
-    assert svd_references(source) == [4, 5, 6, 7]
+    assert lapack_references(source) == [4, 5, 6, 7, 9, 10, 11, 12, 13]

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import oracles
 from epkit import (
     FAMILIES,
     InvalidDimension,
     InvalidSpec,
     MAX_DIM,
     classify,
+    eigenvalues,
     harmonic_truncation,
     is_normal,
     limit_study,
@@ -214,6 +216,20 @@ class TestLimitStudySharesOneFactorization:
                 reference = np.linalg.svd(m.astype(np.complex128), compute_uv=False)
                 assert s.tobytes() == reference.tobytes()
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_eigenvalues_equal_lapack_bit_for_bit(self, svd_calls, family):
+        # A diagonal's eigenvalues never reach LAPACK (``core.eigenvalues``);
+        # LAPACK's general eigensolver, real and complex, stays the reference.
+        for n in range(1, MAX_DIM + 1):
+            m = realize(family, n)
+            calls = svd_calls["eigvals"]
+            vals = eigenvalues(m)
+            assert svd_calls["eigvals"] == calls
+            assert vals.tobytes() == oracles.lapack_eigenvalues(m).tobytes()
+            if n <= 64:
+                reference = oracles.lapack_eigenvalues(m.astype(np.complex128))
+                assert vals.tobytes() == reference.tobytes()
+
     def test_rank_deficient_rows_take_the_full_factorization(self, svd_calls):
         # At rank_rtol 1e-3 the alternating truncations from n = 33 on lose
         # their 1/k entries below the cutoff, so the rank decides nothing.
@@ -259,6 +275,6 @@ def complex_route_rows(family, n_max, tol):
 class TestRealKernelsGiveTheComplexRows:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_rows_equal_field_by_field(self, tol, family):
-        # Real truncations take the real LAPACK kernels; a row must not
-        # depend on that.  No fingerprint condition: every machine checks it.
+        # Real truncations stay float64; a row must not depend on the
+        # dtype.  No fingerprint condition: every machine checks it.
         assert limit_study(family, 64, tol) == complex_route_rows(family, 64, tol)
