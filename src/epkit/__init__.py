@@ -4,7 +4,9 @@ Computes Moore-Penrose pseudoinverses, subspace bases and projectors, polar
 decompositions, reduced minimum moduli and spectral radii for dense complex
 matrices; classifies matrices as EP / hypo-EP / normal; and verifies a suite
 of EP-operator characterizations through seeded property-based checks and
-truncation studies of classical diagonal operator families.
+truncation studies of classical diagonal operator families.  A subspace
+basis is an (n, k) array of orthonormal columns, k = 0 for the zero
+subspace, and a projector is a plain n x n matrix.
 
 The theorem verifiers (``harness``) and the model families (``models``)
 load on first use: ``import epkit`` binds their public names through a
@@ -55,8 +57,6 @@ from .pinv import (
 )
 from .serialize import TOOL_VERSION
 from .subspace import (
-    OrthonormalBasis,
-    Projector,
     carrier_basis,
     null_basis,
     projector,
@@ -84,9 +84,7 @@ __all__ = [
     "MpIdentityReport",
     "NotHermitian",
     "NotSquare",
-    "OrthonormalBasis",
     "PolarFactors",
-    "Projector",
     "SvdFactorization",
     "THEOREM_IDS",
     "TheoremVerdict",

@@ -38,12 +38,7 @@ from .core import (
     svd,
 )
 from .pinv import pseudoinverse_of, reduced_min_modulus_of, spectral_radius
-from .subspace import (
-    carrier_basis_of,
-    columns_included,
-    projector_gap,
-    range_basis_of,
-)
+from .subspace import columns_included, projector_gap
 
 
 @dataclass(frozen=True)
@@ -149,6 +144,6 @@ def classify(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> ClassificationReport
         gamma=reduced_min_modulus_of(fact),
         spectral_radius=spectral_radius(m),
         commutator_residual=norm2(mp @ m - m @ mp),
-        range_gap=projector_gap(range_basis_of(fact), carrier_basis_of(fact)),
+        range_gap=projector_gap(fact.range_vectors(), fact.carrier_vectors()),
         zero_operator=r == 0,
     )

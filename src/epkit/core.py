@@ -145,7 +145,10 @@ class SvdFactorization:
     ``singular_values`` holds the min(m, n) singular values sorted
     non-increasing, and ``numerical_rank`` counts those above
     rank_rtol * sigma_1.  Column blocks of the two unitary factors give
-    orthonormal bases of the four fundamental subspaces.
+    orthonormal bases of the four fundamental subspaces: ``range_vectors``,
+    ``null_vectors`` and ``carrier_vectors`` return them as (n, k) arrays,
+    k = 0 for the zero subspace, the form in which ``subspace`` takes and
+    returns every basis.
     """
 
     left_vectors: np.ndarray
@@ -245,6 +248,11 @@ def _numerical_rank(s: np.ndarray, tol: ToleranceConfig) -> int:
     return int(np.count_nonzero(s > tol.rank_rtol * s[0]))
 
 
+def _gamma(s: np.ndarray, r: int) -> float:
+    """Reduced minimum modulus s[r - 1] from sorted singular values s and rank r; 0.0 at rank 0."""
+    return float(s[r - 1]) if r else 0.0
+
+
 def hermitian_eig(
     matrix, tol: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -311,12 +319,16 @@ def norm2(x: np.ndarray) -> float:
     No validation: callers pass 2-D arrays they built.  Same bits as
     np.linalg.norm(x, 2), which runs the same kernel.  Raises
     ConvergenceFailure if the iteration does not converge, as on an array
-    that holds NaN.
+    that holds NaN, or if sigma_1 is not finite, as on one that holds inf:
+    a norm is never NaN or inf.
     """
     try:
-        return float(np.linalg.svd(x, compute_uv=False)[0])
+        sigma1 = float(np.linalg.svd(x, compute_uv=False)[0])
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD did not converge for shape {x.shape}") from exc
+    if not math.isfinite(sigma1):
+        raise ConvergenceFailure(f"SVD gave a non-finite norm for shape {x.shape}")
+    return sigma1
 
 
 def operator_norm(matrix) -> float:

@@ -58,6 +58,7 @@ from .core import (
     MAX_DIM,
     SvdFactorization,
     ToleranceConfig,
+    _gamma,
     adjoint,
     as_matrix,
     eigenvalues,
@@ -84,13 +85,7 @@ from .pinv import (
     reduced_min_modulus_of,
 )
 from .serialize import matrix_to_payload
-from .subspace import (
-    carrier_basis_of,
-    null_basis_of,
-    projector_gap,
-    range_basis_of,
-    subspace_eq,
-)
+from .subspace import projector_gap, subspace_eq
 
 SEQUENCE_LENGTH = 50
 EP_MEMBERSHIP_DELTA = 0.1
@@ -466,7 +461,7 @@ def _check_thm2_4(ctx: _Ctx, rng, t: int) -> _Trial:
                           f"range==carrier (the EP test) is {ep}, expected {expected}",
                           "accept" if expected else "reject")
     if expected:
-        gap = projector_gap(range_basis_of(fact), carrier_basis_of(fact))
+        gap = projector_gap(fact.range_vectors(), fact.carrier_vectors())
         return _residual_trial(gap, 1.0, ctx.tol, payload={"T": m})
     return _pass_fail(True, direction="reject")
 
@@ -524,7 +519,7 @@ def _check_thm2_6(ctx: _Ctx, rng, t: int) -> _Trial:
     if t % 2 == 0:
         m = _gen_for(ctx, rng, "ep", cond=30.0)
         fact = svd(m, tol)
-        base = range_basis_of(fact)
+        base = fact.range_vectors()
         worst = 0.0
         power = m
         for _ in (2, 3, 4):
@@ -532,13 +527,13 @@ def _check_thm2_6(ctx: _Ctx, rng, t: int) -> _Trial:
             fact_n = svd(power, tol)
             if not range_corange_test(fact_n, tol)[0]:
                 return _pass_fail(False, {"T": m}, "a power of an EP matrix failed the EP test")
-            worst = max(worst, projector_gap(range_basis_of(fact_n), base))
+            worst = max(worst, projector_gap(fact_n.range_vectors(), base))
         return _residual_trial(worst, 1.0, tol, payload={"T": m})
     m = _gen_for(ctx, rng, "non_ep", cond=30.0)
     sq = m @ m
     fact_sq = svd(sq, tol)
     sq_ep = range_corange_test(fact_sq, tol)[0]
-    same_range = subspace_eq(range_basis_of(fact_sq), range_basis_of(svd(m, tol)), tol)
+    same_range = subspace_eq(fact_sq.range_vectors(), svd(m, tol).range_vectors(), tol)
     ok = not (sq_ep and same_range)
     return _pass_fail(ok, {"T": m},
                       "square of a non-EP matrix is EP with unchanged range", "reject")
@@ -611,8 +606,8 @@ def _check_thm2_12(ctx: _Ctx, rng, t: int) -> _Trial:
     product = s @ t_mat
     fact_p = svd(product, tol)
     fact_t = svd(t_mat, tol)
-    range_same = subspace_eq(range_basis_of(fact_p), range_basis_of(fact_t), tol)
-    null_same = subspace_eq(null_basis_of(fact_p), null_basis_of(fact_t), tol)
+    range_same = subspace_eq(fact_p.range_vectors(), fact_t.range_vectors(), tol)
+    null_same = subspace_eq(fact_p.null_vectors(), fact_t.null_vectors(), tol)
     conds = range_same and null_same
     ep_p = range_corange_test(fact_p, tol)[0]
     payload = {"S": s, "T": t_mat}
@@ -633,16 +628,16 @@ def _check_thm2_13(ctx: _Ctx, rng, t: int) -> _Trial:
     m = _gen_for(ctx, rng, family)
     fact_m = svd(m, tol)
     polar = polar_decomposition_of(fact_m)
-    base = range_basis_of(svd(polar.modulus_part, tol))
+    base = svd(polar.modulus_part, tol).range_vectors()
     worst = 0.0
     for power in fractional_abs_powers_of(polar, FRACTIONAL_ALPHA_GRID, tol):
-        worst = max(worst, projector_gap(range_basis_of(svd(power, tol)), base))
+        worst = max(worst, projector_gap(svd(power, tol).range_vectors(), base))
     if family == "non_ep":
-        ok = not subspace_eq(range_basis_of(fact_m), base, tol)
+        ok = not subspace_eq(fact_m.range_vectors(), base, tol)
         return _residual_trial(worst, 1.0, tol, extra_ok=ok, direction="reject",
                                payload={"T": m},
                                note=None if ok else "non-EP matrix has range(|T|) == range(T)")
-    worst = max(worst, projector_gap(range_basis_of(fact_m), base))
+    worst = max(worst, projector_gap(fact_m.range_vectors(), base))
     return _residual_trial(worst, 1.0, tol, payload={"T": m})
 
 
@@ -652,11 +647,11 @@ def _check_thm2_15(ctx: _Ctx, rng, t: int) -> _Trial:
     family = "ep" if t % 2 == 0 else "non_ep"
     m = _gen_for(ctx, rng, family)
     fact_m = svd(m, tol)
-    base = range_basis_of(fact_m)
+    base = fact_m.range_vectors()
     polar = polar_decomposition_of(fact_m)
-    modulus_range = range_basis_of(svd(polar.modulus_part, tol))
+    modulus_range = svd(polar.modulus_part, tol).range_vectors()
     (half,) = fractional_abs_powers_of(polar, (0.5,), tol)
-    half_range = range_basis_of(svd(half, tol))
+    half_range = svd(half, tol).range_vectors()
     hyp = subspace_eq(base, modulus_range, tol) and subspace_eq(base, half_range, tol)
     ep = range_corange_test(fact_m, tol)[0]
     if family == "ep":
@@ -724,7 +719,7 @@ def _check_thm2_16(ctx: _Ctx, rng, t: int) -> _Trial:
     )
     fact = svd(t_mat + s, tol)
     ep, hypo = range_corange_test(fact, tol)
-    gap = projector_gap(range_basis_of(fact), carrier_basis_of(fact))
+    gap = projector_gap(fact.range_vectors(), fact.carrier_vectors())
     extra_ok = cert and hypo and ep
     return _residual_trial(gap, 1.0, tol, extra_ok=extra_ok,
                            payload={"T": t_mat, "S": s},
@@ -788,7 +783,8 @@ def _window_conditions(
             s, r = fact.singular_values, fact.numerical_rank
         else:
             s, r = singular_values(term, tol)
-        pinv_norms.append(1.0 / float(s[r - 1]) if r else 0.0)
+        gamma = _gamma(s, r)
+        pinv_norms.append(1.0 / gamma if r else 0.0)
     ends = (0, n - 1)
     gaps = [norm2(pinvs[k] - limit_pinv) for k in ends]
     proj_gaps = [norm2(pinvs[k] @ terms[k] - limit_proj) for k in ends]
@@ -849,7 +845,7 @@ def _membership_term(ctx: _Ctx, rng, rotate: bool):
     """
     base = _gen_for(ctx, rng, "ep")
     s, r = singular_values(base, ctx.tol)
-    gamma0 = float(s[r - 1]) if r else 0.0
+    gamma0 = _gamma(s, r)
     if gamma0 <= 0.0:
         raise GenerationError("membership sequence needs a nonzero base matrix")
     target = EP_MEMBERSHIP_DELTA * (1.0 + rng.uniform(0.0, 1.0))

@@ -46,7 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from .classify import range_corange_test, rank_forces_ep
-from .core import DEFAULT_TOL, MAX_DIM, ToleranceConfig, require_int, singular_values, svd
+from .core import DEFAULT_TOL, MAX_DIM, ToleranceConfig, _gamma, require_int, singular_values, svd
 from .errors import InvalidDimension, InvalidSpec
 from .pinv import spectral_radius
 
@@ -111,7 +111,7 @@ def limit_study(
             fact = svd(m, tol)
             s, r = fact.singular_values, fact.numerical_rank
             is_ep = range_corange_test(fact, tol)[0]
-        gamma = float(s[r - 1]) if r else 0.0
+        gamma = _gamma(s, r)
         rows.append(
             {
                 "n": n,

@@ -20,6 +20,7 @@ from .core import (
     DEFAULT_TOL,
     SvdFactorization,
     ToleranceConfig,
+    _gamma,
     adjoint,
     as_matrix,
     eigenvalues,
@@ -30,13 +31,7 @@ from .core import (
     svd,
 )
 from .errors import DimensionMismatch, InvalidExponent
-from .subspace import (
-    carrier_basis_of,
-    null_basis_of,
-    projector,
-    projector_gap,
-    range_basis_of,
-)
+from .subspace import projector, projector_gap
 
 
 def pseudoinverse(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -117,18 +112,16 @@ def mp_identity_suite(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> MpIdentityR
     fact_madj = svd(madj, tol)
     fact_madj_pinv = svd(pseudoinverse(madj, tol), tol)
 
-    carrier_proj = projector(carrier_basis_of(fact_m)).matrix
-    range_proj = projector(range_basis_of(fact_m)).matrix
+    carrier_proj = projector(fact_m.carrier_vectors())
+    range_proj = projector(fact_m.range_vectors())
 
     residuals = {
         # N(M+) = N(M*)
         "null_pinv_eq_null_adjoint": projector_gap(
-            null_basis_of(fact_mp), null_basis_of(fact_madj)
+            fact_mp.null_vectors(), fact_madj.null_vectors()
         ),
         # R(M+) = carrier of M
-        "range_pinv_eq_carrier": projector_gap(
-            range_basis_of(fact_mp), carrier_basis_of(fact_m)
-        ),
+        "range_pinv_eq_carrier": projector_gap(fact_mp.range_vectors(), fact_m.carrier_vectors()),
         # M+ M is the orthogonal projector onto the carrier
         "pinv_m_is_carrier_projector": norm2(mp @ m - carrier_proj),
         # M M+ is the orthogonal projector onto the range
@@ -139,7 +132,7 @@ def mp_identity_suite(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> MpIdentityR
         "adjoint_pinv_swap": norm2(pseudoinverse(madj, tol) - adjoint(mp)),
         # N((M*)+) = N(M)
         "null_adjoint_pinv_eq_null": projector_gap(
-            null_basis_of(fact_madj_pinv), null_basis_of(fact_m)
+            fact_madj_pinv.null_vectors(), fact_m.null_vectors()
         ),
         # (M*M)+ = M+ (M*)+
         "gram_pinv_factorizes": norm2(
@@ -167,8 +160,7 @@ def reduced_min_modulus(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:
 
 def reduced_min_modulus_of(fact: SvdFactorization) -> float:
     """Reduced minimum modulus from an existing factorization of one matrix."""
-    r = fact.numerical_rank
-    return float(fact.singular_values[r - 1]) if r else 0.0
+    return _gamma(fact.singular_values, fact.numerical_rank)
 
 
 def spectral_radius(matrix) -> float:

@@ -361,6 +361,12 @@ class TestConsoleEntryPoint:
         proc = _python("-m", "epkit.cli", "frobnicate")
         assert proc.returncode == 2
 
+    def test_help_states_the_byte_identity_domain(self, capsys):
+        assert main(["--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "OPENBLAS_NUM_THREADS" in text
+        assert "numpy/BLAS build" in text
+
 
 class TestPackageNamespace:
     def test_lazy_names_are_the_submodule_objects(self):

@@ -22,7 +22,7 @@ from epkit import (
     pseudoinverse,
     svd,
 )
-from epkit.core import norm2, singular_values
+from epkit.core import norm2, norm2_at_most, singular_values
 
 
 class TestAdjoint:
@@ -339,6 +339,24 @@ class TestNorm2:
         for m in (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.full((3, 2), np.nan + 0j)):
             with pytest.raises(ConvergenceFailure, match="did not converge"):
                 norm2(m)
+
+    INFINITE = [
+        np.array([[1.0, np.inf], [0.0, 1.0]]),
+        np.array([[np.inf + 0j, 0.0], [0.0, 1.0]]),
+        np.array([[1.0, -np.inf]]),
+        # Finite entries whose norm overflows.
+        np.full((2, 2), 1e308),
+    ]
+
+    @pytest.mark.parametrize("m", INFINITE)
+    def test_non_finite_norm_is_a_convergence_failure(self, m):
+        with pytest.raises(ConvergenceFailure, match="non-finite"):
+            norm2(m)
+
+    @pytest.mark.parametrize("m", INFINITE)
+    def test_threshold_check_of_a_non_finite_norm_raises(self, m):
+        with pytest.raises(ConvergenceFailure):
+            norm2_at_most(m, 5.0)
 
 
 class TestNormSubmultiplicativity:

@@ -7,9 +7,14 @@ field and rewrites the corpus.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import epkit
 import golden_corpus as gc
 
 CORPUS = gc.load()
@@ -51,3 +56,27 @@ def test_report_bytes(fresh, name):
         recorded = json.loads(gc.report_path(name).read_text())
         diff = gc.field_diff(recorded, json.loads(text))
         pytest.fail(f"{name}: report bytes changed\n" + "\n".join(diff[:20]))
+
+
+def test_verdict_layer_holds_across_blas_thread_counts():
+    """Past dim 64 the BLAS thread count moves a report's last bits, never a verdict.
+
+    The two fresh processes run side by side, so the test costs about one run.
+    """
+    argv = ["suite", "--dim", "128", "--rank", "126", "--trials", "3", "--seed", "1"]
+    paths = [str(Path(epkit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    code = "import sys; from epkit.cli import main; sys.exit(main())"
+    procs = [
+        subprocess.Popen([sys.executable, "-c", code, *argv], stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, text=True,
+                         env={**env, "OPENBLAS_NUM_THREADS": threads})
+        for threads in ("1", "2")
+    ]
+    layers = []
+    for proc in procs:
+        out, err = proc.communicate()
+        assert proc.returncode in (0, 1), err
+        layers.append(gc.verdict_layer(proc.returncode, out))
+    assert layers[0] == layers[1]
+    assert layers[0]["all_passed"]

@@ -104,7 +104,7 @@ def test_operator_norm_submultiplicative(m, n):
 @settings(max_examples=30, deadline=None)
 @given(m=complex_matrices())
 def test_rank_nullity_is_exact(m):
-    assert range_basis(m, TOL).dim + null_basis(m, TOL).dim == m.shape[1]
+    assert range_basis(m, TOL).shape[1] + null_basis(m, TOL).shape[1] == m.shape[1]
 
 
 def defective_6x6():
