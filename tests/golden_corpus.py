@@ -61,6 +61,11 @@ CASES = {
     "model-diag_alternating-n64-tolrank1e-3": [
         "model", "diag_alternating", "--n-max", "64", "--tol-rank", "1e-3",
     ],
+    # The full window: every truncation up to the dimension cap.
+    **{f"model-{f}-n256": ["model", f, "--n-max", "256"] for f in FAMILIES},
+    "model-diag_alternating-n256-tolrank1e-3": [
+        "model", "diag_alternating", "--n-max", "256", "--tol-rank", "1e-3",
+    ],
     "suite-seed1-d8-t10": ["suite", "--seed", "1", "--dim", "8", "--trials", "10"],
     "verify-thm1.5-d32-t6": ["verify", "thm1.5", "--dim", "32", "--trials", "6"],
     # Ten trials cover each of thm2.16's five dominance modes twice.
