@@ -77,6 +77,8 @@ def projector_gap(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _require_basis(v: np.ndarray) -> None:
+    if not isinstance(v, np.ndarray):
+        raise DimensionMismatch(f"a basis is an (n, k) array, got {type(v).__name__}")
     if v.ndim != 2:
         raise DimensionMismatch(f"a basis is an (n, k) array, got shape {v.shape}")
 

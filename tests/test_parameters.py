@@ -5,6 +5,10 @@ Every parameter of every ``def`` and ``lambda`` in every module under
 parameter that nothing reads is a setting a caller can pass to no effect.
 The diagonals of ``models._DIAGONALS`` are exempt: they share the table's
 ``(k, n)`` signature, and not every diagonal needs n.
+
+Every name a module imports is read in it too; a name nothing reads is a
+dependency the module does not have.  ``__init__.py`` is exempt, since its
+imports are the package's re-exports, and so is ``from __future__``.
 """
 
 import ast
@@ -84,3 +88,45 @@ def test_the_walk_finds_unread_parameters():
     assert found == [
         ("<lambda>", "n"), ("f", "b"), ("f", "extra"), ("f", "rest"), ("g", "d"), ("m", "x"),
     ]
+
+
+def unread_imports(source: str):
+    """``(line, name)`` for every name an import binds and the module never loads."""
+    tree = ast.parse(source)
+    loaded = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # ``import a.b`` binds a.
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in loaded:
+                    yield node.lineno, name
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_import_is_read(path):
+    unread = [
+        f"{path.name}:{line} imports {name!r} and never reads it"
+        for line, name in unread_imports(path.read_text())
+    ]
+    assert unread == []
+
+
+def test_the_walk_finds_unread_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from .core import svd, singular_values as sv, DEFAULT_TOL\n"
+        "def f():\n"
+        "    import json\n"
+        "    return np.eye(2), svd\n"
+        "x: DEFAULT_TOL\n"
+    )
+    assert sorted(unread_imports(source)) == [(2, "os"), (4, "sv"), (6, "json")]

@@ -110,6 +110,17 @@ class TestBasisShape:
             with pytest.raises(DimensionMismatch):
                 projector_gap(a, b)
 
+    def test_projector_rejects_a_nested_list(self):
+        with pytest.raises(DimensionMismatch, match="got list"):
+            projector([[1.0], [0.0]])
+
+    @pytest.mark.parametrize("compare", [subspace_leq, subspace_eq, projector_gap])
+    def test_comparisons_reject_a_nested_list(self, compare):
+        good = np.eye(2, dtype=complex)[:, :1]
+        for a, b in ((good.tolist(), good), (good, good.tolist())):
+            with pytest.raises(DimensionMismatch, match="got list"):
+                compare(a, b)
+
     def test_comparisons_reject_different_row_counts(self, tol):
         a = np.eye(2, dtype=complex)[:, :1]
         b = np.eye(3, dtype=complex)[:, :1]
