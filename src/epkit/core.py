@@ -8,12 +8,14 @@ independent characteristic-polynomial and residual oracles.
 
 ``singular_values`` is the values-only SVD of one matrix, with the numerical
 rank under the same cutoff as ``svd``: a caller that needs no singular
-vectors (``models.limit_study``) reads the rank and gamma from it at about
-half the cost of the full factorization.  A diagonal input, one with no
-nonzero entry off its diagonal (``_is_diagonal``), costs ``singular_values``
-and ``eigenvalues`` no LAPACK call: its singular values are its sorted
-|entries|, and its eigenvalues are its entries.  ``svd`` and ``norm2`` run
-LAPACK on every input.  This module is the only one that calls
+vectors reads the rank and gamma from it at about half the cost of the full
+factorization.  A diagonal input, one with no nonzero entry off its diagonal
+(``_is_diagonal``), costs ``singular_values`` and ``eigenvalues`` no LAPACK
+call: its singular values are its sorted |entries|
+(``_diagonal_singular_values``, the one statement of that rule, which
+``models.limit_study`` applies to a truncation's diagonal vector without
+building the matrix), and its eigenvalues are its entries.  ``svd`` and
+``norm2`` run LAPACK on every input.  This module is the only one that calls
 ``np.linalg.svd``, ``np.linalg.eigvals`` or ``np.linalg.eig``
 (``tests/test_kernel_module.py``).
 
@@ -30,7 +32,7 @@ threshold; its verdict is the exact one.  Here that is
 ``harness.psd_dominates`` call it); in ``classify`` the EP and normality
 checks.  Every spectral norm that reaches a report is an exact ``norm2``,
 except a model row's pseudoinverse norm, which ``models.limit_study`` reads
-as 1/gamma.
+as 1/gamma from the truncation's diagonal vector, with no matrix built.
 
 Validation keeps real matrices real: input whose dtype is real, integer or
 bool becomes float64 and takes the real LAPACK kernels (dgesdd, dgeev,
@@ -228,13 +230,18 @@ def singular_values(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndar
     """
     m = as_matrix(matrix)
     if _is_diagonal(m):
-        s = np.sort(np.abs(m.diagonal()))[::-1]
+        s = _diagonal_singular_values(m.diagonal())
     else:
         try:
             s = np.linalg.svd(m, compute_uv=False)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(f"SVD did not converge for shape {m.shape}") from exc
     return s, _numerical_rank(s, tol)
+
+
+def _diagonal_singular_values(d: np.ndarray) -> np.ndarray:
+    """The singular values of the diagonal matrix with entries d: |d| sorted non-increasing."""
+    return np.sort(np.abs(d))[::-1]
 
 
 def _is_diagonal(m: np.ndarray) -> bool:

@@ -18,20 +18,22 @@ analytically forced:
 Every truncation is a real float64 diagonal.  The tests check that each
 row equals, bit for bit, the row of the same matrix cast to complex128.
 
-``limit_study`` computes only the four values a row holds.  One
-singular-value-only SVD per truncation gives its rank and gamma, the
-smallest singular value above the cutoff; each truncation is diagonal, so
-``core.singular_values`` reads its sorted |entries| with no LAPACK call,
-and gamma is exact.  The tests check that these equal LAPACK's values-only
-SVD bit for bit.  The pseudoinverse norm is 1/gamma, since T+ = V S+ U*
-has sigma_1 = 1/sigma_r, and the spectral radius comes from the eigenvalue
-kernel, which reads a diagonal's entries with no LAPACK call; the tests
-check that they equal LAPACK's eigenvalues bit for bit.  A truncation of
-rank 0 or n gets its EP verdict from its rank (``classify.rank_forces_ep``),
-and every truncation has full rank at the default cutoff, so there a row
-calls no LAPACK routine at all.  Only a coarser ``rank_rtol`` leaves a rank
-strictly between; such a row takes its rank, gamma and EP verdict from a
-full SVD and ``range_corange_test``.
+``limit_study`` computes only the four values a row holds, and reads them
+from the truncation's diagonal d, a length-n vector.  A diagonal's singular
+values are its |entries| sorted (``core._diagonal_singular_values``, the
+rule ``core.singular_values`` applies to a diagonal matrix); they give the
+rank and gamma, the smallest singular value above the cutoff, and gamma is
+exact.  A diagonal's eigenvalues are its entries, so the spectral radius is
+max |d|, the largest singular value.  The pseudoinverse norm is 1/gamma,
+since T+ = V S+ U* has sigma_1 = 1/sigma_r.  The tests check that every row
+equals, bit for bit, the row of the dense route (``realize``, then
+``core.singular_values`` and ``pinv.spectral_radius``), whose values equal
+LAPACK's.  A truncation of rank 0 or n gets its EP verdict from its rank
+(``classify.rank_forces_ep``), and every truncation has full rank at the
+default cutoff, so there a row builds no n x n matrix and calls no LAPACK
+routine.  Only a coarser ``rank_rtol`` leaves a rank strictly between; such
+a row builds the dense truncation and takes its rank, gamma and EP verdict
+from a full SVD and ``range_corange_test``.
 
 Truncation means leading principal submatrix; the midpoint grid avoids the
 t = 0 singularity by construction.  The unbounded growth families (diag_n,
@@ -43,12 +45,22 @@ studied.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .classify import range_corange_test, rank_forces_ep
-from .core import DEFAULT_TOL, MAX_DIM, ToleranceConfig, _gamma, require_int, singular_values, svd
+from .core import (
+    DEFAULT_TOL,
+    MAX_DIM,
+    ToleranceConfig,
+    _diagonal_singular_values,
+    _gamma,
+    _numerical_rank,
+    require_int,
+    svd,
+)
 from .errors import InvalidDimension, InvalidSpec
-from .pinv import spectral_radius
 
 # Each family's diagonal, from k = (1, ..., n) as floats and n.
 _DIAGONALS = {
@@ -89,26 +101,31 @@ def limit_study(
 
     Each row records n, gamma, spectral_radius, is_ep, and the pseudoinverse
     norm; for diag_harmonic_truncated the gamma column is exactly 1/n while
-    every truncation stays EP, and for diag_n gamma is uniformly 1.  One
-    values-only SVD of each real truncation gives its rank and gamma, and
-    the pseudoinverse norm is 1/gamma (both 0.0 at rank 0).  The truncation
-    is diagonal, so that SVD reads its |entries| and the spectral radius
-    its entries, and neither calls LAPACK.  A full SVD runs only for a rank
-    strictly between 0 and n, which the rank cannot decide.
+    every truncation stays EP, and for diag_n gamma is uniformly 1.  Each
+    row is read from the truncation's diagonal d: its sorted |entries| give
+    the rank and gamma, max |d| is the spectral radius, and the pseudoinverse
+    norm is 1/gamma (both 0.0 at rank 0).  Only a rank strictly between 0
+    and n, which the rank cannot decide, builds the n x n truncation and
+    runs a full SVD.
     """
     require_int("n_max", n_max)
     if n_max < 2:
         raise InvalidDimension(f"n_max must be >= 2, got {n_max}")
-    # Fail before the first SVD; past the cap, name the first truncation over it.
+    # Fail before the first row; past the cap, name the first truncation over it.
     diagonal_entries(family, min(n_max, MAX_DIM + 1))
     rows = []
     for n in range(1, n_max + 1):
-        m = realize(family, n)
-        s, r = singular_values(m, tol)
+        d = diagonal_entries(family, n)
+        s = _diagonal_singular_values(d)
+        # A NaN sorts last, so s[0] after the reversal: it is finite only when every entry is.
+        radius = float(s[0])
+        if not math.isfinite(radius):
+            raise ValueError("matrix entries must be finite (no NaN/Inf)")
+        r = _numerical_rank(s, tol)
         if rank_forces_ep(r, n, n):
             is_ep = True
         else:
-            fact = svd(m, tol)
+            fact = svd(np.diag(d), tol)
             s, r = fact.singular_values, fact.numerical_rank
             is_ep = range_corange_test(fact, tol)[0]
         gamma = _gamma(s, r)
@@ -116,7 +133,7 @@ def limit_study(
             {
                 "n": n,
                 "gamma": gamma,
-                "spectral_radius": spectral_radius(m),
+                "spectral_radius": radius,
                 "is_ep": is_ep,
                 "pinv_norm": 1.0 / gamma if r else 0.0,
             }

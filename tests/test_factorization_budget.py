@@ -2,13 +2,18 @@
 
 Each count is the budget of a decision path: one full SVD per matrix feeds
 every decision about it, and a spectral norm that only feeds a threshold
-check is decided by the Frobenius bracket without an SVD of its own.
+check is decided by the Frobenius bracket without an SVD of its own.  A
+model row that needs no factorization builds no dense matrix either,
+counted by wrapping ``core.as_matrix`` (``as_matrix_calls``).
 """
+
+import sys
 
 import pytest
 
 from epkit import (
     FAMILIES,
+    MAX_DIM,
     THEOREM_IDS,
     GeneratorSpec,
     classify,
@@ -19,6 +24,29 @@ from epkit import (
     limit_study,
     run_theorem_check,
 )
+from epkit import core
+from epkit.core import ToleranceConfig
+
+
+@pytest.fixture
+def as_matrix_calls(monkeypatch):
+    """The shapes of the matrices ``core.as_matrix`` validates while the test runs.
+
+    Every epkit module's binding of it is wrapped, so a call from any of
+    them is counted.
+    """
+    shapes = []
+    real = core.as_matrix
+
+    def as_matrix(values):
+        m = real(values)
+        shapes.append(m.shape)
+        return m
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "epkit" and getattr(module, "as_matrix", None) is real:
+            monkeypatch.setattr(module, "as_matrix", as_matrix)
+    return shapes
 
 
 class TestClassify:
@@ -46,6 +74,18 @@ class TestLimitStudy:
         assert svd_calls["values"] == 0
         assert svd_calls["real_matrices"] == 0
         assert svd_calls["eigvals"] == 0
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_no_dense_matrix_for_a_full_rank_diagonal(self, as_matrix_calls, family):
+        # A full-rank row is read from the truncation's diagonal, a vector.
+        limit_study(family, MAX_DIM)
+        assert as_matrix_calls == []
+
+    def test_one_dense_matrix_per_rank_deficient_row(self, as_matrix_calls):
+        # At rank_rtol 1e-3 the alternating truncations from n = 33 on are
+        # rank-deficient; each builds its n x n matrix for one full SVD.
+        limit_study("diag_alternating", 64, ToleranceConfig(rank_rtol=1e-3))
+        assert as_matrix_calls == [(n, n) for n in range(33, 65)]
 
     def test_embedded_truncation_settles_its_inclusions_without_an_svd(self, svd_calls):
         for n in range(1, 25):

@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from epkit import (
+    DEFAULT_TOL,
     FAMILIES,
     InvalidDimension,
     InvalidSpec,
@@ -248,11 +249,17 @@ class TestLimitStudySharesOneFactorization:
             assert row["pinv_norm"] == 1.0 / row["gamma"]
 
 
-def complex_route_rows(family, n_max, tol):
-    """limit_study's route on each truncation cast to complex128."""
+def dense_route_rows(family, n_max, tol, dtype=np.float64):
+    """The rows of each truncation's dense n x n matrix, cast to dtype.
+
+    The route ``limit_study`` took before it read rows from the diagonal:
+    ``core.singular_values`` gives the rank and gamma, a full SVD and
+    ``range_corange_test`` decide a rank strictly between 0 and n, and
+    ``pinv.spectral_radius`` reads the eigenvalues.
+    """
     rows = []
     for n in range(1, n_max + 1):
-        m = realize(family, n).astype(np.complex128)
+        m = realize(family, n).astype(dtype)
         s, r = singular_values(m, tol)
         is_ep = rank_forces_ep(r, n, n)
         if not is_ep:
@@ -272,9 +279,28 @@ def complex_route_rows(family, n_max, tol):
     return rows
 
 
+def row_bits(rows):
+    """Each row's fields as (type, value) with floats in hex, so -0.0 differs from 0.0."""
+    return [
+        {k: (type(v), v.hex() if isinstance(v, float) else v) for k, v in row.items()}
+        for row in rows
+    ]
+
+
+class TestDiagonalRowsEqualTheDenseRoute:
+    @pytest.mark.parametrize("rank_rtol", [DEFAULT_TOL.rank_rtol, 1e-3])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_rows_equal_bit_for_bit(self, family, rank_rtol):
+        # At rank_rtol 1e-3 the alternating truncations from n = 33 on are
+        # rank-deficient and take the full SVD on both routes.
+        tol = ToleranceConfig(rank_rtol=rank_rtol)
+        rows = limit_study(family, MAX_DIM, tol)
+        assert row_bits(rows) == row_bits(dense_route_rows(family, MAX_DIM, tol))
+
+
 class TestRealKernelsGiveTheComplexRows:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_rows_equal_field_by_field(self, tol, family):
         # Real truncations stay float64; a row must not depend on the
         # dtype.  No fingerprint condition: every machine checks it.
-        assert limit_study(family, 64, tol) == complex_route_rows(family, 64, tol)
+        assert limit_study(family, 64, tol) == dense_route_rows(family, 64, tol, np.complex128)
