@@ -117,7 +117,7 @@ def limit_study(
     for n in range(1, n_max + 1):
         d = diagonal_entries(family, n)
         s = _diagonal_singular_values(d)
-        # A NaN sorts last, so s[0] after the reversal: it is finite only when every entry is.
+        # A NaN sorts last, so lands in s[0]: s[0] is finite only if every entry is.
         radius = float(s[0])
         if not math.isfinite(radius):
             raise ValueError("matrix entries must be finite (no NaN/Inf)")

@@ -17,6 +17,7 @@ from epkit import (
     spectral_radius,
     svd,
 )
+from epkit import models
 from epkit.classify import range_corange_test, rank_forces_ep
 from epkit.core import ToleranceConfig, singular_values
 from epkit.models import diagonal_entries
@@ -131,6 +132,15 @@ class TestLimitStudy:
             limit_study(family, n_max, tol)
         assert str(exc.value) == message
         assert svd_calls["full"] == svd_calls["values"] == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_non_finite_entry_as_the_dense_route_does(self, monkeypatch, tol, bad):
+        monkeypatch.setitem(models._DIAGONALS, "diag_n", lambda k, n: np.where(k == 3, bad, k))
+        message = "matrix entries must be finite"
+        with pytest.raises(ValueError, match=message):
+            singular_values(realize("diag_n", 3), tol)
+        with pytest.raises(ValueError, match=message):
+            limit_study("diag_n", 4, tol)
 
     @pytest.mark.parametrize("family,n_max", [("bogus", 8), ("diag_n", 8.0)])
     def test_rejects_a_bad_spec_before_the_first_svd(self, svd_calls, tol, family, n_max):
@@ -250,12 +260,12 @@ class TestLimitStudySharesOneFactorization:
 
 
 def dense_route_rows(family, n_max, tol, dtype=np.float64):
-    """The rows of each truncation's dense n x n matrix, cast to dtype.
+    """The rows of each truncation built as a dense n x n matrix, cast to dtype.
 
-    The route ``limit_study`` took before it read rows from the diagonal:
     ``core.singular_values`` gives the rank and gamma, a full SVD and
     ``range_corange_test`` decide a rank strictly between 0 and n, and
-    ``pinv.spectral_radius`` reads the eigenvalues.
+    ``pinv.spectral_radius`` reads the eigenvalues: the reference for the
+    rows ``limit_study`` reads from the diagonal vector.
     """
     rows = []
     for n in range(1, n_max + 1):
