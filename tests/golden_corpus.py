@@ -66,6 +66,11 @@ CASES = {
     "model-diag_alternating-n256-tolrank1e-3": [
         "model", "diag_alternating", "--n-max", "256", "--tol-rank", "1e-3",
     ],
+    # At --tol-rank 1e-2 both families are rank-deficient from n = 100 on:
+    # diag_n drops its smallest entries, diag_harmonic_truncated its last.
+    **{f"model-{f}-n256-tolrank1e-2": [
+        "model", f, "--n-max", "256", "--tol-rank", "1e-2",
+    ] for f in ("diag_n", "diag_harmonic_truncated")},
     "suite-seed1-d8-t10": ["suite", "--seed", "1", "--dim", "8", "--trials", "10"],
     "verify-thm1.5-d32-t6": ["verify", "thm1.5", "--dim", "32", "--trials", "6"],
     # Ten trials cover each of thm2.16's five dominance modes twice.
