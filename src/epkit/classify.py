@@ -10,11 +10,11 @@ EP-ness is defined for endomorphisms only: non-square input is rejected.
 
 ``range_corange_test`` is the one EP decision: every predicate here, and
 every verifier that holds a factorization, reads its verdict from it.  A
-square matrix of full numerical rank gets its EP verdict from its rank
-(both ranges are the whole space); only ranks strictly between 0 and n
-compare the two ranges.  ``rank_forces_ep`` is that rank rule, for a
-caller that knows the rank before it holds singular vectors
-(``models.limit_study``).
+square matrix of rank 0 or of full numerical rank gets its EP verdict from
+its rank (both ranges are {0} or the whole space); only ranks strictly
+between 0 and n compare the two ranges.  A model row holds no
+factorization and needs no decision: a diagonal is EP at every rank
+cutoff (see ``models``).
 
 The inclusion residuals of the EP decision and the commutator of
 ``is_normal`` feed only yes/no answers, so ``core.norm2_at_most`` decides
@@ -62,15 +62,6 @@ class ClassificationReport:
     zero_operator: bool
 
 
-def rank_forces_ep(rank: int, rows: int, cols: int) -> bool:
-    """True when the numerical rank alone makes a matrix EP: rank 0, or full rank and square.
-
-    Both ranges are then {0} or the whole space.  Otherwise the rank decides
-    nothing, and ``range_corange_test`` compares the ranges.
-    """
-    return rank == 0 or rank == rows == cols
-
-
 def range_corange_test(
     fact: SvdFactorization, tol: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[bool, bool]:
@@ -80,11 +71,12 @@ def range_corange_test(
     cutoff span the adjoint's range and a single rank decision covers both
     ranges.  range(M) lies in range(M*) when ||(I - V_r V_r*) U_r|| is at
     most eq_atol (hypo-EP); EP adds the reverse inclusion.  Both residuals
-    feed only these verdicts, so ``columns_included`` decides them.  Where
-    ``rank_forces_ep`` holds, M is EP and no product is formed.
+    feed only these verdicts, so ``columns_included`` decides them.  At
+    rank 0, or at full rank of a square M, both ranges are {0} or the whole
+    space: M is EP and no product is formed.
     """
     r = fact.numerical_rank
-    if rank_forces_ep(r, fact.rows, fact.cols):
+    if r == 0 or r == fact.rows == fact.cols:
         return True, True
     u = fact.left_vectors[:, :r]
     v = fact.right_vectors[:, :r]

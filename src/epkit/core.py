@@ -10,14 +10,13 @@ independent characteristic-polynomial and residual oracles.
 rank under the same cutoff as ``svd``: a caller that needs no singular
 vectors reads the rank and gamma from it at about half the cost of the full
 factorization.  A diagonal input, one with no nonzero entry off its diagonal
-(``_is_diagonal``), costs ``singular_values`` and ``eigenvalues`` no LAPACK
-call: its singular values are its sorted |entries|
-(``_diagonal_singular_values``, the one statement of that rule, which
-``models.limit_study`` applies to a truncation's diagonal vector without
-building the matrix), and its eigenvalues are its entries.  ``svd`` and
-``norm2`` run LAPACK on every input.  This module is the only one that calls
-``np.linalg.svd``, ``np.linalg.eigvals`` or ``np.linalg.eig``
-(``tests/test_kernel_module.py``).
+(``_is_diagonal``), costs ``singular_values`` no LAPACK call: its singular
+values are its sorted |entries| (``_diagonal_singular_values``, the one
+statement of that rule, which ``models.limit_study`` applies to a
+truncation's diagonal vector without building the matrix).  ``svd``,
+``eigenvalues`` and ``norm2`` run LAPACK on every input.  This module is
+the only one that calls ``np.linalg.svd``, ``np.linalg.eigvals`` or
+``np.linalg.eig`` (``tests/test_kernel_module.py``).
 
 Every kernel takes one matrix; a 3-D array raises InvalidDimension.
 ``norm2`` is the package's only spectral norm: it reads sigma_1 from the
@@ -71,10 +70,10 @@ def require_int(name: str, value) -> None:
         raise InvalidSpec(f"{name} must be an integer, got {value!r}")
 
 
-def require_real(name: str, value) -> None:
-    """Reject a value that is not a real number; numpy reals pass, bool does not."""
+def require_real(name: str, value, error: type[Exception] = InvalidSpec) -> None:
+    """Raise ``error`` for a value that is not a real number; numpy reals pass, bool does not."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise InvalidSpec(f"{name} must be a real number, got {value!r}")
+        raise error(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -300,22 +299,15 @@ def eigenvalues(matrix) -> np.ndarray:
 
     Sorted by descending real part, then descending imaginary part; the
     result is a complex128 multiset, also for a real matrix, so only the
-    multiset is contractual.  A diagonal input gets its entries, with no
-    LAPACK call.  LAPACK's balancing isolates every row of a diagonal and
-    returns those same entries, bit for bit, while their moduli lie between
-    about 1e-138 and 1e138; past that it rescales the matrix and may round
-    them, where this route stays exact.  Any other input takes LAPACK's general kernel.
+    multiset is contractual.  Every input takes LAPACK's general kernel.
     """
     m = require_square(as_matrix(matrix))
-    if _is_diagonal(m):
-        vals = m.diagonal().astype(np.complex128)
-    else:
-        try:
-            vals = np.linalg.eigvals(m).astype(np.complex128, copy=False)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(
-                f"eigenvalue iteration did not converge for shape {m.shape}"
-            ) from exc
+    try:
+        vals = np.linalg.eigvals(m).astype(np.complex128, copy=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(
+            f"eigenvalue iteration did not converge for shape {m.shape}"
+        ) from exc
     order = np.lexsort((-vals.imag, -vals.real))
     return vals[order].copy()
 

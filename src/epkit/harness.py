@@ -38,11 +38,15 @@ carries its matrix.
 Generation dispatches through one table, ``_GENERATORS``, from family name
 to a generator of one matrix; ``gen_matrix`` and the verifiers both index
 it.  A verifier that needs a pair or a window builds it from its own draws
-(thm2.12 draws two ep matrices, thm1.5 scales one), so every generated
-matrix passes through the table.  A test that needs a faulty generator
-patches an entry of that table for its own run (``monkeypatch.setitem``);
-the package itself never mutates module-level state, so everything a run
-depends on travels in its arguments and its ``_Ctx``.
+(thm2.12 draws two ep matrices on even trials, thm1.5 scales one), so
+every generated matrix passes through the table but one.  thm2.12's
+aligned pair, on odd trials, is two ``_conditioned_invertible`` blocks
+conjugated by one shared ``_haar_unitary``: the pair needs that shared V
+for its ranges and null spaces to align, and a table draw brings its own.
+A test that needs a faulty generator patches an entry of that table for
+its own run (``monkeypatch.setitem``); the package itself never mutates
+module-level state, so everything a run depends on travels in its
+arguments and its ``_Ctx``.
 """
 
 from __future__ import annotations

@@ -19,21 +19,20 @@ Every truncation is a real float64 diagonal.  The tests check that each
 row equals, bit for bit, the row of the same matrix cast to complex128.
 
 ``limit_study`` computes only the four values a row holds, and reads them
-from the truncation's diagonal d, a length-n vector.  A diagonal's singular
-values are its |entries| sorted (``core._diagonal_singular_values``, the
-rule ``core.singular_values`` applies to a diagonal matrix); they give the
-rank and gamma, the smallest singular value above the cutoff, and gamma is
-exact.  A diagonal's eigenvalues are its entries, so the spectral radius is
-max |d|, the largest singular value.  The pseudoinverse norm is 1/gamma,
-since T+ = V S+ U* has sigma_1 = 1/sigma_r.  The tests check that every row
-equals, bit for bit, the row of the dense route (``realize``, then
-``core.singular_values`` and ``pinv.spectral_radius``), whose values equal
-LAPACK's.  A truncation of rank 0 or n gets its EP verdict from its rank
-(``classify.rank_forces_ep``), and every truncation has full rank at the
-default cutoff, so there a row builds no n x n matrix and calls no LAPACK
-routine.  Only a coarser ``rank_rtol`` leaves a rank strictly between; such
-a row builds the dense truncation and takes its rank, gamma and EP verdict
-from a full SVD and ``range_corange_test``.
+from the truncation's diagonal d, a length-n vector, at every rank cutoff;
+it builds no n x n matrix and calls no LAPACK routine.  A diagonal's
+singular values are its |entries| sorted (``core._diagonal_singular_values``,
+the rule ``core.singular_values`` applies to a diagonal matrix); they give
+the rank and gamma, the smallest singular value above the cutoff, and gamma
+is exact.  A diagonal's eigenvalues are its entries, so the spectral radius
+is max |d|, the largest singular value.  The pseudoinverse norm is 1/gamma,
+since T+ = V S+ U* has sigma_1 = 1/sigma_r.  Every row is EP: D and D* are
+both spanned by the coordinate vectors of the entries above the cutoff, and
+entries of equal modulus are kept or dropped together, because the cutoff
+is strict.  The tests check every row, bit for bit, against the dense route
+(``realize``, then ``core.singular_values`` and ``pinv.spectral_radius``),
+whose values equal LAPACK's, and each EP verdict against
+``classify.range_corange_test`` on a full SVD.
 
 Truncation means leading principal submatrix; the midpoint grid avoids the
 t = 0 singularity by construction.  The unbounded growth families (diag_n,
@@ -49,7 +48,6 @@ import math
 
 import numpy as np
 
-from .classify import range_corange_test, rank_forces_ep
 from .core import (
     DEFAULT_TOL,
     MAX_DIM,
@@ -58,7 +56,6 @@ from .core import (
     _gamma,
     _numerical_rank,
     require_int,
-    svd,
 )
 from .errors import InvalidDimension, InvalidSpec
 
@@ -102,11 +99,10 @@ def limit_study(
     Each row records n, gamma, spectral_radius, is_ep, and the pseudoinverse
     norm; for diag_harmonic_truncated the gamma column is exactly 1/n while
     every truncation stays EP, and for diag_n gamma is uniformly 1.  Each
-    row is read from the truncation's diagonal d: its sorted |entries| give
-    the rank and gamma, max |d| is the spectral radius, and the pseudoinverse
-    norm is 1/gamma (both 0.0 at rank 0).  Only a rank strictly between 0
-    and n, which the rank cannot decide, builds the n x n truncation and
-    runs a full SVD.
+    row is read from the truncation's diagonal d at any ``rank_rtol``: its
+    sorted |entries| give the rank and gamma, max |d| is the spectral
+    radius, the pseudoinverse norm is 1/gamma (both 0.0 at rank 0), and the
+    row is EP, as every diagonal is.
     """
     require_int("n_max", n_max)
     if n_max < 2:
@@ -115,26 +111,19 @@ def limit_study(
     diagonal_entries(family, min(n_max, MAX_DIM + 1))
     rows = []
     for n in range(1, n_max + 1):
-        d = diagonal_entries(family, n)
-        s = _diagonal_singular_values(d)
+        s = _diagonal_singular_values(diagonal_entries(family, n))
         # A NaN sorts last, so lands in s[0]: s[0] is finite only if every entry is.
         radius = float(s[0])
         if not math.isfinite(radius):
             raise ValueError("matrix entries must be finite (no NaN/Inf)")
         r = _numerical_rank(s, tol)
-        if rank_forces_ep(r, n, n):
-            is_ep = True
-        else:
-            fact = svd(np.diag(d), tol)
-            s, r = fact.singular_values, fact.numerical_rank
-            is_ep = range_corange_test(fact, tol)[0]
         gamma = _gamma(s, r)
         rows.append(
             {
                 "n": n,
                 "gamma": gamma,
                 "spectral_radius": radius,
-                "is_ep": is_ep,
+                "is_ep": True,
                 "pinv_norm": 1.0 / gamma if r else 0.0,
             }
         )

@@ -27,6 +27,7 @@ from .core import (
     hermitian_eig,
     norm2,
     operator_norm,
+    require_real,
     require_square,
     svd,
 )
@@ -239,6 +240,7 @@ def fractional_abs_powers_of(
 
 def _require_positive(alphas) -> None:
     for alpha in alphas:
+        require_real("exponent", alpha, InvalidExponent)
         if not 0.0 < alpha < np.inf:
             raise InvalidExponent(f"exponent must be positive and finite, got {alpha}")
 

@@ -56,8 +56,7 @@ CLASSIFY_INPUTS = (
 
 CASES = {
     **{f"model-{f}": ["model", f, "--n-max", "64"] for f in FAMILIES},
-    # At --tol-rank 1e-3 the truncations from n = 33 on are rank-deficient,
-    # so their rows come from a full SVD and the range comparison.
+    # At --tol-rank 1e-3 the truncations from n = 33 on are rank-deficient.
     "model-diag_alternating-n64-tolrank1e-3": [
         "model", "diag_alternating", "--n-max", "64", "--tol-rank", "1e-3",
     ],
@@ -120,8 +119,9 @@ def corrupt_ep_generation():
     """Make the ep family return a non-EP matrix after drawing its usual instance.
 
     Every verifier draws its ep matrices, pairs and windows included, through
-    the family table, so each sees genuine counterexamples; the patch is
-    undone when the block ends.
+    the family table, so each sees genuine counterexamples; thm2.12's aligned
+    pair, which shares one unitary between S and T, is the one exception.
+    The patch is undone when the block ends.
     """
     real = harness._GENERATORS["ep"]
 

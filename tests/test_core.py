@@ -241,55 +241,6 @@ class TestEigenvalues:
 
     @pytest.mark.parametrize(
         "m",
-        [
-            np.diag([-3.0, 0.0, 2.0, -2.0, 0.5, 0.0, 2.0, -0.0]),  # signs, zeros and ties
-            np.diag([3 - 4j, -1j, 0.0, 2 + 0j, -5.0, -1j, complex(-0.0, -0.0)]),
-            np.zeros((3, 3)),
-            np.zeros((2, 2), dtype=np.complex128),
-            [[-2.5]],
-            [[0.0]],
-            [[1j]],
-        ],
-        ids=["real", "complex", "zero", "zero_complex", "one_by_one", "zero_one_by_one",
-             "complex_one_by_one"],
-    )
-    def test_diagonal_gives_its_entries_without_lapack(self, svd_calls, m):
-        reference = oracles.lapack_eigenvalues(m)
-        svd_calls.clear()
-        vals = eigenvalues(m)
-        assert svd_calls["eigvals"] == 0
-        assert vals.dtype == np.complex128
-        assert vals.tobytes() == reference.tobytes()
-        entries = np.diagonal(np.asarray(m)).astype(np.complex128)
-        assert np.sort_complex(vals).tolist() == np.sort_complex(entries).tolist()
-
-    def test_diagonal_equals_lapack_bit_for_bit(self, svd_calls):
-        rng = np.random.default_rng(21)
-        for _ in range(300):
-            n = int(rng.integers(1, 17))
-            d = rng.standard_normal(n) * 10.0 ** rng.uniform(-137.0, 137.0, n)
-            d[rng.random(n) < 0.2] = 0.0
-            d[rng.random(n) < 0.2] = d[0]  # ties
-            z = d + 1j * rng.standard_normal(n) * 10.0 ** rng.uniform(-137.0, 137.0, n)
-            for m in (np.diag(d), np.diag(z)):
-                reference = oracles.lapack_eigenvalues(m)
-                calls = svd_calls["eigvals"]
-                assert eigenvalues(m).tobytes() == reference.tobytes()
-                assert svd_calls["eigvals"] == calls
-
-    @pytest.mark.parametrize("scale", [1e200, 1e300, 1e-200, 1e-300])
-    def test_diagonal_past_lapack_rescaling_gives_exact_entries(self, svd_calls, scale):
-        # LAPACK rescales a matrix this far from 1 and may round its entries.
-        d = scale * np.array([1.1, -0.3, 0.7, 0.0, 1.1])
-        for entries in (d, d - 1j * d[::-1]):
-            vals = eigenvalues(np.diag(entries))
-            expected = entries.astype(np.complex128)
-            expected = expected[np.lexsort((-expected.imag, -expected.real))]
-            assert vals.tobytes() == expected.tobytes()
-        assert svd_calls["eigvals"] == 0
-
-    @pytest.mark.parametrize(
-        "m",
         [*map(one_off_diagonal, [1e-3, 5e-324, 1j * 5e-324]), [[0.0, 1.0], [0.0, 0.0]]],
         ids=["small", "subnormal", "imaginary_subnormal", "nilpotent"],
     )

@@ -3,12 +3,14 @@
 Each count is the budget of a decision path: one full SVD per matrix feeds
 every decision about it, and a spectral norm that only feeds a threshold
 check is decided by the Frobenius bracket without an SVD of its own.  A
-model row that needs no factorization builds no dense matrix either,
-counted by wrapping ``core.as_matrix`` (``as_matrix_calls``).
+model row needs no factorization and builds no dense matrix, at any rank
+cutoff; the matrices are counted by wrapping ``core.as_matrix``
+(``as_matrix_calls``).
 """
 
 import sys
 
+import numpy as np
 import pytest
 
 from epkit import (
@@ -26,6 +28,7 @@ from epkit import (
 )
 from epkit import core
 from epkit.core import ToleranceConfig
+from epkit.models import diagonal_entries
 
 
 @pytest.fixture
@@ -66,10 +69,8 @@ class TestLimitStudy:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_no_lapack_call_for_a_full_rank_diagonal(self, svd_calls, family):
         limit_study(family, 24)
-        # A full-rank truncation gets its EP verdict from its rank and its
-        # pseudoinverse norm from its gamma, so no singular vectors; its
-        # values-only SVD and its eigenvalues read the diagonal, so LAPACK
-        # is never called.
+        # A row's values and its EP verdict are read from the truncation's
+        # diagonal vector, so LAPACK is never called.
         assert svd_calls["full"] == 0
         assert svd_calls["values"] == 0
         assert svd_calls["real_matrices"] == 0
@@ -81,11 +82,22 @@ class TestLimitStudy:
         limit_study(family, MAX_DIM)
         assert as_matrix_calls == []
 
-    def test_one_dense_matrix_per_rank_deficient_row(self, as_matrix_calls):
-        # At rank_rtol 1e-3 the alternating truncations from n = 33 on are
-        # rank-deficient; each builds its n x n matrix for one full SVD.
-        limit_study("diag_alternating", 64, ToleranceConfig(rank_rtol=1e-3))
-        assert as_matrix_calls == [(n, n) for n in range(33, 65)]
+    @pytest.mark.parametrize("rank_rtol", [1e-3, 1e-2])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_rank_deficient_row_is_read_from_the_diagonal_too(
+        self, as_matrix_calls, svd_calls, family, rank_rtol
+    ):
+        # A coarse cutoff drops entries of diag_alternating from n = 33
+        # (1e-3) or n = 11 (1e-2) on, and of diag_n and
+        # diag_harmonic_truncated from n = 100 (1e-2) on.
+        rows = limit_study(family, MAX_DIM, ToleranceConfig(rank_rtol=rank_rtol))
+        assert as_matrix_calls == []
+        assert svd_calls["full"] == svd_calls["values"] == svd_calls["eigvals"] == 0
+        for row in rows:
+            d = np.abs(diagonal_entries(family, row["n"]))
+            gamma = float(d[d > rank_rtol * d.max()].min())
+            assert row["gamma"] == gamma
+            assert row["pinv_norm"] == 1.0 / gamma
 
     def test_embedded_truncation_settles_its_inclusions_without_an_svd(self, svd_calls):
         for n in range(1, 25):

@@ -437,8 +437,11 @@ class TestRunTheoremCheck:
     @pytest.mark.parametrize("theorem_id", [tid for tid in THEOREM_IDS if tid != "thm1.5"])
     def test_corrupted_ep_family_reaches_the_verdict(self, theorem_id, tol, corrupt_ep_generation):
         # Every ep draw passes through the family table, so a non-EP "ep"
-        # matrix shows as a failure.  thm1.5 is exempt: its claim holds for
-        # any matrix window, so a non-EP limit is no counterexample.
+        # matrix shows as a failure.  thm2.12's aligned pair is no table
+        # draw: it needs one V shared by S and T, and a table draw brings
+        # its own; its other trials draw from the table.  thm1.5 is exempt:
+        # its claim holds for any matrix window, so a non-EP limit is no
+        # counterexample.
         verdict = run_theorem_check(theorem_id, GeneratorSpec(dim=8, rank=6, seed=1), 20, tol)
         assert verdict.failures > 0
 

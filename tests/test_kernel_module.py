@@ -1,13 +1,14 @@
 """``core`` is the only module that calls LAPACK's SVD or general eigensolver.
 
 Every singular value in ``src/epkit`` comes from ``core.svd``,
-``core.singular_values`` or ``core.norm2``, and every eigenvalue of a
-general matrix from ``core.eigenvalues``, so none bypasses the diagonal
-route of ``singular_values`` and ``eigenvalues`` or the ``svd_calls`` count
-of the tests.  An AST walk finds every reference to ``np.linalg.svd``,
-``np.linalg.eigvals`` and ``np.linalg.eig``, under any alias, outside
-``core.py``.  The Hermitian solvers (``eigh``, ``eigvalsh``) are not general
-ones and stay allowed.
+``core.singular_values`` or ``core.norm2``, or, for a model row, from
+``core._diagonal_singular_values`` on the truncation's diagonal vector,
+which calls no LAPACK routine.  Every eigenvalue of a general matrix comes
+from ``core.eigenvalues``.  So none bypasses the diagonal route of
+``singular_values`` or the ``svd_calls`` count of the tests.  An AST walk
+finds every reference to ``np.linalg.svd``, ``np.linalg.eigvals`` and
+``np.linalg.eig``, under any alias, outside ``core.py``.  The Hermitian
+solvers (``eigh``, ``eigvalsh``) are not general ones and stay allowed.
 """
 
 import ast

@@ -18,7 +18,7 @@ from epkit import (
     svd,
 )
 from epkit import models
-from epkit.classify import range_corange_test, rank_forces_ep
+from epkit.classify import range_corange_test
 from epkit.core import ToleranceConfig, singular_values
 from epkit.models import diagonal_entries
 
@@ -228,65 +228,47 @@ class TestLimitStudySharesOneFactorization:
                 assert s.tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_eigenvalues_equal_lapack_bit_for_bit(self, svd_calls, family):
-        # A diagonal's eigenvalues never reach LAPACK (``core.eigenvalues``);
-        # LAPACK's general eigensolver, real and complex, stays the reference.
+    def test_eigenvalues_equal_lapack_bit_for_bit(self, family):
+        # LAPACK's general eigensolver returns a diagonal's entries, from
+        # the real kernel and the complex one alike, so the spectral radius
+        # of a row is its largest singular value.
         for n in range(1, MAX_DIM + 1):
             m = realize(family, n)
-            calls = svd_calls["eigvals"]
             vals = eigenvalues(m)
-            assert svd_calls["eigvals"] == calls
             assert vals.tobytes() == oracles.lapack_eigenvalues(m).tobytes()
             if n <= 64:
                 reference = oracles.lapack_eigenvalues(m.astype(np.complex128))
                 assert vals.tobytes() == reference.tobytes()
 
-    def test_rank_deficient_rows_take_the_full_factorization(self, svd_calls):
-        # At rank_rtol 1e-3 the alternating truncations from n = 33 on lose
-        # their 1/k entries below the cutoff, so the rank decides nothing.
-        tol = ToleranceConfig(rank_rtol=1e-3)
-        rows = limit_study("diag_alternating", 64, tol)
-        full = svd_calls["full"]
-        deficient = [
-            row for row in rows
-            if singular_values(realize("diag_alternating", row["n"]), tol)[1] < row["n"]
-        ]
-        assert [row["n"] for row in deficient] == list(range(33, 65))
-        assert full == len(deficient)
-        for row in deficient:
-            report = classify(realize("diag_alternating", row["n"]), tol)
-            assert (row["gamma"], row["is_ep"]) == (report.gamma, report.is_ep)
-            assert row["pinv_norm"] == 1.0 / row["gamma"]
-
 
 def dense_route_rows(family, n_max, tol, dtype=np.float64):
     """The rows of each truncation built as a dense n x n matrix, cast to dtype.
 
-    ``core.singular_values`` gives the rank and gamma, a full SVD and
-    ``range_corange_test`` decide a rank strictly between 0 and n, and
+    ``core.singular_values`` gives the rank and gamma at every rank, and
     ``pinv.spectral_radius`` reads the eigenvalues: the reference for the
-    rows ``limit_study`` reads from the diagonal vector.
+    values ``limit_study`` reads from the diagonal vector.  Every row is EP;
+    ``TestEveryRowIsEp`` checks that verdict against the range comparison.
     """
     rows = []
     for n in range(1, n_max + 1):
         m = realize(family, n).astype(dtype)
         s, r = singular_values(m, tol)
-        is_ep = rank_forces_ep(r, n, n)
-        if not is_ep:
-            fact = svd(m, tol)
-            s, r = fact.singular_values, fact.numerical_rank
-            is_ep = range_corange_test(fact, tol)[0]
         gamma = float(s[r - 1]) if r else 0.0
         rows.append(
             {
                 "n": n,
                 "gamma": gamma,
                 "spectral_radius": spectral_radius(m),
-                "is_ep": is_ep,
+                "is_ep": True,
                 "pinv_norm": 1.0 / gamma if r else 0.0,
             }
         )
     return rows
+
+
+# The default cutoff, at which every truncation has full rank, and two
+# coarse ones that leave ranks strictly between 0 and n.
+RANK_RTOLS = [DEFAULT_TOL.rank_rtol, 1e-3, 1e-2]
 
 
 def row_bits(rows):
@@ -298,14 +280,27 @@ def row_bits(rows):
 
 
 class TestDiagonalRowsEqualTheDenseRoute:
-    @pytest.mark.parametrize("rank_rtol", [DEFAULT_TOL.rank_rtol, 1e-3])
+    @pytest.mark.parametrize("rank_rtol", RANK_RTOLS)
     @pytest.mark.parametrize("family", FAMILIES)
     def test_rows_equal_bit_for_bit(self, family, rank_rtol):
         # At rank_rtol 1e-3 the alternating truncations from n = 33 on are
-        # rank-deficient and take the full SVD on both routes.
+        # rank-deficient, and at 1e-2 every family but mult_inv_sqrt is by
+        # n = 100.
         tol = ToleranceConfig(rank_rtol=rank_rtol)
         rows = limit_study(family, MAX_DIM, tol)
         assert row_bits(rows) == row_bits(dense_route_rows(family, MAX_DIM, tol))
+
+
+class TestEveryRowIsEp:
+    @pytest.mark.parametrize("rank_rtol", RANK_RTOLS)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_verdict_equals_the_range_comparison(self, family, rank_rtol):
+        # A row's is_ep is a constant; the full SVD and range comparison of
+        # the dense truncation must reach it at every cutoff.
+        tol = ToleranceConfig(rank_rtol=rank_rtol)
+        for row in limit_study(family, 64, tol):
+            fact = svd(realize(family, row["n"]), tol)
+            assert row["is_ep"] == range_corange_test(fact, tol)[0]
 
 
 class TestRealKernelsGiveTheComplexRows:

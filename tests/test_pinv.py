@@ -235,6 +235,13 @@ class TestFractionalAbsPower:
         with pytest.raises(InvalidExponent, match="positive and finite"):
             fractional_abs_power(rng.standard_normal((3, 3)), alpha, tol)
 
+    @pytest.mark.parametrize("alpha", ["0.5", 1j, None, True, np.bool_(True)])
+    def test_rejects_an_exponent_that_is_not_a_real_number(self, tol, alpha):
+        with pytest.raises(InvalidExponent, match="exponent must be a real number"):
+            fractional_abs_power(np.eye(2), alpha, tol)
+        with pytest.raises(InvalidExponent, match="exponent must be a real number"):
+            fractional_abs_powers_of(polar_decomposition(np.eye(2), tol), (0.5, alpha), tol)
+
     def test_rejects_non_square(self, tol):
         with pytest.raises(NotSquare):
             fractional_abs_power(np.ones((2, 3)), 0.5, tol)
