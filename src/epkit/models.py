@@ -31,7 +31,7 @@ both spanned by the coordinate vectors of the entries above the cutoff, and
 entries of equal modulus are kept or dropped together, because the cutoff
 is strict.  The tests check every row, bit for bit, against the dense route
 (``realize``, then ``core.singular_values`` and ``pinv.spectral_radius``),
-whose values equal LAPACK's, and each EP verdict against
+whose values equal LAPACK's, and for n <= 64 each EP verdict against
 ``classify.range_corange_test`` on a full SVD.
 
 Truncation means leading principal submatrix; the midpoint grid avoids the
