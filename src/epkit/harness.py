@@ -6,11 +6,12 @@ master seed s draws from a generator seeded by (s, verifier index, t), so
 results do not depend on execution order, and rerunning with the same seed
 reproduces the verdict bit for bit.
 
-Equivalence-style verifiers exercise both directions: accepting instances
-from the matching family and rejecting instances from a control family.  A
-trial fails when a boolean claim is violated or a residual exceeds ten times
-eq_atol at its natural scale; residuals between eq_atol and that threshold
-are counted as warnings, not failures.
+Equivalence-style verifiers exercise both directions: each trial says
+whether it accepts, on an instance of the matching family, or rejects, on
+one of a control family.  A trial fails when a boolean claim is violated or
+a residual exceeds ten times eq_atol at its natural scale; residuals between
+eq_atol and that threshold are counted as warnings, not failures.  A failing
+trial alone reaches the report: its matrices and note are read only then.
 
 thm1.5 factors each term of its window once and reads ||T_k+|| as
 1 / gamma(T_k), so only the seven terms whose pseudoinverse the verdict
@@ -33,7 +34,8 @@ verifier that holds a matrix's factorization reads sigma_1 from it.
 Generators build and verifiers decide: each family's property holds by
 construction, so a generator returns its draw untested, and a verifier
 decision that disagrees with the family drawn is a counterexample that
-carries its matrix.
+carries its matrix.  thm2.5's non-commuting control S is likewise one
+Gaussian draw, untested: the verdict decides whether it commutes with T+.
 
 Generation dispatches through one table, ``_GENERATORS``, from family name
 to a generator of one matrix; ``gen_matrix`` and the verifiers both index
@@ -273,7 +275,7 @@ class _Trial:
     ok: bool
     residual: float = 0.0
     warn: bool = False
-    direction: str = "accept"
+    accept: bool = True
     payload: dict | None = None
     note: str | None = None
 
@@ -288,28 +290,25 @@ class _Ctx:
 
 
 def _residual_trial(
-    residual: float,
-    scale: float,
-    tol: ToleranceConfig,
-    extra_ok: bool = True,
-    direction: str = "accept",
-    payload: dict | None = None,
-    note: str | None = None,
+    residual: float, scale: float, tol: ToleranceConfig, extra_ok: bool = True,
+    accept: bool = True, payload: dict | None = None, note: str | None = None,
 ) -> _Trial:
-    fail_at = 10.0 * tol.eq_atol * scale
-    ok = extra_ok and residual <= fail_at
+    """A trial that fails when ``extra_ok`` is false or residual > 10 eq_atol scale.
+
+    The runner reads ``payload`` and ``note`` only from a failing trial.  A
+    residual alone can fail one, so a note on ``extra_ok`` is None while it holds.
+    """
+    ok = extra_ok and residual <= 10.0 * tol.eq_atol * scale
     warn = ok and residual > tol.eq_atol * scale
-    return _Trial(ok=ok, residual=float(residual), warn=warn, direction=direction,
+    return _Trial(ok=ok, residual=float(residual), warn=warn, accept=accept,
                   payload=payload, note=note)
 
 
 def _pass_fail(
-    ok: bool, payload: dict | None = None, note: str | None = None, direction: str = "accept"
+    ok: bool, payload: dict | None = None, note: str | None = None, accept: bool = True
 ) -> _Trial:
-    """A boolean trial: a pass has residual 0 and no payload, a failure residual 1."""
-    if ok:
-        return _Trial(True, 0.0, direction=direction)
-    return _Trial(False, 1.0, direction=direction, payload=payload, note=note)
+    """A boolean trial, residual 0 or 1; ``payload`` and ``note`` are read only on a failure."""
+    return _Trial(ok, 0.0 if ok else 1.0, accept=accept, payload=payload, note=note)
 
 
 def _gen_for(ctx: _Ctx, rng, family: str, cond: float | None = None):
@@ -383,23 +382,17 @@ def _has_perfect_matching(allowed: np.ndarray) -> bool:
 
 def _check_thm2_1(ctx: _Ctx, rng, t: int) -> _Trial:
     """EP iff the pseudoinverse commutes: range test vs commutator test."""
-    family = "ep" if t % 2 == 0 else "non_ep"
+    expected = t % 2 == 0
+    family = "ep" if expected else "non_ep"
     m = _gen_for(ctx, rng, family)
     rep = classify(m, ctx.tol)
     pred_comm = rep.commutator_residual <= ctx.tol.eq_atol
-    expected = family == "ep"
-    direction = "accept" if expected else "reject"
-    if rep.is_ep != expected or pred_comm != expected:
-        return _pass_fail(
-            False, {"T": m},
-            f"family={family}: is_ep={rep.is_ep}, "
-            f"commutator_residual={rep.commutator_residual:.3e}",
-            direction,
-        )
-    if expected:
-        scale = 1.0 + operator_norm(m) + (1.0 / rep.gamma if rep.gamma > 0 else 0.0)
-        return _residual_trial(rep.commutator_residual, scale, ctx.tol, payload={"T": m})
-    return _pass_fail(True, direction="reject")
+    agree = rep.is_ep == pred_comm == expected
+    if not agree or not expected:
+        return _pass_fail(agree, {"T": m}, f"family={family}: is_ep={rep.is_ep}, "
+                          f"commutator_residual={rep.commutator_residual:.3e}", accept=expected)
+    scale = 1.0 + operator_norm(m) + (1.0 / rep.gamma if rep.gamma > 0 else 0.0)
+    return _residual_trial(rep.commutator_residual, scale, ctx.tol, payload={"T": m})
 
 
 def _check_thm2_2(ctx: _Ctx, rng, t: int) -> _Trial:
@@ -428,46 +421,38 @@ def _check_thm2_2(ctx: _Ctx, rng, t: int) -> _Trial:
 
     if ep_d != accept:
         return _pass_fail(False, payload, f"is_ep(A (+) B)={ep_d}, expected {accept}",
-                          "accept" if accept else "reject")
+                          accept=accept)
     return _residual_trial(
-        pinv_resid, pinv_scale, tol, extra_ok=gamma_ok,
-        direction="accept" if accept else "reject", payload=payload,
+        pinv_resid, pinv_scale, tol, extra_ok=gamma_ok, accept=accept, payload=payload,
         note=None if gamma_ok else f"gamma law residual {gamma_resid:.3e}",
     )
 
 
 def _check_thm2_3(ctx: _Ctx, rng, t: int) -> _Trial:
     """EP iff the polar isometry factor is EP."""
-    family = "ep" if t % 2 == 0 else "non_ep"
-    m = _gen_for(ctx, rng, family)
+    expected = t % 2 == 0
+    m = _gen_for(ctx, rng, "ep" if expected else "non_ep")
     u = polar_decomposition(m, ctx.tol).isometry_part
     rep_u = classify(u, ctx.tol)
-    expected = family == "ep"
-    if rep_u.is_ep != expected:
-        return _pass_fail(False, {"T": m, "U": u},
-                          f"is_ep(U)={rep_u.is_ep}, expected {expected}",
-                          "accept" if expected else "reject")
-    if expected:
-        return _residual_trial(rep_u.range_gap, 2.0, ctx.tol, payload={"T": m, "U": u})
-    return _pass_fail(True, direction="reject")
+    if rep_u.is_ep != expected or not expected:
+        return _pass_fail(rep_u.is_ep == expected, {"T": m, "U": u},
+                          f"is_ep(U)={rep_u.is_ep}, expected {expected}", accept=expected)
+    return _residual_trial(rep_u.range_gap, 2.0, ctx.tol, payload={"T": m, "U": u})
 
 
 def _check_thm2_4(ctx: _Ctx, rng, t: int) -> _Trial:
     """EP iff range equals carrier (the invertible-corner block form)."""
-    family = "ep" if t % 2 == 0 else "non_ep"
-    m = _gen_for(ctx, rng, family)
+    expected = t % 2 == 0
+    m = _gen_for(ctx, rng, "ep" if expected else "non_ep")
     fact = svd(m, ctx.tol)
     # The range-vs-carrier test is the EP decision, so it answers both.
     ep = range_corange_test(fact, ctx.tol)[0]
-    expected = family == "ep"
-    if ep != expected:
-        return _pass_fail(False, {"T": m},
+    if ep != expected or not expected:
+        return _pass_fail(ep == expected, {"T": m},
                           f"range==carrier (the EP test) is {ep}, expected {expected}",
-                          "accept" if expected else "reject")
-    if expected:
-        gap = projector_gap(fact.range_vectors(), fact.carrier_vectors())
-        return _residual_trial(gap, 1.0, ctx.tol, payload={"T": m})
-    return _pass_fail(True, direction="reject")
+                          accept=expected)
+    gap = projector_gap(fact.range_vectors(), fact.carrier_vectors())
+    return _residual_trial(gap, 1.0, ctx.tol, payload={"T": m})
 
 
 def _check_thm2_5(ctx: _Ctx, rng, t: int) -> _Trial:
@@ -501,20 +486,11 @@ def _check_thm2_5(ctx: _Ctx, rng, t: int) -> _Trial:
         return _residual_trial(max(premise, conclusion), scale, tol,
                                payload={"T": t_mat, "S": s})
     t_mat = _gen_for(ctx, rng, "ep")
-    fact = svd(t_mat, tol)
-    tp = pseudoinverse_of(fact)
-    floor = 1e-3 * (1.0 + fact.singular_values[0])
-    s = None
-    for _ in range(8):
-        cand = rng.standard_normal(t_mat.shape) + 1j * rng.standard_normal(t_mat.shape)
-        if norm2(cand @ t_mat - t_mat @ cand) > floor * (1.0 + norm2(cand)):
-            s = cand
-            break
-    if s is None:
-        raise GenerationError("could not draw a non-commuting control operator")
+    tp = pseudoinverse(t_mat, tol)
+    s = rng.standard_normal(t_mat.shape) + 1j * rng.standard_normal(t_mat.shape)
     ok = norm2(s @ tp - tp @ s) > ctx.tol.eq_atol
     return _pass_fail(ok, {"T": t_mat, "S": s},
-                      "non-commuting S commutes with the pseudoinverse", "reject")
+                      "non-commuting S commutes with the pseudoinverse", accept=False)
 
 
 def _check_thm2_6(ctx: _Ctx, rng, t: int) -> _Trial:
@@ -538,9 +514,8 @@ def _check_thm2_6(ctx: _Ctx, rng, t: int) -> _Trial:
     fact_sq = svd(sq, tol)
     sq_ep = range_corange_test(fact_sq, tol)[0]
     same_range = subspace_eq(fact_sq.range_vectors(), svd(m, tol).range_vectors(), tol)
-    ok = not (sq_ep and same_range)
-    return _pass_fail(ok, {"T": m},
-                      "square of a non-EP matrix is EP with unchanged range", "reject")
+    return _pass_fail(not (sq_ep and same_range), {"T": m},
+                      "square of a non-EP matrix is EP with unchanged range", accept=False)
 
 
 def _compression_invertible(
@@ -570,7 +545,7 @@ def _check_thm2_7(ctx: _Ctx, rng, t: int) -> _Trial:
         singular = not _compression_invertible(compression, fact, tol)
         ctx.details.setdefault("non_ep_compression_singular", bool(singular))
         return _pass_fail(singular, {"T": m},
-                          "carrier compression of non-EP matrix is invertible", "reject")
+                          "carrier compression of non-EP matrix is invertible", accept=False)
     m = _gen_for(ctx, rng, "ep")
     fact = svd(m, tol)
     r = fact.numerical_rank
@@ -614,15 +589,10 @@ def _check_thm2_12(ctx: _Ctx, rng, t: int) -> _Trial:
     null_same = subspace_eq(fact_p.null_vectors(), fact_t.null_vectors(), tol)
     conds = range_same and null_same
     ep_p = range_corange_test(fact_p, tol)[0]
-    payload = {"S": s, "T": t_mat}
-    direction = "accept" if conds else "reject"
-    if ep_p != conds:
-        return _pass_fail(False, payload,
-                          f"is_ep(ST)={ep_p} but range/null conditions={conds}", direction)
-    if aligned and not conds:
-        return _pass_fail(False, payload,
-                          "aligned EP pair failed the range/null conditions", direction)
-    return _pass_fail(True, direction=direction)
+    note = (f"is_ep(ST)={ep_p} but range/null conditions={conds}" if ep_p != conds
+            else "aligned EP pair failed the range/null conditions")
+    return _pass_fail(ep_p == conds and (conds or not aligned), {"S": s, "T": t_mat}, note,
+                      accept=conds)
 
 
 def _check_thm2_13(ctx: _Ctx, rng, t: int) -> _Trial:
@@ -638,7 +608,7 @@ def _check_thm2_13(ctx: _Ctx, rng, t: int) -> _Trial:
         worst = max(worst, projector_gap(svd(power, tol).range_vectors(), base))
     if family == "non_ep":
         ok = not subspace_eq(fact_m.range_vectors(), base, tol)
-        return _residual_trial(worst, 1.0, tol, extra_ok=ok, direction="reject",
+        return _residual_trial(worst, 1.0, tol, extra_ok=ok, accept=False,
                                payload={"T": m},
                                note=None if ok else "non-EP matrix has range(|T|) == range(T)")
     worst = max(worst, projector_gap(fact_m.range_vectors(), base))
@@ -648,8 +618,8 @@ def _check_thm2_13(ctx: _Ctx, rng, t: int) -> _Trial:
 def _check_thm2_15(ctx: _Ctx, rng, t: int) -> _Trial:
     """If range(T) = range(|T|) (= range(|T|^alpha), alpha in (0,1)) then T is EP."""
     tol = ctx.tol
-    family = "ep" if t % 2 == 0 else "non_ep"
-    m = _gen_for(ctx, rng, family)
+    expected = t % 2 == 0
+    m = _gen_for(ctx, rng, "ep" if expected else "non_ep")
     fact_m = svd(m, tol)
     base = fact_m.range_vectors()
     polar = polar_decomposition_of(fact_m)
@@ -658,12 +628,9 @@ def _check_thm2_15(ctx: _Ctx, rng, t: int) -> _Trial:
     half_range = svd(half, tol).range_vectors()
     hyp = subspace_eq(base, modulus_range, tol) and subspace_eq(base, half_range, tol)
     ep = range_corange_test(fact_m, tol)[0]
-    if family == "ep":
-        ok = hyp and ep
-        return _pass_fail(ok, {"T": m}, f"hypothesis={hyp}, is_ep={ep}")
-    ok = (not hyp) and (not ep)
-    return _pass_fail(ok, {"T": m},
-                      "non-EP matrix satisfied range(T) = range(|T|)", "reject")
+    note = (f"hypothesis={hyp}, is_ep={ep}" if expected
+            else "non-EP matrix satisfied range(T) = range(|T|)")
+    return _pass_fail(hyp == ep == expected, {"T": m}, note, accept=expected)
 
 
 def _scaled_perturbation(rng, t: np.ndarray) -> np.ndarray:
@@ -702,9 +669,8 @@ def _check_thm2_16(ctx: _Ctx, rng, t: int) -> _Trial:
         s = 2.0 * t_mat
         ta = adjoint(t_mat)
         dominated = psd_dominates(squared * (ta @ t_mat), adjoint(s) @ s, tol)
-        ok = not dominated
-        return _pass_fail(ok, {"T": t_mat, "S": s},
-                          "dominance certificate accepted a non-dominated pair", "reject")
+        return _pass_fail(not dominated, {"T": t_mat, "S": s},
+                          "dominance certificate accepted a non-dominated pair", accept=False)
     if mode == 2:
         base = _gen_for(ctx, rng, "normal_ep")
         c = DOMINANCE_BOUND * rng.uniform(0.2, 0.9)
@@ -734,8 +700,8 @@ def _check_thm2_16(ctx: _Ctx, rng, t: int) -> _Trial:
 def _check_thm2_19(ctx: _Ctx, rng, t: int) -> _Trial:
     """EP iff T kills the corange and T* kills its own corange."""
     tol = ctx.tol
-    family = "ep" if t % 2 == 0 else "non_ep"
-    m = _gen_for(ctx, rng, family)
+    expected = t % 2 == 0
+    m = _gen_for(ctx, rng, "ep" if expected else "non_ep")
     dim = m.shape[0]
     eye = np.eye(dim, dtype=np.complex128)
     fact = svd(m, tol)
@@ -747,14 +713,11 @@ def _check_thm2_19(ctx: _Ctx, rng, t: int) -> _Trial:
     scale = 1.0 + fact.singular_values[0]
     pred = r1 <= tol.eq_atol * scale and r2 <= tol.eq_atol * scale
     ep = range_corange_test(fact, tol)[0]
-    expected = family == "ep"
-    if pred != expected or ep != expected:
-        return _pass_fail(False, {"T": m},
+    if pred != expected or ep != expected or not expected:
+        return _pass_fail(pred == ep == expected, {"T": m},
                           f"annihilation predicate={pred}, is_ep={ep}, expected {expected}",
-                          "accept" if expected else "reject")
-    if expected:
-        return _residual_trial(max(r1, r2), scale, tol, payload={"T": m})
-    return _pass_fail(True, direction="reject")
+                          accept=expected)
+    return _residual_trial(max(r1, r2), scale, tol, payload={"T": m})
 
 
 def _window_conditions(
@@ -835,8 +798,8 @@ def _check_thm1_5(ctx: _Ctx, rng, t: int) -> _Trial:
         ctx.thm1_5_control = (conds, diag, limit)
     conds, diag, limit = ctx.thm1_5_control
     ctx.details.setdefault("negative_example", dict(diag))
-    ok = not any(conds)
-    return _pass_fail(ok, {"T_limit": limit}, f"divergent sequence conditions {conds}", "reject")
+    return _pass_fail(not any(conds), {"T_limit": limit},
+                      f"divergent sequence conditions {conds}", accept=False)
 
 
 def _membership_term(ctx: _Ctx, rng, rotate: bool):
@@ -878,8 +841,8 @@ def _check_thm3_2(ctx: _Ctx, rng, t: int) -> _Trial:
     ep = range_corange_test(fact, tol)[0]
     gamma = reduced_min_modulus_of(fact)
     ok = ep and gamma >= delta - 1e-9
-    return _Trial(ok, max(0.0, delta - gamma), payload=None if ok else {"T": limit},
-                  note=None if ok else f"limit is_ep={ep}, gamma={gamma}")
+    return _Trial(ok, max(0.0, delta - gamma), payload={"T": limit},
+                  note=f"limit is_ep={ep}, gamma={gamma}")
 
 
 def _check_thm3_4(ctx: _Ctx, rng, t: int) -> _Trial:
@@ -901,16 +864,15 @@ def _check_thm3_4(ctx: _Ctx, rng, t: int) -> _Trial:
             },
         )
         return _pass_fail(excluded, {"T": control},
-                          "nilpotent control was not excluded", "reject")
+                          "nilpotent control was not excluded", accept=False)
     if t % 2 == 0:
         m = _gen_for(ctx, rng, "ep")
         rep = classify(m, tol)
         residual = max(0.0, rep.gamma - rep.spectral_radius)
         # A zero residual passes at every scale; only a positive one needs ||m||.
         ok = rep.is_ep and (residual == 0.0 or residual <= 1e-10 * (1.0 + operator_norm(m)))
-        return _Trial(ok, residual, payload=None if ok else {"T": m},
-                      note=None if ok else
-                      f"gamma={rep.gamma} exceeds spectral radius={rep.spectral_radius}")
+        return _Trial(ok, residual, payload={"T": m},
+                      note=f"gamma={rep.gamma} exceeds spectral radius={rep.spectral_radius}")
     m = _gen_for(ctx, rng, "ep", cond=30.0)
     fact = svd(m, tol)
     gamma1 = reduced_min_modulus_of(fact)
@@ -923,8 +885,8 @@ def _check_thm3_4(ctx: _Ctx, rng, t: int) -> _Trial:
         bound = norm ** (n - 1) * gamma1 + 10.0 * tol.eq_atol * (1.0 + norm) ** n
         worst = max(worst, gamma_n - bound)
     ok = worst <= 0.0
-    return _Trial(ok, max(0.0, worst), payload=None if ok else {"T": m},
-                  note=None if ok else "gamma of a power exceeded the norm-chain bound")
+    return _Trial(ok, max(0.0, worst), payload={"T": m},
+                  note="gamma of a power exceeded the norm-chain bound")
 
 
 # ---------------------------------------------------------------------------
@@ -1039,10 +1001,8 @@ def run_theorem_check(
     for t in range(trials):
         rng = np.random.default_rng([spec.seed, salt, t])
         trial = entry.fn(ctx, rng, t)
-        if trial.direction == "reject":
-            rejecting += 1
-        else:
-            accepting += 1
+        accepting += trial.accept
+        rejecting += not trial.accept
         worst = max(worst, trial.residual)
         if trial.warn:
             warnings += 1

@@ -146,7 +146,7 @@ VERIFIER_BUDGETS = {
     "thm2.2": (3.0, 2.0),
     "thm2.3": (2.0, 2.0),
     "thm2.4": (1.0, 0.5),
-    "thm2.5": (1.0, 3.35),
+    "thm2.5": (1.0, 2.75),
     "thm2.6": (3.0, 1.5),
     "thm2.7": (1.0, 1.0),
     "thm2.12": (2.0, 0.0),

@@ -452,6 +452,23 @@ class TestRunTheoremCheck:
             "range==carrier (the EP test) is False, expected True"
         )
 
+    @pytest.mark.parametrize("theorem_id, residual_source", [
+        ("thm2.2", "norm2"),
+        ("thm2.7", "_multiset_gap"),
+        ("thm2.13", "projector_gap"),
+        ("thm2.16", "projector_gap"),
+    ])
+    def test_a_trial_failing_on_its_residual_alone_carries_no_note(
+        self, theorem_id, residual_source, tol, monkeypatch
+    ):
+        # These verifiers note only the boolean claim beside their residual,
+        # so a trial whose residual alone fails reports its matrices and no note.
+        monkeypatch.setattr(harness, residual_source, lambda *args, **kwargs: 1.0)
+        verdict = run_theorem_check(theorem_id, GeneratorSpec(dim=8, rank=6, seed=1), 6, tol)
+        assert verdict.failures > 0
+        assert verdict.counterexample["matrices"]
+        assert "note" not in verdict.counterexample
+
 
 # One thm1.5 run, as the JSON of its verdict with the timing zeroed.
 _THM1_5_REPORT = """
