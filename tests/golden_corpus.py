@@ -136,6 +136,42 @@ def corrupt_ep_generation():
         yield
 
 
+FAULT_KINDS = ("range", "index2")
+
+
+@contextlib.contextmanager
+def graded_ep_fault(eps: float, kind: str):
+    """Make the ep family return its usual draw T plus a rank-one fault eps sigma_1 x y*.
+
+    With T = U S V* (full SVD, rank below the dimension):
+
+    - ``kind="range"``: x = U[:, -1] lies in N(T*) and y = V[:, 0] is the
+      top right singular vector.  The rank stays the same, and T leaves the
+      EP class at relative distance about eps.
+    - ``kind="index2"``: x = V[:, -2] and y = V[:, -1], both in N(T), so
+      y -> x -> 0 is a Jordan chain and the index becomes 2.  This is the
+      fault that breaks thm2.7, whose conclusion holds at every index-1
+      matrix.
+
+    Every table draw of the ep family is faulted, as in
+    ``corrupt_ep_generation``.  The patch is undone when the block ends.
+    """
+    if kind not in FAULT_KINDS:
+        raise ValueError(f"unknown fault kind {kind!r}; known: {', '.join(FAULT_KINDS)}")
+    real = harness._GENERATORS["ep"]
+
+    def faulty(rng, dim, rank, cond):
+        m = real(rng, dim, rank, cond)
+        u, s, vh = np.linalg.svd(m)
+        v = vh.conj().T
+        x, y = (u[:, -1], v[:, 0]) if kind == "range" else (v[:, -2], v[:, -1])
+        return m + eps * s[0] * np.outer(x, y.conj())
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(harness._GENERATORS, "ep", faulty)
+        yield
+
+
 def fingerprint() -> dict:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]

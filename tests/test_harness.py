@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import epkit
+import golden_corpus
 import oracles
 from epkit import (
     DimensionMismatch,
@@ -468,6 +469,45 @@ class TestRunTheoremCheck:
         assert verdict.failures > 0
         assert verdict.counterexample["matrices"]
         assert "note" not in verdict.counterexample
+
+
+# The fault kind of ``golden_corpus.graded_ep_fault`` each verifier must
+# catch.  thm2.7's conclusion holds at every index-1 matrix, so only an
+# index-2 fault can break it.
+POWER_PIN = {
+    **{tid: "range" for tid in THEOREM_IDS if tid not in ("thm1.5", "thm2.7", "thm2.12")},
+    "thm2.7": "index2",
+}
+# Verifiers that catch neither fault kind yet, and why.
+NOT_YET_PINNED = {
+    "thm1.5": "no window moves a range, so a faulted limit is no counterexample",
+    "thm2.12": "its aligned pair bypasses the family table; it needs a pair fault",
+}
+
+
+class TestPower:
+    """Each verifier fails on ep draws moved off the EP class by 100 eq_atol.
+
+    The fault is relative: eps = 1e-6 times sigma_1, at the default eq_atol
+    of 1e-8.  A verifier whose threshold goes blind to it fails this pin.
+    """
+
+    def test_every_verifier_is_pinned_or_named(self):
+        assert POWER_PIN.keys() | NOT_YET_PINNED.keys() == set(THEOREM_IDS)
+        assert not POWER_PIN.keys() & NOT_YET_PINNED.keys()
+
+    @pytest.mark.parametrize("theorem_id", list(POWER_PIN))
+    def test_graded_fault_reaches_the_verdict(self, theorem_id, tol):
+        with golden_corpus.graded_ep_fault(1e-6, POWER_PIN[theorem_id]):
+            verdict = run_theorem_check(
+                theorem_id, GeneratorSpec(dim=8, rank=6, seed=1), 20, tol
+            )
+        assert verdict.failures >= 1
+
+    def test_unknown_fault_kind_is_rejected(self):
+        with pytest.raises(ValueError, match="fault kind"):
+            with golden_corpus.graded_ep_fault(1e-6, "nilpotent"):
+                pass
 
 
 # One thm1.5 run, as the JSON of its verdict with the timing zeroed.
