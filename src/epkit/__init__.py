@@ -34,7 +34,6 @@ from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
     EpkitError,
-    GenerationError,
     InvalidDimension,
     InvalidExponent,
     InvalidSpec,
@@ -74,7 +73,6 @@ __all__ = [
     "DimensionMismatch",
     "EpkitError",
     "FAMILIES",
-    "GenerationError",
     "GeneratorSpec",
     "InvalidDimension",
     "InvalidExponent",

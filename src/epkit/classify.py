@@ -12,11 +12,13 @@ EP-ness is defined for endomorphisms only: non-square input is rejected.
 every verifier that holds a factorization, reads its verdict from it.  A
 square matrix of rank 0 or of full numerical rank gets its EP verdict from
 its rank (both ranges are {0} or the whole space); only ranks strictly
-between 0 and n compare the two ranges.  A model row holds no
-factorization and needs no decision: a diagonal is EP at every rank
+between 0 and n compare the two ranges.  Both ranges have the numerical
+rank as their dimension, so one inclusion, range(M) inside range(M*),
+decides their equality: hypo-EP reads the EP verdict.  A model row holds
+no factorization and needs no decision: a diagonal is EP at every rank
 cutoff (see ``models``).
 
-The inclusion residuals of the EP decision and the commutator of
+The inclusion residual of the EP decision and the commutator of
 ``is_normal`` feed only yes/no answers, so ``core.norm2_at_most`` decides
 them from a Frobenius-norm bracket and runs an SVD only when the bracket
 straddles the threshold.  The report's ``commutator_residual`` and
@@ -62,27 +64,23 @@ class ClassificationReport:
     zero_operator: bool
 
 
-def range_corange_test(
-    fact: SvdFactorization, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[bool, bool]:
-    """``(is_ep, is_hypo_ep)`` of one matrix: is range(M) inside range(M*), and the reverse?
+def range_corange_test(fact: SvdFactorization, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """True iff range(M) equals range(M*), decided by one inclusion.
 
     M = U S V* gives M* = V S U*, so the right singular vectors above the
-    cutoff span the adjoint's range and a single rank decision covers both
-    ranges.  range(M) lies in range(M*) when ||(I - V_r V_r*) U_r|| is at
-    most eq_atol (hypo-EP); EP adds the reverse inclusion.  Both residuals
-    feed only these verdicts, so ``columns_included`` decides them.  At
-    rank 0, or at full rank of a square M, both ranges are {0} or the whole
-    space: M is EP and no product is formed.
+    cutoff span the adjoint's range and a single rank decision gives both
+    ranges the dimension r.  For two r-dimensional subspaces
+    ||(I - P_B) P_A|| = ||(I - P_A) P_B|| = ||P_A - P_B|| (Kato, I §6.8),
+    so range(M) inside range(M*), ||(I - V_r V_r*) U_r|| <= eq_atol,
+    decides equality: hypo-EP and EP are one verdict.  The residual feeds
+    only it, so ``columns_included`` decides it.  At rank 0, or at full
+    rank of a square M, both ranges are {0} or the whole space: M is EP
+    and no product is formed.
     """
     r = fact.numerical_rank
     if r == 0 or r == fact.rows == fact.cols:
-        return True, True
-    u = fact.left_vectors[:, :r]
-    v = fact.right_vectors[:, :r]
-    hypo = columns_included(u, v, tol.eq_atol)
-    # The reverse inclusion only decides a matrix that passes this one.
-    return hypo and columns_included(v, u, tol.eq_atol), hypo
+        return True
+    return columns_included(fact.left_vectors[:, :r], fact.right_vectors[:, :r], tol.eq_atol)
 
 
 def is_ep(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -92,18 +90,18 @@ def is_ep(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     automatic in finite dimension and therefore not a separate check.
     """
     m = require_square(as_matrix(matrix))
-    return range_corange_test(svd(m, tol), tol)[0]
+    return range_corange_test(svd(m, tol), tol)
 
 
 def is_hypo_ep(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff range(M) is contained in range(M*).
 
     In finite dimension equal ranks force the inclusion into equality, so
-    this agrees with is_ep on every matrix; both are exposed because the
-    operator-theoretic notions differ.
+    this reads the EP verdict and agrees with is_ep on every matrix by
+    construction; both are exposed because the operator-theoretic notions
+    differ.
     """
-    m = require_square(as_matrix(matrix))
-    return range_corange_test(svd(m, tol), tol)[1]
+    return is_ep(matrix, tol)
 
 
 def is_normal(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -126,12 +124,12 @@ def classify(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> ClassificationReport
     fact = svd(m, tol)
     mp = pseudoinverse_of(fact)
     r = fact.numerical_rank
-    ep, hypo = range_corange_test(fact, tol)
+    ep = range_corange_test(fact, tol)
     return ClassificationReport(
         dim=m.shape[0],
         rank=r,
         is_ep=ep,
-        is_hypo_ep=hypo,
+        is_hypo_ep=ep,
         is_normal=is_normal(m, tol),
         gamma=reduced_min_modulus_of(fact),
         spectral_radius=spectral_radius(m),

@@ -37,13 +37,5 @@ class UnknownTheorem(EpkitError):
     """Requested theorem id is not in the verifier dispatch table."""
 
 
-class GenerationError(EpkitError):
-    """A generator could not produce an instance of its family.
-
-    Instances are correct by construction and returned untested; whether a
-    verifier's numerical decision agrees with the family drawn is its verdict.
-    """
-
-
 class MatrixFileError(EpkitError):
     """A matrix or report file failed schema validation."""

@@ -156,7 +156,7 @@ def reduced_min_modulus(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     is flagged separately in classification reports (zero_operator) rather
     than through a sentinel value here.
     """
-    return reduced_min_modulus_of(svd(as_matrix(matrix), tol))
+    return reduced_min_modulus_of(svd(matrix, tol))
 
 
 def reduced_min_modulus_of(fact: SvdFactorization) -> float:

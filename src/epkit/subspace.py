@@ -6,8 +6,9 @@ from one shared SVD per matrix (``SvdFactorization.range_vectors`` and its
 siblings), which keeps the range / null / carrier bases mutually
 consistent: a single rank decision feeds all three.  Inclusion has one
 rule, ``columns_included`` (||(I - P_B) V_A|| <= eq_atol), shared by
-``subspace_leq``, ``subspace_eq`` and the EP test; projector gaps are
-numbers for reports.
+``subspace_leq``, ``subspace_eq`` and the EP test.  Spans of equal
+dimension are equal when one includes the other, so equality, and the EP
+test, run one inclusion; projector gaps are numbers for reports.
 """
 
 from __future__ import annotations
@@ -62,12 +63,14 @@ def subspace_leq(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig = DEFAULT_TO
 
 
 def subspace_eq(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff the spans coincide (inclusion both ways).
+    """True iff the spans coincide within eq_atol, decided by one inclusion.
 
-    For spans of equal dimension, both residuals equal ||P_A - P_B|| in
-    exact arithmetic; spans of different dimension are never equal.
+    Spans of different dimension are never equal, and no product is formed.
+    For spans of equal dimension, ||(I - P_B) P_A|| = ||(I - P_A) P_B|| =
+    ||P_A - P_B|| (Kato, I §6.8), so span(A) inside span(B) decides.
     """
-    return subspace_leq(a, b, tol) and subspace_leq(b, a, tol)
+    _require_same_ambient(a, b)
+    return a.shape[1] == b.shape[1] and subspace_leq(a, b, tol)
 
 
 def projector_gap(a: np.ndarray, b: np.ndarray) -> float:

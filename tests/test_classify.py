@@ -1,4 +1,5 @@
 import importlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from epkit import (
     svd,
 )
 from epkit.classify import range_corange_test
+from epkit.cli import main
 from epkit.subspace import columns_included
 
 
@@ -207,15 +209,19 @@ def ep_of_rank(rng, n, r):
 
 
 def range_corange_by_products(fact, tol):
-    """The EP decision with both inclusion products at every nonzero rank."""
+    """The EP decision by an inclusion product at every nonzero rank.
+
+    Both ranges have dimension r, so the reverse inclusion agrees with the
+    forward one that decides; the reference asserts it.
+    """
     r = fact.numerical_rank
     if r == 0:
-        return True, True
+        return True
     u = fact.left_vectors[:, :r]
     v = fact.right_vectors[:, :r]
-    hypo = columns_included(u, v, tol.eq_atol)
-    backward = columns_included(v, u, tol.eq_atol)
-    return hypo and backward, hypo
+    forward = columns_included(u, v, tol.eq_atol)
+    assert columns_included(v, u, tol.eq_atol) == forward
+    return forward
 
 
 class TestFullRankVerdictEqualsTheProducts:
@@ -224,7 +230,7 @@ class TestFullRankVerdictEqualsTheProducts:
     def test_full_rank(self, rng, tol, n):
         f = svd(complex_normal(rng, (n, n)), tol)
         assert f.numerical_rank == n
-        assert range_corange_test(f, tol) == range_corange_by_products(f, tol) == (True, True)
+        assert range_corange_test(f, tol) is range_corange_by_products(f, tol) is True
 
     @pytest.mark.parametrize("scale", [1e-150, 1e150])
     @pytest.mark.parametrize("n", [1, 8, 64])
@@ -270,9 +276,9 @@ class TestFullRankVerdictEqualsTheProducts:
             with pytest.raises(ValueError):
                 range_corange_test(svd(complex_normal(rng, shape), tol), tol)
 
-    def test_single_factorization_gives_bools(self):
+    def test_single_factorization_gives_one_bool(self):
         m = gen_matrix("non_ep", GeneratorSpec(dim=5, rank=2, seed=1))
-        assert range_corange_test(svd(m)) == (False, False)
+        assert range_corange_test(svd(m)) is False
 
 
 @pytest.fixture
@@ -306,13 +312,28 @@ class TestInclusionProductsOnlyBelowFullRank:
 
     def test_rank_deficient_matrices(self, inclusion_calls, rng, tol):
         assert classify(ep_of_rank(rng, 8, 7), tol).is_ep
-        assert inclusion_calls == [(8, 7), (8, 7)]
+        assert inclusion_calls == [(8, 7)]
         inclusion_calls.clear()
-        # Not hypo-EP: the reverse inclusion is not needed.
+        # Not EP: the one inclusion decides this verdict too.
         assert not classify(with_singular_values(rng, np.r_[np.ones(7), 0.0]), tol).is_ep
         assert inclusion_calls == [(8, 7)]
 
     def test_harmonic_truncation_in_a_larger_ambient_dimension(self, inclusion_calls, tol):
         for n in range(1, 13):
             assert classify(harmonic_truncation(n, 20), tol).is_ep
-        assert inclusion_calls == [(20, n) for n in range(1, 13) for _ in range(2)]
+        assert inclusion_calls == [(20, n) for n in range(1, 13)]
+
+    def test_suite_forms_one_product_per_decision(self, monkeypatch, capsys):
+        # One inclusion decides each EP verdict below full rank (the
+        # classify binding) and each equal-dimension subspace equality (the
+        # subspace binding).  Both inclusions made 192 and 73 products.
+        calls = Counter()
+        for name in ("epkit.classify", "epkit.subspace"):
+            def counting(a, b, atol, name=name):
+                calls[name] += 1
+                return columns_included(a, b, atol)
+
+            monkeypatch.setattr(importlib.import_module(name), "columns_included", counting)
+        assert main(["suite", "--seed", "1", "--trials", "10"]) == 0
+        assert calls["epkit.subspace"] <= 38
+        assert calls["epkit.classify"] <= 114

@@ -9,11 +9,12 @@ from epkit import (
     null_basis,
     projector,
     range_basis,
+    subspace,
     subspace_eq,
     subspace_leq,
     svd,
 )
-from epkit.subspace import projector_gap
+from epkit.subspace import columns_included, projector_gap
 
 
 def basis_of(columns):
@@ -188,6 +189,20 @@ class TestEquality:
         a, b = basis_of(gen), basis_of(mix)
         assert subspace_leq(a, b, tol) and subspace_leq(b, a, tol)
         assert subspace_eq(a, b, tol)
+
+    def test_one_inclusion_decides_and_none_across_dimensions(self, rng, tol, monkeypatch):
+        calls = []
+
+        def counting(a, b, atol):
+            calls.append((a.shape, b.shape))
+            return columns_included(a, b, atol)
+
+        monkeypatch.setattr(subspace, "columns_included", counting)
+        q = basis_of(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+        assert not subspace_eq(q[:, :2], q, tol) and not subspace_eq(q, q[:, :2], tol)
+        assert calls == []
+        assert subspace_eq(q, q[:, ::-1], tol)
+        assert calls == [((6, 3), (6, 3))]
 
 
 class TestStructuralInvariants:
