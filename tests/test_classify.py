@@ -323,7 +323,7 @@ class TestInclusionProductsOnlyBelowFullRank:
             assert classify(harmonic_truncation(n, 20), tol).is_ep
         assert inclusion_calls == [(20, n) for n in range(1, 13)]
 
-    def test_suite_forms_one_product_per_decision(self, monkeypatch, capsys):
+    def test_suite_forms_one_product_per_decision(self, monkeypatch):
         # One inclusion decides each EP verdict below full rank (the
         # classify binding) and each equal-dimension subspace equality (the
         # subspace binding).  Both inclusions made 192 and 73 products.
