@@ -31,24 +31,39 @@ never a projector gap against eq_atol.  By design, the routes that thm2.1
 and thm2.13 compare stay independent.  Scales are exact spectral norms; a
 verifier that holds a matrix's factorization reads sigma_1 from it.
 
-Generators build and verifiers decide: each family's property holds by
-construction, so a generator returns its draw untested, and a verifier
-decision that disagrees with the family drawn is a counterexample that
-carries its matrix.  thm2.5's non-commuting control S is likewise one
-Gaussian draw, untested: the verdict decides whether it commutes with T+.
+Generators draw, then build, and verifiers decide.  Each family of the
+generator table, ``_GENERATORS``, is split at its QR factorizations: its
+``draw`` takes every random number of one instance, in a fixed order, with
+the complex Gaussian blocks of its Haar unitaries among them, and its
+``build`` makes the instance from those unitaries and draws nothing.  A
+run draws a chunk of consecutive trials first, each from its own rng, then
+turns all Gaussian blocks of one size into Haar unitaries with one stacked
+QR (``_haar_unitaries``), and builds.  A QR draws nothing and LAPACK
+factors each block of a stack alone, so every instance has the bits it
+has when drawn alone.  A chunk holds as many trials as there are dim x dim
+blocks in ``_STACK_ENTRIES`` complex entries, and at least one, and its
+Gaussian blocks are dropped before its trials run.
 
-Generation dispatches through one table, ``_GENERATORS``, from family name
-to a generator of one matrix; ``gen_matrix`` and the verifiers both index
-it.  A verifier that needs a pair or a window builds it from its own draws
-(thm2.12 draws two ep matrices on even trials, thm1.5 scales one), so
-every generated matrix passes through the table but one.  thm2.12's
-aligned pair, on odd trials, is two ``_conditioned_invertible`` blocks
-conjugated by one shared ``_haar_unitary``: the pair needs that shared V
-for its ranges and null spaces to align, and a table draw brings its own.
-A test that needs a faulty generator patches an entry of that table for
-its own run (``monkeypatch.setitem``); the package itself never mutates
-module-level state, so everything a run depends on travels in its
-arguments and its ``_Ctx``.
+Each verifier's entry in ``_CHECKERS`` names the families trial t draws,
+``draws(t)``; its body gets a ``_Drawn``: the instances paired with their
+families, from which it reads its direction, and the trial's rng past
+their draws, from which it draws the rest of its trial.  Each family's
+property holds by construction, so an instance reaches its verifier
+untested, and a verifier decision that disagrees with the family drawn is
+a counterexample that carries its matrix.  thm2.5's non-commuting control
+S is likewise one Gaussian draw, untested: the verdict decides whether it
+commutes with T+.
+
+Every generated matrix passes through the table.  ``gen_matrix`` draws
+its three one-matrix families, ep, non_ep and normal_ep, by the same path
+with one rng.  The fourth family is thm2.12's aligned pair: two invertible
+blocks conjugated by one shared unitary, which the pair needs for its
+ranges and null spaces to align.  A verifier that needs a window builds
+it from its draws (thm1.5 scales one).  A test that needs a faulty
+generator patches an entry of that table for its own run
+(``monkeypatch.setitem``); the package itself never mutates module-level
+state, so everything a run depends on travels in its arguments and its
+``_Ctx``.
 """
 
 from __future__ import annotations
@@ -150,18 +165,38 @@ class TheoremVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+# A run draws as many trials at once as there are dim x dim blocks in this
+# many complex entries, and at least one: a whole run at dim 8, one trial at
+# dim 256.
+_STACK_ENTRIES = 2**16
+
+
+def _gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A standard complex Gaussian n x n block, the draw behind one Haar unitary."""
+    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+
+
+def _haar_unitaries(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a stack of Gaussian blocks, by one QR of the whole stack.
+
+    Each Q takes the phases of its R's diagonal (Mezzadri, Notices AMS 54,
+    2007); an exact zero on that diagonal takes phase 1.  LAPACK factors
+    each block of the stack on its own, so a block's unitary has the same
+    bits in every stack.
+    """
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    phases = np.where(np.abs(d) > 0, d / np.abs(np.where(np.abs(d) > 0, d, 1.0)), 1.0)
-    return q * phases.conj()
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    mag = np.abs(d)
+    phases = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
+    return q * phases.conj()[..., None, :]
 
 
-def _conditioned_invertible(
-    rng: np.random.Generator, n: int, condition_bound: float
-) -> np.ndarray:
-    """Random invertible n x n matrix with condition number <= condition_bound."""
+def _draw_invertible(rng: np.random.Generator, n: int, condition_bound: float):
+    """The draws of an n x n invertible matrix with condition number <= condition_bound.
+
+    Returns its singular values, largest first, and the Gaussian blocks of
+    its two unitaries; ``_invertible`` builds it.
+    """
     smax = rng.uniform(0.5, 2.0)
     cond = float(np.exp(rng.uniform(0.0, np.log(max(condition_bound, 1.0)))))
     if n == 1:
@@ -169,8 +204,10 @@ def _conditioned_invertible(
     else:
         interior = np.exp(rng.uniform(np.log(smax / cond), np.log(smax), size=n - 2))
         s = np.concatenate(([smax], np.sort(interior)[::-1], [smax / cond]))
-    u = _haar_unitary(rng, n)
-    v = _haar_unitary(rng, n)
+    return s, (_gaussian(rng, n), _gaussian(rng, n))
+
+
+def _invertible(s: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u * s) @ v.conj().T
 
 
@@ -182,29 +219,80 @@ def _embed_conjugated(v: np.ndarray, block: np.ndarray) -> np.ndarray:
     return v @ b @ v.conj().T
 
 
-def _gen_ep(rng, dim, rank, cond) -> np.ndarray:
+@dataclass(frozen=True)
+class _Family:
+    """A generator family, split at its QR factorizations.
+
+    ``draw(rng, dim, rank, cond)`` takes every random number of one
+    instance and returns ``(params, blocks)``, where blocks are the
+    Gaussian blocks of its Haar unitaries.  ``build(params, unitaries)``
+    makes the instance from those unitaries, in the order of their blocks,
+    and draws nothing.
+    """
+
+    draw: Callable
+    build: Callable
+
+
+def _draw_ep(rng, dim, rank, cond):
     if rank == 0:
+        return (dim, None), ()
+    s, blocks = _draw_invertible(rng, rank, cond)
+    return (dim, s), (*blocks, _gaussian(rng, dim))
+
+
+def _build_ep(params, unitaries) -> np.ndarray:
+    dim, s = params
+    if s is None:
         return np.zeros((dim, dim), dtype=np.complex128)
-    block = _conditioned_invertible(rng, rank, cond)
-    return _embed_conjugated(_haar_unitary(rng, dim), block)
+    u, v, w = unitaries
+    return _embed_conjugated(w, _invertible(s, u, v))
 
 
-def _gen_non_ep(rng, dim, rank, cond) -> np.ndarray:
+def _draw_non_ep(rng, dim, rank, cond):
+    corner = rng.uniform(0.5, 2.0)
+    s, blocks = _draw_invertible(rng, rank - 1, cond) if rank > 1 else (None, ())
+    return (rank, corner, s), (*blocks, _gaussian(rng, dim))
+
+
+def _build_non_ep(params, unitaries) -> np.ndarray:
+    rank, corner, s = params
+    *uv, w = unitaries
     block = np.zeros((rank + 1, rank + 1), dtype=np.complex128)
-    block[0, 1] = rng.uniform(0.5, 2.0)
-    if rank > 1:
-        block[2:, 2:] = _conditioned_invertible(rng, rank - 1, cond)
-    return _embed_conjugated(_haar_unitary(rng, dim), block)
+    block[0, 1] = corner
+    if uv:
+        block[2:, 2:] = _invertible(s, *uv)
+    return _embed_conjugated(w, block)
 
 
-def _gen_normal_ep(rng, dim, rank, cond) -> np.ndarray:
+def _draw_normal_ep(rng, dim, rank, cond):
     smax = rng.uniform(0.5, 2.0)
     mags = smax * np.exp(rng.uniform(-np.log(max(cond, 1.0)), 0.0, size=rank))
     phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=rank))
     lam = np.zeros(dim, dtype=np.complex128)
     lam[:rank] = mags * phases
-    v = _haar_unitary(rng, dim)
+    return lam, (_gaussian(rng, dim),)
+
+
+def _build_normal_ep(lam, unitaries) -> np.ndarray:
+    (v,) = unitaries
     return (v * lam) @ v.conj().T
+
+
+def _draw_aligned_ep_pair(rng, dim, rank, cond):
+    w = _gaussian(rng, dim)
+    s1, blocks1 = _draw_invertible(rng, rank, cond)
+    s2, blocks2 = _draw_invertible(rng, rank, cond)
+    return (s1, s2), (w, *blocks1, *blocks2)
+
+
+def _build_aligned_ep_pair(params, unitaries) -> tuple[np.ndarray, np.ndarray]:
+    """EP S and T of one range and one null space: two invertible blocks conjugated by one W."""
+    s1, s2 = params
+    w, u1, v1, u2, v2 = unitaries
+    return _embed_conjugated(w, _invertible(s1, u1, v1)), _embed_conjugated(
+        w, _invertible(s2, u2, v2)
+    )
 
 
 def _random_poly_in(rng, m: np.ndarray) -> np.ndarray:
@@ -219,10 +307,81 @@ def _random_poly_in(rng, m: np.ndarray) -> np.ndarray:
 
 
 _GENERATORS = {
-    "ep": _gen_ep,
-    "non_ep": _gen_non_ep,
-    "normal_ep": _gen_normal_ep,
+    "ep": _Family(_draw_ep, _build_ep),
+    "non_ep": _Family(_draw_non_ep, _build_non_ep),
+    "normal_ep": _Family(_draw_normal_ep, _build_normal_ep),
+    "aligned_ep_pair": _Family(_draw_aligned_ep_pair, _build_aligned_ep_pair),
 }
+# The families ``gen_matrix`` draws: one matrix each.  thm2.12's aligned
+# pair is two.
+_MATRIX_FAMILIES = ("ep", "non_ep", "normal_ep")
+
+
+def _draw(spec: GeneratorSpec, rng: np.random.Generator, plan) -> list:
+    """One trial's draws, ``(family, params, blocks)`` for each ``(family, cond)`` of ``plan``.
+
+    non_ep is drawn at the control rank, and ``cond``, when not None, caps
+    the spec's condition bound.
+    """
+    drawn = []
+    for family, cond in plan:
+        rank = min(max(spec.rank, 1), spec.dim - 1) if family == "non_ep" else spec.rank
+        c = spec.condition_bound if cond is None else min(cond, spec.condition_bound)
+        drawn.append((family, *_GENERATORS[family].draw(rng, spec.dim, rank, c)))
+    return drawn
+
+
+def _build(trials: list) -> list:
+    """Each trial's ``(family, instance)`` pairs from its draws; one QR per block size."""
+    stacks: dict[int, list] = {}
+    for drawn in trials:
+        for _, _, blocks in drawn:
+            for z in blocks:
+                stacks.setdefault(len(z), []).append(z)
+    unitaries = {n: iter(_haar_unitaries(np.stack(zs))) for n, zs in stacks.items()}
+    return [
+        tuple(
+            (family, _GENERATORS[family].build(params, [next(unitaries[len(z)]) for z in blocks]))
+            for family, params, blocks in drawn
+        )
+        for drawn in trials
+    ]
+
+
+@dataclass(frozen=True)
+class _Drawn:
+    """What a trial body gets: its index t, its rng, and its ``(family, instance)`` pairs.
+
+    The rng is past the draws of the instances, and the body draws the rest
+    of its trial from it.
+    """
+
+    t: int
+    rng: np.random.Generator
+    instances: tuple
+
+
+def _generated_trials(spec: GeneratorSpec, salt: int, trials: int, plan):
+    """Yield the ``_Drawn`` of each trial t in range(trials), in order.
+
+    Trial t draws ``plan(t)`` from ``default_rng([seed, salt, t])``, and its
+    rng comes back past those draws.  A chunk of max(1, _STACK_ENTRIES //
+    dim^2) consecutive trials is drawn first and built together; no block
+    is larger than dim x dim.
+    """
+    per_chunk = max(1, _STACK_ENTRIES // spec.dim**2)
+    for start in range(0, trials, per_chunk):
+        ts = range(start, min(start + per_chunk, trials))
+        rngs, draws = [], []
+        for t in ts:
+            rngs.append(np.random.default_rng([spec.seed, salt, t]))
+            draws.append(_draw(spec, rngs[-1], plan(t)))
+        built = _build(draws)
+        # Drop the Gaussian blocks before the bodies run: at dim 256 they
+        # would add about 5 MB to a run's peak memory.
+        del draws
+        for t, rng, instances in zip(ts, rngs, built):
+            yield _Drawn(t, rng, instances)
 
 
 def gen_matrix(family: str, spec: GeneratorSpec) -> np.ndarray:
@@ -234,16 +393,16 @@ def gen_matrix(family: str, spec: GeneratorSpec) -> np.ndarray:
     numerically is stays with the verifiers, which compare their decisions
     with the family drawn.
     """
-    generate = _GENERATORS.get(family)
-    if generate is None:
-        raise InvalidSpec(f"unknown family {family!r}; known: {', '.join(_GENERATORS)}")
+    if family not in _MATRIX_FAMILIES:
+        raise InvalidSpec(f"unknown family {family!r}; known: {', '.join(_MATRIX_FAMILIES)}")
     if family == "non_ep" and not 1 <= spec.rank <= spec.dim - 1:
         raise InvalidSpec(
             "non_ep family needs 1 <= rank <= dim - 1: a full-rank square "
             "matrix has equal range and adjoint range"
         )
     rng = np.random.default_rng([spec.seed, 0xA5])
-    return generate(rng, spec.dim, spec.rank, spec.condition_bound)
+    ((_, matrix),) = _build([_draw(spec, rng, ((family, None),))])[0]
+    return matrix
 
 
 def psd_dominates(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -311,14 +470,6 @@ def _pass_fail(
     return _Trial(ok, 0.0 if ok else 1.0, accept=accept, payload=payload, note=note)
 
 
-def _gen_for(ctx: _Ctx, rng, family: str, cond: float | None = None):
-    """One instance of a family at the run's spec; non_ep is drawn at the control rank."""
-    spec = ctx.spec
-    rank = min(max(spec.rank, 1), spec.dim - 1) if family == "non_ep" else spec.rank
-    c = spec.condition_bound if cond is None else min(cond, spec.condition_bound)
-    return _GENERATORS[family](rng, spec.dim, rank, c)
-
-
 def _multiset_gap(xs: np.ndarray, ys: np.ndarray) -> float:
     """Bottleneck distance between two equal-size multisets of complex numbers.
 
@@ -380,11 +531,10 @@ def _has_perfect_matching(allowed: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _check_thm2_1(ctx: _Ctx, rng, t: int) -> _Trial:
+def _check_thm2_1(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     """EP iff the pseudoinverse commutes: range test vs commutator test."""
-    expected = t % 2 == 0
-    family = "ep" if expected else "non_ep"
-    m = _gen_for(ctx, rng, family)
+    ((family, m),) = drawn.instances
+    expected = family == "ep"
     rep = classify(m, ctx.tol)
     pred_comm = rep.commutator_residual <= ctx.tol.eq_atol
     agree = rep.is_ep == pred_comm == expected
@@ -395,12 +545,11 @@ def _check_thm2_1(ctx: _Ctx, rng, t: int) -> _Trial:
     return _residual_trial(rep.commutator_residual, scale, ctx.tol, payload={"T": m})
 
 
-def _check_thm2_2(ctx: _Ctx, rng, t: int) -> _Trial:
+def _check_thm2_2(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     """Direct sums: EP iff both blocks EP; pinv and gamma distribute over blocks."""
     tol = ctx.tol
-    accept = t % 2 == 0
-    a = _gen_for(ctx, rng, "ep")
-    b = _gen_for(ctx, rng, "ep" if accept else "non_ep")
+    (_, a), (family_b, b) = drawn.instances
+    accept = family_b == "ep"
     d = direct_sum(a, b)
     payload = {"A": a, "B": b}
 
@@ -428,10 +577,10 @@ def _check_thm2_2(ctx: _Ctx, rng, t: int) -> _Trial:
     )
 
 
-def _check_thm2_3(ctx: _Ctx, rng, t: int) -> _Trial:
+def _check_thm2_3(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     """EP iff the polar isometry factor is EP."""
-    expected = t % 2 == 0
-    m = _gen_for(ctx, rng, "ep" if expected else "non_ep")
+    ((family, m),) = drawn.instances
+    expected = family == "ep"
     u = polar_decomposition(m, ctx.tol).isometry_part
     rep_u = classify(u, ctx.tol)
     if rep_u.is_ep != expected or not expected:
@@ -440,10 +589,10 @@ def _check_thm2_3(ctx: _Ctx, rng, t: int) -> _Trial:
     return _residual_trial(rep_u.range_gap, 2.0, ctx.tol, payload={"T": m, "U": u})
 
 
-def _check_thm2_4(ctx: _Ctx, rng, t: int) -> _Trial:
+def _check_thm2_4(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     """EP iff range equals carrier (the invertible-corner block form)."""
-    expected = t % 2 == 0
-    m = _gen_for(ctx, rng, "ep" if expected else "non_ep")
+    ((family, m),) = drawn.instances
+    expected = family == "ep"
     fact = svd(m, ctx.tol)
     # The range-vs-carrier test is the EP decision, so it answers both.
     ep = range_corange_test(fact, ctx.tol)
@@ -455,19 +604,19 @@ def _check_thm2_4(ctx: _Ctx, rng, t: int) -> _Trial:
     return _residual_trial(gap, 1.0, ctx.tol, payload={"T": m})
 
 
-def _check_thm2_5(ctx: _Ctx, rng, t: int) -> _Trial:
+def _check_thm2_5(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     """For EP T: S commutes with T iff S commutes with the pseudoinverse."""
     tol = ctx.tol
-    kind = t % 3
+    kind = drawn.t % 3
+    rng = drawn.rng
+    ((_, t_mat),) = drawn.instances
     if kind == 0:
-        t_mat = _gen_for(ctx, rng, "ep")
         s = _random_poly_in(rng, t_mat)
         tp = pseudoinverse(t_mat, tol)
         resid = norm2(s @ tp - tp @ s)
         scale = (1.0 + operator_norm(s)) * (1.0 + norm2(tp))
         return _residual_trial(resid, scale, tol, payload={"T": t_mat, "S": s})
     if kind == 1:
-        t_mat = _gen_for(ctx, rng, "ep")
         fact = svd(t_mat, tol)
         r = fact.numerical_rank
         vr = fact.right_vectors[:, :r]
@@ -485,7 +634,6 @@ def _check_thm2_5(ctx: _Ctx, rng, t: int) -> _Trial:
         scale = (1.0 + operator_norm(s)) * (1.0 + fact.singular_values[0] + norm2(tp))
         return _residual_trial(max(premise, conclusion), scale, tol,
                                payload={"T": t_mat, "S": s})
-    t_mat = _gen_for(ctx, rng, "ep")
     tp = pseudoinverse(t_mat, tol)
     s = rng.standard_normal(t_mat.shape) + 1j * rng.standard_normal(t_mat.shape)
     ok = norm2(s @ tp - tp @ s) > ctx.tol.eq_atol
@@ -493,11 +641,11 @@ def _check_thm2_5(ctx: _Ctx, rng, t: int) -> _Trial:
                       "non-commuting S commutes with the pseudoinverse", accept=False)
 
 
-def _check_thm2_6(ctx: _Ctx, rng, t: int) -> _Trial:
+def _check_thm2_6(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     """EP iff powers are EP with the same range (rank-preserving converse)."""
     tol = ctx.tol
-    if t % 2 == 0:
-        m = _gen_for(ctx, rng, "ep", cond=30.0)
+    ((family, m),) = drawn.instances
+    if family == "ep":
         fact = svd(m, tol)
         base = fact.range_vectors()
         worst = 0.0
@@ -509,7 +657,6 @@ def _check_thm2_6(ctx: _Ctx, rng, t: int) -> _Trial:
                 return _pass_fail(False, {"T": m}, "a power of an EP matrix failed the EP test")
             worst = max(worst, projector_gap(fact_n.range_vectors(), base))
         return _residual_trial(worst, 1.0, tol, payload={"T": m})
-    m = _gen_for(ctx, rng, "non_ep", cond=30.0)
     sq = m @ m
     fact_sq = svd(sq, tol)
     sq_ep = range_corange_test(fact_sq, tol)
@@ -534,11 +681,11 @@ def _compression_invertible(
     return bool(sv.min() > tol.rank_rtol * parent_sigma1)
 
 
-def _check_thm2_7(ctx: _Ctx, rng, t: int) -> _Trial:
+def _check_thm2_7(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     """Nonzero spectrum of an EP matrix equals the spectrum of its carrier compression."""
     tol = ctx.tol
-    if t % 8 == 1:
-        m = _gen_for(ctx, rng, "non_ep")
+    ((family, m),) = drawn.instances
+    if family == "non_ep":
         fact = svd(m, tol)
         basis = fact.carrier_vectors()
         compression = basis.conj().T @ m @ basis
@@ -546,7 +693,6 @@ def _check_thm2_7(ctx: _Ctx, rng, t: int) -> _Trial:
         ctx.details.setdefault("non_ep_compression_singular", bool(singular))
         return _pass_fail(singular, {"T": m},
                           "carrier compression of non-EP matrix is invertible", accept=False)
-    m = _gen_for(ctx, rng, "ep")
     fact = svd(m, tol)
     r = fact.numerical_rank
     basis = fact.carrier_vectors()
@@ -566,22 +712,14 @@ def _check_thm2_7(ctx: _Ctx, rng, t: int) -> _Trial:
                            note=None if invertible else "carrier compression lost rank")
 
 
-def _check_thm2_12(ctx: _Ctx, rng, t: int) -> _Trial:
+def _check_thm2_12(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     """Product of two EP matrices is EP iff it preserves range and null space."""
     tol = ctx.tol
     spec = ctx.spec
     if spec.rank == spec.dim:  # invertible S and T: ST keeps range and null space
         raise InvalidSpec("thm2.12 needs rank < dim: at full rank no instance rejects")
-    aligned = t % 2 == 1
-    if aligned:
-        v = _haar_unitary(rng, spec.dim)
-        a1 = _conditioned_invertible(rng, spec.rank, spec.condition_bound)
-        a2 = _conditioned_invertible(rng, spec.rank, spec.condition_bound)
-        s = _embed_conjugated(v, a1)
-        t_mat = _embed_conjugated(v, a2)
-    else:
-        s = _gen_for(ctx, rng, "ep")
-        t_mat = _gen_for(ctx, rng, "ep")
+    aligned = drawn.instances[0][0] == "aligned_ep_pair"
+    s, t_mat = drawn.instances[0][1] if aligned else (m for _, m in drawn.instances)
     product = s @ t_mat
     fact_p = svd(product, tol)
     fact_t = svd(t_mat, tol)
@@ -595,11 +733,10 @@ def _check_thm2_12(ctx: _Ctx, rng, t: int) -> _Trial:
                       accept=conds)
 
 
-def _check_thm2_13(ctx: _Ctx, rng, t: int) -> _Trial:
+def _check_thm2_13(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     """Range of |T|^alpha is alpha-independent; for EP T it equals range(T)."""
     tol = ctx.tol
-    family = ("ep", "non_ep", "normal_ep")[t % 3]
-    m = _gen_for(ctx, rng, family)
+    ((family, m),) = drawn.instances
     fact_m = svd(m, tol)
     polar = polar_decomposition_of(fact_m)
     base = svd(polar.modulus_part, tol).range_vectors()
@@ -615,11 +752,11 @@ def _check_thm2_13(ctx: _Ctx, rng, t: int) -> _Trial:
     return _residual_trial(worst, 1.0, tol, payload={"T": m})
 
 
-def _check_thm2_15(ctx: _Ctx, rng, t: int) -> _Trial:
+def _check_thm2_15(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     """If range(T) = range(|T|) (= range(|T|^alpha), alpha in (0,1)) then T is EP."""
     tol = ctx.tol
-    expected = t % 2 == 0
-    m = _gen_for(ctx, rng, "ep" if expected else "non_ep")
+    ((family, m),) = drawn.instances
+    expected = family == "ep"
     fact_m = svd(m, tol)
     base = fact_m.range_vectors()
     polar = polar_decomposition_of(fact_m)
@@ -659,28 +796,24 @@ def _confined_perturbation(rng, fact: SvdFactorization) -> np.ndarray:
     return eps * confined
 
 
-def _check_thm2_16(ctx: _Ctx, rng, t: int) -> _Trial:
+def _check_thm2_16(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     """Certified dominated perturbations keep EP-ness (hypo-EP collapses to EP here)."""
     tol = ctx.tol
     squared = DOMINANCE_BOUND**2
-    mode = t % 5
+    mode = drawn.t % 5
+    rng = drawn.rng
+    ((_, t_mat),) = drawn.instances
     if mode == 1:
-        t_mat = _gen_for(ctx, rng, "ep")
         s = 2.0 * t_mat
         ta = adjoint(t_mat)
         dominated = psd_dominates(squared * (ta @ t_mat), adjoint(s) @ s, tol)
         return _pass_fail(not dominated, {"T": t_mat, "S": s},
                           "dominance certificate accepted a non-dominated pair", accept=False)
-    if mode == 2:
-        base = _gen_for(ctx, rng, "normal_ep")
-        c = DOMINANCE_BOUND * rng.uniform(0.2, 0.9)
-        s = c * base
-        t_mat = base
+    if mode == 2:  # t_mat is a normal_ep draw
+        s = DOMINANCE_BOUND * rng.uniform(0.2, 0.9) * t_mat
     elif mode == 3:
-        t_mat = _gen_for(ctx, rng, "ep")
         s = _confined_perturbation(rng, svd(t_mat, tol))
     else:
-        t_mat = _gen_for(ctx, rng, "ep")
         s = _scaled_perturbation(rng, t_mat)
     ta = adjoint(t_mat)
     sa = adjoint(s)
@@ -696,11 +829,11 @@ def _check_thm2_16(ctx: _Ctx, rng, t: int) -> _Trial:
                            note=None if extra_ok else f"certificate={cert}, ep={ep}")
 
 
-def _check_thm2_19(ctx: _Ctx, rng, t: int) -> _Trial:
+def _check_thm2_19(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     """EP iff T kills the corange and T* kills its own corange."""
     tol = ctx.tol
-    expected = t % 2 == 0
-    m = _gen_for(ctx, rng, "ep" if expected else "non_ep")
+    ((family, m),) = drawn.instances
+    expected = family == "ep"
     dim = m.shape[0]
     eye = np.eye(dim, dtype=np.complex128)
     fact = svd(m, tol)
@@ -775,12 +908,12 @@ def _window_conditions(
     return (cond_a, cond_b, cond_c), diag
 
 
-def _check_thm1_5(ctx: _Ctx, rng, t: int) -> _Trial:
+def _check_thm1_5(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     """Pseudoinverse convergence equivalences on convergent matrix windows."""
     tol = ctx.tol
     spec = ctx.spec
-    if t % 2 == 0:
-        limit = _gen_for(ctx, rng, "ep")
+    if drawn.instances:
+        ((_, limit),) = drawn.instances
         terms = tuple((1.0 + 1.0 / k) * limit for k in range(1, SEQUENCE_LENGTH + 1))
         conds, diag = _window_conditions(terms, limit, tol)
         diag["kind"] = "fixed_range_scaling"
@@ -801,16 +934,15 @@ def _check_thm1_5(ctx: _Ctx, rng, t: int) -> _Trial:
                       f"divergent sequence conditions {conds}", accept=False)
 
 
-def _membership_term(ctx: _Ctx, rng, rotate: bool):
+def _membership_term(ctx: _Ctx, rng, base: np.ndarray, rotate: bool):
     """``(term, limit)``: term k = SEQUENCE_LENGTH of a sequence converging to an EP limit L.
 
-    L is the run's ep draw scaled so that gamma(L) lies in [delta, 2 delta).
+    L is the ep draw ``base`` scaled so that gamma(L) lies in [delta, 2 delta).
     Term k is (1 + 2^-k) L, or, when ``rotate``, q L q* for the Cayley unitary
     q = (I - X)(I + X)^-1 of a skew-Hermitian X of norm 2^-k.  Every term is
     EP with gamma >= delta by construction; only term k is built, untested.
     ``run_theorem_check`` requires rank >= 1, so the draw's gamma is positive.
     """
-    base = _gen_for(ctx, rng, "ep")
     s, r = singular_values(base, ctx.tol)
     gamma0 = _gamma(s, r)
     target = EP_MEMBERSHIP_DELTA * (1.0 + rng.uniform(0.0, 1.0))
@@ -826,11 +958,12 @@ def _membership_term(ctx: _Ctx, rng, rotate: bool):
     return q @ limit @ q.conj().T, limit
 
 
-def _check_thm3_2(ctx: _Ctx, rng, t: int) -> _Trial:
+def _check_thm3_2(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     """Norm limits of EP matrices with gamma >= delta stay EP with gamma >= delta."""
     tol = ctx.tol
     delta = EP_MEMBERSHIP_DELTA
-    term, limit = _membership_term(ctx, rng, rotate=t % 2 == 1)
+    ((_, base),) = drawn.instances
+    term, limit = _membership_term(ctx, drawn.rng, base, rotate=drawn.t % 2 == 1)
     fact = svd(limit, tol)
     # The term lies within about 2^-50 ||limit|| of the limit plus roundoff
     # of the order of eps ||limit||, so the bound scales with it.
@@ -843,11 +976,10 @@ def _check_thm3_2(ctx: _Ctx, rng, t: int) -> _Trial:
                   note=f"limit is_ep={ep}, gamma={gamma}")
 
 
-def _check_thm3_4(ctx: _Ctx, rng, t: int) -> _Trial:
+def _check_thm3_4(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     """gamma <= spectral radius for EP matrices; nilpotent control violates it."""
     tol = ctx.tol
-    spec = ctx.spec
-    if t % 10 == 1:
+    if not drawn.instances:
         control = np.zeros((2, 2), dtype=np.complex128)
         control[0, 1] = 1.0
         rep = classify(control, tol)
@@ -863,15 +995,14 @@ def _check_thm3_4(ctx: _Ctx, rng, t: int) -> _Trial:
         )
         return _pass_fail(excluded, {"T": control},
                           "nilpotent control was not excluded", accept=False)
-    if t % 2 == 0:
-        m = _gen_for(ctx, rng, "ep")
+    ((_, m),) = drawn.instances
+    if drawn.t % 2 == 0:
         rep = classify(m, tol)
         residual = max(0.0, rep.gamma - rep.spectral_radius)
         # A zero residual passes at every scale; only a positive one needs ||m||.
         ok = rep.is_ep and (residual == 0.0 or residual <= 1e-10 * (1.0 + operator_norm(m)))
         return _Trial(ok, residual, payload={"T": m},
                       note=f"gamma={rep.gamma} exceeds spectral radius={rep.spectral_radius}")
-    m = _gen_for(ctx, rng, "ep", cond=30.0)
     fact = svd(m, tol)
     gamma1 = reduced_min_modulus_of(fact)
     norm = float(fact.singular_values[0])
@@ -894,7 +1025,10 @@ def _check_thm3_4(ctx: _Ctx, rng, t: int) -> _Trial:
 
 @dataclass(frozen=True)
 class _CheckerEntry:
-    fn: Callable[[_Ctx, np.random.Generator, int], _Trial]
+    fn: Callable[[_Ctx, _Drawn], _Trial]
+    # The families trial t draws before its body runs, as (family, cond)
+    # pairs; a cond that is not None caps the spec's condition bound.
+    draws: Callable[[int], tuple]
     # The fewest trials whose schedule reaches both directions; 1 for thm3.2,
     # which has only an accepting one.  thm2.12 picks its direction from the
     # data, so a run that still misses one says so in a note.
@@ -902,42 +1036,55 @@ class _CheckerEntry:
     static_notes: tuple[str, ...] = ()
 
 
+def _cycle(*families: str, cond: float | None = None) -> Callable[[int], tuple]:
+    """The schedule in which trial t draws one instance of families[t % len(families)]."""
+    return lambda t: ((families[t % len(families)], cond),)
+
+
 _CHECKERS: dict[str, _CheckerEntry] = {
     "thm1.5": _CheckerEntry(
-        _check_thm1_5, 2,
+        _check_thm1_5, lambda t: () if t % 2 else (("ep", None),), 2,
         ("pinv convergence is tested against the limit's pseudoinverse "
          "(the printed statement omits the dagger on the limit)",),
     ),
-    "thm2.1": _CheckerEntry(_check_thm2_1, 2),
-    "thm2.2": _CheckerEntry(_check_thm2_2, 2),
-    "thm2.3": _CheckerEntry(_check_thm2_3, 2),
-    "thm2.4": _CheckerEntry(_check_thm2_4, 2),
-    "thm2.5": _CheckerEntry(_check_thm2_5, 3),
+    "thm2.1": _CheckerEntry(_check_thm2_1, _cycle("ep", "non_ep"), 2),
+    "thm2.2": _CheckerEntry(
+        _check_thm2_2, lambda t: (("ep", None), ("non_ep" if t % 2 else "ep", None)), 2
+    ),
+    "thm2.3": _CheckerEntry(_check_thm2_3, _cycle("ep", "non_ep"), 2),
+    "thm2.4": _CheckerEntry(_check_thm2_4, _cycle("ep", "non_ep"), 2),
+    "thm2.5": _CheckerEntry(_check_thm2_5, _cycle("ep"), 3),
     "thm2.6": _CheckerEntry(
-        _check_thm2_6, 2,
+        _check_thm2_6, _cycle("ep", "non_ep", cond=30.0), 2,
         ("rejecting direction tests NOT(square EP with unchanged range): a "
          "power of a non-EP matrix may itself be EP (nilpotents square to 0)",),
     ),
-    "thm2.7": _CheckerEntry(_check_thm2_7, 2),
+    "thm2.7": _CheckerEntry(
+        _check_thm2_7, lambda t: (("non_ep" if t % 8 == 1 else "ep", None),), 2
+    ),
     "thm2.12": _CheckerEntry(
-        _check_thm2_12, 2,
+        _check_thm2_12,
+        lambda t: (("aligned_ep_pair", None),) if t % 2 else (("ep", None), ("ep", None)), 2,
         ("adjoint matrix-representation hypothesis is vacuous in finite "
          "dimension and not checked",),
     ),
-    "thm2.13": _CheckerEntry(_check_thm2_13, 2),
-    "thm2.15": _CheckerEntry(_check_thm2_15, 2),
+    "thm2.13": _CheckerEntry(_check_thm2_13, _cycle("ep", "non_ep", "normal_ep"), 2),
+    "thm2.15": _CheckerEntry(_check_thm2_15, _cycle("ep", "non_ep"), 2),
     "thm2.16": _CheckerEntry(
-        _check_thm2_16, 2,
+        _check_thm2_16, lambda t: (("normal_ep" if t % 5 == 2 else "ep", None),), 2,
         ("hypo-EP and EP coincide in finite dimension; both conclusions are "
          "checked on the same instances",),
     ),
-    "thm2.19": _CheckerEntry(_check_thm2_19, 2),
+    "thm2.19": _CheckerEntry(_check_thm2_19, _cycle("ep", "non_ep"), 2),
     "thm3.2": _CheckerEntry(
-        _check_thm3_2, 1,
+        _check_thm3_2, _cycle("ep"), 1,
         ("sequence terms are EP with gamma >= delta by construction; "
          "delta = 0.1",),
     ),
-    "thm3.4": _CheckerEntry(_check_thm3_4, 2),
+    "thm3.4": _CheckerEntry(
+        _check_thm3_4,
+        lambda t: () if t % 10 == 1 else (("ep", None if t % 2 == 0 else 30.0),), 2,
+    ),
 }
 
 THEOREM_IDS = tuple(sorted(_CHECKERS, key=lambda s: tuple(map(int, s[3:].split(".")))))
@@ -996,9 +1143,8 @@ def run_theorem_check(
     counterexample = None
     accepting = 0
     rejecting = 0
-    for t in range(trials):
-        rng = np.random.default_rng([spec.seed, salt, t])
-        trial = entry.fn(ctx, rng, t)
+    for drawn in _generated_trials(spec, salt, trials, entry.draws):
+        trial = entry.fn(ctx, drawn)
         accepting += trial.accept
         rejecting += not trial.accept
         worst = max(worst, trial.residual)
@@ -1007,7 +1153,7 @@ def run_theorem_check(
         if not trial.ok:
             failures += 1
             if counterexample is None:
-                counterexample = _counterexample_payload(t, trial)
+                counterexample = _counterexample_payload(drawn.t, trial)
     elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
 
     notes = list(entry.static_notes)

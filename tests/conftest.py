@@ -34,11 +34,14 @@ def svd_calls(monkeypatch):
     float64, so takes the real LAPACK kernel.
     ``svd_calls["inv_matrices"]`` counts the matrices np.linalg.inv inverts
     and ``svd_calls["eigvals"]`` the np.linalg.eigvals calls.
-    ``svd_calls.clear()`` starts a fresh count.  Every wrapped call asserts
-    that it gets one matrix: epkit hands LAPACK no stacks.
+    ``svd_calls["qr"]`` counts np.linalg.qr calls and ``svd_calls["qr_matrices"]``
+    the matrices in them: the generators hand qr a stack of Gaussian blocks.
+    ``svd_calls.clear()`` starts a fresh count.  Every other wrapped call
+    asserts that it gets one matrix: epkit hands those kernels no stacks.
     """
     counts = Counter()
     real_svd, real_inv, real_eigvals = np.linalg.svd, np.linalg.inv, np.linalg.eigvals
+    real_qr = np.linalg.qr
 
     def svd(a, *args, **kwargs):
         assert np.ndim(a) == 2
@@ -58,7 +61,13 @@ def svd_calls(monkeypatch):
         counts["eigvals"] += 1
         return real_eigvals(a)
 
+    def qr(a, *args, **kwargs):
+        counts["qr"] += 1
+        counts["qr_matrices"] += int(np.prod(np.shape(a)[:-2]))
+        return real_qr(a, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "svd", svd)
     monkeypatch.setattr(np.linalg, "inv", inv)
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    monkeypatch.setattr(np.linalg, "qr", qr)
     return counts

@@ -25,6 +25,7 @@ digest can be shown field by field (``tests/golden/refresh.py``).
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -115,60 +116,86 @@ CORRUPT_EP = {"verify-thm2.1-d4-r2-t4-corrupt-ep"}
 
 
 @contextlib.contextmanager
-def corrupt_ep_generation():
-    """Make the ep family return a non-EP matrix after drawing its usual instance.
+def _faulted(family: str, fault):
+    """Apply ``fault`` to each instance the family builds, until the block ends.
 
-    Every verifier draws its ep matrices, pairs and windows included, through
-    the family table, so each sees genuine counterexamples; thm2.12's aligned
-    pair, which shares one unitary between S and T, is the one exception.
-    The patch is undone when the block ends.
+    The family keeps its draws, so every rng is left where the real family
+    leaves it.
     """
-    real = harness._GENERATORS["ep"]
+    real = harness._GENERATORS[family]
 
-    def non_ep(rng, dim, rank, cond):
-        real(rng, dim, rank, cond)
-        m = np.zeros((dim, dim), dtype=np.complex128)
-        m[0, min(1, dim - 1)] = 1.0
-        return m
+    def build(params, unitaries):
+        return fault(real.build(params, unitaries))
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setitem(harness._GENERATORS, "ep", non_ep)
+        patch.setitem(harness._GENERATORS, family, dataclasses.replace(real, build=build))
         yield
 
 
-FAULT_KINDS = ("range", "index2")
+@contextlib.contextmanager
+def corrupt_ep_generation():
+    """Make the ep family return a non-EP matrix after building its usual instance.
+
+    Every verifier draws its ep matrices, pairs and windows included, through
+    the family table, so each sees genuine counterexamples.  thm2.12's
+    aligned pair is a family of its own, which ``graded_ep_fault`` faults
+    with kind ``"pair"``.  The patch is undone when the block ends.
+    """
+
+    def non_ep(m):
+        dim = m.shape[0]
+        out = np.zeros((dim, dim), dtype=np.complex128)
+        out[0, min(1, dim - 1)] = 1.0
+        return out
+
+    with _faulted("ep", non_ep):
+        yield
+
+
+FAULT_KINDS = ("range", "index2", "pair")
 
 
 @contextlib.contextmanager
 def graded_ep_fault(eps: float, kind: str):
-    """Make the ep family return its usual draw T plus a rank-one fault eps sigma_1 x y*.
+    """Move each ep draw, or each aligned pair, off its class by a fault of size eps.
 
     With T = U S V* (full SVD, rank below the dimension):
 
-    - ``kind="range"``: x = U[:, -1] lies in N(T*) and y = V[:, 0] is the
-      top right singular vector.  The rank stays the same, and T leaves the
-      EP class at relative distance about eps.
-    - ``kind="index2"``: x = V[:, -2] and y = V[:, -1], both in N(T), so
-      y -> x -> 0 is a Jordan chain and the index becomes 2.  This is the
-      fault that breaks thm2.7, whose conclusion holds at every index-1
-      matrix.
+    - ``kind="range"``: every ep draw T becomes T + eps sigma_1 x y*, with
+      x = U[:, -1] in N(T*) and y = V[:, 0] the top right singular vector.
+      The rank stays the same, and T leaves the EP class at relative
+      distance about eps.
+    - ``kind="index2"``: the same with x = V[:, -2] and y = V[:, -1], both
+      in N(T), so y -> x -> 0 is a Jordan chain and the index becomes 2.
+      This is the fault that breaks thm2.7, whose conclusion holds at every
+      index-1 matrix.
+    - ``kind="pair"``: T of each aligned pair (S, T) of thm2.12 becomes
+      R T R*, with R the rotation by the angle eps in the plane of U[:, 0],
+      in T's range, and U[:, -1], in its null space.  T stays EP, but its
+      range and null space leave those of S.
 
-    Every table draw of the ep family is faulted, as in
+    Every table draw of the family is faulted, as in
     ``corrupt_ep_generation``.  The patch is undone when the block ends.
     """
     if kind not in FAULT_KINDS:
         raise ValueError(f"unknown fault kind {kind!r}; known: {', '.join(FAULT_KINDS)}")
-    real = harness._GENERATORS["ep"]
 
-    def faulty(rng, dim, rank, cond):
-        m = real(rng, dim, rank, cond)
+    def faulty(m):
         u, s, vh = np.linalg.svd(m)
         v = vh.conj().T
         x, y = (u[:, -1], v[:, 0]) if kind == "range" else (v[:, -2], v[:, -1])
         return m + eps * s[0] * np.outer(x, y.conj())
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setitem(harness._GENERATORS, "ep", faulty)
+    def rotated(pair):
+        s, t = pair
+        u = np.linalg.svd(t)[0]
+        x, y = u[:, 0], u[:, -1]
+        c, sn = np.cos(eps), np.sin(eps)
+        r = (np.eye(len(t)) + (c - 1.0) * (np.outer(x, x.conj()) + np.outer(y, y.conj()))
+             + sn * (np.outer(y, x.conj()) - np.outer(x, y.conj())))
+        return s, r @ t @ r.conj().T
+
+    with _faulted("aligned_ep_pair", rotated) if kind == "pair" else _faulted("ep", faulty):
         yield
 
 

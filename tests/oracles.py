@@ -4,7 +4,8 @@ Nothing here goes through the library's factorization kernels: products are
 naive triple loops, characteristic polynomials are computed exactly over
 Gaussian rationals with sympy and rooted at high precision with mpmath,
 orthonormalization is textbook Gram-Schmidt, and the spectral radius oracle
-is the norm-of-powers limit evaluated by repeated squaring.
+is the norm-of-powers limit evaluated by repeated squaring.  The generator
+families are copies of their one-matrix form, one QR per Haar unitary.
 """
 
 from __future__ import annotations
@@ -144,3 +145,77 @@ def random_matrix(
     else:
         s = smax * np.exp(np.linspace(0.0, -np.log(cond), rank))
     return (qu * s) @ qv.conj().T
+
+
+# The one-matrix generators as they stood before generation was batched:
+# each Haar unitary comes from its own QR, drawn and factored in turn.  A
+# batched draw of the harness must equal them bit for bit.
+
+
+def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    phases = np.where(np.abs(d) > 0, d / np.abs(np.where(np.abs(d) > 0, d, 1.0)), 1.0)
+    return q * phases.conj()
+
+
+def conditioned_invertible(rng: np.random.Generator, n: int, condition_bound: float) -> np.ndarray:
+    smax = rng.uniform(0.5, 2.0)
+    cond = float(np.exp(rng.uniform(0.0, np.log(max(condition_bound, 1.0)))))
+    if n == 1:
+        s = np.array([smax])
+    else:
+        interior = np.exp(rng.uniform(np.log(smax / cond), np.log(smax), size=n - 2))
+        s = np.concatenate(([smax], np.sort(interior)[::-1], [smax / cond]))
+    u = haar_unitary(rng, n)
+    v = haar_unitary(rng, n)
+    return (u * s) @ v.conj().T
+
+
+def embed_conjugated(v: np.ndarray, block: np.ndarray) -> np.ndarray:
+    k = block.shape[0]
+    b = np.zeros(v.shape, dtype=np.complex128)
+    b[:k, :k] = block
+    return v @ b @ v.conj().T
+
+
+def gen_ep(rng, dim, rank, cond) -> np.ndarray:
+    if rank == 0:
+        return np.zeros((dim, dim), dtype=np.complex128)
+    block = conditioned_invertible(rng, rank, cond)
+    return embed_conjugated(haar_unitary(rng, dim), block)
+
+
+def gen_non_ep(rng, dim, rank, cond) -> np.ndarray:
+    block = np.zeros((rank + 1, rank + 1), dtype=np.complex128)
+    block[0, 1] = rng.uniform(0.5, 2.0)
+    if rank > 1:
+        block[2:, 2:] = conditioned_invertible(rng, rank - 1, cond)
+    return embed_conjugated(haar_unitary(rng, dim), block)
+
+
+def gen_normal_ep(rng, dim, rank, cond) -> np.ndarray:
+    smax = rng.uniform(0.5, 2.0)
+    mags = smax * np.exp(rng.uniform(-np.log(max(cond, 1.0)), 0.0, size=rank))
+    phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=rank))
+    lam = np.zeros(dim, dtype=np.complex128)
+    lam[:rank] = mags * phases
+    v = haar_unitary(rng, dim)
+    return (v * lam) @ v.conj().T
+
+
+def gen_aligned_ep_pair(rng, dim, rank, cond) -> tuple[np.ndarray, np.ndarray]:
+    """thm2.12's aligned pair: two invertible blocks conjugated by one shared unitary."""
+    v = haar_unitary(rng, dim)
+    a1 = conditioned_invertible(rng, rank, cond)
+    a2 = conditioned_invertible(rng, rank, cond)
+    return embed_conjugated(v, a1), embed_conjugated(v, a2)
+
+
+GENERATORS = {
+    "ep": gen_ep,
+    "non_ep": gen_non_ep,
+    "normal_ep": gen_normal_ep,
+    "aligned_ep_pair": gen_aligned_ep_pair,
+}

@@ -5,9 +5,12 @@ every decision about it, and a spectral norm that only feeds a threshold
 check is decided by the Frobenius bracket without an SVD of its own.  A
 model row needs no factorization and builds no dense matrix, at any rank
 cutoff; the matrices are counted by wrapping ``core.as_matrix``
-(``as_matrix_calls``).
+(``as_matrix_calls``).  The generators' QR calls are counted with the
+matrices they stack (``svd_calls["qr"]`` and ``["qr_matrices"]``).
 """
 
+import contextlib
+import io
 import sys
 
 import numpy as np
@@ -27,6 +30,7 @@ from epkit import (
     run_theorem_check,
 )
 from epkit import core
+from epkit.cli import main
 from epkit.core import ToleranceConfig
 from epkit.models import diagonal_entries
 
@@ -127,9 +131,12 @@ class TestFractionalPowerVerifiers:
 @pytest.mark.parametrize("dim", [2, 8])
 @pytest.mark.parametrize("family", list(harness._GENERATORS))
 def test_generators_factor_nothing(svd_calls, dim, family):
-    ranks = range(1, dim) if family == "non_ep" else range(dim + 1)
-    for rank in ranks:
-        gen_matrix(family, GeneratorSpec(dim=dim, rank=rank, seed=1))
+    # Every rank the family is drawn at: non_ep's control ranks, and the
+    # aligned pair's ranks of thm2.12 runs.
+    low, high = {"non_ep": (1, dim - 1), "aligned_ep_pair": (1, dim)}.get(family, (0, dim))
+    for rank in range(low, high + 1):
+        spec = GeneratorSpec(dim=dim, rank=rank, seed=1)
+        harness._build([harness._draw(spec, np.random.default_rng(1), ((family, None),))])
     assert svd_calls["full"] == svd_calls["values"] == 0
     assert svd_calls["inv_matrices"] == svd_calls["eigvals"] == 0
 
@@ -176,6 +183,17 @@ def test_verifier_svd_budget(svd_calls, theorem_id):
     assert svd_calls["real_matrices"] < svd_calls["full"] + svd_calls["values"]
     if theorem_id != "thm1.5":
         assert svd_calls["real_matrices"] == 0
+
+
+def test_the_suite_stacks_its_qr_calls(svd_calls):
+    # A verifier run draws its trials first and factors the Gaussian blocks
+    # of each size in one QR call: 15 runs of at most 3 block sizes at dim
+    # 8, rank 6 (ep blocks of 6 and 8, non_ep ones of 5 and 8), where one
+    # QR per Haar unitary would make 477 calls.
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["suite", "--seed", "1", "--trials", "10"]) == 0
+    assert svd_calls["qr_matrices"] == 477
+    assert svd_calls["qr"] <= 45
 
 
 def test_thm3_2_builds_one_term_and_decides_its_limit_from_its_svd(svd_calls):

@@ -122,15 +122,24 @@ class TestGenMatrix:
         assert is_normal(m, tol) and is_ep(m, tol)
 
     def test_every_family_draws_one_matrix(self):
-        assert list(harness._GENERATORS) == ["ep", "non_ep", "normal_ep"]
-        for family in harness._GENERATORS:
+        # gen_matrix draws the three one-matrix families; the table's fourth
+        # entry is thm2.12's aligned pair, two matrices of one range.
+        assert list(harness._GENERATORS) == ["ep", "non_ep", "normal_ep", "aligned_ep_pair"]
+        assert harness._MATRIX_FAMILIES == ("ep", "non_ep", "normal_ep")
+        for family in harness._MATRIX_FAMILIES:
             m = gen_matrix(family, spec())
             assert isinstance(m, np.ndarray) and m.shape == (6, 6)
+        with pytest.raises(InvalidSpec, match="unknown family 'aligned_ep_pair'"):
+            gen_matrix("aligned_ep_pair", spec())
 
     def test_only_the_table_names_a_generator(self):
         # Verifiers draw through ``_GENERATORS``, so a patched entry reaches
         # every draw of its family.
-        names = {generate.__name__ for generate in harness._GENERATORS.values()}
+        names = {
+            step.__name__
+            for family in harness._GENERATORS.values()
+            for step in (family.draw, family.build)
+        }
         stray = []
         for path in Path(epkit.__file__).parent.glob("*.py"):
             tree = ast.parse(path.read_text())
@@ -182,11 +191,101 @@ class TestGenMatrix:
                 for rotate in (False, True) if rank else ():
                     ctx = harness._Ctx(GeneratorSpec(dim=dim, rank=rank, seed=seed), tol)
                     rng = np.random.default_rng([seed, 0xA5])
-                    term, limit = harness._membership_term(ctx, rng, rotate)
+                    ((_, base),) = harness._build([harness._draw(ctx.spec, rng, (("ep", None),))])[0]
+                    term, limit = harness._membership_term(ctx, rng, base, rotate)
                     fact = svd(term, tol)
                     assert range_corange_test(fact, tol)
                     assert reduced_min_modulus_of(fact) >= delta
                     assert delta <= reduced_min_modulus_of(svd(limit, tol)) < 2 * delta
+
+
+def same_bits(a, b) -> bool:
+    """Whether two instances, matrices or pairs of them, are equal bit for bit."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(same_bits(x, y) for x, y in zip(a, b))
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def family_ranks(family, dim):
+    """The edge and middle ranks at which a family is drawn."""
+    low = 1 if family in ("non_ep", "aligned_ep_pair") else 0
+    high = dim - 1 if family == "non_ep" else dim
+    return sorted({r for r in (low, low + 1, dim // 2, high - 1, high) if low <= r <= high})
+
+
+class TestBatchedGeneration:
+    """Drawing first and factoring each block size once gives the one-at-a-time bits."""
+
+    @pytest.mark.parametrize("cond", [1.0, 100.0, 1e8])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 32])
+    @pytest.mark.parametrize("family", list(oracles.GENERATORS))
+    def test_a_chunk_equals_the_oracle_trial_by_trial(self, family, dim, cond):
+        assert list(oracles.GENERATORS) == list(harness._GENERATORS)
+        for rank in family_ranks(family, dim):
+            spec = GeneratorSpec(dim=dim, rank=rank, condition_bound=cond, seed=3)
+            rngs = [np.random.default_rng([3, rank, t]) for t in range(4)]
+            chunk = harness._build([harness._draw(spec, rng, ((family, None),)) for rng in rngs])
+            for t, (rng, instances) in enumerate(zip(rngs, chunk)):
+                ref_rng = np.random.default_rng([3, rank, t])
+                ref = oracles.GENERATORS[family](ref_rng, dim, rank, cond)
+                ((drawn_family, instance),) = instances
+                assert drawn_family == family
+                assert same_bits(instance, ref)
+                # The body draws the rest of its trial from where the oracle left off.
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+    def test_each_verifier_schedule_equals_the_oracle(self, theorem_id):
+        # Mixed families in one chunk share the stacks of their block sizes,
+        # and a cap applies to its own draw.  Rank 6 is also non_ep's
+        # control rank at dim 8.
+        entry = harness._CHECKERS[theorem_id]
+        spec = GeneratorSpec(dim=8, rank=6, seed=1)
+        salt = THEOREM_IDS.index(theorem_id)
+        for drawn in harness._generated_trials(spec, salt, 30, entry.draws):
+            ref_rng = np.random.default_rng([1, salt, drawn.t])
+            plan = entry.draws(drawn.t)
+            assert [family for family, _ in drawn.instances] == [family for family, _ in plan]
+            for (family, cond), (_, instance) in zip(plan, drawn.instances):
+                ref = oracles.GENERATORS[family](ref_rng, 8, 6, min(cond or 100.0, 100.0))
+                assert same_bits(instance, ref)
+            assert drawn.rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_a_run_past_the_stack_bound_spans_chunks(self, svd_calls):
+        # At dim 32 a chunk is 2^16 / 32^2 = 64 trials, each of whose ep
+        # draws stacks two blocks of size 31 and one of size 32.
+        spec = GeneratorSpec(dim=32, rank=31, seed=2)
+        trials = harness._STACK_ENTRIES // 32**2 + 3
+        drawn = list(harness._generated_trials(spec, 0, trials, lambda t: (("ep", None),)))
+        assert [d.t for d in drawn] == list(range(trials))
+        assert svd_calls["qr"] == 2 * 2
+        assert svd_calls["qr_matrices"] == 3 * trials
+        for d in drawn:
+            ref = oracles.gen_ep(np.random.default_rng([2, 0, d.t]), 32, 31, 100.0)
+            assert same_bits(d.instances[0][1], ref)
+
+    def test_at_dim_256_each_trial_is_drawn_alone(self, svd_calls):
+        # A block of size 256 fills the bound, so each trial is a chunk of
+        # its own: one call for its four 1 x 1 blocks and one for its two
+        # of size 256.
+        spec = GeneratorSpec(dim=256, rank=1, seed=2)
+        drawn = harness._generated_trials(spec, 0, 2, lambda t: (("ep", None), ("ep", None)))
+        assert len(list(drawn)) == 2
+        assert svd_calls["qr"] == 2 * 2
+        assert svd_calls["qr_matrices"] == 2 * 6
+
+    def test_a_zero_on_the_diagonal_of_r_takes_phase_one(self):
+        z = oracles.snapped_complex_matrix(np.random.default_rng(5), 4).astype(np.complex128)
+        z[:, 0] = 0.0
+        q, r = np.linalg.qr(z)
+        assert r[0, 0] == 0.0
+        (u,) = harness._haar_unitaries(z[None])
+        assert same_bits(u[:, 0].copy(), q[:, 0].copy())
+        d = np.diagonal(r)[1:]
+        assert same_bits(u[:, 1:].copy(), q[:, 1:] * (d / np.abs(d)).conj())
+        # Stacked with another block, it keeps its bits.
+        other = oracles.snapped_complex_matrix(np.random.default_rng(6), 4).astype(np.complex128)
+        assert same_bits(harness._haar_unitaries(np.stack([other, z]))[1], u)
 
 
 class TestPsdDominates:
@@ -438,9 +537,9 @@ class TestRunTheoremCheck:
     @pytest.mark.parametrize("theorem_id", [tid for tid in THEOREM_IDS if tid != "thm1.5"])
     def test_corrupted_ep_family_reaches_the_verdict(self, theorem_id, tol, corrupt_ep_generation):
         # Every ep draw passes through the family table, so a non-EP "ep"
-        # matrix shows as a failure.  thm2.12's aligned pair is no table
-        # draw: it needs one V shared by S and T, and a table draw brings
-        # its own; its other trials draw from the table.  thm1.5 is exempt:
+        # matrix shows as a failure.  thm2.12's aligned pair is a family of
+        # its own, left alone here; its other trials draw ep matrices.
+        # thm1.5 is exempt:
         # its claim holds for any matrix window, so a non-EP limit is no
         # counterexample.
         verdict = run_theorem_check(theorem_id, GeneratorSpec(dim=8, rank=6, seed=1), 20, tol)
@@ -473,15 +572,16 @@ class TestRunTheoremCheck:
 
 # The fault kind of ``golden_corpus.graded_ep_fault`` each verifier must
 # catch.  thm2.7's conclusion holds at every index-1 matrix, so only an
-# index-2 fault can break it.
+# index-2 fault can break it.  thm2.12's even trials hold for any pair, so
+# only a fault of its aligned pair can break it.
 POWER_PIN = {
     **{tid: "range" for tid in THEOREM_IDS if tid not in ("thm1.5", "thm2.7", "thm2.12")},
     "thm2.7": "index2",
+    "thm2.12": "pair",
 }
-# Verifiers that catch neither fault kind yet, and why.
+# Verifiers that catch no fault kind yet, and why.
 NOT_YET_PINNED = {
     "thm1.5": "no window moves a range, so a faulted limit is no counterexample",
-    "thm2.12": "its aligned pair bypasses the family table; it needs a pair fault",
 }
 
 
