@@ -22,25 +22,30 @@ The inclusion residual of the EP decision and the commutator of
 ``is_normal`` feed only yes/no answers, so ``core.norm2_at_most`` decides
 them from a Frobenius-norm bracket and runs an SVD only when the bracket
 straddles the threshold.  The report's ``commutator_residual`` and
-``range_gap`` are numbers and stay exact spectral norms.
+``range_gap`` are numbers and stay exact spectral norms, taken by one
+``core.norm2_stack`` call.  Normality is decided at unit scale: M is
+scaled exactly by a power of two first, so M and 2^k M get one verdict
+and no product overflows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     DEFAULT_TOL,
     SvdFactorization,
     ToleranceConfig,
     as_matrix,
-    norm2,
     norm2_at_most,
+    norm2_stack,
     require_square,
     svd,
 )
 from .pinv import pseudoinverse_of, reduced_min_modulus_of, spectral_radius
-from .subspace import columns_included, projector_gap
+from .subspace import columns_included, projector
 
 
 @dataclass(frozen=True)
@@ -105,12 +110,28 @@ def is_hypo_ep(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 
 def is_normal(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff M M* - M* M vanishes within eq_atol * (1 + ||M||^2)."""
-    m = require_square(as_matrix(matrix))
+    """True iff M M* - M* M vanishes within eq_atol * (1 + ||M||^2), for M at unit scale.
+
+    M is first scaled by a power of two (``_unit_scaled``), so M and 2^k M
+    get one verdict at every k, and the products cannot overflow.
+    """
+    m = _unit_scaled(require_square(as_matrix(matrix)))
     madj = m.conj().T
     return norm2_at_most(
         m @ madj - madj @ m, lambda norm: tol.eq_atol * (1.0 + norm * norm), m
     )
+
+
+def _unit_scaled(m: np.ndarray) -> np.ndarray:
+    """m times 2^-e, where the largest real or imaginary part of its entries is f 2^e, 1/2 <= f < 1.
+
+    ``np.ldexp`` scales each part exactly; a scalar factor 2.0**-e would
+    overflow for subnormal entries.  Only parts about 2^-1022 below the
+    largest lose bits, to underflow.  The zero matrix stays as it is.
+    """
+    parts = np.ascontiguousarray(m).view(np.float64)
+    _, e = np.frexp(np.abs(parts).max())
+    return np.ldexp(parts, -e).view(m.dtype)
 
 
 def classify(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> ClassificationReport:
@@ -125,6 +146,13 @@ def classify(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> ClassificationReport
     mp = pseudoinverse_of(fact)
     r = fact.numerical_rank
     ep = range_corange_test(fact, tol)
+
+    def residuals():
+        # One at a time: at dim 256 each norm is a LAPACK call of its own.
+        yield mp @ m - m @ mp
+        yield projector(fact.range_vectors()) - projector(fact.carrier_vectors())
+
+    commutator, gap = norm2_stack(residuals())
     return ClassificationReport(
         dim=m.shape[0],
         rank=r,
@@ -133,7 +161,7 @@ def classify(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> ClassificationReport
         is_normal=is_normal(m, tol),
         gamma=reduced_min_modulus_of(fact),
         spectral_radius=spectral_radius(m),
-        commutator_residual=norm2(mp @ m - m @ mp),
-        range_gap=projector_gap(fact.range_vectors(), fact.carrier_vectors()),
+        commutator_residual=commutator,
+        range_gap=gap,
         zero_operator=r == 0,
     )

@@ -113,6 +113,9 @@ def _cmd_suite(args, tol):
     from . import harness
 
     spec = harness.GeneratorSpec(dim=args.dim, rank=_resolve_rank(args), seed=args.seed)
+    # A suite that cannot run every verifier runs none.
+    for tid in harness.THEOREM_IDS:
+        harness.require_runnable(tid, spec, args.trials)
     verdicts = [
         harness.run_theorem_check(tid, spec, args.trials, tol) for tid in harness.THEOREM_IDS
     ]

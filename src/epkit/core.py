@@ -18,7 +18,20 @@ truncation's diagonal vector without building the matrix).  ``svd``,
 the only one that calls ``np.linalg.svd``, ``np.linalg.eigvals`` or
 ``np.linalg.eig`` (``tests/test_kernel_module.py``).
 
-Every kernel takes one matrix; a 3-D array raises InvalidDimension.
+``svd``, ``singular_values`` and ``norm2`` each have a stacked form,
+``svd_stack``, ``singular_values_stack`` and ``norm2_stack``, which takes
+an iterable of 2-D arrays of one shape and dtype that the caller built
+and yields one result per matrix.  LAPACK factors each matrix of a stack
+alone, so a stacked result has the bits of the single-matrix call; what a
+stack saves is numpy's per-call cost, which at dim 8 is about that of the
+factorization, and the stacked SVDs check their input for non-finite
+entries once per stack, not per matrix.  One call takes at most max(1,
+_STACK_ENTRIES // (rows * cols)) matrices (``_per_call``), and a single
+matrix is the one-element case of the same code, so each SVD kind has one
+LAPACK call site.  The single-matrix functions validate one matrix; a 3-D
+array raises InvalidDimension.  The stacked forms are internal: ``epkit``
+does not export them.
+
 ``norm2`` is the package's only spectral norm: it reads sigma_1 from the
 singular-value-only kernel, the same routine and the same bits as
 ``np.linalg.norm(x, 2)`` without that function's axis handling.
@@ -40,12 +53,13 @@ becomes complex128.  The rule reads the dtype, never the values, so a
 complex array with zero imaginary part stays complex.  ``eigenvalues``
 returns complex128 either way.
 
-All functions are pure: inputs are validated, never mutated, and returned
-arrays are fresh.  Values are safe to share across threads.
+All functions are pure: inputs are validated, never mutated, and no
+returned array aliases an input.  Values are safe to share across threads.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -118,9 +132,7 @@ def as_matrix(values) -> np.ndarray:
     if m.size == 0:
         raise InvalidDimension(f"matrix axes must be positive, got {m.shape}")
     require_within_cap(m.shape)
-    if not np.isfinite(m).all():  # complex entries: both parts finite
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    return m
+    return _require_finite(m)
 
 
 def require_within_cap(shape: tuple[int, int]) -> None:
@@ -200,19 +212,37 @@ def svd(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> SvdFactorization:
 
     Validates as as_matrix.  The zero matrix yields numerical_rank 0 (empty
     range basis).  Raises ConvergenceFailure if the underlying iteration
-    does not converge.
+    does not converge.  Runs the LAPACK call of ``svd_stack`` on a stack of
+    one.
     """
-    m = as_matrix(matrix)
+    return _svd_call(as_matrix(matrix)[None], tol)[0]
+
+
+def svd_stack(matrices, tol: ToleranceConfig = DEFAULT_TOL):
+    """An iterator over the ``svd`` of each matrix of an iterable, in order.
+
+    The matrices are 2-D float64 or complex128 arrays of one shape and
+    dtype that the caller built, as for ``norm2_stack``; a non-finite entry
+    raises ValueError, as in as_matrix, checked once per LAPACK call's
+    stack (``_per_call``).  Each matrix is factored alone, so it gets the
+    bits of its own ``svd``.
+    """
+    return _per_call(lambda stack: _svd_call(_require_finite(stack), tol), matrices)
+
+
+def _svd_call(stack: np.ndarray, tol: ToleranceConfig) -> list[SvdFactorization]:
+    """The ``svd`` of each matrix of a stack, by one LAPACK call."""
     try:
-        u, s, vh = np.linalg.svd(m, full_matrices=True)
+        u, s, vh = np.linalg.svd(stack, full_matrices=True)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"SVD did not converge for shape {m.shape}") from exc
-    return SvdFactorization(
-        left_vectors=u,
-        singular_values=s,
-        right_vectors=vh.conj().T,
-        numerical_rank=_numerical_rank(s, tol),
-    )
+        raise ConvergenceFailure(f"SVD did not converge for shape {stack.shape[1:]}") from exc
+    v = vh.conj().swapaxes(1, 2)
+    return [
+        SvdFactorization(
+            left_vectors=u[i], singular_values=s[i], right_vectors=v[i], numerical_rank=rank
+        )
+        for i, rank in enumerate(_numerical_ranks(s, tol))
+    ]
 
 
 def singular_values(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, int]:
@@ -225,17 +255,83 @@ def singular_values(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndar
     ``models``.  Any other input takes that kernel (dqds), which costs about
     half the full one and does not perturb the values the way the vector
     route does.  Validates as as_matrix; raises ConvergenceFailure if the
-    iteration does not converge.
+    iteration does not converge.  Runs the LAPACK call of
+    ``singular_values_stack`` on a stack of one.
     """
-    m = as_matrix(matrix)
-    if _is_diagonal(m):
-        s = _diagonal_singular_values(m.diagonal())
+    return _singular_values_call(as_matrix(matrix)[None], tol)[0]
+
+
+def singular_values_stack(matrices, tol: ToleranceConfig = DEFAULT_TOL):
+    """An iterator over the ``singular_values`` of each matrix of an iterable, as ``svd_stack``.
+
+    Each matrix takes the diagonal route or not on its own; the others of
+    one call's worth go to LAPACK together.
+    """
+    return _per_call(lambda stack: _singular_values_call(_require_finite(stack), tol), matrices)
+
+
+def _singular_values_call(stack: np.ndarray, tol: ToleranceConfig) -> list[tuple[np.ndarray, int]]:
+    """The ``singular_values`` of each matrix of a stack, by at most one LAPACK call."""
+    diagonal = [_is_diagonal(m) for m in stack]
+    if any(diagonal):
+        dense = [not d for d in diagonal]
+        lapack = iter(_values_only(stack[dense]) if any(dense) else ())
+        s = np.array([
+            _diagonal_singular_values(m.diagonal()) if d else next(lapack)
+            for m, d in zip(stack, diagonal)
+        ])
     else:
-        try:
-            s = np.linalg.svd(m, compute_uv=False)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(f"SVD did not converge for shape {m.shape}") from exc
-    return s, _numerical_rank(s, tol)
+        s = _values_only(stack)
+    return list(zip(s, _numerical_ranks(s, tol)))
+
+
+# One LAPACK call takes at most max(1, _STACK_ENTRIES // (rows * cols))
+# matrices (``_per_call``): a whole window at dim 8, one matrix at dim 256.
+# A run of ``harness`` draws its trials in chunks of the same bound.
+_STACK_ENTRIES = 2**16
+
+
+def _per_call(kernel, matrices):
+    """Yield ``kernel``'s result for each of the 2-D arrays ``matrices``, in order.
+
+    ``kernel`` takes one LAPACK call's worth of them as a 3-D stack: at most
+    max(1, _STACK_ENTRIES // (rows * cols)) consecutive arrays.  Every
+    array must have the shape and dtype of the first: a stack that mixed
+    real and complex matrices would promote the real ones to the complex
+    kernel and change their bits.  Neither a call's arrays nor a result
+    once yielded are held here when the next arrays are read, so a caller
+    that passes a generator holds one call's worth of them at a time.
+    """
+    it = iter(matrices)
+    key = None
+    for first in it:
+        key = key or (first.shape, first.dtype)
+        rows, cols = key[0]
+        chunk = [first, *itertools.islice(it, max(1, _STACK_ENTRIES // (rows * cols)) - 1)]
+        del first
+        if any((m.shape, m.dtype) != key for m in chunk):
+            raise DimensionMismatch("a stack takes matrices of one shape and dtype")
+        stack = np.array(chunk)
+        del chunk
+        results = kernel(stack)[::-1]
+        del stack
+        while results:
+            yield results.pop()
+
+
+def _require_finite(stack: np.ndarray) -> np.ndarray:
+    """Return the array, or raise ValueError if an entry is NaN or infinite."""
+    if not np.isfinite(stack).all():  # complex entries: both parts finite
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    return stack
+
+
+def _values_only(stack: np.ndarray) -> np.ndarray:
+    """The singular values of each matrix of a stack, one row each, by one LAPACK call."""
+    try:
+        return np.linalg.svd(stack, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"SVD did not converge for shape {stack.shape[1:]}") from exc
 
 
 def _diagonal_singular_values(d: np.ndarray) -> np.ndarray:
@@ -249,9 +345,17 @@ def _is_diagonal(m: np.ndarray) -> bool:
 
 
 def _numerical_rank(s: np.ndarray, tol: ToleranceConfig) -> int:
-    """How many of the sorted singular values s exceed rank_rtol * sigma_1."""
+    """How many of the sorted singular values s exceed rank_rtol * sigma_1.
+
+    One vector, as a model row's; ``_numerical_ranks`` counts a stack.
+    """
     # All-zero singular values (the zero matrix) count nothing above 0.
     return int(np.count_nonzero(s > tol.rank_rtol * s[0]))
+
+
+def _numerical_ranks(s: np.ndarray, tol: ToleranceConfig) -> list[int]:
+    """``_numerical_rank`` of each row of a stack s, by one vectorized count."""
+    return (s > tol.rank_rtol * s[:, :1]).sum(axis=1).tolist()
 
 
 def _gamma(s: np.ndarray, r: int) -> float:
@@ -319,15 +423,26 @@ def norm2(x: np.ndarray) -> float:
     np.linalg.norm(x, 2), which runs the same kernel.  Raises
     ConvergenceFailure if the iteration does not converge, as on an array
     that holds NaN, or if sigma_1 is not finite, as on one that holds inf:
-    a norm is never NaN or inf.
+    a norm is never NaN or inf.  Runs the LAPACK call of ``norm2_stack`` on
+    a stack of one.
     """
-    try:
-        sigma1 = float(np.linalg.svd(x, compute_uv=False)[0])
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"SVD did not converge for shape {x.shape}") from exc
-    if not math.isfinite(sigma1):
-        raise ConvergenceFailure(f"SVD gave a non-finite norm for shape {x.shape}")
-    return sigma1
+    return _norm2_call(np.asarray(x)[None])[0]
+
+
+def norm2_stack(xs):
+    """An iterator over the ``norm2`` of each array of an iterable of one shape and dtype.
+
+    No validation, as norm2; LAPACK takes them as in ``svd_stack``.
+    """
+    return _per_call(_norm2_call, xs)
+
+
+def _norm2_call(stack: np.ndarray) -> list[float]:
+    """The ``norm2`` of each matrix of a stack, by one LAPACK call."""
+    norms = _values_only(stack)[:, 0].tolist()
+    if not all(map(math.isfinite, norms)):
+        raise ConvergenceFailure(f"SVD gave a non-finite norm for shape {stack.shape[1:]}")
+    return norms
 
 
 def operator_norm(matrix) -> float:

@@ -15,7 +15,9 @@ trial alone reaches the report: its matrices and note are read only then.
 
 thm1.5 factors each term of its window once and reads ||T_k+|| as
 1 / gamma(T_k), so only the seven terms whose pseudoinverse the verdict
-reads get a full SVD; every other term gets the values-only SVD.  Its
+reads get a full SVD; every other term gets the values-only SVD.  The
+seven full SVDs go to LAPACK as one stack, the 43 values-only ones as
+another, and the nine gap and difference norms as a third.  Its
 harmonic-truncation control draws nothing from the rng, so a run factors it
 once and holds it on its ``_Ctx``; its terms are diagonal, so their
 values-only SVDs make no LAPACK call (see ``core``).  thm3.2 scales its draw
@@ -31,6 +33,15 @@ never a projector gap against eq_atol.  By design, the routes that thm2.1
 and thm2.13 compare stay independent.  Scales are exact spectral norms; a
 verifier that holds a matrix's factorization reads sigma_1 from it.
 
+Matrices of one trial that do not depend on each other's factorization go
+to LAPACK in one stacked call (``core.svd_stack``, ``singular_values_stack``
+and ``norm2_stack``): thm2.13's |T| with its six powers, thm2.6's powers of
+T, the two-matrix stacks of thm2.2, thm2.12, thm2.15, thm2.19 and thm3.4,
+and the norms each of these reports together.  LAPACK factors each matrix
+of a stack alone, so stacking shares no factorization and moves no bit;
+no stack spans two trials.  ``require_runnable`` checks a run before its
+first trial, so a run that cannot finish fails before any work.
+
 Generators draw, then build, and verifiers decide.  Each family of the
 generator table, ``_GENERATORS``, is split at its QR factorizations: its
 ``draw`` takes every random number of one instance, in a fixed order, with
@@ -40,9 +51,11 @@ run draws a chunk of consecutive trials first, each from its own rng, then
 turns all Gaussian blocks of one size into Haar unitaries with one stacked
 QR (``_haar_unitaries``), and builds.  A QR draws nothing and LAPACK
 factors each block of a stack alone, so every instance has the bits it
-has when drawn alone.  A chunk holds as many trials as there are dim x dim
-blocks in ``_STACK_ENTRIES`` complex entries, and at least one, and its
-Gaussian blocks are dropped before its trials run.
+has when drawn alone.  A draw takes the real and imaginary parts of a
+Gaussian block at once, and ``_build`` makes the complex blocks of a
+whole stack in one step.  A chunk holds as many trials as there are dim x
+dim blocks in ``core._STACK_ENTRIES`` complex entries, and at least one,
+and its Gaussian blocks are dropped before its trials run.
 
 Each verifier's entry in ``_CHECKERS`` names the families trial t draws,
 ``draws(t)``; its body gets a ``_Drawn``: the instances paired with their
@@ -68,6 +81,8 @@ state, so everything a run depends on travels in its arguments and its
 
 from __future__ import annotations
 
+import itertools
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -75,6 +90,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    _STACK_ENTRIES,
     DEFAULT_TOL,
     MAX_DIM,
     SvdFactorization,
@@ -85,12 +101,15 @@ from .core import (
     eigenvalues,
     norm2,
     norm2_at_most,
+    norm2_stack,
     operator_norm,
     require_hermitian,
     require_int,
     require_real,
     singular_values,
+    singular_values_stack,
     svd,
+    svd_stack,
 )
 from .errors import DimensionMismatch, InvalidSpec, UnknownTheorem
 from .classify import classify, range_corange_test
@@ -102,11 +121,10 @@ from .pinv import (
     polar_decomposition_of,
     pseudoinverse,
     pseudoinverse_of,
-    reduced_min_modulus,
     reduced_min_modulus_of,
 )
 from .serialize import matrix_to_payload
-from .subspace import projector_gap, subspace_eq
+from .subspace import projector_gap, projector_gaps, subspace_eq
 
 SEQUENCE_LENGTH = 50
 EP_MEMBERSHIP_DELTA = 0.1
@@ -165,15 +183,17 @@ class TheoremVerdict:
 # ---------------------------------------------------------------------------
 
 
-# A run draws as many trials at once as there are dim x dim blocks in this
-# many complex entries, and at least one: a whole run at dim 8, one trial at
-# dim 256.
-_STACK_ENTRIES = 2**16
-
-
 def _gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
-    """A standard complex Gaussian n x n block, the draw behind one Haar unitary."""
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    """The real and imaginary parts, (2, n, n), of the Gaussian block behind one Haar unitary.
+
+    ``_complex_gaussians`` makes the block.
+    """
+    return rng.standard_normal((2, n, n))
+
+
+def _complex_gaussians(parts: np.ndarray) -> np.ndarray:
+    """Standard complex Gaussian blocks (re + 1j im) / sqrt 2 from a stack of (re, im) parts."""
+    return (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
 
 
 def _haar_unitaries(z: np.ndarray) -> np.ndarray:
@@ -337,11 +357,14 @@ def _build(trials: list) -> list:
     for drawn in trials:
         for _, _, blocks in drawn:
             for z in blocks:
-                stacks.setdefault(len(z), []).append(z)
-    unitaries = {n: iter(_haar_unitaries(np.stack(zs))) for n, zs in stacks.items()}
+                stacks.setdefault(z.shape[-1], []).append(z)
+    unitaries = {
+        n: iter(_haar_unitaries(_complex_gaussians(np.stack(zs)))) for n, zs in stacks.items()
+    }
     return [
         tuple(
-            (family, _GENERATORS[family].build(params, [next(unitaries[len(z)]) for z in blocks]))
+            (family, _GENERATORS[family].build(
+                params, [next(unitaries[z.shape[-1]]) for z in blocks]))
             for family, params, blocks in drawn
         )
         for drawn in trials
@@ -553,12 +576,13 @@ def _check_thm2_2(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     d = direct_sum(a, b)
     payload = {"A": a, "B": b}
 
-    fact_a, fact_b, fact_d = svd(a, tol), svd(b, tol), svd(d, tol)
+    fact_a, fact_b = svd_stack((a, b), tol)
+    fact_d = svd(d, tol)
     ep_d = range_corange_test(fact_d, tol)
     block = direct_sum(pseudoinverse_of(fact_a), pseudoinverse_of(fact_b))
-    pinv_resid = norm2(pseudoinverse_of(fact_d) - block)
+    pinv_resid, block_norm = norm2_stack((pseudoinverse_of(fact_d) - block, block))
     norm_scale = 1.0 + fact_a.singular_values[0] + fact_b.singular_values[0]
-    pinv_scale = norm_scale + norm2(block)
+    pinv_scale = norm_scale + block_norm
 
     gamma_a = reduced_min_modulus_of(fact_a)
     gamma_b = reduced_min_modulus_of(fact_b)
@@ -629,8 +653,7 @@ def _check_thm2_5(ctx: _Ctx, drawn: _Drawn) -> _Trial:
             )
             s = s + vn @ g @ vn.conj().T
         tp = pseudoinverse_of(fact)
-        premise = norm2(s @ tp - tp @ s)
-        conclusion = norm2(s @ t_mat - t_mat @ s)
+        premise, conclusion = norm2_stack((s @ tp - tp @ s, s @ t_mat - t_mat @ s))
         scale = (1.0 + operator_norm(s)) * (1.0 + fact.singular_values[0] + norm2(tp))
         return _residual_trial(max(premise, conclusion), scale, tol,
                                payload={"T": t_mat, "S": s})
@@ -646,21 +669,18 @@ def _check_thm2_6(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     tol = ctx.tol
     ((family, m),) = drawn.instances
     if family == "ep":
-        fact = svd(m, tol)
-        base = fact.range_vectors()
-        worst = 0.0
-        power = m
-        for _ in (2, 3, 4):
-            power = power @ m
-            fact_n = svd(power, tol)
+        # T, T^2, T^3 and T^4, each power the product of the one before and T.
+        facts = svd_stack(itertools.accumulate(itertools.repeat(m, 4), operator.matmul), tol)
+        base = next(facts).range_vectors()
+        ranges = []
+        for fact_n in facts:
             if not range_corange_test(fact_n, tol):
                 return _pass_fail(False, {"T": m}, "a power of an EP matrix failed the EP test")
-            worst = max(worst, projector_gap(fact_n.range_vectors(), base))
-        return _residual_trial(worst, 1.0, tol, payload={"T": m})
-    sq = m @ m
-    fact_sq = svd(sq, tol)
+            ranges.append(fact_n.range_vectors())
+        return _residual_trial(max(projector_gaps(ranges, base)), 1.0, tol, payload={"T": m})
+    fact_sq, fact_m = svd_stack((m @ m, m), tol)
     sq_ep = range_corange_test(fact_sq, tol)
-    same_range = subspace_eq(fact_sq.range_vectors(), svd(m, tol).range_vectors(), tol)
+    same_range = subspace_eq(fact_sq.range_vectors(), fact_m.range_vectors(), tol)
     return _pass_fail(not (sq_ep and same_range), {"T": m},
                       "square of a non-EP matrix is EP with unchanged range", accept=False)
 
@@ -715,14 +735,9 @@ def _check_thm2_7(ctx: _Ctx, drawn: _Drawn) -> _Trial:
 def _check_thm2_12(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     """Product of two EP matrices is EP iff it preserves range and null space."""
     tol = ctx.tol
-    spec = ctx.spec
-    if spec.rank == spec.dim:  # invertible S and T: ST keeps range and null space
-        raise InvalidSpec("thm2.12 needs rank < dim: at full rank no instance rejects")
     aligned = drawn.instances[0][0] == "aligned_ep_pair"
     s, t_mat = drawn.instances[0][1] if aligned else (m for _, m in drawn.instances)
-    product = s @ t_mat
-    fact_p = svd(product, tol)
-    fact_t = svd(t_mat, tol)
+    fact_p, fact_t = svd_stack((s @ t_mat, t_mat), tol)
     range_same = subspace_eq(fact_p.range_vectors(), fact_t.range_vectors(), tol)
     null_same = subspace_eq(fact_p.null_vectors(), fact_t.null_vectors(), tol)
     conds = range_same and null_same
@@ -739,16 +754,17 @@ def _check_thm2_13(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     ((family, m),) = drawn.instances
     fact_m = svd(m, tol)
     polar = polar_decomposition_of(fact_m)
-    base = svd(polar.modulus_part, tol).range_vectors()
-    worst = 0.0
-    for power in fractional_abs_powers_of(polar, FRACTIONAL_ALPHA_GRID, tol):
-        worst = max(worst, projector_gap(svd(power, tol).range_vectors(), base))
+    powers = fractional_abs_powers_of(polar, FRACTIONAL_ALPHA_GRID, tol)
+    facts = svd_stack((polar.modulus_part, *powers), tol)
+    base = next(facts).range_vectors()
     if family == "non_ep":
+        worst = max(projector_gaps(map(SvdFactorization.range_vectors, facts), base))
         ok = not subspace_eq(fact_m.range_vectors(), base, tol)
         return _residual_trial(worst, 1.0, tol, extra_ok=ok, accept=False,
                                payload={"T": m},
                                note=None if ok else "non-EP matrix has range(|T|) == range(T)")
-    worst = max(worst, projector_gap(fact_m.range_vectors(), base))
+    ranges = map(SvdFactorization.range_vectors, itertools.chain(facts, (fact_m,)))
+    worst = max(projector_gaps(ranges, base))
     return _residual_trial(worst, 1.0, tol, payload={"T": m})
 
 
@@ -760,9 +776,10 @@ def _check_thm2_15(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     fact_m = svd(m, tol)
     base = fact_m.range_vectors()
     polar = polar_decomposition_of(fact_m)
-    modulus_range = svd(polar.modulus_part, tol).range_vectors()
     (half,) = fractional_abs_powers_of(polar, (0.5,), tol)
-    half_range = svd(half, tol).range_vectors()
+    modulus_range, half_range = map(
+        SvdFactorization.range_vectors, svd_stack((polar.modulus_part, half), tol)
+    )
     hyp = subspace_eq(base, modulus_range, tol) and subspace_eq(base, half_range, tol)
     ep = range_corange_test(fact_m, tol)
     note = (f"hypothesis={hyp}, is_ep={ep}" if expected
@@ -836,12 +853,12 @@ def _check_thm2_19(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     expected = family == "ep"
     dim = m.shape[0]
     eye = np.eye(dim, dtype=np.complex128)
-    fact = svd(m, tol)
-    mp = pseudoinverse_of(fact)
     madj = adjoint(m)
-    madj_p = pseudoinverse(madj, tol)
-    r1 = norm2(m @ (eye - m @ mp))
-    r2 = norm2(madj @ (eye - madj @ madj_p))
+    # pinv(T*) from a factorization of its own, not from T's with U and V swapped.
+    fact, fact_adj = svd_stack((m, madj), tol)
+    mp = pseudoinverse_of(fact)
+    madj_p = pseudoinverse_of(fact_adj)
+    r1, r2 = norm2_stack((m @ (eye - m @ mp), madj @ (eye - madj @ madj_p)))
     scale = 1.0 + fact.singular_values[0]
     pred = r1 <= tol.eq_atol * scale and r2 <= tol.eq_atol * scale
     ep = range_corange_test(fact, tol)
@@ -873,21 +890,25 @@ def _window_conditions(
     limit_proj = limit_pinv @ limit
     n = len(terms)
     tail = range(max(n - 6, 0), n)
+    full = sorted({0, *tail})
+    values_only = range(1, tail.start)
     pinvs = {}
+    spectra = {}
+    for k, fact in zip(full, svd_stack((terms[k] for k in full), tol)):
+        pinvs[k] = pseudoinverse_of(fact)
+        spectra[k] = fact.singular_values, fact.numerical_rank
+    spectra.update(zip(values_only, singular_values_stack((terms[k] for k in values_only), tol)))
     pinv_norms = []
-    for k, term in enumerate(terms):
-        if k == 0 or k in tail:
-            fact = svd(term, tol)
-            pinvs[k] = pseudoinverse_of(fact)
-            s, r = fact.singular_values, fact.numerical_rank
-        else:
-            s, r = singular_values(term, tol)
-        gamma = _gamma(s, r)
-        pinv_norms.append(1.0 / gamma if r else 0.0)
+    for k in range(n):
+        s, r = spectra[k]
+        pinv_norms.append(1.0 / _gamma(s, r) if r else 0.0)
     ends = (0, n - 1)
-    gaps = [norm2(pinvs[k] - limit_pinv) for k in ends]
-    proj_gaps = [norm2(pinvs[k] @ terms[k] - limit_proj) for k in ends]
-    successive = [norm2(pinvs[k] - pinvs[k - 1]) for k in tail[1:]]
+    norms = list(norm2_stack(itertools.chain(
+        (pinvs[k] - limit_pinv for k in ends),
+        (pinvs[k] @ terms[k] - limit_proj for k in ends),
+        (pinvs[k] - pinvs[k - 1] for k in tail[1:]),
+    )))
+    gaps, proj_gaps, successive = norms[:2], norms[2:4], norms[4:]
     sup_norm = max(pinv_norms)
     growth_ratio = sup_norm / max(min(pinv_norms), 1e-300)
     cond_c = growth_ratio <= 10.0
@@ -1007,10 +1028,9 @@ def _check_thm3_4(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     gamma1 = reduced_min_modulus_of(fact)
     norm = float(fact.singular_values[0])
     worst = 0.0
-    power = m
-    for n in (2, 3):
-        power = power @ m
-        gamma_n = reduced_min_modulus(power, tol)
+    square = m @ m
+    for n, fact_n in zip((2, 3), svd_stack((square, square @ m), tol)):
+        gamma_n = reduced_min_modulus_of(fact_n)
         bound = norm ** (n - 1) * gamma1 + 10.0 * tol.eq_atol * (1.0 + norm) ** n
         worst = max(worst, gamma_n - bound)
     ok = worst <= 0.0
@@ -1034,6 +1054,9 @@ class _CheckerEntry:
     # data, so a run that still misses one says so in a note.
     min_trials: int
     static_notes: tuple[str, ...] = ()
+    # What the verifier needs of the spec beyond the shared checks, as
+    # (holds(spec), message) pairs, checked before trial 0.
+    requires: tuple = ()
 
 
 def _cycle(*families: str, cond: float | None = None) -> Callable[[int], tuple]:
@@ -1049,7 +1072,10 @@ _CHECKERS: dict[str, _CheckerEntry] = {
     ),
     "thm2.1": _CheckerEntry(_check_thm2_1, _cycle("ep", "non_ep"), 2),
     "thm2.2": _CheckerEntry(
-        _check_thm2_2, lambda t: (("ep", None), ("non_ep" if t % 2 else "ep", None)), 2
+        _check_thm2_2, lambda t: (("ep", None), ("non_ep" if t % 2 else "ep", None)), 2,
+        requires=((lambda spec: 2 * spec.dim <= MAX_DIM,
+                   f"thm2.2 needs 2 * dim <= {MAX_DIM}: it factors the direct sum of two "
+                   "dim x dim draws"),),
     ),
     "thm2.3": _CheckerEntry(_check_thm2_3, _cycle("ep", "non_ep"), 2),
     "thm2.4": _CheckerEntry(_check_thm2_4, _cycle("ep", "non_ep"), 2),
@@ -1067,6 +1093,9 @@ _CHECKERS: dict[str, _CheckerEntry] = {
         lambda t: (("aligned_ep_pair", None),) if t % 2 else (("ep", None), ("ep", None)), 2,
         ("adjoint matrix-representation hypothesis is vacuous in finite "
          "dimension and not checked",),
+        # Invertible S and T: ST keeps range and null space.
+        requires=((lambda spec: spec.rank < spec.dim,
+                   "thm2.12 needs rank < dim: at full rank no instance rejects"),),
     ),
     "thm2.13": _CheckerEntry(_check_thm2_13, _cycle("ep", "non_ep", "normal_ep"), 2),
     "thm2.15": _CheckerEntry(_check_thm2_15, _cycle("ep", "non_ep"), 2),
@@ -1100,23 +1129,16 @@ def _counterexample_payload(trial_index: int, trial: _Trial) -> dict:
     return payload
 
 
-def run_theorem_check(
-    theorem_id: str,
-    spec: GeneratorSpec,
-    trials: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> TheoremVerdict:
-    """Run one theorem verifier over ``trials`` generated instances.
+def require_runnable(theorem_id: str, spec: GeneratorSpec, trials: int) -> None:
+    """Raise before any trial if ``run_theorem_check`` cannot run this verifier at the spec.
 
-    The spec supplies dimension, rank, conditioning and the master seed; each
-    verifier schedules its own accepting and control families across the
-    trial indices.  Raises UnknownTheorem for ids outside the dispatch table
-    and InvalidSpec for runs the verifier cannot exercise: all verifiers
-    need rank >= 1, and two-direction verifiers need dim >= 2 for the non-EP
-    control family and enough trials for their schedule to reach both
-    directions (``_CheckerEntry.min_trials``).
-    thm2.12 raises it on its first trial at rank = dim, where no rejecting
-    instance exists.
+    Raises UnknownTheorem for ids outside the dispatch table and InvalidSpec
+    for runs the verifier cannot exercise: all verifiers need rank >= 1,
+    two-direction verifiers need dim >= 2 for the non-EP control family
+    and enough trials for their schedule to reach both directions
+    (``_CheckerEntry.min_trials``), and a verifier may need more of the
+    spec (``_CheckerEntry.requires``): thm2.2 a direct sum within the cap,
+    thm2.12 rank < dim, where a rejecting instance exists.
     """
     entry = _CHECKERS.get(theorem_id)
     if entry is None:
@@ -1133,7 +1155,25 @@ def run_theorem_check(
         raise InvalidSpec("theorem verifiers need rank >= 1 (the zero matrix is treated separately)")
     if entry.min_trials > 1 and spec.dim < 2:
         raise InvalidSpec("two-direction verifiers need dim >= 2 for the control family")
+    for holds, message in entry.requires:
+        if not holds(spec):
+            raise InvalidSpec(message)
 
+
+def run_theorem_check(
+    theorem_id: str,
+    spec: GeneratorSpec,
+    trials: int,
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> TheoremVerdict:
+    """Run one theorem verifier over ``trials`` generated instances.
+
+    The spec supplies dimension, rank, conditioning and the master seed; each
+    verifier schedules its own accepting and control families across the
+    trial indices.  Raises, before trial 0, what ``require_runnable`` raises.
+    """
+    require_runnable(theorem_id, spec, trials)
+    entry = _CHECKERS[theorem_id]
     salt = THEOREM_IDS.index(theorem_id)
     ctx = _Ctx(spec=spec, tol=tol)
     start = time.perf_counter()

@@ -26,29 +26,33 @@ def corrupt_ep_generation():
 
 @pytest.fixture
 def svd_calls(monkeypatch):
-    """Count np.linalg.svd calls, and inverses and eigenvalue calls, made while the test runs.
+    """Count the matrices np.linalg.svd factors, inverses and eigenvalue calls, during the test.
 
-    ``svd_calls["full"]`` counts calls that return singular vectors and
-    ``svd_calls["values"]`` those with compute_uv=False (every norm2), and
-    ``svd_calls["real_matrices"]`` those of either kind whose matrix is
-    float64, so takes the real LAPACK kernel.
+    ``svd_calls["full"]`` counts the matrices factored with singular vectors
+    and ``svd_calls["values"]`` those with compute_uv=False (every norm2),
+    and ``svd_calls["real_matrices"]`` those of either kind that are
+    float64, so take the real LAPACK kernel.  ``svd_calls["svd"]`` counts
+    the np.linalg.svd calls: ``core`` hands it a stack of matrices per call.
     ``svd_calls["inv_matrices"]`` counts the matrices np.linalg.inv inverts
     and ``svd_calls["eigvals"]`` the np.linalg.eigvals calls.
     ``svd_calls["qr"]`` counts np.linalg.qr calls and ``svd_calls["qr_matrices"]``
     the matrices in them: the generators hand qr a stack of Gaussian blocks.
-    ``svd_calls.clear()`` starts a fresh count.  Every other wrapped call
-    asserts that it gets one matrix: epkit hands those kernels no stacks.
+    ``svd_calls.clear()`` starts a fresh count.  inv and eigvals assert
+    that they get one matrix: epkit hands those kernels no stacks.
     """
     counts = Counter()
     real_svd, real_inv, real_eigvals = np.linalg.svd, np.linalg.inv, np.linalg.eigvals
     real_qr = np.linalg.qr
 
+    def matrices(a) -> int:
+        return int(np.prod(np.shape(a)[:-2]))
+
     def svd(a, *args, **kwargs):
-        assert np.ndim(a) == 2
         compute_uv = kwargs.get("compute_uv", args[1] if len(args) > 1 else True)
-        counts["full" if compute_uv else "values"] += 1
+        counts["svd"] += 1
+        counts["full" if compute_uv else "values"] += matrices(a)
         if np.asarray(a).dtype == np.float64:
-            counts["real_matrices"] += 1
+            counts["real_matrices"] += matrices(a)
         return real_svd(a, *args, **kwargs)
 
     def inv(a):
@@ -63,7 +67,7 @@ def svd_calls(monkeypatch):
 
     def qr(a, *args, **kwargs):
         counts["qr"] += 1
-        counts["qr_matrices"] += int(np.prod(np.shape(a)[:-2]))
+        counts["qr_matrices"] += matrices(a)
         return real_qr(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", svd)

@@ -6,7 +6,6 @@ import pytest
 
 from epkit import (
     FAMILIES,
-    ConvergenceFailure,
     GeneratorSpec,
     NotSquare,
     ToleranceConfig,
@@ -137,14 +136,15 @@ class TestClassify:
         with pytest.raises(NotSquare):
             classify(np.ones((3, 2)), tol)
 
-    def test_a_failed_norm_is_a_convergence_failure(self, tol):
-        # The normality check's products overflow to inf and NaN, and the
-        # SVD of their difference fails; the API raises its own error, not
-        # numpy's.  This pins the error type, not that overflow.
-        m = [[1e200, 2e200, 0.0], [0.0, 1e200, 3e200], [1e200, 0.0, 1e200]]
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ConvergenceFailure, match="did not converge"):
-                classify(m, tol)
+    def test_entries_near_1e200_get_the_verdicts_of_their_unit_scaled_copy(self, tol):
+        # The normality check scales by a power of two before it forms
+        # M M* - M* M, so those products no longer overflow to inf and NaN.
+        m = np.array([[1e200, 2e200, 0.0], [0.0, 1e200, 3e200], [1e200, 0.0, 1e200]])
+        big, unit = classify(m, tol), classify(np.ldexp(m, -665), tol)
+        for field in ("rank", "is_ep", "is_hypo_ep", "is_normal", "zero_operator"):
+            assert getattr(big, field) == getattr(unit, field)
+        assert big.gamma == pytest.approx(np.ldexp(unit.gamma, 665), rel=1e-13)
+        assert big.spectral_radius == pytest.approx(np.ldexp(unit.spectral_radius, 665), rel=1e-13)
 
     def test_report_internal_consistency(self, rng, tol):
         for m in (embedded_ep(rng, 6, 4), embedded_nilpotent(rng, 6)):
@@ -155,6 +155,32 @@ class TestClassify:
                 assert rep.is_hypo_ep
             if rep.is_normal:
                 assert rep.is_ep
+
+
+NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
+ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+class TestNormalityIsScaleInvariant:
+    """is_normal decides M and 2^k M alike: a normal matrix is always EP."""
+
+    def test_a_small_nilpotent_is_not_normal(self, tol):
+        rep = classify(1e-4 * NILPOTENT, tol)
+        assert not rep.is_normal and not rep.is_ep
+
+    @pytest.mark.parametrize("phase", [1.0, 1j, (1 + 1j) / np.sqrt(2.0)])
+    def test_every_power_of_two_scaling(self, tol, phase):
+        for k in range(-1000, 501):
+            assert not is_normal(np.ldexp(NILPOTENT, k) * phase, tol), k
+            assert is_normal(np.ldexp(ROTATION, k) * phase, tol), k
+
+    def test_subnormal_entries(self, tol):
+        tiny = np.ldexp(1.0, -1074)
+        assert is_normal(np.diag([tiny, tiny]), tol)
+        assert not is_normal(tiny * NILPOTENT, tol)
+
+    def test_the_zero_matrix_is_normal(self, tol):
+        assert is_normal(np.zeros((3, 3)), tol)
 
 
 class TestTheoremLevelInvariants:

@@ -87,6 +87,20 @@ class TestClassifyCommand:
         )
 
 
+    def test_entries_near_1e200_exit_0(self, tmp_path, capsys):
+        # Normality is decided at unit scale, so no product overflows.
+        path = tmp_path / "big.json"
+        m = np.array([[1e200, 2e200, 0.0], [0.0, 1e200, 3e200], [1e200, 0.0, 1e200]])
+        write_matrix_file(path, m)
+        assert main(["classify", "--input", str(path)]) == 0
+        payload = parse_report(capsys.readouterr().out)["payload"]
+        assert payload["rank"] == 3 and payload["is_ep"] is True
+        assert payload["is_normal"] is False
+        assert payload["spectral_radius"] == pytest.approx(
+            np.abs(np.linalg.eigvals(m)).max(), rel=1e-13
+        )
+
+
 class TestVerifyCommand:
     def test_positional_theorem_passes(self, tmp_path):
         out = tmp_path / "v.json"
@@ -172,6 +186,28 @@ class TestSuiteCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "thm2.12 needs rank < dim" in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["suite", "--dim", "200"], "thm2.2 needs 2 * dim <= 256"),
+        (["verify", "thm2.2", "--dim", "129", "--rank", "128", "--trials", "2"],
+         "thm2.2 needs 2 * dim <= 256"),
+        (["suite", "--dim", "8", "--rank", "8", "--trials", "10"], "thm2.12 needs rank < dim"),
+        (["verify", "thm2.12", "--dim", "8", "--rank", "8", "--trials", "10"],
+         "thm2.12 needs rank < dim"),
+        (["suite", "--dim", "2", "--rank", "2", "--trials", "2"], "thm2.5 needs trials >= 3"),
+    ])
+    def test_a_run_that_cannot_finish_exits_2_before_its_first_trial(
+        self, argv, message, capsys, monkeypatch
+    ):
+        from epkit import harness
+
+        drawn = []
+        monkeypatch.setattr(harness, "_generated_trials", lambda *args: drawn.append(args))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("epkit: error: " + message)
+        assert drawn == []
 
     def test_corrupt_env_var_is_not_read(self, tmp_path, monkeypatch):
         argv = ["suite", "--seed", "1", "--trials", "4", "--output"]

@@ -22,6 +22,7 @@ from epkit import (
     pseudoinverse,
     svd,
 )
+from epkit import core
 from epkit.core import norm2, norm2_at_most, singular_values
 
 
@@ -183,6 +184,96 @@ class TestSingularValues:
     def test_one_off_diagonal_entry_reaches_lapack(self, svd_calls, tol, entry):
         singular_values(one_off_diagonal(entry), tol)
         assert svd_calls["values"] == 1
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def mixed_stack(rng, dim, count, dtype):
+    """``count`` matrices of one shape and dtype: dense ones, with every third diagonal."""
+    out = []
+    for i in range(count):
+        m = rng.standard_normal((dim, dim))
+        if dtype is complex:
+            m = m + 1j * rng.standard_normal((dim, dim))
+        out.append(np.diag(np.diagonal(m)) if i % 3 == 1 else m)
+    return out
+
+
+class TestStackedKernels:
+    """A stacked kernel gives each matrix the bits of its single-matrix call.
+
+    LAPACK factors each matrix of a stack alone, so stacking moves no bit.
+    A stack that crosses the cap of one call is split into calls of at most
+    max(1, _STACK_ENTRIES // (rows * cols)) matrices; the cap is lowered
+    here so that every dim crosses it cheaply, and kept at dim 33.
+    """
+
+    @pytest.mark.parametrize("dim", [1, 2, 8, 33])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("cap", [4, None])
+    def test_every_result_has_the_bits_of_its_single_call(
+        self, rng, svd_calls, monkeypatch, dim, dtype, cap
+    ):
+        if cap is not None:
+            monkeypatch.setattr(core, "_STACK_ENTRIES", cap * dim * dim)
+        per_call = max(1, core._STACK_ENTRIES // dim**2)
+        count = 10 if cap is not None else (per_call + 1 if dim == 33 else 7)
+        ms = mixed_stack(rng, dim, count, dtype)
+        svd_calls.clear()
+        facts = list(core.svd_stack(ms))
+        pairs = list(core.singular_values_stack(ms))
+        norms = list(core.norm2_stack(ms))
+        calls = -(-count // per_call)
+        dense = sum(not core._is_diagonal(m) for m in ms)  # none at dim 1
+        assert svd_calls["full"] == count and svd_calls["values"] == count + dense
+        assert svd_calls["svd"] <= 3 * calls
+        for m, fact, (s, rank), norm in zip(ms, facts, pairs, norms, strict=True):
+            one = core.svd(m)
+            assert same_bits(fact.left_vectors, one.left_vectors)
+            assert same_bits(fact.singular_values, one.singular_values)
+            assert same_bits(fact.right_vectors, one.right_vectors)
+            assert type(fact.numerical_rank) is int and fact.numerical_rank == one.numerical_rank
+            one_s, one_rank = singular_values(m)
+            assert same_bits(s, one_s) and type(rank) is int and rank == one_rank
+            assert type(norm) is float and norm == norm2(m) == np.linalg.norm(m, 2)
+
+    def test_a_stack_is_split_at_the_cap(self, rng, svd_calls):
+        # 2^16 // 33^2 = 60 matrices a call.
+        ms = mixed_stack(rng, 33, 121, complex)
+        svd_calls.clear()
+        assert len(list(core.norm2_stack(ms))) == 121
+        assert svd_calls["svd"] == 3 and svd_calls["values"] == 121
+
+    def test_at_dim_256_each_lapack_call_gets_one_matrix(self, rng, svd_calls):
+        ms = [rng.standard_normal((256, 256)) for _ in range(2)]
+        svd_calls.clear()
+        list(core.svd_stack(ms))
+        assert svd_calls["svd"] == svd_calls["full"] == 2
+        svd_calls.clear()
+        list(core.norm2_stack(ms))
+        assert svd_calls["svd"] == svd_calls["values"] == 2
+
+    def test_a_stack_holding_one_nan_matrix_is_a_convergence_failure(self):
+        ms = [np.eye(3), np.full((3, 3), np.nan), 2.0 * np.eye(3)]
+        with pytest.raises(ConvergenceFailure):
+            list(core.norm2_stack(ms))
+
+    @pytest.mark.parametrize("second", [np.eye(3, dtype=complex), np.eye(4)])
+    def test_a_stack_takes_one_shape_and_dtype(self, second):
+        # Stacking a real matrix with a complex one would move it to the
+        # complex kernel and change its bits.
+        with pytest.raises(DimensionMismatch, match="one shape and dtype"):
+            list(core.norm2_stack([np.eye(3), second]))
+
+    @pytest.mark.parametrize("kernel", [core.svd_stack, core.singular_values_stack])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_entry_raises_as_in_as_matrix(self, kernel, bad):
+        # Checked once per stack, with as_matrix's error; a diagonal one too.
+        with pytest.raises(ValueError, match="finite"):
+            list(kernel([np.eye(2), np.diag([bad, 1.0])]))
 
 
 class TestHermitianEig:

@@ -1,4 +1,4 @@
-"""Factorizations per call, counted by wrapping np.linalg.svd (``svd_calls``).
+"""Factorizations per call, counted per matrix by wrapping np.linalg.svd (``svd_calls``).
 
 Each count is the budget of a decision path: one full SVD per matrix feeds
 every decision about it, and a spectral norm that only feeds a threshold
@@ -6,7 +6,8 @@ check is decided by the Frobenius bracket without an SVD of its own.  A
 model row needs no factorization and builds no dense matrix, at any rank
 cutoff; the matrices are counted by wrapping ``core.as_matrix``
 (``as_matrix_calls``).  The generators' QR calls are counted with the
-matrices they stack (``svd_calls["qr"]`` and ``["qr_matrices"]``).
+matrices they stack (``svd_calls["qr"]`` and ``["qr_matrices"]``), and the
+SVD calls beside the matrices they factor (``svd_calls["svd"]``).
 """
 
 import contextlib
@@ -194,6 +195,16 @@ def test_the_suite_stacks_its_qr_calls(svd_calls):
         assert main(["suite", "--seed", "1", "--trials", "10"]) == 0
     assert svd_calls["qr_matrices"] == 477
     assert svd_calls["qr"] <= 45
+
+
+def test_the_suite_stacks_its_svd_calls(svd_calls):
+    # A verifier hands LAPACK the matrices of a trial that do not depend on
+    # each other's factorization in one call (``core.svd_stack`` and its
+    # siblings): 355 calls over the 889 matrices that one call each took.
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["suite", "--seed", "1", "--trials", "10"]) == 0
+    assert svd_calls["full"] + svd_calls["values"] == 889
+    assert svd_calls["svd"] <= 370
 
 
 def test_thm3_2_builds_one_term_and_decides_its_limit_from_its_svd(svd_calls):

@@ -553,9 +553,9 @@ class TestRunTheoremCheck:
         )
 
     @pytest.mark.parametrize("theorem_id, residual_source", [
-        ("thm2.2", "norm2"),
+        ("thm2.2", "norm2_stack"),
         ("thm2.7", "_multiset_gap"),
-        ("thm2.13", "projector_gap"),
+        ("thm2.13", "projector_gaps"),
         ("thm2.16", "projector_gap"),
     ])
     def test_a_trial_failing_on_its_residual_alone_carries_no_note(
@@ -563,7 +563,12 @@ class TestRunTheoremCheck:
     ):
         # These verifiers note only the boolean claim beside their residual,
         # so a trial whose residual alone fails reports its matrices and no note.
-        monkeypatch.setattr(harness, residual_source, lambda *args, **kwargs: 1.0)
+        # A stacked source gives 1.0 for each matrix of its stack.
+        if residual_source.endswith(("_stack", "_gaps")):
+            fake = lambda matrices, *args: [1.0 for _ in matrices]  # noqa: E731
+        else:
+            fake = lambda *args, **kwargs: 1.0  # noqa: E731
+        monkeypatch.setattr(harness, residual_source, fake)
         verdict = run_theorem_check(theorem_id, GeneratorSpec(dim=8, rank=6, seed=1), 6, tol)
         assert verdict.failures > 0
         assert verdict.counterexample["matrices"]

@@ -59,6 +59,39 @@ def test_no_other_module_calls_lapack_svd_or_eig(path):
     assert lines == [], f"{path.name} calls np.linalg.svd, eigvals or eig at lines {lines}; use core"
 
 
+def test_core_calls_lapack_svd_on_stacks_only():
+    # Two call sites, one with vectors and one for values only.  Each hands
+    # LAPACK the ``stack`` its function takes: ``core._per_call`` cuts
+    # stacks at the cap, and a single matrix is a stack of one.
+    tree = ast.parse((ROOT / "src" / "epkit" / KERNEL_MODULE).read_text())
+    sites = [
+        (fn, node)
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.svd"
+    ]
+    # Nothing else names it: no alias, no call outside a function.
+    names = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "svd"]
+    assert len(sites) == len(names) == 2
+    for fn, call in sites:
+        assert fn.args.args[0].arg == "stack"
+        assert ast.unparse(call.args[0]) == "stack"
+    kinds = sorted(ast.unparse(kw) for _, call in sites for kw in call.keywords)
+    assert kinds == ["compute_uv=False", "full_matrices=True"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_core_defines_the_stack_cap(path):
+    tree = ast.parse(path.read_text())
+    targets = [
+        target.id
+        for node in ast.walk(tree) if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    ]
+    assert ("_STACK_ENTRIES" in targets) == (path.name == KERNEL_MODULE)
+
+
 def test_the_walk_finds_every_spelling():
     source = (
         "import numpy as np\n"
