@@ -23,9 +23,15 @@ The inclusion residual of the EP decision and the commutator of
 them from a Frobenius-norm bracket and runs an SVD only when the bracket
 straddles the threshold.  The report's ``commutator_residual`` and
 ``range_gap`` are numbers and stay exact spectral norms, taken by one
-``core.norm2_stack`` call.  Normality is decided at unit scale: M is
-scaled exactly by a power of two first, so M and 2^k M get one verdict
-and no product overflows.
+stacked norm call.  Normality is decided at unit scale: M is scaled
+exactly by a power of two first, so M and 2^k M get one verdict and no
+product overflows.
+
+``classify`` has a steps form, ``classify_steps``, a generator that asks
+``core._lockstep`` for its SVD and then its two norms: the verifiers that
+classify a matrix per trial run it in lockstep with their other trials,
+so one LAPACK call serves a whole group of trials.  ``classify`` drives
+it alone, as the one-element case.
 """
 
 from __future__ import annotations
@@ -38,9 +44,9 @@ from .core import (
     DEFAULT_TOL,
     SvdFactorization,
     ToleranceConfig,
+    _lockstep,
     as_matrix,
     norm2_at_most,
-    norm2_stack,
     require_square,
     svd,
 )
@@ -139,20 +145,29 @@ def classify(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> ClassificationReport
 
     gamma is the smallest singular value above the cutoff (0.0 for the zero
     matrix, with zero_operator set), and the spectral radius comes from the
-    eigenvalue kernel so the two diagnostics stay independent.
+    eigenvalue kernel so the two diagnostics stay independent.  Drives
+    ``classify_steps`` alone, as ``svd`` is the one-matrix case of
+    ``svd_stack``.
+    """
+    return _lockstep([classify_steps(matrix, tol)], tol)[0]
+
+
+def classify_steps(matrix, tol: ToleranceConfig = DEFAULT_TOL):
+    """``classify`` as a step generator of ``core._lockstep``: two requests, one report.
+
+    It asks for the SVD of M, then for the norms of the commutator and of
+    the projector gap together, and returns the ``ClassificationReport``;
+    a verifier runs it with ``yield from`` in lockstep with its other trials.
     """
     m = require_square(as_matrix(matrix))
-    fact = svd(m, tol)
+    (fact,) = yield "svd", (m,)
     mp = pseudoinverse_of(fact)
     r = fact.numerical_rank
     ep = range_corange_test(fact, tol)
-
-    def residuals():
-        # One at a time: at dim 256 each norm is a LAPACK call of its own.
-        yield mp @ m - m @ mp
-        yield projector(fact.range_vectors()) - projector(fact.carrier_vectors())
-
-    commutator, gap = norm2_stack(residuals())
+    commutator, gap = yield "norm", (
+        mp @ m - m @ mp,
+        projector(fact.range_vectors()) - projector(fact.carrier_vectors()),
+    )
     return ClassificationReport(
         dim=m.shape[0],
         rank=r,

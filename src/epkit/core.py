@@ -32,6 +32,15 @@ LAPACK call site.  The single-matrix functions validate one matrix; a 3-D
 array raises InvalidDimension.  The stacked forms are internal: ``epkit``
 does not export them.
 
+``_lockstep`` drives step generators side by side: each yields requests
+for SVDs, values-only SVDs or norms, and one round's requests of one kind,
+shape and dtype go to the stacked form of that kind together, so
+independent problems, the trials of a verifier run among them, share
+LAPACK calls (batched dense linear algebra) and no factorization.
+``classify`` and ``harness.psd_dominates`` drive their steps alone.
+``eigenvalues``, ``hermitian_eig`` and ``norm2_at_most`` stay one matrix
+per call.
+
 ``norm2`` is the package's only spectral norm: it reads sigma_1 from the
 singular-value-only kernel, the same routine and the same bits as
 ``np.linalg.norm(x, 2)`` without that function's axis handling.
@@ -317,6 +326,51 @@ def _per_call(kernel, matrices):
         del stack
         while results:
             yield results.pop()
+
+
+def _lockstep(steps, tol: ToleranceConfig = DEFAULT_TOL) -> list:
+    """Run step generators side by side; return what each returns, in order.
+
+    A step generator yields requests ``(kind, matrices)``: kind "svd",
+    "values" or "norm" and a tuple of 2-D arrays, and is sent the list of
+    their ``svd``, ``singular_values`` or ``norm2`` results, in order.
+    Each round advances every unfinished generator, in order, to its next
+    request, then answers all the round's matrices of one kind, shape and
+    dtype by one stacked call (``svd_stack``, ``singular_values_stack``,
+    ``norm2_stack``), so the stack cap, the finiteness check once per
+    LAPACK call and the split of real from complex matrices all hold.
+    LAPACK factors each matrix of a stack alone, so a generator gets the
+    bits it gets when driven alone; one generator driven alone is the
+    one-element case.
+    """
+    steps = list(steps)
+    returns = [None] * len(steps)
+    answers = dict.fromkeys(range(len(steps)))
+    while answers:
+        requests = {}
+        for i in list(answers):
+            try:
+                requests[i] = steps[i].send(answers.pop(i))
+            except StopIteration as stop:
+                returns[i] = stop.value
+        groups: dict[tuple, list] = {}
+        for i, (kind, matrices) in requests.items():
+            for j, m in enumerate(matrices):
+                groups.setdefault((kind, m.shape, m.dtype), []).append((i, j))
+        answers = {i: [None] * len(matrices) for i, (_, matrices) in requests.items()}
+        for (kind, _, _), slots in groups.items():
+            matrices = (requests[i][1][j] for i, j in slots)
+            if kind == "svd":
+                results = svd_stack(matrices, tol)
+            elif kind == "values":
+                results = singular_values_stack(matrices, tol)
+            elif kind == "norm":
+                results = norm2_stack(matrices)
+            else:
+                raise ValueError(f"unknown request kind {kind!r}")
+            for (i, j), result in zip(slots, results):
+                answers[i][j] = result
+    return returns
 
 
 def _require_finite(stack: np.ndarray) -> np.ndarray:

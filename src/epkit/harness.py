@@ -16,15 +16,15 @@ trial alone reaches the report: its matrices and note are read only then.
 thm1.5 factors each term of its window once and reads ||T_k+|| as
 1 / gamma(T_k), so only the seven terms whose pseudoinverse the verdict
 reads get a full SVD; every other term gets the values-only SVD.  The
-seven full SVDs go to LAPACK as one stack, the 43 values-only ones as
-another, and the nine gap and difference norms as a third.  Its
-harmonic-truncation control draws nothing from the rng, so a run factors it
-once and holds it on its ``_Ctx``; its terms are diagonal, so their
-values-only SVDs make no LAPACK call (see ``core``).  thm3.2 scales its draw
-by the gamma of a values-only SVD, then builds its limit and the one term
-it reads; its terms are EP with gamma >= delta by construction, so it
-factors only the limit, and the Frobenius bracket decides that the term
-converges.
+limit with the seven full SVDs is one request, the 43 values-only ones
+another, and the nine gap and difference norms a third.  Its
+harmonic-truncation control draws nothing from the rng, so a run computes
+it once, without yielding, and holds it on its ``_Ctx``; its terms are
+diagonal, so their values-only SVDs make no LAPACK call (see ``core``).
+thm3.2 scales its draw by the gamma of a values-only SVD, then builds its
+limit and the one term it reads; its terms are EP with gamma >= delta by
+construction, so it factors only the limit, and the Frobenius bracket
+decides that the term converges.
 
 One factorization per matrix feeds every decision about it: its rank, EP
 verdict, pseudoinverse, polar factors and subspace bases all come from one
@@ -33,14 +33,22 @@ never a projector gap against eq_atol.  By design, the routes that thm2.1
 and thm2.13 compare stay independent.  Scales are exact spectral norms; a
 verifier that holds a matrix's factorization reads sigma_1 from it.
 
-Matrices of one trial that do not depend on each other's factorization go
-to LAPACK in one stacked call (``core.svd_stack``, ``singular_values_stack``
-and ``norm2_stack``): thm2.13's |T| with its six powers, thm2.6's powers of
-T, the two-matrix stacks of thm2.2, thm2.12, thm2.15, thm2.19 and thm3.4,
-and the norms each of these reports together.  LAPACK factors each matrix
-of a stack alone, so stacking shares no factorization and moves no bit;
-no stack spans two trials.  ``require_runnable`` checks a run before its
-first trial, so a run that cannot finish fails before any work.
+Trials run in lockstep.  Each verifier body is a step generator: where
+it needs factorizations or norms it yields one request, a kind ("svd",
+"values" or "norm") and a tuple of the matrices that do not depend on
+each other's results, such as thm2.13's |T| with its six powers or the
+two norms of thm2.19, and it is sent their results in order.  The runner
+drives a group of consecutive trials through ``core._lockstep``, which
+answers all the requests of one round with one stacked LAPACK call per
+kind, shape and dtype, and folds the trials' outcomes in t order.
+LAPACK factors each matrix of a stack alone, so stacking across trials
+shares no factorization and moves no bit.  A group holds as many trials
+as thm1.5's windows fill ``core._STACK_ENTRIES`` entries, and at least
+one (``_lockstep_group``): 20 at dim 8, one from dim 32 on.  Per-trial
+diagnostics travel on the trial (``_Trial.details``), and the runner
+keeps each key's value from the lowest t.  ``require_runnable`` checks a
+run before its first trial, so a run that cannot finish fails before any
+work.
 
 Generators draw, then build, and verifiers decide.  Each family of the
 generator table, ``_GENERATORS``, is split at its QR factorizations: its
@@ -85,7 +93,7 @@ import itertools
 import operator
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -96,35 +104,27 @@ from .core import (
     SvdFactorization,
     ToleranceConfig,
     _gamma,
+    _lockstep,
     adjoint,
     as_matrix,
     eigenvalues,
-    norm2,
     norm2_at_most,
-    norm2_stack,
-    operator_norm,
     require_hermitian,
     require_int,
     require_real,
-    singular_values,
-    singular_values_stack,
-    svd,
-    svd_stack,
 )
 from .errors import DimensionMismatch, InvalidSpec, UnknownTheorem
-from .classify import classify, range_corange_test
+from .classify import classify_steps, range_corange_test
 from .models import harmonic_truncation
 from .pinv import (
     direct_sum,
     fractional_abs_powers_of,
-    polar_decomposition,
     polar_decomposition_of,
-    pseudoinverse,
     pseudoinverse_of,
     reduced_min_modulus_of,
 )
 from .serialize import matrix_to_payload
-from .subspace import projector_gap, projector_gaps, subspace_eq
+from .subspace import projector, subspace_eq
 
 SEQUENCE_LENGTH = 50
 EP_MEMBERSHIP_DELTA = 0.1
@@ -433,8 +433,13 @@ def psd_dominates(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
     Both arguments must be Hermitian (within eq_atol) and of equal shape.
     This is the finite-dimensional dominance test behind the perturbation
-    hypotheses ||Sx|| <= a ||Tx||.
+    hypotheses ||Sx|| <= a ||Tx||.  Drives ``_psd_dominates_steps`` alone.
     """
+    return _lockstep([_psd_dominates_steps(a, b, tol)], tol)[0]
+
+
+def _psd_dominates_steps(a, b, tol: ToleranceConfig):
+    """``psd_dominates`` as a step generator: one request, for the norm of A."""
     am = as_matrix(a)
     bm = as_matrix(b)
     if am.shape != bm.shape:
@@ -444,7 +449,8 @@ def psd_dominates(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     diff = am - bm
     diff = (diff + diff.conj().T) / 2.0
     w = np.linalg.eigvalsh(diff)
-    return bool(w[0] >= -tol.eq_atol * (1.0 + operator_norm(am)))
+    (norm,) = yield "norm", (am,)
+    return bool(w[0] >= -tol.eq_atol * (1.0 + norm))
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +466,15 @@ class _Trial:
     accept: bool = True
     payload: dict | None = None
     note: str | None = None
+    # Diagnostics for the verdict's details; the runner keeps each key's
+    # value from the lowest t that reports it.
+    details: dict | None = None
 
 
 @dataclass
 class _Ctx:
     spec: GeneratorSpec
     tol: ToleranceConfig
-    details: dict = field(default_factory=dict)
     # thm1.5's control: (conditions, diagnostics, limit), computed once a run.
     thm1_5_control: tuple | None = None
 
@@ -487,10 +495,12 @@ def _residual_trial(
 
 
 def _pass_fail(
-    ok: bool, payload: dict | None = None, note: str | None = None, accept: bool = True
+    ok: bool, payload: dict | None = None, note: str | None = None, accept: bool = True,
+    details: dict | None = None,
 ) -> _Trial:
     """A boolean trial, residual 0 or 1; ``payload`` and ``note`` are read only on a failure."""
-    return _Trial(ok, 0.0 if ok else 1.0, accept=accept, payload=payload, note=note)
+    return _Trial(ok, 0.0 if ok else 1.0, accept=accept, payload=payload, note=note,
+                  details=details)
 
 
 def _multiset_gap(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -554,21 +564,27 @@ def _has_perfect_matching(allowed: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _check_thm2_1(ctx: _Ctx, drawn: _Drawn) -> _Trial:
+def _projector_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """P_A - P_B, whose norm is the projector gap between the spans of two bases."""
+    return projector(a) - projector(b)
+
+
+def _check_thm2_1(ctx: _Ctx, drawn: _Drawn):
     """EP iff the pseudoinverse commutes: range test vs commutator test."""
     ((family, m),) = drawn.instances
     expected = family == "ep"
-    rep = classify(m, ctx.tol)
+    rep = yield from classify_steps(m, ctx.tol)
     pred_comm = rep.commutator_residual <= ctx.tol.eq_atol
     agree = rep.is_ep == pred_comm == expected
     if not agree or not expected:
         return _pass_fail(agree, {"T": m}, f"family={family}: is_ep={rep.is_ep}, "
                           f"commutator_residual={rep.commutator_residual:.3e}", accept=expected)
-    scale = 1.0 + operator_norm(m) + (1.0 / rep.gamma if rep.gamma > 0 else 0.0)
+    (norm,) = yield "norm", (m,)
+    scale = 1.0 + norm + (1.0 / rep.gamma if rep.gamma > 0 else 0.0)
     return _residual_trial(rep.commutator_residual, scale, ctx.tol, payload={"T": m})
 
 
-def _check_thm2_2(ctx: _Ctx, drawn: _Drawn) -> _Trial:
+def _check_thm2_2(ctx: _Ctx, drawn: _Drawn):
     """Direct sums: EP iff both blocks EP; pinv and gamma distribute over blocks."""
     tol = ctx.tol
     (_, a), (family_b, b) = drawn.instances
@@ -576,11 +592,10 @@ def _check_thm2_2(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     d = direct_sum(a, b)
     payload = {"A": a, "B": b}
 
-    fact_a, fact_b = svd_stack((a, b), tol)
-    fact_d = svd(d, tol)
+    fact_a, fact_b, fact_d = yield "svd", (a, b, d)
     ep_d = range_corange_test(fact_d, tol)
     block = direct_sum(pseudoinverse_of(fact_a), pseudoinverse_of(fact_b))
-    pinv_resid, block_norm = norm2_stack((pseudoinverse_of(fact_d) - block, block))
+    pinv_resid, block_norm = yield "norm", (pseudoinverse_of(fact_d) - block, block)
     norm_scale = 1.0 + fact_a.singular_values[0] + fact_b.singular_values[0]
     pinv_scale = norm_scale + block_norm
 
@@ -601,34 +616,35 @@ def _check_thm2_2(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     )
 
 
-def _check_thm2_3(ctx: _Ctx, drawn: _Drawn) -> _Trial:
+def _check_thm2_3(ctx: _Ctx, drawn: _Drawn):
     """EP iff the polar isometry factor is EP."""
     ((family, m),) = drawn.instances
     expected = family == "ep"
-    u = polar_decomposition(m, ctx.tol).isometry_part
-    rep_u = classify(u, ctx.tol)
+    (fact,) = yield "svd", (m,)
+    u = polar_decomposition_of(fact).isometry_part
+    rep_u = yield from classify_steps(u, ctx.tol)
     if rep_u.is_ep != expected or not expected:
         return _pass_fail(rep_u.is_ep == expected, {"T": m, "U": u},
                           f"is_ep(U)={rep_u.is_ep}, expected {expected}", accept=expected)
     return _residual_trial(rep_u.range_gap, 2.0, ctx.tol, payload={"T": m, "U": u})
 
 
-def _check_thm2_4(ctx: _Ctx, drawn: _Drawn) -> _Trial:
+def _check_thm2_4(ctx: _Ctx, drawn: _Drawn):
     """EP iff range equals carrier (the invertible-corner block form)."""
     ((family, m),) = drawn.instances
     expected = family == "ep"
-    fact = svd(m, ctx.tol)
+    (fact,) = yield "svd", (m,)
     # The range-vs-carrier test is the EP decision, so it answers both.
     ep = range_corange_test(fact, ctx.tol)
     if ep != expected or not expected:
         return _pass_fail(ep == expected, {"T": m},
                           f"range==carrier (the EP test) is {ep}, expected {expected}",
                           accept=expected)
-    gap = projector_gap(fact.range_vectors(), fact.carrier_vectors())
+    (gap,) = yield "norm", (_projector_difference(fact.range_vectors(), fact.carrier_vectors()),)
     return _residual_trial(gap, 1.0, ctx.tol, payload={"T": m})
 
 
-def _check_thm2_5(ctx: _Ctx, drawn: _Drawn) -> _Trial:
+def _check_thm2_5(ctx: _Ctx, drawn: _Drawn):
     """For EP T: S commutes with T iff S commutes with the pseudoinverse."""
     tol = ctx.tol
     kind = drawn.t % 3
@@ -636,12 +652,14 @@ def _check_thm2_5(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     ((_, t_mat),) = drawn.instances
     if kind == 0:
         s = _random_poly_in(rng, t_mat)
-        tp = pseudoinverse(t_mat, tol)
-        resid = norm2(s @ tp - tp @ s)
-        scale = (1.0 + operator_norm(s)) * (1.0 + norm2(tp))
+        (fact,) = yield "svd", (t_mat,)
+        tp = pseudoinverse_of(fact)
+        # The residual and both scale norms, in one request.
+        resid, norm_s, norm_tp = yield "norm", (s @ tp - tp @ s, s, tp)
+        scale = (1.0 + norm_s) * (1.0 + norm_tp)
         return _residual_trial(resid, scale, tol, payload={"T": t_mat, "S": s})
     if kind == 1:
-        fact = svd(t_mat, tol)
+        (fact,) = yield "svd", (t_mat,)
         r = fact.numerical_rank
         vr = fact.right_vectors[:, :r]
         vn = fact.right_vectors[:, r:]
@@ -653,32 +671,38 @@ def _check_thm2_5(ctx: _Ctx, drawn: _Drawn) -> _Trial:
             )
             s = s + vn @ g @ vn.conj().T
         tp = pseudoinverse_of(fact)
-        premise, conclusion = norm2_stack((s @ tp - tp @ s, s @ t_mat - t_mat @ s))
-        scale = (1.0 + operator_norm(s)) * (1.0 + fact.singular_values[0] + norm2(tp))
+        premise, conclusion, norm_s, norm_tp = yield "norm", (
+            s @ tp - tp @ s, s @ t_mat - t_mat @ s, s, tp
+        )
+        scale = (1.0 + norm_s) * (1.0 + fact.singular_values[0] + norm_tp)
         return _residual_trial(max(premise, conclusion), scale, tol,
                                payload={"T": t_mat, "S": s})
-    tp = pseudoinverse(t_mat, tol)
+    (fact,) = yield "svd", (t_mat,)
+    tp = pseudoinverse_of(fact)
     s = rng.standard_normal(t_mat.shape) + 1j * rng.standard_normal(t_mat.shape)
-    ok = norm2(s @ tp - tp @ s) > ctx.tol.eq_atol
-    return _pass_fail(ok, {"T": t_mat, "S": s},
+    (commutator,) = yield "norm", (s @ tp - tp @ s,)
+    return _pass_fail(commutator > ctx.tol.eq_atol, {"T": t_mat, "S": s},
                       "non-commuting S commutes with the pseudoinverse", accept=False)
 
 
-def _check_thm2_6(ctx: _Ctx, drawn: _Drawn) -> _Trial:
+def _check_thm2_6(ctx: _Ctx, drawn: _Drawn):
     """EP iff powers are EP with the same range (rank-preserving converse)."""
     tol = ctx.tol
     ((family, m),) = drawn.instances
     if family == "ep":
         # T, T^2, T^3 and T^4, each power the product of the one before and T.
-        facts = svd_stack(itertools.accumulate(itertools.repeat(m, 4), operator.matmul), tol)
-        base = next(facts).range_vectors()
+        fact_m, *facts = yield "svd", tuple(
+            itertools.accumulate(itertools.repeat(m, 4), operator.matmul)
+        )
+        base = fact_m.range_vectors()
         ranges = []
         for fact_n in facts:
             if not range_corange_test(fact_n, tol):
                 return _pass_fail(False, {"T": m}, "a power of an EP matrix failed the EP test")
             ranges.append(fact_n.range_vectors())
-        return _residual_trial(max(projector_gaps(ranges, base)), 1.0, tol, payload={"T": m})
-    fact_sq, fact_m = svd_stack((m @ m, m), tol)
+        gaps = yield "norm", tuple(_projector_difference(r, base) for r in ranges)
+        return _residual_trial(max(gaps), 1.0, tol, payload={"T": m})
+    fact_sq, fact_m = yield "svd", (m @ m, m)
     sq_ep = range_corange_test(fact_sq, tol)
     same_range = subspace_eq(fact_sq.range_vectors(), fact_m.range_vectors(), tol)
     return _pass_fail(not (sq_ep and same_range), {"T": m},
@@ -687,8 +711,8 @@ def _check_thm2_6(ctx: _Ctx, drawn: _Drawn) -> _Trial:
 
 def _compression_invertible(
     compression: np.ndarray, parent: SvdFactorization, tol: ToleranceConfig
-) -> bool:
-    """Invertibility of the carrier compression at the parent matrix's scale.
+):
+    """Invertibility of the carrier compression at the parent matrix's scale, as steps.
 
     The compression's own relative cutoff cannot see that, say, a 1 x 1
     compression of [1e-16] is zero; singular values are compared against
@@ -696,31 +720,25 @@ def _compression_invertible(
     """
     if compression.shape[0] == 0:
         return True
-    sv, _ = singular_values(compression, tol)
+    ((sv, _),) = yield "values", (compression,)
     parent_sigma1 = float(parent.singular_values[0]) if parent.singular_values.size else 0.0
     return bool(sv.min() > tol.rank_rtol * parent_sigma1)
 
 
-def _check_thm2_7(ctx: _Ctx, drawn: _Drawn) -> _Trial:
+def _check_thm2_7(ctx: _Ctx, drawn: _Drawn):
     """Nonzero spectrum of an EP matrix equals the spectrum of its carrier compression."""
     tol = ctx.tol
     ((family, m),) = drawn.instances
-    if family == "non_ep":
-        fact = svd(m, tol)
-        basis = fact.carrier_vectors()
-        compression = basis.conj().T @ m @ basis
-        singular = not _compression_invertible(compression, fact, tol)
-        ctx.details.setdefault("non_ep_compression_singular", bool(singular))
-        return _pass_fail(singular, {"T": m},
-                          "carrier compression of non-EP matrix is invertible", accept=False)
-    fact = svd(m, tol)
-    r = fact.numerical_rank
+    (fact,) = yield "svd", (m,)
     basis = fact.carrier_vectors()
     compression = basis.conj().T @ m @ basis
+    invertible = yield from _compression_invertible(compression, fact, tol)
+    if family == "non_ep":
+        return _pass_fail(not invertible, {"T": m},
+                          "carrier compression of non-EP matrix is invertible", accept=False,
+                          details={"non_ep_compression_singular": not invertible})
+    r = fact.numerical_rank
     scale = 1.0 + fact.singular_values[0]
-    payload = {"T": m}
-
-    invertible = _compression_invertible(compression, fact, tol)
     eig_all = eigenvalues(m)
     order = np.argsort(np.abs(eig_all), kind="stable")
     zero_part = eig_all[order[: m.shape[0] - r]]
@@ -728,16 +746,16 @@ def _check_thm2_7(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     zero_resid = float(np.max(np.abs(zero_part))) if zero_part.size else 0.0
     match_resid = _multiset_gap(nonzero_part, eigenvalues(compression))
     return _residual_trial(max(zero_resid, match_resid), scale, tol,
-                           extra_ok=invertible, payload=payload,
+                           extra_ok=invertible, payload={"T": m},
                            note=None if invertible else "carrier compression lost rank")
 
 
-def _check_thm2_12(ctx: _Ctx, drawn: _Drawn) -> _Trial:
+def _check_thm2_12(ctx: _Ctx, drawn: _Drawn):
     """Product of two EP matrices is EP iff it preserves range and null space."""
     tol = ctx.tol
     aligned = drawn.instances[0][0] == "aligned_ep_pair"
     s, t_mat = drawn.instances[0][1] if aligned else (m for _, m in drawn.instances)
-    fact_p, fact_t = svd_stack((s @ t_mat, t_mat), tol)
+    fact_p, fact_t = yield "svd", (s @ t_mat, t_mat)
     range_same = subspace_eq(fact_p.range_vectors(), fact_t.range_vectors(), tol)
     null_same = subspace_eq(fact_p.null_vectors(), fact_t.null_vectors(), tol)
     conds = range_same and null_same
@@ -748,37 +766,39 @@ def _check_thm2_12(ctx: _Ctx, drawn: _Drawn) -> _Trial:
                       accept=conds)
 
 
-def _check_thm2_13(ctx: _Ctx, drawn: _Drawn) -> _Trial:
+def _check_thm2_13(ctx: _Ctx, drawn: _Drawn):
     """Range of |T|^alpha is alpha-independent; for EP T it equals range(T)."""
     tol = ctx.tol
     ((family, m),) = drawn.instances
-    fact_m = svd(m, tol)
+    (fact_m,) = yield "svd", (m,)
     polar = polar_decomposition_of(fact_m)
     powers = fractional_abs_powers_of(polar, FRACTIONAL_ALPHA_GRID, tol)
-    facts = svd_stack((polar.modulus_part, *powers), tol)
-    base = next(facts).range_vectors()
+    facts = yield "svd", (polar.modulus_part, *powers)
+    del powers
+    # Each factorization is dropped once its range is read.
+    base, *ranges = [facts.pop(0).range_vectors() for _ in range(len(facts))]
     if family == "non_ep":
-        worst = max(projector_gaps(map(SvdFactorization.range_vectors, facts), base))
+        worst = max((yield "norm", tuple(_projector_difference(r, base) for r in ranges)))
         ok = not subspace_eq(fact_m.range_vectors(), base, tol)
         return _residual_trial(worst, 1.0, tol, extra_ok=ok, accept=False,
                                payload={"T": m},
                                note=None if ok else "non-EP matrix has range(|T|) == range(T)")
-    ranges = map(SvdFactorization.range_vectors, itertools.chain(facts, (fact_m,)))
-    worst = max(projector_gaps(ranges, base))
+    ranges.append(fact_m.range_vectors())
+    worst = max((yield "norm", tuple(_projector_difference(r, base) for r in ranges)))
     return _residual_trial(worst, 1.0, tol, payload={"T": m})
 
 
-def _check_thm2_15(ctx: _Ctx, drawn: _Drawn) -> _Trial:
+def _check_thm2_15(ctx: _Ctx, drawn: _Drawn):
     """If range(T) = range(|T|) (= range(|T|^alpha), alpha in (0,1)) then T is EP."""
     tol = ctx.tol
     ((family, m),) = drawn.instances
     expected = family == "ep"
-    fact_m = svd(m, tol)
+    (fact_m,) = yield "svd", (m,)
     base = fact_m.range_vectors()
     polar = polar_decomposition_of(fact_m)
     (half,) = fractional_abs_powers_of(polar, (0.5,), tol)
     modulus_range, half_range = map(
-        SvdFactorization.range_vectors, svd_stack((polar.modulus_part, half), tol)
+        SvdFactorization.range_vectors, (yield "svd", (polar.modulus_part, half))
     )
     hyp = subspace_eq(base, modulus_range, tol) and subspace_eq(base, half_range, tol)
     ep = range_corange_test(fact_m, tol)
@@ -797,8 +817,8 @@ def _scaled_perturbation(rng, t: np.ndarray) -> np.ndarray:
     return c * t
 
 
-def _confined_perturbation(rng, fact: SvdFactorization) -> np.ndarray:
-    """thm2.16's loose S for the T that ``fact`` factors, at norm 0.8 a gamma(T).
+def _confined_perturbation(rng, fact: SvdFactorization):
+    """thm2.16's loose S for the T that ``fact`` factors, at norm 0.8 a gamma(T), as steps.
 
     A dense direction confined to map the carrier into the range, so
     ||Sx|| <= 0.8 a ||Tx|| on the carrier, Sx = 0 off it, and likewise for
@@ -809,11 +829,12 @@ def _confined_perturbation(rng, fact: SvdFactorization) -> np.ndarray:
     shape = (fact.rows, fact.cols)
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     confined = (u @ u.conj().T) @ g @ (v @ v.conj().T)
-    eps = 0.8 * DOMINANCE_BOUND * reduced_min_modulus_of(fact) / max(norm2(confined), 1e-300)
+    (norm,) = yield "norm", (confined,)
+    eps = 0.8 * DOMINANCE_BOUND * reduced_min_modulus_of(fact) / max(norm, 1e-300)
     return eps * confined
 
 
-def _check_thm2_16(ctx: _Ctx, drawn: _Drawn) -> _Trial:
+def _check_thm2_16(ctx: _Ctx, drawn: _Drawn):
     """Certified dominated perturbations keep EP-ness (hypo-EP collapses to EP here)."""
     tol = ctx.tol
     squared = DOMINANCE_BOUND**2
@@ -823,30 +844,31 @@ def _check_thm2_16(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     if mode == 1:
         s = 2.0 * t_mat
         ta = adjoint(t_mat)
-        dominated = psd_dominates(squared * (ta @ t_mat), adjoint(s) @ s, tol)
+        dominated = yield from _psd_dominates_steps(squared * (ta @ t_mat), adjoint(s) @ s, tol)
         return _pass_fail(not dominated, {"T": t_mat, "S": s},
                           "dominance certificate accepted a non-dominated pair", accept=False)
     if mode == 2:  # t_mat is a normal_ep draw
         s = DOMINANCE_BOUND * rng.uniform(0.2, 0.9) * t_mat
     elif mode == 3:
-        s = _confined_perturbation(rng, svd(t_mat, tol))
+        (fact_t,) = yield "svd", (t_mat,)
+        s = yield from _confined_perturbation(rng, fact_t)
     else:
         s = _scaled_perturbation(rng, t_mat)
     ta = adjoint(t_mat)
     sa = adjoint(s)
-    cert = psd_dominates(squared * (ta @ t_mat), sa @ s, tol) and psd_dominates(
-        squared * (t_mat @ ta), s @ sa, tol
+    cert = (yield from _psd_dominates_steps(squared * (ta @ t_mat), sa @ s, tol)) and (
+        yield from _psd_dominates_steps(squared * (t_mat @ ta), s @ sa, tol)
     )
-    fact = svd(t_mat + s, tol)
+    (fact,) = yield "svd", (t_mat + s,)
     ep = range_corange_test(fact, tol)
-    gap = projector_gap(fact.range_vectors(), fact.carrier_vectors())
+    (gap,) = yield "norm", (_projector_difference(fact.range_vectors(), fact.carrier_vectors()),)
     extra_ok = cert and ep
     return _residual_trial(gap, 1.0, tol, extra_ok=extra_ok,
                            payload={"T": t_mat, "S": s},
                            note=None if extra_ok else f"certificate={cert}, ep={ep}")
 
 
-def _check_thm2_19(ctx: _Ctx, drawn: _Drawn) -> _Trial:
+def _check_thm2_19(ctx: _Ctx, drawn: _Drawn):
     """EP iff T kills the corange and T* kills its own corange."""
     tol = ctx.tol
     ((family, m),) = drawn.instances
@@ -855,10 +877,10 @@ def _check_thm2_19(ctx: _Ctx, drawn: _Drawn) -> _Trial:
     eye = np.eye(dim, dtype=np.complex128)
     madj = adjoint(m)
     # pinv(T*) from a factorization of its own, not from T's with U and V swapped.
-    fact, fact_adj = svd_stack((m, madj), tol)
+    fact, fact_adj = yield "svd", (m, madj)
     mp = pseudoinverse_of(fact)
     madj_p = pseudoinverse_of(fact_adj)
-    r1, r2 = norm2_stack((m @ (eye - m @ mp), madj @ (eye - madj @ madj_p)))
+    r1, r2 = yield "norm", (m @ (eye - m @ mp), madj @ (eye - madj @ madj_p))
     scale = 1.0 + fact.singular_values[0]
     pred = r1 <= tol.eq_atol * scale and r2 <= tol.eq_atol * scale
     ep = range_corange_test(fact, tol)
@@ -872,7 +894,12 @@ def _check_thm2_19(ctx: _Ctx, drawn: _Drawn) -> _Trial:
 def _window_conditions(
     terms, limit: np.ndarray, tol: ToleranceConfig
 ) -> tuple[tuple[bool, bool, bool], dict]:
-    """Finite-window diagnostics for pseudoinverse convergence of a sequence.
+    """``_window_steps`` driven alone: the window's conditions and diagnostics."""
+    return _lockstep([_window_steps(terms, limit, tol)], tol)[0]
+
+
+def _window_steps(terms, limit: np.ndarray, tol: ToleranceConfig):
+    """Finite-window diagnostics for pseudoinverse convergence of a sequence, as steps.
 
     Conditions mirror the three equivalent statements for T_k -> T with
     closed ranges: (a) pinv convergence, (b) convergence of T_k+ T_k, and
@@ -884,30 +911,35 @@ def _window_conditions(
     0) is read from that factorization.  The verdict reads T_k+ itself only
     at the first term and the last six: the gaps to the limit at the two
     ends and the last five successive differences.  Those seven terms get
-    a full SVD and their pseudoinverse; the others get the values-only SVD.
+    a full SVD and their pseudoinverse, in one request with the limit; the
+    others get the values-only SVD.  Returns ``(conditions, diagnostics)``.
     """
-    limit_pinv = pseudoinverse(limit, tol)
-    limit_proj = limit_pinv @ limit
     n = len(terms)
     tail = range(max(n - 6, 0), n)
     full = sorted({0, *tail})
     values_only = range(1, tail.start)
+    facts = yield "svd", (limit, *(terms[k] for k in full))
+    # Each factorization is dropped once its pseudoinverse is formed.
+    limit_pinv = pseudoinverse_of(facts.pop(0))
+    limit_proj = limit_pinv @ limit
     pinvs = {}
     spectra = {}
-    for k, fact in zip(full, svd_stack((terms[k] for k in full), tol)):
+    for k in full:
+        fact = facts.pop(0)
         pinvs[k] = pseudoinverse_of(fact)
         spectra[k] = fact.singular_values, fact.numerical_rank
-    spectra.update(zip(values_only, singular_values_stack((terms[k] for k in values_only), tol)))
+    del fact
+    spectra.update(zip(values_only, (yield "values", tuple(terms[k] for k in values_only))))
     pinv_norms = []
     for k in range(n):
         s, r = spectra[k]
         pinv_norms.append(1.0 / _gamma(s, r) if r else 0.0)
     ends = (0, n - 1)
-    norms = list(norm2_stack(itertools.chain(
-        (pinvs[k] - limit_pinv for k in ends),
-        (pinvs[k] @ terms[k] - limit_proj for k in ends),
-        (pinvs[k] - pinvs[k - 1] for k in tail[1:]),
-    )))
+    norms = yield "norm", (
+        *(pinvs[k] - limit_pinv for k in ends),
+        *(pinvs[k] @ terms[k] - limit_proj for k in ends),
+        *(pinvs[k] - pinvs[k - 1] for k in tail[1:]),
+    )
     gaps, proj_gaps, successive = norms[:2], norms[2:4], norms[4:]
     sup_norm = max(pinv_norms)
     growth_ratio = sup_norm / max(min(pinv_norms), 1e-300)
@@ -929,19 +961,21 @@ def _window_conditions(
     return (cond_a, cond_b, cond_c), diag
 
 
-def _check_thm1_5(ctx: _Ctx, drawn: _Drawn) -> _Trial:
+def _check_thm1_5(ctx: _Ctx, drawn: _Drawn):
     """Pseudoinverse convergence equivalences on convergent matrix windows."""
     tol = ctx.tol
     spec = ctx.spec
     if drawn.instances:
         ((_, limit),) = drawn.instances
         terms = tuple((1.0 + 1.0 / k) * limit for k in range(1, SEQUENCE_LENGTH + 1))
-        conds, diag = _window_conditions(terms, limit, tol)
+        conds, diag = yield from _window_steps(terms, limit, tol)
         diag["kind"] = "fixed_range_scaling"
-        ctx.details.setdefault("positive_example", diag)
         ok = all(conds)
-        return _pass_fail(ok, {"T": limit}, f"positive sequence conditions {conds}")
+        return _pass_fail(ok, {"T": limit}, f"positive sequence conditions {conds}",
+                          details={"positive_example": diag})
     if ctx.thm1_5_control is None:
+        # Driven here, without yielding, so that the trials in lockstep with
+        # this one find it done and none starts it again.
         ambient = max(spec.dim, 16)
         terms = tuple(harmonic_truncation(k, ambient) for k in range(1, ambient))
         limit = harmonic_truncation(ambient, ambient)
@@ -950,13 +984,13 @@ def _check_thm1_5(ctx: _Ctx, drawn: _Drawn) -> _Trial:
         diag["ambient_dim"] = ambient
         ctx.thm1_5_control = (conds, diag, limit)
     conds, diag, limit = ctx.thm1_5_control
-    ctx.details.setdefault("negative_example", dict(diag))
     return _pass_fail(not any(conds), {"T_limit": limit},
-                      f"divergent sequence conditions {conds}", accept=False)
+                      f"divergent sequence conditions {conds}", accept=False,
+                      details={"negative_example": dict(diag)})
 
 
-def _membership_term(ctx: _Ctx, rng, base: np.ndarray, rotate: bool):
-    """``(term, limit)``: term k = SEQUENCE_LENGTH of a sequence converging to an EP limit L.
+def _membership_term(rng, base: np.ndarray, rotate: bool):
+    """``(term, limit)``, as steps: term k = SEQUENCE_LENGTH of a sequence converging to an EP limit L.
 
     L is the ep draw ``base`` scaled so that gamma(L) lies in [delta, 2 delta).
     Term k is (1 + 2^-k) L, or, when ``rotate``, q L q* for the Cayley unitary
@@ -964,7 +998,7 @@ def _membership_term(ctx: _Ctx, rng, base: np.ndarray, rotate: bool):
     EP with gamma >= delta by construction; only term k is built, untested.
     ``run_theorem_check`` requires rank >= 1, so the draw's gamma is positive.
     """
-    s, r = singular_values(base, ctx.tol)
+    ((s, r),) = yield "values", (base,)
     gamma0 = _gamma(s, r)
     target = EP_MEMBERSHIP_DELTA * (1.0 + rng.uniform(0.0, 1.0))
     limit = base * (target / gamma0)
@@ -973,19 +1007,20 @@ def _membership_term(ctx: _Ctx, rng, base: np.ndarray, rotate: bool):
         return (1.0 + step) * limit, limit
     g = rng.standard_normal(limit.shape) + 1j * rng.standard_normal(limit.shape)
     skew = (g - g.conj().T) / 2.0
-    x = step * (skew / max(norm2(skew), 1e-300))
+    (norm,) = yield "norm", (skew,)
+    x = step * (skew / max(norm, 1e-300))
     eye = np.eye(limit.shape[0], dtype=np.complex128)
     q = (eye - x) @ np.linalg.inv(eye + x)
     return q @ limit @ q.conj().T, limit
 
 
-def _check_thm3_2(ctx: _Ctx, drawn: _Drawn) -> _Trial:
+def _check_thm3_2(ctx: _Ctx, drawn: _Drawn):
     """Norm limits of EP matrices with gamma >= delta stay EP with gamma >= delta."""
     tol = ctx.tol
     delta = EP_MEMBERSHIP_DELTA
     ((_, base),) = drawn.instances
-    term, limit = _membership_term(ctx, drawn.rng, base, rotate=drawn.t % 2 == 1)
-    fact = svd(limit, tol)
+    term, limit = yield from _membership_term(drawn.rng, base, rotate=drawn.t % 2 == 1)
+    (fact,) = yield "svd", (limit,)
     # The term lies within about 2^-50 ||limit|| of the limit plus roundoff
     # of the order of eps ||limit||, so the bound scales with it.
     if not norm2_at_most(term - limit, 1e-9 * (1.0 + fact.singular_values[0])):
@@ -997,39 +1032,41 @@ def _check_thm3_2(ctx: _Ctx, drawn: _Drawn) -> _Trial:
                   note=f"limit is_ep={ep}, gamma={gamma}")
 
 
-def _check_thm3_4(ctx: _Ctx, drawn: _Drawn) -> _Trial:
+def _check_thm3_4(ctx: _Ctx, drawn: _Drawn):
     """gamma <= spectral radius for EP matrices; nilpotent control violates it."""
     tol = ctx.tol
     if not drawn.instances:
         control = np.zeros((2, 2), dtype=np.complex128)
         control[0, 1] = 1.0
-        rep = classify(control, tol)
+        rep = yield from classify_steps(control, tol)
         excluded = (not rep.is_ep) and rep.gamma > rep.spectral_radius
-        ctx.details.setdefault(
-            "nilpotent_control",
-            {
+        details = {
+            "nilpotent_control": {
                 "gamma": rep.gamma,
                 "spectral_radius": rep.spectral_radius,
                 "is_ep": rep.is_ep,
                 "violates_inequality": bool(rep.gamma > rep.spectral_radius),
             },
-        )
+        }
         return _pass_fail(excluded, {"T": control},
-                          "nilpotent control was not excluded", accept=False)
+                          "nilpotent control was not excluded", accept=False, details=details)
     ((_, m),) = drawn.instances
     if drawn.t % 2 == 0:
-        rep = classify(m, tol)
+        rep = yield from classify_steps(m, tol)
         residual = max(0.0, rep.gamma - rep.spectral_radius)
         # A zero residual passes at every scale; only a positive one needs ||m||.
-        ok = rep.is_ep and (residual == 0.0 or residual <= 1e-10 * (1.0 + operator_norm(m)))
+        ok = rep.is_ep
+        if ok and residual > 0.0:
+            (norm,) = yield "norm", (m,)
+            ok = residual <= 1e-10 * (1.0 + norm)
         return _Trial(ok, residual, payload={"T": m},
                       note=f"gamma={rep.gamma} exceeds spectral radius={rep.spectral_radius}")
-    fact = svd(m, tol)
+    square = m @ m
+    fact, *facts = yield "svd", (m, square, square @ m)
     gamma1 = reduced_min_modulus_of(fact)
     norm = float(fact.singular_values[0])
     worst = 0.0
-    square = m @ m
-    for n, fact_n in zip((2, 3), svd_stack((square, square @ m), tol)):
+    for n, fact_n in zip((2, 3), facts):
         gamma_n = reduced_min_modulus_of(fact_n)
         bound = norm ** (n - 1) * gamma1 + 10.0 * tol.eq_atol * (1.0 + norm) ** n
         worst = max(worst, gamma_n - bound)
@@ -1045,7 +1082,9 @@ def _check_thm3_4(ctx: _Ctx, drawn: _Drawn) -> _Trial:
 
 @dataclass(frozen=True)
 class _CheckerEntry:
-    fn: Callable[[_Ctx, _Drawn], _Trial]
+    # The trial body: a step generator of ``core._lockstep`` that returns
+    # the trial's ``_Trial``.
+    fn: Callable[[_Ctx, _Drawn], Generator]
     # The families trial t draws before its body runs, as (family, cond)
     # pairs; a cond that is not None caps the spec's condition bound.
     draws: Callable[[int], tuple]
@@ -1160,6 +1199,17 @@ def require_runnable(theorem_id: str, spec: GeneratorSpec, trials: int) -> None:
             raise InvalidSpec(message)
 
 
+def _lockstep_group(dim: int) -> int:
+    """How many trials of a run go through ``core._lockstep`` together.
+
+    As many as thm1.5's windows, SEQUENCE_LENGTH dim x dim terms each, fill
+    ``_STACK_ENTRIES`` entries, and at least one: every trial of a group
+    holds its matrices until the group ends, and a window is the most a
+    trial holds.  At dim 8 a group holds 20 trials, at dim 32 and above one.
+    """
+    return max(1, _STACK_ENTRIES // (SEQUENCE_LENGTH * dim * dim))
+
+
 def run_theorem_check(
     theorem_id: str,
     spec: GeneratorSpec,
@@ -1183,17 +1233,24 @@ def run_theorem_check(
     counterexample = None
     accepting = 0
     rejecting = 0
-    for drawn in _generated_trials(spec, salt, trials, entry.draws):
-        trial = entry.fn(ctx, drawn)
-        accepting += trial.accept
-        rejecting += not trial.accept
-        worst = max(worst, trial.residual)
-        if trial.warn:
-            warnings += 1
-        if not trial.ok:
-            failures += 1
-            if counterexample is None:
-                counterexample = _counterexample_payload(drawn.t, trial)
+    details: dict = {}
+    drawn_trials = _generated_trials(spec, salt, trials, entry.draws)
+    while group := list(itertools.islice(drawn_trials, _lockstep_group(spec.dim))):
+        outcomes = _lockstep([entry.fn(ctx, drawn) for drawn in group], tol)
+        for drawn, trial in zip(group, outcomes):
+            accepting += trial.accept
+            rejecting += not trial.accept
+            worst = max(worst, trial.residual)
+            if trial.warn:
+                warnings += 1
+            if not trial.ok:
+                failures += 1
+                if counterexample is None:
+                    counterexample = _counterexample_payload(drawn.t, trial)
+            for key, value in (trial.details or {}).items():
+                details.setdefault(key, value)
+        # Drop the group's trials before the next chunk is drawn.
+        del group, outcomes
     elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
 
     notes = list(entry.static_notes)
@@ -1202,7 +1259,6 @@ def run_theorem_check(
             "configuration error: verifier saw "
             f"{accepting} accepting and {rejecting} rejecting instances"
         )
-    details = dict(ctx.details)
     details["accepting_trials"] = accepting
     details["rejecting_trials"] = rejecting
     return TheoremVerdict(

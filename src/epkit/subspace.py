@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DEFAULT_TOL, ToleranceConfig, norm2, norm2_at_most, norm2_stack, svd
+from .core import DEFAULT_TOL, ToleranceConfig, norm2, norm2_at_most, svd
 from .errors import DimensionMismatch
 
 
@@ -77,19 +77,6 @@ def projector_gap(a: np.ndarray, b: np.ndarray) -> float:
     """||P_A - P_B||, the projector distance between the two spans."""
     _require_same_ambient(a, b)
     return norm2(projector(a) - projector(b))
-
-
-def projector_gaps(bases, b: np.ndarray):
-    """An iterator over ``projector_gap(a, b)`` for each basis a of an iterable, by ``norm2_stack``.
-
-    Each difference is formed as it is read, so at dim 256, one matrix per
-    LAPACK call, one difference is alive at a time.
-    """
-    def difference(a: np.ndarray) -> np.ndarray:
-        _require_same_ambient(a, b)
-        return projector(a) - projector(b)
-
-    return norm2_stack(map(difference, bases))
 
 
 def _require_basis(v: np.ndarray) -> None:

@@ -276,6 +276,90 @@ class TestStackedKernels:
             list(kernel([np.eye(2), np.diag([bad, 1.0])]))
 
 
+def request_steps(requests):
+    """A step generator that yields each ``(kind, matrices)`` of ``requests``; returns what it got."""
+    received = []
+    for request in requests:
+        received.append((yield request))
+    return received
+
+
+def single_call(kind, m):
+    """The single-matrix call a request kind stands for."""
+    return {"svd": core.svd, "values": singular_values, "norm": norm2}[kind](m)
+
+
+def same_result(a, b) -> bool:
+    if isinstance(a, core.SvdFactorization):
+        return (same_bits(a.left_vectors, b.left_vectors)
+                and same_bits(a.singular_values, b.singular_values)
+                and same_bits(a.right_vectors, b.right_vectors)
+                and a.numerical_rank == b.numerical_rank)
+    if isinstance(a, tuple):
+        return same_bits(a[0], b[0]) and type(a[1]) is int and a[1] == b[1]
+    return type(a) is float and a == b
+
+
+class TestLockstep:
+    """``core._lockstep`` answers a round with one stacked call per kind, shape and dtype."""
+
+    def test_every_result_has_the_bits_of_its_single_call(self, rng, svd_calls):
+        def square(dim, count, dtype):
+            return tuple(mixed_stack(rng, dim, count, dtype))
+
+        plans = [
+            [("svd", square(4, 2, complex) + square(3, 1, float)), ("values", square(4, 3, complex))],
+            [("norm", square(4, 2, complex) + square(4, 1, float))],
+            [("svd", square(4, 2, complex) + square(3, 1, float)), ("values", square(4, 3, complex))],
+        ]
+        svd_calls.clear()
+        received = core._lockstep([request_steps(plan) for plan in plans])
+        # First round: full SVDs at 4 x 4 complex and 3 x 3 real, norms at
+        # 4 x 4 complex and 4 x 4 real; second round: one call for the six
+        # values-only SVDs, of which mixed_stack made two diagonal.
+        assert svd_calls["svd"] == 5
+        assert svd_calls["full"] == 6 and svd_calls["values"] == 3 + 4
+        for plan, answers in zip(plans, received, strict=True):
+            for (kind, matrices), results in zip(plan, answers, strict=True):
+                for m, result in zip(matrices, results, strict=True):
+                    assert same_result(result, single_call(kind, m))
+
+    def test_generators_end_at_their_own_rounds(self):
+        eye = np.eye(2)
+        plans = [[], [("norm", (eye,))] * 3, [("norm", (2.0 * eye,)), ("norm", ())]]
+        returns = core._lockstep([request_steps(plan) for plan in plans])
+        assert returns == [[], [[1.0]] * 3, [[2.0], []]]
+
+    def test_one_generator_alone_makes_one_call_per_request(self, rng, svd_calls):
+        ms = mixed_stack(rng, 8, 4, complex)
+        svd_calls.clear()
+        ((facts, norms),) = core._lockstep([request_steps([("svd", ms), ("norm", ms)])])
+        assert svd_calls["svd"] == 2
+        assert all(same_result(f, core.svd(m)) for f, m in zip(facts, ms))
+        assert norms == [norm2(m) for m in ms]
+
+    def test_a_group_is_split_at_the_stack_cap(self, rng, svd_calls, monkeypatch):
+        monkeypatch.setattr(core, "_STACK_ENTRIES", 3 * 4 * 4)
+        ms = mixed_stack(rng, 4, 4, complex)
+        svd_calls.clear()
+        core._lockstep([request_steps([("norm", ms[:2])]), request_steps([("norm", ms[2:])])])
+        assert svd_calls["svd"] == 2 and svd_calls["values"] == 4
+
+    def test_a_non_finite_matrix_raises(self):
+        steps = [request_steps([("norm", (np.eye(2),))]),
+                 request_steps([("svd", (np.full((2, 2), np.nan),))])]
+        with pytest.raises(ValueError, match="finite"):
+            core._lockstep(steps)
+
+    def test_an_error_in_a_generator_reaches_the_caller(self):
+        def failing():
+            yield "norm", (np.eye(2),)
+            raise NotSquare("from a step")
+
+        with pytest.raises(NotSquare, match="from a step"):
+            core._lockstep([request_steps([("norm", (np.eye(3),))] * 3), failing()])
+
+
 class TestHermitianEig:
     def test_diagonal(self, tol):
         w, q = hermitian_eig(np.diag([2.0, -1.0]), tol)

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -36,6 +37,8 @@ from epkit import (
     svd,
 )
 from epkit.classify import range_corange_test
+from epkit import core
+from epkit.core import _lockstep
 from epkit.pinv import reduced_min_modulus_of
 from epkit.serialize import matrix_to_payload, report_payload
 
@@ -178,9 +181,9 @@ class TestGenMatrix:
                 assert operator_norm(poly @ t_ep - t_ep @ poly) <= 10 * tol.eq_atol * scale
                 # thm2.16's scaled and confined perturbations of an ep draw.
                 scaled = harness._scaled_perturbation(np.random.default_rng(seed), t_ep)
-                confined = harness._confined_perturbation(
+                (confined,) = _lockstep([harness._confined_perturbation(
                     np.random.default_rng(seed), svd(t_ep, tol)
-                )
+                )])
                 for t, s in ((t_ep, scaled), (t_ep, confined)):
                     ta, sa = adjoint(t), adjoint(s)
                     assert psd_dominates(squared * (ta @ t), sa @ s, tol)
@@ -189,10 +192,10 @@ class TestGenMatrix:
                 # limit has gamma in [delta, 2 delta).  Its base needs rank >= 1.
                 delta = harness.EP_MEMBERSHIP_DELTA
                 for rotate in (False, True) if rank else ():
-                    ctx = harness._Ctx(GeneratorSpec(dim=dim, rank=rank, seed=seed), tol)
+                    base_spec = GeneratorSpec(dim=dim, rank=rank, seed=seed)
                     rng = np.random.default_rng([seed, 0xA5])
-                    ((_, base),) = harness._build([harness._draw(ctx.spec, rng, (("ep", None),))])[0]
-                    term, limit = harness._membership_term(ctx, rng, base, rotate)
+                    ((_, base),) = harness._build([harness._draw(base_spec, rng, (("ep", None),))])[0]
+                    ((term, limit),) = _lockstep([harness._membership_term(rng, base, rotate)], tol)
                     fact = svd(term, tol)
                     assert range_corange_test(fact, tol)
                     assert reduced_min_modulus_of(fact) >= delta
@@ -553,26 +556,64 @@ class TestRunTheoremCheck:
         )
 
     @pytest.mark.parametrize("theorem_id, residual_source", [
-        ("thm2.2", "norm2_stack"),
-        ("thm2.7", "_multiset_gap"),
-        ("thm2.13", "projector_gaps"),
-        ("thm2.16", "projector_gap"),
+        ("thm2.2", "core.norm2_stack"),
+        ("thm2.7", "harness._multiset_gap"),
+        ("thm2.13", "core.norm2_stack"),
+        ("thm2.16", "core.norm2_stack"),
     ])
     def test_a_trial_failing_on_its_residual_alone_carries_no_note(
         self, theorem_id, residual_source, tol, monkeypatch
     ):
         # These verifiers note only the boolean claim beside their residual,
         # so a trial whose residual alone fails reports its matrices and no note.
-        # A stacked source gives 1.0 for each matrix of its stack.
-        if residual_source.endswith(("_stack", "_gaps")):
+        # Every norm a trial asks for is answered by ``core.norm2_stack``
+        # through ``core._lockstep``; the fake gives 1.0 for each matrix.
+        module, name = residual_source.split(".")
+        if name == "norm2_stack":
             fake = lambda matrices, *args: [1.0 for _ in matrices]  # noqa: E731
         else:
             fake = lambda *args, **kwargs: 1.0  # noqa: E731
-        monkeypatch.setattr(harness, residual_source, fake)
+        monkeypatch.setattr({"core": core, "harness": harness}[module], name, fake)
         verdict = run_theorem_check(theorem_id, GeneratorSpec(dim=8, rank=6, seed=1), 6, tol)
         assert verdict.failures > 0
         assert verdict.counterexample["matrices"]
         assert "note" not in verdict.counterexample
+
+
+def verdict_json(theorem_id, spec, trials, tol) -> str:
+    """The JSON of a verdict with its timing zeroed: every byte of it but the clock."""
+    verdict = run_theorem_check(theorem_id, spec, trials, tol)
+    return json.dumps(report_payload(dataclasses.replace(verdict, elapsed_ms=0)))
+
+
+# (dim, rank, trials) of the lockstep runs: ranks dim - 2, and both ranks
+# below full at dim 3.  24 trials at dim 8 span two default groups of 20.
+LOCKSTEP_RUNS = [(3, 1, 30), (3, 2, 30), (8, 6, 24), (32, 30, 4)]
+
+
+class TestLockstepChangesNothing:
+    """A verdict does not depend on how many trials go through ``core._lockstep`` together.
+
+    Each run is repeated with a group of one trial, which factors every
+    trial on its own, and with a group of three, which crosses the chunks
+    of every run here; its bytes must equal those of the default grouping.
+    Under the corrupted ep family the counterexample, its note and the
+    first failing t are compared too.
+    """
+
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "corrupt"])
+    @pytest.mark.parametrize("dim, rank, trials", LOCKSTEP_RUNS)
+    @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+    def test_group_size_moves_no_byte(self, theorem_id, dim, rank, trials, corrupt, tol,
+                                      monkeypatch):
+        spec = GeneratorSpec(dim=dim, rank=rank, seed=5)
+        with golden_corpus.corrupt_ep_generation() if corrupt else contextlib.nullcontext():
+            default = verdict_json(theorem_id, spec, trials, tol)
+            for size in (1, 3):
+                monkeypatch.setattr(harness, "_lockstep_group", lambda dim: size)
+                assert verdict_json(theorem_id, spec, trials, tol) == default
+        if corrupt and theorem_id != "thm1.5":
+            assert json.loads(default)["failures"] > 0
 
 
 # The fault kind of ``golden_corpus.graded_ep_fault`` each verifier must

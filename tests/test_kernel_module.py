@@ -9,6 +9,11 @@ from ``core.eigenvalues``.  So none bypasses the diagonal route of
 finds every reference to ``np.linalg.svd``, ``np.linalg.eigvals`` and
 ``np.linalg.eig``, under any alias, outside ``core.py``.  The Hermitian
 solvers (``eigh``, ``eigvalsh``) are not general ones and stay allowed.
+
+A verifier body in ``harness`` asks ``core._lockstep`` for its SVDs and
+norms by yielding requests; a second walk fails when a ``_check_*`` body,
+or a harness function it reaches, calls an SVD kernel or a function that
+runs one itself.
 """
 
 import ast
@@ -110,3 +115,61 @@ def test_the_walk_finds_every_spelling():
         "ok = obj.eig(a), obj.eigvals(a)\n"
     )
     assert lapack_references(source) == [4, 5, 6, 7, 9, 10, 11, 12, 13]
+
+
+# What a verifier body asks ``core._lockstep`` for instead of calling: the
+# SVD kernels, one at a time or stacked, and the functions that run one.
+STEP_KERNELS = {
+    "svd", "svd_stack", "singular_values", "singular_values_stack", "norm2", "norm2_stack",
+    "operator_norm", "pseudoinverse", "polar_decomposition", "projector_gap",
+    "projector_gaps", "classify",
+}
+
+
+def direct_kernel_calls(source: str) -> list[str]:
+    """``function:line`` wherever a ``_check_*`` body, or a function of its module
+    that one reaches, names one of STEP_KERNELS or calls a method of that name."""
+    tree = ast.parse(source)
+    functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    todo = [name for name in functions if name.startswith("_check_")]
+    seen, hits = set(), []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                todo += [node.id] if node.id in functions else []
+                if node.id in STEP_KERNELS:
+                    hits.append(f"{name}:{node.lineno}")
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in STEP_KERNELS:
+                hits.append(f"{name}:{node.lineno}")
+    return sorted(hits)
+
+
+def test_verifier_bodies_yield_their_svd_requests():
+    # A body that calls a kernel itself makes one LAPACK call per trial
+    # again, outside the lockstep of its run.
+    source = (ROOT / "src" / "epkit" / "harness.py").read_text()
+    bodies = [n for n in ast.parse(source).body
+              if isinstance(n, ast.FunctionDef) and n.name.startswith("_check_")]
+    assert len(bodies) == 15
+    assert direct_kernel_calls(source) == []
+
+
+def test_the_body_walk_finds_every_spelling():
+    source = (
+        "def _check_a(ctx, drawn):\n"
+        "    fact = svd(drawn.m)\n"
+        "    s = fact.singular_values[0]\n"
+        "    return core.norm2(s), _helper(drawn)\n"
+        "def _helper(drawn):\n"
+        "    return list(map(operator_norm, drawn.ms))\n"
+        "def _check_b(ctx, drawn):\n"
+        "    (fact,) = yield 'svd', (drawn.m,)\n"
+        "    return epkit.classify(fact)\n"
+        "def unreached(m):\n"
+        "    return svd(m)\n"
+    )
+    assert direct_kernel_calls(source) == ["_check_a:2", "_check_a:4", "_check_b:9", "_helper:6"]
