@@ -36,8 +36,8 @@ from epkit import (
     run_theorem_check,
     svd,
 )
-from epkit.classify import range_corange_test
 from epkit import core
+from epkit.classify import range_corange_test
 from epkit.core import _lockstep
 from epkit.pinv import reduced_min_modulus_of
 from epkit.serialize import matrix_to_payload, report_payload
