@@ -146,8 +146,7 @@ def classify(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> ClassificationReport
     gamma is the smallest singular value above the cutoff (0.0 for the zero
     matrix, with zero_operator set), and the spectral radius comes from the
     eigenvalue kernel so the two diagnostics stay independent.  Drives
-    ``classify_steps`` alone, as ``svd`` is the one-matrix case of
-    ``svd_stack``.
+    ``classify_steps`` alone, the one-element case of ``core._lockstep``.
     """
     return _lockstep([classify_steps(matrix, tol)], tol)[0]
 

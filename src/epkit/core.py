@@ -15,31 +15,28 @@ values are its sorted |entries| (``_diagonal_singular_values``, the one
 statement of that rule, which ``models.limit_study`` applies to a
 truncation's diagonal vector without building the matrix).  ``svd``,
 ``eigenvalues`` and ``norm2`` run LAPACK on every input.  This module is
-the only one that calls ``np.linalg.svd``, ``np.linalg.eigvals`` or
-``np.linalg.eig`` (``tests/test_kernel_module.py``).
+the only one that calls ``np.linalg.svd``, ``np.linalg.eigvals``,
+``np.linalg.eig`` or ``np.linalg.qr`` (``tests/test_kernel_module.py``).
 
-``svd``, ``singular_values`` and ``norm2`` each have a stacked form,
-``svd_stack``, ``singular_values_stack`` and ``norm2_stack``, which takes
-an iterable of 2-D arrays of one shape and dtype that the caller built
-and yields one result per matrix.  LAPACK factors each matrix of a stack
-alone, so a stacked result has the bits of the single-matrix call; what a
-stack saves is numpy's per-call cost, which at dim 8 is about that of the
-factorization, and the stacked SVDs check their input for non-finite
-entries once per stack, not per matrix.  One call takes at most max(1,
-_STACK_ENTRIES // (rows * cols)) matrices (``_per_call``), and a single
-matrix is the one-element case of the same code, so each SVD kind has one
-LAPACK call site.  The single-matrix functions validate one matrix; a 3-D
-array raises InvalidDimension.  The stacked forms are internal: ``epkit``
-does not export them.
-
-``_lockstep`` drives step generators side by side: each yields requests
-for SVDs, values-only SVDs or norms, and one round's requests of one kind,
-shape and dtype go to the stacked form of that kind together, so
-independent problems, the trials of a verifier run among them, share
-LAPACK calls (batched dense linear algebra) and no factorization.
-``classify`` and ``harness.psd_dominates`` drive their steps alone.
-``eigenvalues``, ``hermitian_eig`` and ``norm2_at_most`` stay one matrix
-per call.
+``_lockstep`` is the one code path that stacks matrices for LAPACK.  It
+drives step generators side by side: each yields requests for SVDs,
+values-only SVDs, norms or the Haar unitaries of Gaussian blocks, and one
+round's requests of one kind, shape and dtype go to the per-call kernel
+of that kind (``_svd_call``, ``_singular_values_call``, ``_norm2_call``,
+``_haar_call``) in stacks of at most max(1, _STACK_ENTRIES // (rows *
+cols)) matrices.  So independent problems, the trials of a verifier run
+and the draws of its generators among them, share LAPACK calls (batched
+dense linear algebra) and no factorization: LAPACK factors each matrix of
+a stack alone, so a stacked result has the bits of the single-matrix
+call.  What a stack saves is numpy's per-call cost, which at dim 8 is
+about that of the factorization, and the SVD kinds check their input for
+non-finite entries once per call, not per matrix.  ``svd``,
+``singular_values`` and ``norm2`` run the same kernels on a stack of one,
+so each SVD kind has one LAPACK call site; they validate one matrix, and
+a 3-D array raises InvalidDimension.  ``classify``,
+``harness.psd_dominates`` and ``harness.gen_matrix`` drive their steps
+alone.  ``eigenvalues``, ``hermitian_eig`` and ``norm2_at_most`` stay one
+matrix per call.
 
 ``norm2`` is the package's only spectral norm: it reads sigma_1 from the
 singular-value-only kernel, the same routine and the same bits as
@@ -68,7 +65,6 @@ returned array aliases an input.  Values are safe to share across threads.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -221,22 +217,10 @@ def svd(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> SvdFactorization:
 
     Validates as as_matrix.  The zero matrix yields numerical_rank 0 (empty
     range basis).  Raises ConvergenceFailure if the underlying iteration
-    does not converge.  Runs the LAPACK call of ``svd_stack`` on a stack of
-    one.
+    does not converge.  Runs the kernel of ``_lockstep``'s "svd" requests
+    on a stack of one.
     """
     return _svd_call(as_matrix(matrix)[None], tol)[0]
-
-
-def svd_stack(matrices, tol: ToleranceConfig = DEFAULT_TOL):
-    """An iterator over the ``svd`` of each matrix of an iterable, in order.
-
-    The matrices are 2-D float64 or complex128 arrays of one shape and
-    dtype that the caller built, as for ``norm2_stack``; a non-finite entry
-    raises ValueError, as in as_matrix, checked once per LAPACK call's
-    stack (``_per_call``).  Each matrix is factored alone, so it gets the
-    bits of its own ``svd``.
-    """
-    return _per_call(lambda stack: _svd_call(_require_finite(stack), tol), matrices)
 
 
 def _svd_call(stack: np.ndarray, tol: ToleranceConfig) -> list[SvdFactorization]:
@@ -264,23 +248,18 @@ def singular_values(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndar
     ``models``.  Any other input takes that kernel (dqds), which costs about
     half the full one and does not perturb the values the way the vector
     route does.  Validates as as_matrix; raises ConvergenceFailure if the
-    iteration does not converge.  Runs the LAPACK call of
-    ``singular_values_stack`` on a stack of one.
+    iteration does not converge.  Runs the kernel of ``_lockstep``'s
+    "values" requests on a stack of one.
     """
     return _singular_values_call(as_matrix(matrix)[None], tol)[0]
 
 
-def singular_values_stack(matrices, tol: ToleranceConfig = DEFAULT_TOL):
-    """An iterator over the ``singular_values`` of each matrix of an iterable, as ``svd_stack``.
-
-    Each matrix takes the diagonal route or not on its own; the others of
-    one call's worth go to LAPACK together.
-    """
-    return _per_call(lambda stack: _singular_values_call(_require_finite(stack), tol), matrices)
-
-
 def _singular_values_call(stack: np.ndarray, tol: ToleranceConfig) -> list[tuple[np.ndarray, int]]:
-    """The ``singular_values`` of each matrix of a stack, by at most one LAPACK call."""
+    """The ``singular_values`` of each matrix of a stack, by at most one LAPACK call.
+
+    Each matrix takes the diagonal route or not on its own; the others go
+    to LAPACK together.
+    """
     diagonal = [_is_diagonal(m) for m in stack]
     if any(diagonal):
         dense = [not d for d in diagonal]
@@ -295,54 +274,36 @@ def _singular_values_call(stack: np.ndarray, tol: ToleranceConfig) -> list[tuple
 
 
 # One LAPACK call takes at most max(1, _STACK_ENTRIES // (rows * cols))
-# matrices (``_per_call``): a whole window at dim 8, one matrix at dim 256.
+# matrices (``_lockstep``): a whole window at dim 8, one matrix at dim 256.
 # A run of ``harness`` draws its trials in chunks of the same bound.
 _STACK_ENTRIES = 2**16
-
-
-def _per_call(kernel, matrices):
-    """Yield ``kernel``'s result for each of the 2-D arrays ``matrices``, in order.
-
-    ``kernel`` takes one LAPACK call's worth of them as a 3-D stack: at most
-    max(1, _STACK_ENTRIES // (rows * cols)) consecutive arrays.  Every
-    array must have the shape and dtype of the first: a stack that mixed
-    real and complex matrices would promote the real ones to the complex
-    kernel and change their bits.  Neither a call's arrays nor a result
-    once yielded are held here when the next arrays are read, so a caller
-    that passes a generator holds one call's worth of them at a time.
-    """
-    it = iter(matrices)
-    key = None
-    for first in it:
-        key = key or (first.shape, first.dtype)
-        rows, cols = key[0]
-        chunk = [first, *itertools.islice(it, max(1, _STACK_ENTRIES // (rows * cols)) - 1)]
-        del first
-        if any((m.shape, m.dtype) != key for m in chunk):
-            raise DimensionMismatch("a stack takes matrices of one shape and dtype")
-        stack = np.array(chunk)
-        del chunk
-        results = kernel(stack)[::-1]
-        del stack
-        while results:
-            yield results.pop()
 
 
 def _lockstep(steps, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     """Run step generators side by side; return what each returns, in order.
 
-    A step generator yields requests ``(kind, matrices)``: kind "svd",
-    "values" or "norm" and a tuple of 2-D arrays, and is sent the list of
-    their ``svd``, ``singular_values`` or ``norm2`` results, in order.
-    Each round advances every unfinished generator, in order, to its next
-    request, then answers all the round's matrices of one kind, shape and
-    dtype by one stacked call (``svd_stack``, ``singular_values_stack``,
-    ``norm2_stack``), so the stack cap, the finiteness check once per
-    LAPACK call and the split of real from complex matrices all hold.
-    LAPACK factors each matrix of a stack alone, so a generator gets the
-    bits it gets when driven alone; one generator driven alone is the
+    A step generator yields requests ``(kind, matrices)`` and is sent the
+    list of their results, in order.  Kind "svd", "values" or "norm" takes
+    2-D arrays and answers with their ``svd``, ``singular_values`` or
+    ``norm2``; kind "haar" takes the (re, im) parts, (2, n, n), of Gaussian
+    blocks and answers with their Haar unitaries (``_haar_call``).  Each
+    round advances every unfinished generator, in order, to its next
+    request, then hands all the round's matrices of one kind, shape and
+    dtype to the kernel of that kind, in calls of at most max(1,
+    _STACK_ENTRIES // (rows * cols)) of them, rows x cols being the matrix
+    that LAPACK factors.  Real and complex matrices never share a call,
+    which would move the real ones to the complex kernel and change their
+    bits.  LAPACK factors each matrix of a stack alone, so a generator gets
+    the bits it gets when driven alone; one generator driven alone is the
     one-element case.
     """
+    # Looked up at each run, so that a test can patch a kernel.
+    kernels = {
+        "svd": lambda stack: _svd_call(_require_finite(stack), tol),
+        "values": lambda stack: _singular_values_call(_require_finite(stack), tol),
+        "norm": _norm2_call,
+        "haar": _haar_call,
+    }
     steps = list(steps)
     returns = [None] * len(steps)
     answers = dict.fromkeys(range(len(steps)))
@@ -355,21 +316,21 @@ def _lockstep(steps, tol: ToleranceConfig = DEFAULT_TOL) -> list:
                 returns[i] = stop.value
         groups: dict[tuple, list] = {}
         for i, (kind, matrices) in requests.items():
+            if kind not in kernels:
+                raise ValueError(f"unknown request kind {kind!r}")
             for j, m in enumerate(matrices):
                 groups.setdefault((kind, m.shape, m.dtype), []).append((i, j))
         answers = {i: [None] * len(matrices) for i, (_, matrices) in requests.items()}
-        for (kind, _, _), slots in groups.items():
-            matrices = (requests[i][1][j] for i, j in slots)
-            if kind == "svd":
-                results = svd_stack(matrices, tol)
-            elif kind == "values":
-                results = singular_values_stack(matrices, tol)
-            elif kind == "norm":
-                results = norm2_stack(matrices)
-            else:
-                raise ValueError(f"unknown request kind {kind!r}")
-            for (i, j), result in zip(slots, results):
-                answers[i][j] = result
+        for (kind, shape, _), slots in groups.items():
+            per_call = max(1, _STACK_ENTRIES // math.prod(shape[-2:]))
+            for start in range(0, len(slots), per_call):
+                call = slots[start : start + per_call]
+                # No local holds a call's stack or results into the next
+                # round, where a generator may drop them.
+                results = kernels[kind](np.array([requests[i][1][j] for i, j in call]))
+                for (i, j), result in zip(call, results):
+                    answers[i][j] = result
+                del results
     return returns
 
 
@@ -477,18 +438,10 @@ def norm2(x: np.ndarray) -> float:
     np.linalg.norm(x, 2), which runs the same kernel.  Raises
     ConvergenceFailure if the iteration does not converge, as on an array
     that holds NaN, or if sigma_1 is not finite, as on one that holds inf:
-    a norm is never NaN or inf.  Runs the LAPACK call of ``norm2_stack`` on
-    a stack of one.
+    a norm is never NaN or inf.  Runs the kernel of ``_lockstep``'s "norm"
+    requests on a stack of one.
     """
     return _norm2_call(np.asarray(x)[None])[0]
-
-
-def norm2_stack(xs):
-    """An iterator over the ``norm2`` of each array of an iterable of one shape and dtype.
-
-    No validation, as norm2; LAPACK takes them as in ``svd_stack``.
-    """
-    return _per_call(_norm2_call, xs)
 
 
 def _norm2_call(stack: np.ndarray) -> list[float]:
@@ -497,6 +450,22 @@ def _norm2_call(stack: np.ndarray) -> list[float]:
     if not all(map(math.isfinite, norms)):
         raise ConvergenceFailure(f"SVD gave a non-finite norm for shape {stack.shape[1:]}")
     return norms
+
+
+def _haar_call(stack: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a stack of Gaussian blocks' (re, im) parts, by one QR call.
+
+    Each block, (2, n, n), stands for the standard complex Gaussian matrix
+    (re + 1j im) / sqrt 2, and each Q takes the phases of its R's diagonal
+    (Mezzadri, Notices AMS 54, 2007); an exact zero on that diagonal takes
+    phase 1.  LAPACK factors each block of the stack on its own, so a
+    block's unitary has the same bits in every stack.
+    """
+    q, r = np.linalg.qr((stack[:, 0] + 1j * stack[:, 1]) / np.sqrt(2.0))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    mag = np.abs(d)
+    phases = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
+    return q * phases.conj()[..., None, :]
 
 
 def operator_norm(matrix) -> float:

@@ -33,34 +33,37 @@ never a projector gap against eq_atol.  By design, the routes that thm2.1
 and thm2.13 compare stay independent.  Scales are exact spectral norms; a
 verifier that holds a matrix's factorization reads sigma_1 from it.
 
-Trials run in lockstep.  Each verifier body is a step generator: where
-it needs factorizations or norms it yields one request, a kind ("svd",
-"values" or "norm") and a tuple of the matrices that do not depend on
-each other's results, such as thm2.13's |T| with its six powers or the
-two norms of thm2.19, and it is sent their results in order.  The runner
+Trials run in lockstep.  Each verifier body is a step generator: where it
+needs factorizations or norms it yields one request, a kind ("svd",
+"values" or "norm") and a tuple of the matrices that do not depend on each
+other's results, such as thm2.13's |T| with its six powers or the two
+norms of thm2.19, and it is sent their results in order.  The runner
 drives a group of consecutive trials through ``core._lockstep``, which
-answers all the requests of one round with one stacked LAPACK call per
-kind, shape and dtype, and folds the trials' outcomes in t order.
-LAPACK factors each matrix of a stack alone, so stacking across trials
-shares no factorization and moves no bit.  A group holds as many trials
-as thm1.5's windows fill ``core._STACK_ENTRIES`` entries, and at least
-one (``_lockstep_group``): 20 at dim 8, one from dim 32 on.  Per-trial
-diagnostics travel on the trial (``_Trial.details``), and the runner
-keeps each key's value from the lowest t.  ``require_runnable`` checks a
-run before its first trial, so a run that cannot finish fails before any
-work.
+answers a round's requests of one kind, shape and dtype with one stacked
+LAPACK call per ``core._STACK_ENTRIES`` entries, and folds the trials'
+outcomes in t order.  LAPACK factors each matrix of a stack alone, so
+stacking across trials shares no factorization and moves no bit.  A group
+holds as many trials as thm1.5's windows fill ``core._STACK_ENTRIES``
+entries, and at least one (``_lockstep_group``): 20 at dim 8, one from dim
+32 on.  Per-trial diagnostics travel on the trial (``_Trial.details``),
+and the runner keeps each key's value from the lowest t.
+``require_runnable`` checks a run before its first trial, so a run that
+cannot finish fails before any work.
 
 Generators draw, then build, and verifiers decide.  Each family of the
 generator table, ``_GENERATORS``, is split at its QR factorizations: its
 ``draw`` takes every random number of one instance, in a fixed order, with
 the complex Gaussian blocks of its Haar unitaries among them, and its
 ``build`` makes the instance from those unitaries and draws nothing.  A
-run draws a chunk of consecutive trials first, each from its own rng, then
-turns all Gaussian blocks of one size into Haar unitaries with one stacked
-QR (``_haar_unitaries``), and builds.  A QR draws nothing and LAPACK
-factors each block of a stack alone, so every instance has the bits it
-has when drawn alone.  A draw takes the real and imaginary parts of a
-Gaussian block at once, and ``_build`` makes the complex blocks of a
+trial's ``_draw`` is a step generator: it draws its instances from the
+trial's rng, yields all their Gaussian blocks as one "haar" request, and
+builds them from the Haar unitaries it is sent.  A run drives the draws of
+a chunk of consecutive trials through ``core._lockstep``, which turns the
+chunk's Gaussian blocks of one size into Haar unitaries with one stacked
+QR per ``core._STACK_ENTRIES`` entries of blocks.  A QR draws nothing and
+LAPACK factors each block of a stack alone, so every instance has the bits
+it has when drawn alone.  A draw takes the real and imaginary parts of a
+Gaussian block at once, and the QR kernel makes the complex blocks of a
 whole stack in one step.  A chunk holds as many trials as there are dim x
 dim blocks in ``core._STACK_ENTRIES`` complex entries, and at least one,
 and its Gaussian blocks are dropped before its trials run.
@@ -75,16 +78,16 @@ a counterexample that carries its matrix.  thm2.5's non-commuting control
 S is likewise one Gaussian draw, untested: the verdict decides whether it
 commutes with T+.
 
-Every generated matrix passes through the table.  ``gen_matrix`` draws
-its three one-matrix families, ep, non_ep and normal_ep, by the same path
-with one rng.  The fourth family is thm2.12's aligned pair: two invertible
-blocks conjugated by one shared unitary, which the pair needs for its
-ranges and null spaces to align.  A verifier that needs a window builds
-it from its draws (thm1.5 scales one).  A test that needs a faulty
-generator patches an entry of that table for its own run
-(``monkeypatch.setitem``); the package itself never mutates module-level
-state, so everything a run depends on travels in its arguments and its
-``_Ctx``.
+Every generated matrix passes through the table.  ``gen_matrix`` draws its
+three one-matrix families, ep, non_ep and normal_ep, by the same path with
+one rng, driving one ``_draw`` alone.  The fourth family is thm2.12's
+aligned pair: two invertible blocks conjugated by one shared unitary,
+which the pair needs for its ranges and null spaces to align.  A verifier
+that needs a window builds it from its draws (thm1.5 scales one).  A test
+that needs a faulty generator patches an entry of that table for its own
+run (``monkeypatch.setitem``); the package itself never mutates
+module-level state, so everything a run depends on travels in its
+arguments and its ``_Ctx``.
 """
 
 from __future__ import annotations
@@ -186,29 +189,9 @@ class TheoremVerdict:
 def _gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
     """The real and imaginary parts, (2, n, n), of the Gaussian block behind one Haar unitary.
 
-    ``_complex_gaussians`` makes the block.
+    A "haar" request of ``core._lockstep`` turns it into the unitary.
     """
     return rng.standard_normal((2, n, n))
-
-
-def _complex_gaussians(parts: np.ndarray) -> np.ndarray:
-    """Standard complex Gaussian blocks (re + 1j im) / sqrt 2 from a stack of (re, im) parts."""
-    return (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
-
-
-def _haar_unitaries(z: np.ndarray) -> np.ndarray:
-    """Haar unitaries from a stack of Gaussian blocks, by one QR of the whole stack.
-
-    Each Q takes the phases of its R's diagonal (Mezzadri, Notices AMS 54,
-    2007); an exact zero on that diagonal takes phase 1.  LAPACK factors
-    each block of the stack on its own, so a block's unitary has the same
-    bits in every stack.
-    """
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    mag = np.abs(d)
-    phases = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
-    return q * phases.conj()[..., None, :]
 
 
 def _draw_invertible(rng: np.random.Generator, n: int, condition_bound: float):
@@ -337,38 +320,24 @@ _GENERATORS = {
 _MATRIX_FAMILIES = ("ep", "non_ep", "normal_ep")
 
 
-def _draw(spec: GeneratorSpec, rng: np.random.Generator, plan) -> list:
-    """One trial's draws, ``(family, params, blocks)`` for each ``(family, cond)`` of ``plan``.
+def _draw(spec: GeneratorSpec, rng: np.random.Generator, plan):
+    """One trial's ``(family, instance)`` pairs, one for each ``(family, cond)`` of ``plan``, as steps.
 
-    non_ep is drawn at the control rank, and ``cond``, when not None, caps
-    the spec's condition bound.
+    Draws every instance, yields all their Gaussian blocks as one "haar"
+    request, and builds each instance from its unitaries.  non_ep is drawn
+    at the control rank, and ``cond``, when not None, caps the spec's
+    condition bound.
     """
     drawn = []
     for family, cond in plan:
         rank = min(max(spec.rank, 1), spec.dim - 1) if family == "non_ep" else spec.rank
         c = spec.condition_bound if cond is None else min(cond, spec.condition_bound)
         drawn.append((family, *_GENERATORS[family].draw(rng, spec.dim, rank, c)))
-    return drawn
-
-
-def _build(trials: list) -> list:
-    """Each trial's ``(family, instance)`` pairs from its draws; one QR per block size."""
-    stacks: dict[int, list] = {}
-    for drawn in trials:
-        for _, _, blocks in drawn:
-            for z in blocks:
-                stacks.setdefault(z.shape[-1], []).append(z)
-    unitaries = {
-        n: iter(_haar_unitaries(_complex_gaussians(np.stack(zs)))) for n, zs in stacks.items()
-    }
-    return [
-        tuple(
-            (family, _GENERATORS[family].build(
-                params, [next(unitaries[z.shape[-1]]) for z in blocks]))
-            for family, params, blocks in drawn
-        )
-        for drawn in trials
-    ]
+    unitaries = iter((yield "haar", tuple(z for _, _, blocks in drawn for z in blocks)))
+    return tuple(
+        (family, _GENERATORS[family].build(params, [next(unitaries) for _ in blocks]))
+        for family, params, blocks in drawn
+    )
 
 
 @dataclass(frozen=True)
@@ -388,21 +357,17 @@ def _generated_trials(spec: GeneratorSpec, salt: int, trials: int, plan):
     """Yield the ``_Drawn`` of each trial t in range(trials), in order.
 
     Trial t draws ``plan(t)`` from ``default_rng([seed, salt, t])``, and its
-    rng comes back past those draws.  A chunk of max(1, _STACK_ENTRIES //
-    dim^2) consecutive trials is drawn first and built together; no block
-    is larger than dim x dim.
+    rng comes back past those draws.  The ``_draw`` steps of a chunk of
+    max(1, _STACK_ENTRIES // dim^2) consecutive trials run in lockstep, so
+    their Gaussian blocks of one size share QR calls; no block is larger
+    than dim x dim.  The blocks are dropped before the bodies run: at dim
+    256 they would add about 5 MB to a run's peak memory.
     """
     per_chunk = max(1, _STACK_ENTRIES // spec.dim**2)
     for start in range(0, trials, per_chunk):
         ts = range(start, min(start + per_chunk, trials))
-        rngs, draws = [], []
-        for t in ts:
-            rngs.append(np.random.default_rng([spec.seed, salt, t]))
-            draws.append(_draw(spec, rngs[-1], plan(t)))
-        built = _build(draws)
-        # Drop the Gaussian blocks before the bodies run: at dim 256 they
-        # would add about 5 MB to a run's peak memory.
-        del draws
+        rngs = [np.random.default_rng([spec.seed, salt, t]) for t in ts]
+        built = _lockstep(_draw(spec, rng, plan(t)) for t, rng in zip(ts, rngs))
         for t, rng, instances in zip(ts, rngs, built):
             yield _Drawn(t, rng, instances)
 
@@ -424,7 +389,7 @@ def gen_matrix(family: str, spec: GeneratorSpec) -> np.ndarray:
             "matrix has equal range and adjoint range"
         )
     rng = np.random.default_rng([spec.seed, 0xA5])
-    ((_, matrix),) = _build([_draw(spec, rng, ((family, None),))])[0]
+    ((_, matrix),) = _lockstep([_draw(spec, rng, ((family, None),))])[0]
     return matrix
 
 

@@ -36,7 +36,8 @@ def svd_calls(monkeypatch):
     ``svd_calls["inv_matrices"]`` counts the matrices np.linalg.inv inverts
     and ``svd_calls["eigvals"]`` the np.linalg.eigvals calls.
     ``svd_calls["qr"]`` counts np.linalg.qr calls and ``svd_calls["qr_matrices"]``
-    the matrices in them: the generators hand qr a stack of Gaussian blocks.
+    the matrices in them: ``core`` hands qr a stack of the generators'
+    Gaussian blocks per call.
     ``svd_calls.clear()`` starts a fresh count.  inv and eigvals assert
     that they get one matrix: epkit hands those kernels no stacks.
     """

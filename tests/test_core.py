@@ -202,80 +202,6 @@ def mixed_stack(rng, dim, count, dtype):
     return out
 
 
-class TestStackedKernels:
-    """A stacked kernel gives each matrix the bits of its single-matrix call.
-
-    LAPACK factors each matrix of a stack alone, so stacking moves no bit.
-    A stack that crosses the cap of one call is split into calls of at most
-    max(1, _STACK_ENTRIES // (rows * cols)) matrices; the cap is lowered
-    here so that every dim crosses it cheaply, and kept at dim 33.
-    """
-
-    @pytest.mark.parametrize("dim", [1, 2, 8, 33])
-    @pytest.mark.parametrize("dtype", [float, complex])
-    @pytest.mark.parametrize("cap", [4, None])
-    def test_every_result_has_the_bits_of_its_single_call(
-        self, rng, svd_calls, monkeypatch, dim, dtype, cap
-    ):
-        if cap is not None:
-            monkeypatch.setattr(core, "_STACK_ENTRIES", cap * dim * dim)
-        per_call = max(1, core._STACK_ENTRIES // dim**2)
-        count = 10 if cap is not None else (per_call + 1 if dim == 33 else 7)
-        ms = mixed_stack(rng, dim, count, dtype)
-        svd_calls.clear()
-        facts = list(core.svd_stack(ms))
-        pairs = list(core.singular_values_stack(ms))
-        norms = list(core.norm2_stack(ms))
-        calls = -(-count // per_call)
-        dense = sum(not core._is_diagonal(m) for m in ms)  # none at dim 1
-        assert svd_calls["full"] == count and svd_calls["values"] == count + dense
-        assert svd_calls["svd"] <= 3 * calls
-        for m, fact, (s, rank), norm in zip(ms, facts, pairs, norms, strict=True):
-            one = core.svd(m)
-            assert same_bits(fact.left_vectors, one.left_vectors)
-            assert same_bits(fact.singular_values, one.singular_values)
-            assert same_bits(fact.right_vectors, one.right_vectors)
-            assert type(fact.numerical_rank) is int and fact.numerical_rank == one.numerical_rank
-            one_s, one_rank = singular_values(m)
-            assert same_bits(s, one_s) and type(rank) is int and rank == one_rank
-            assert type(norm) is float and norm == norm2(m) == np.linalg.norm(m, 2)
-
-    def test_a_stack_is_split_at_the_cap(self, rng, svd_calls):
-        # 2^16 // 33^2 = 60 matrices a call.
-        ms = mixed_stack(rng, 33, 121, complex)
-        svd_calls.clear()
-        assert len(list(core.norm2_stack(ms))) == 121
-        assert svd_calls["svd"] == 3 and svd_calls["values"] == 121
-
-    def test_at_dim_256_each_lapack_call_gets_one_matrix(self, rng, svd_calls):
-        ms = [rng.standard_normal((256, 256)) for _ in range(2)]
-        svd_calls.clear()
-        list(core.svd_stack(ms))
-        assert svd_calls["svd"] == svd_calls["full"] == 2
-        svd_calls.clear()
-        list(core.norm2_stack(ms))
-        assert svd_calls["svd"] == svd_calls["values"] == 2
-
-    def test_a_stack_holding_one_nan_matrix_is_a_convergence_failure(self):
-        ms = [np.eye(3), np.full((3, 3), np.nan), 2.0 * np.eye(3)]
-        with pytest.raises(ConvergenceFailure):
-            list(core.norm2_stack(ms))
-
-    @pytest.mark.parametrize("second", [np.eye(3, dtype=complex), np.eye(4)])
-    def test_a_stack_takes_one_shape_and_dtype(self, second):
-        # Stacking a real matrix with a complex one would move it to the
-        # complex kernel and change its bits.
-        with pytest.raises(DimensionMismatch, match="one shape and dtype"):
-            list(core.norm2_stack([np.eye(3), second]))
-
-    @pytest.mark.parametrize("kernel", [core.svd_stack, core.singular_values_stack])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_a_non_finite_entry_raises_as_in_as_matrix(self, kernel, bad):
-        # Checked once per stack, with as_matrix's error; a diagonal one too.
-        with pytest.raises(ValueError, match="finite"):
-            list(kernel([np.eye(2), np.diag([bad, 1.0])]))
-
-
 def request_steps(requests):
     """A step generator that yields each ``(kind, matrices)`` of ``requests``; returns what it got."""
     received = []
@@ -294,14 +220,18 @@ def same_result(a, b) -> bool:
         return (same_bits(a.left_vectors, b.left_vectors)
                 and same_bits(a.singular_values, b.singular_values)
                 and same_bits(a.right_vectors, b.right_vectors)
-                and a.numerical_rank == b.numerical_rank)
+                and type(a.numerical_rank) is int and a.numerical_rank == b.numerical_rank)
     if isinstance(a, tuple):
         return same_bits(a[0], b[0]) and type(a[1]) is int and a[1] == b[1]
     return type(a) is float and a == b
 
 
 class TestLockstep:
-    """``core._lockstep`` answers a round with one stacked call per kind, shape and dtype."""
+    """``core._lockstep`` answers a round with one stacked call per kind, shape and dtype.
+
+    LAPACK factors each matrix of a stack alone, so stacking moves no bit:
+    every result has the bits of its single-matrix call.
+    """
 
     def test_every_result_has_the_bits_of_its_single_call(self, rng, svd_calls):
         def square(dim, count, dtype):
@@ -338,12 +268,73 @@ class TestLockstep:
         assert all(same_result(f, core.svd(m)) for f, m in zip(facts, ms))
         assert norms == [norm2(m) for m in ms]
 
+    @pytest.mark.parametrize("dim", [1, 2, 8, 33])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("cap", [4, None])
+    def test_a_request_cut_at_the_cap_keeps_the_bits_of_each_single_call(
+        self, rng, svd_calls, monkeypatch, dim, dtype, cap
+    ):
+        # A group that crosses the cap of one call is split into calls of at
+        # most max(1, _STACK_ENTRIES // (rows * cols)) matrices; the cap is
+        # lowered here so that every dim crosses it cheaply, and kept at dim 33.
+        if cap is not None:
+            monkeypatch.setattr(core, "_STACK_ENTRIES", cap * dim * dim)
+        per_call = max(1, core._STACK_ENTRIES // dim**2)
+        count = 10 if cap is not None else (per_call + 1 if dim == 33 else 7)
+        ms = tuple(mixed_stack(rng, dim, count, dtype))
+        svd_calls.clear()
+        ((facts, pairs, norms),) = core._lockstep(
+            [request_steps([("svd", ms), ("values", ms), ("norm", ms)])]
+        )
+        calls = -(-count // per_call)
+        dense = sum(not core._is_diagonal(m) for m in ms)  # none at dim 1
+        assert svd_calls["full"] == count and svd_calls["values"] == count + dense
+        assert svd_calls["svd"] <= 3 * calls
+        for m, fact, pair, norm in zip(ms, facts, pairs, norms, strict=True):
+            assert same_result(fact, core.svd(m))
+            assert same_result(pair, singular_values(m))
+            assert same_result(norm, norm2(m)) and norm == np.linalg.norm(m, 2)
+
+    def test_a_request_past_the_default_cap_is_split(self, rng, svd_calls):
+        # 2^16 // 33^2 = 60 matrices a call.
+        ms = tuple(mixed_stack(rng, 33, 121, complex))
+        svd_calls.clear()
+        ((norms,),) = core._lockstep([request_steps([("norm", ms)])])
+        assert len(norms) == 121
+        assert svd_calls["svd"] == 3 and svd_calls["values"] == 121
+
+    def test_at_dim_256_each_lapack_call_gets_one_matrix(self, rng, svd_calls):
+        ms = tuple(rng.standard_normal((256, 256)) for _ in range(2))
+        svd_calls.clear()
+        core._lockstep([request_steps([("svd", ms)])])
+        assert svd_calls["svd"] == svd_calls["full"] == 2
+        svd_calls.clear()
+        core._lockstep([request_steps([("norm", ms)])])
+        assert svd_calls["svd"] == svd_calls["values"] == 2
+
     def test_a_group_is_split_at_the_stack_cap(self, rng, svd_calls, monkeypatch):
         monkeypatch.setattr(core, "_STACK_ENTRIES", 3 * 4 * 4)
         ms = mixed_stack(rng, 4, 4, complex)
         svd_calls.clear()
         core._lockstep([request_steps([("norm", ms[:2])]), request_steps([("norm", ms[2:])])])
         assert svd_calls["svd"] == 2 and svd_calls["values"] == 4
+
+    def test_a_nan_matrix_in_a_norm_request_is_a_convergence_failure(self):
+        ms = (np.eye(3), np.full((3, 3), np.nan), 2.0 * np.eye(3))
+        with pytest.raises(ConvergenceFailure):
+            core._lockstep([request_steps([("norm", ms)])])
+
+    @pytest.mark.parametrize("kind", ["svd", "values"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_entry_raises_as_in_as_matrix(self, kind, bad):
+        # Checked once per call, with as_matrix's error; a diagonal one too.
+        with pytest.raises(ValueError, match="finite"):
+            core._lockstep([request_steps([(kind, (np.eye(2), np.diag([bad, 1.0])))])])
+
+    def test_an_unknown_request_kind_raises(self):
+        with pytest.raises(ValueError, match="unknown request kind 'qr'"):
+            core._lockstep([request_steps([("norm", (np.eye(2),))]),
+                            request_steps([("qr", (np.eye(2),))])])
 
     def test_a_non_finite_matrix_raises(self):
         steps = [request_steps([("norm", (np.eye(2),))]),

@@ -32,7 +32,7 @@ from epkit import (
 )
 from epkit import core
 from epkit.cli import main
-from epkit.core import ToleranceConfig
+from epkit.core import ToleranceConfig, _lockstep
 from epkit.models import diagonal_entries
 
 
@@ -137,7 +137,7 @@ def test_generators_factor_nothing(svd_calls, dim, family):
     low, high = {"non_ep": (1, dim - 1), "aligned_ep_pair": (1, dim)}.get(family, (0, dim))
     for rank in range(low, high + 1):
         spec = GeneratorSpec(dim=dim, rank=rank, seed=1)
-        harness._build([harness._draw(spec, np.random.default_rng(1), ((family, None),))])
+        _lockstep([harness._draw(spec, np.random.default_rng(1), ((family, None),))])
     assert svd_calls["full"] == svd_calls["values"] == 0
     assert svd_calls["inv_matrices"] == svd_calls["eigvals"] == 0
 

@@ -194,7 +194,7 @@ class TestGenMatrix:
                 for rotate in (False, True) if rank else ():
                     base_spec = GeneratorSpec(dim=dim, rank=rank, seed=seed)
                     rng = np.random.default_rng([seed, 0xA5])
-                    ((_, base),) = harness._build([harness._draw(base_spec, rng, (("ep", None),))])[0]
+                    ((_, base),) = _lockstep([harness._draw(base_spec, rng, (("ep", None),))])[0]
                     ((term, limit),) = _lockstep([harness._membership_term(rng, base, rotate)], tol)
                     fact = svd(term, tol)
                     assert range_corange_test(fact, tol)
@@ -227,7 +227,7 @@ class TestBatchedGeneration:
         for rank in family_ranks(family, dim):
             spec = GeneratorSpec(dim=dim, rank=rank, condition_bound=cond, seed=3)
             rngs = [np.random.default_rng([3, rank, t]) for t in range(4)]
-            chunk = harness._build([harness._draw(spec, rng, ((family, None),)) for rng in rngs])
+            chunk = _lockstep([harness._draw(spec, rng, ((family, None),)) for rng in rngs])
             for t, (rng, instances) in enumerate(zip(rngs, chunk)):
                 ref_rng = np.random.default_rng([3, rank, t])
                 ref = oracles.GENERATORS[family](ref_rng, dim, rank, cond)
@@ -256,12 +256,15 @@ class TestBatchedGeneration:
 
     def test_a_run_past_the_stack_bound_spans_chunks(self, svd_calls):
         # At dim 32 a chunk is 2^16 / 32^2 = 64 trials, each of whose ep
-        # draws stacks two blocks of size 31 and one of size 32.
+        # draws stacks two blocks of size 31 and one of size 32.  One QR
+        # call takes at most 2^16 / 31^2 = 68 blocks of size 31, so the
+        # first chunk's 128 take two calls and its 64 of size 32 one; the
+        # second chunk's three trials take one call per size.
         spec = GeneratorSpec(dim=32, rank=31, seed=2)
         trials = harness._STACK_ENTRIES // 32**2 + 3
         drawn = list(harness._generated_trials(spec, 0, trials, lambda t: (("ep", None),)))
         assert [d.t for d in drawn] == list(range(trials))
-        assert svd_calls["qr"] == 2 * 2
+        assert svd_calls["qr"] == 3 + 2
         assert svd_calls["qr_matrices"] == 3 * trials
         for d in drawn:
             ref = oracles.gen_ep(np.random.default_rng([2, 0, d.t]), 32, 31, 100.0)
@@ -269,26 +272,35 @@ class TestBatchedGeneration:
 
     def test_at_dim_256_each_trial_is_drawn_alone(self, svd_calls):
         # A block of size 256 fills the bound, so each trial is a chunk of
-        # its own: one call for its four 1 x 1 blocks and one for its two
-        # of size 256.
+        # its own, and each QR call of size 256 takes one block: one call
+        # for its four 1 x 1 blocks and one for each of its two of size 256.
         spec = GeneratorSpec(dim=256, rank=1, seed=2)
         drawn = harness._generated_trials(spec, 0, 2, lambda t: (("ep", None), ("ep", None)))
         assert len(list(drawn)) == 2
-        assert svd_calls["qr"] == 2 * 2
+        assert svd_calls["qr"] == 2 * 3
         assert svd_calls["qr_matrices"] == 2 * 6
 
     def test_a_zero_on_the_diagonal_of_r_takes_phase_one(self):
-        z = oracles.snapped_complex_matrix(np.random.default_rng(5), 4).astype(np.complex128)
-        z[:, 0] = 0.0
-        q, r = np.linalg.qr(z)
+        # A "haar" request of ``core._lockstep`` takes a block's (re, im)
+        # parts and factors (re + 1j im) / sqrt 2.
+        def haar(blocks):
+            return (yield "haar", blocks)
+
+        def parts(seed):
+            z = oracles.snapped_complex_matrix(np.random.default_rng(seed), 4)
+            return np.stack([z.real, z.imag]).astype(np.float64)
+
+        block = parts(5)
+        block[:, :, 0] = 0.0
+        q, r = np.linalg.qr((block[0] + 1j * block[1]) / np.sqrt(2.0))
         assert r[0, 0] == 0.0
-        (u,) = harness._haar_unitaries(z[None])
+        ((u,),) = _lockstep([haar((block,))])
         assert same_bits(u[:, 0].copy(), q[:, 0].copy())
         d = np.diagonal(r)[1:]
         assert same_bits(u[:, 1:].copy(), q[:, 1:] * (d / np.abs(d)).conj())
         # Stacked with another block, it keeps its bits.
-        other = oracles.snapped_complex_matrix(np.random.default_rng(6), 4).astype(np.complex128)
-        assert same_bits(harness._haar_unitaries(np.stack([other, z]))[1], u)
+        ((_, stacked),) = _lockstep([haar((parts(6), block))])
+        assert same_bits(stacked, u)
 
 
 class TestPsdDominates:
@@ -556,21 +568,21 @@ class TestRunTheoremCheck:
         )
 
     @pytest.mark.parametrize("theorem_id, residual_source", [
-        ("thm2.2", "core.norm2_stack"),
+        ("thm2.2", "core._norm2_call"),
         ("thm2.7", "harness._multiset_gap"),
-        ("thm2.13", "core.norm2_stack"),
-        ("thm2.16", "core.norm2_stack"),
+        ("thm2.13", "core._norm2_call"),
+        ("thm2.16", "core._norm2_call"),
     ])
     def test_a_trial_failing_on_its_residual_alone_carries_no_note(
         self, theorem_id, residual_source, tol, monkeypatch
     ):
         # These verifiers note only the boolean claim beside their residual,
         # so a trial whose residual alone fails reports its matrices and no note.
-        # Every norm a trial asks for is answered by ``core.norm2_stack``
+        # Every norm a trial asks for is answered by ``core._norm2_call``
         # through ``core._lockstep``; the fake gives 1.0 for each matrix.
-        module, name = residual_source.split(".")
-        if name == "norm2_stack":
-            fake = lambda matrices, *args: [1.0 for _ in matrices]  # noqa: E731
+        module, name = residual_source.split(".", 1)
+        if name == "_norm2_call":
+            fake = lambda stack: [1.0] * len(stack)  # noqa: E731
         else:
             fake = lambda *args, **kwargs: 1.0  # noqa: E731
         monkeypatch.setattr({"core": core, "harness": harness}[module], name, fake)
@@ -597,8 +609,10 @@ class TestLockstepChangesNothing:
     Each run is repeated with a group of one trial, which factors every
     trial on its own, and with a group of three, which crosses the chunks
     of every run here; its bytes must equal those of the default grouping.
-    Under the corrupted ep family the counterexample, its note and the
-    first failing t are compared too.
+    Nor does a verdict depend on how many matrices one LAPACK call takes:
+    a run repeated under a stack cap of three matrices a call has the same
+    bytes.  Under the corrupted ep family the counterexample, its note and
+    the first failing t are compared too.
     """
 
     @pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "corrupt"])
@@ -614,6 +628,24 @@ class TestLockstepChangesNothing:
                 assert verdict_json(theorem_id, spec, trials, tol) == default
         if corrupt and theorem_id != "thm1.5":
             assert json.loads(default)["failures"] > 0
+
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "corrupt"])
+    @pytest.mark.parametrize("dim, rank, trials", LOCKSTEP_RUNS)
+    @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+    def test_a_lowered_stack_cap_moves_no_byte(self, theorem_id, dim, rank, trials, corrupt,
+                                               tol, monkeypatch, svd_calls):
+        # Three dim x dim matrices a call cut every SVD and QR group of more,
+        # and shrink the draw chunk to three trials and the lockstep group to
+        # one, since ``harness`` sizes both from the cap it imports.
+        spec = GeneratorSpec(dim=dim, rank=rank, seed=5)
+        with golden_corpus.corrupt_ep_generation() if corrupt else contextlib.nullcontext():
+            default = verdict_json(theorem_id, spec, trials, tol)
+            calls = svd_calls["svd"] + svd_calls["qr"]
+            svd_calls.clear()
+            for module in (core, harness):
+                monkeypatch.setattr(module, "_STACK_ENTRIES", 3 * dim * dim)
+            assert verdict_json(theorem_id, spec, trials, tol) == default
+        assert svd_calls["svd"] + svd_calls["qr"] > calls
 
 
 # The fault kind of ``golden_corpus.graded_ep_fault`` each verifier must

@@ -1,14 +1,21 @@
-"""``core`` is the only module that calls LAPACK's SVD or general eigensolver.
+"""``core`` is the only module that calls LAPACK's SVD, general eigensolver or QR.
 
 Every singular value in ``src/epkit`` comes from ``core.svd``,
-``core.singular_values`` or ``core.norm2``, or, for a model row, from
+``core.singular_values`` or ``core.norm2``, or from a request to
+``core._lockstep``, or, for a model row, from
 ``core._diagonal_singular_values`` on the truncation's diagonal vector,
 which calls no LAPACK routine.  Every eigenvalue of a general matrix comes
-from ``core.eigenvalues``.  So none bypasses the diagonal route of
-``singular_values`` or the ``svd_calls`` count of the tests.  An AST walk
-finds every reference to ``np.linalg.svd``, ``np.linalg.eigvals`` and
-``np.linalg.eig``, under any alias, outside ``core.py``.  The Hermitian
+from ``core.eigenvalues``, and every Haar unitary from a "haar" request.
+So none bypasses the diagonal route of ``singular_values`` or the
+``svd_calls`` count of the tests.  An AST walk finds every reference to
+``np.linalg.svd``, ``np.linalg.eigvals``, ``np.linalg.eig`` and
+``np.linalg.qr``, under any alias, outside ``core.py``.  The Hermitian
 solvers (``eigh``, ``eigvalsh``) are not general ones and stay allowed.
+
+Inside ``core``, the per-call kernels that hand LAPACK a stack are named
+only by ``_lockstep``'s table of request kinds and by the one-matrix
+function of each kernel, so ``_lockstep`` is the one code path that
+stacks matrices.
 
 A verifier body in ``harness`` asks ``core._lockstep`` for its SVDs and
 norms by yielding requests; a second walk fails when a ``_check_*`` body,
@@ -24,7 +31,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "epkit").rglob("*.py"))
 KERNEL_MODULE = "core.py"
-KERNELS = {"svd", "eigvals", "eig"}
+KERNELS = {"svd", "eigvals", "eig", "qr"}
 
 
 def lapack_references(source: str) -> list[int]:
@@ -61,13 +68,15 @@ def test_the_kernel_module_calls_it():
 )
 def test_no_other_module_calls_lapack_svd_or_eig(path):
     lines = lapack_references(path.read_text())
-    assert lines == [], f"{path.name} calls np.linalg.svd, eigvals or eig at lines {lines}; use core"
+    assert lines == [], (
+        f"{path.name} calls np.linalg.svd, eigvals, eig or qr at lines {lines}; use core"
+    )
 
 
 def test_core_calls_lapack_svd_on_stacks_only():
     # Two call sites, one with vectors and one for values only.  Each hands
-    # LAPACK the ``stack`` its function takes: ``core._per_call`` cuts
-    # stacks at the cap, and a single matrix is a stack of one.
+    # LAPACK the ``stack`` its function takes: ``core._lockstep`` cuts a
+    # group at the cap, and a single matrix is a stack of one.
     tree = ast.parse((ROOT / "src" / "epkit" / KERNEL_MODULE).read_text())
     sites = [
         (fn, node)
@@ -113,16 +122,69 @@ def test_the_walk_finds_every_spelling():
         "from numpy.linalg import eigh, eig\n"
         "from numpy.linalg import eigvals as spectrum\n"
         "ok = obj.eig(a), obj.eigvals(a)\n"
+        "q, r = np.linalg.qr(z)\n"
+        "from numpy.linalg import qr as factor_qr\n"
+        "ok = obj.qr(a), np.linalg.qrx\n"
     )
-    assert lapack_references(source) == [4, 5, 6, 7, 9, 10, 11, 12, 13]
+    assert lapack_references(source) == [4, 5, 6, 7, 9, 10, 11, 12, 13, 15, 16]
+
+
+# Each per-call kernel of ``core``, with the one-matrix function that may
+# also name it (None for the generators' QR, which has none).
+PER_CALL_KERNELS = {
+    "_svd_call": "svd",
+    "_singular_values_call": "singular_values",
+    "_norm2_call": "norm2",
+    "_haar_call": None,
+}
+
+
+def kernel_references(source: str) -> set[tuple]:
+    """``(owner, kernel)`` for each name, attribute or import of a PER_CALL_KERNELS
+    entry; owner is the top-level function that holds it, or None."""
+    refs = set()
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in PER_CALL_KERNELS:
+                refs.add((owner, name))
+    return refs
+
+
+def test_only_lockstep_and_the_one_matrix_functions_name_a_per_call_kernel():
+    allowed = {("_lockstep", kernel) for kernel in PER_CALL_KERNELS}
+    allowed |= {(single, kernel) for kernel, single in PER_CALL_KERNELS.items() if single}
+    for path in MODULES:
+        refs = kernel_references(path.read_text())
+        if path.name == KERNEL_MODULE:
+            # ``_lockstep``'s table names every kernel.
+            assert refs == allowed
+        else:
+            assert refs == set(), f"{path.name} names a per-call kernel of core: {refs}"
+
+
+def test_the_kernel_walk_finds_every_spelling():
+    source = (
+        "from .core import _norm2_call as norm_call\n"
+        "def _lockstep(steps):\n"
+        "    return {'svd': _svd_call}\n"
+        "def helper(x):\n"
+        "    return core._haar_call(x), _svd_call_like(x)\n"
+        "table = {'norm': _norm2_call}\n"
+    )
+    assert kernel_references(source) == {
+        (None, "_norm2_call"), ("_lockstep", "_svd_call"), ("helper", "_haar_call"),
+    }
 
 
 # What a verifier body asks ``core._lockstep`` for instead of calling: the
-# SVD kernels, one at a time or stacked, and the functions that run one.
+# one-matrix SVD kernels and the functions that run one.
 STEP_KERNELS = {
-    "svd", "svd_stack", "singular_values", "singular_values_stack", "norm2", "norm2_stack",
-    "operator_norm", "pseudoinverse", "polar_decomposition", "projector_gap",
-    "projector_gaps", "classify",
+    "svd", "singular_values", "norm2", "operator_norm", "pseudoinverse",
+    "polar_decomposition", "projector_gap", "projector_gaps", "classify",
 }
 
 
