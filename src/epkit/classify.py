@@ -22,16 +22,16 @@ The inclusion residual of the EP decision and the commutator of
 ``is_normal`` feed only yes/no answers, so ``core.norm2_at_most`` decides
 them from a Frobenius-norm bracket and runs an SVD only when the bracket
 straddles the threshold.  The report's ``commutator_residual`` and
-``range_gap`` are numbers and stay exact spectral norms, taken by one
-stacked norm call.  Normality is decided at unit scale: M is scaled
+``range_gap`` are numbers and stay exact spectral norms, each taken by
+``norm2``.  Normality is decided at unit scale: M is scaled
 exactly by a power of two first, so M and 2^k M get one verdict and no
 product overflows.
 
-``classify`` has a steps form, ``classify_steps``, a generator that asks
-``core._lockstep`` for its SVD and then its two norms: the verifiers that
-classify a matrix per trial run it in lockstep with their other trials,
-so one LAPACK call serves a whole group of trials.  ``classify`` drives
-it alone, as the one-element case.
+No verifier runs ``classify``: each one asks for its matrix's SVD with
+its other trials (see ``harness``) and reads from that factorization only
+the decisions it needs (``range_corange_test``, ``reduced_min_modulus_of``,
+``spectral_radius``), so a trial pays for no normality check and no norm
+that its verdict does not read.
 """
 
 from __future__ import annotations
@@ -44,14 +44,14 @@ from .core import (
     DEFAULT_TOL,
     SvdFactorization,
     ToleranceConfig,
-    _lockstep,
     as_matrix,
+    norm2,
     norm2_at_most,
     require_square,
     svd,
 )
 from .pinv import pseudoinverse_of, reduced_min_modulus_of, spectral_radius
-from .subspace import columns_included, projector
+from .subspace import columns_included, projector_difference
 
 
 @dataclass(frozen=True)
@@ -145,28 +145,13 @@ def classify(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> ClassificationReport
 
     gamma is the smallest singular value above the cutoff (0.0 for the zero
     matrix, with zero_operator set), and the spectral radius comes from the
-    eigenvalue kernel so the two diagnostics stay independent.  Drives
-    ``classify_steps`` alone, the one-element case of ``core._lockstep``.
-    """
-    return _lockstep([classify_steps(matrix, tol)], tol)[0]
-
-
-def classify_steps(matrix, tol: ToleranceConfig = DEFAULT_TOL):
-    """``classify`` as a step generator of ``core._lockstep``: two requests, one report.
-
-    It asks for the SVD of M, then for the norms of the commutator and of
-    the projector gap together, and returns the ``ClassificationReport``;
-    a verifier runs it with ``yield from`` in lockstep with its other trials.
+    eigenvalue kernel so the two diagnostics stay independent.
     """
     m = require_square(as_matrix(matrix))
-    (fact,) = yield "svd", (m,)
+    fact = svd(m, tol)
     mp = pseudoinverse_of(fact)
     r = fact.numerical_rank
     ep = range_corange_test(fact, tol)
-    commutator, gap = yield "norm", (
-        mp @ m - m @ mp,
-        projector(fact.range_vectors()) - projector(fact.carrier_vectors()),
-    )
     return ClassificationReport(
         dim=m.shape[0],
         rank=r,
@@ -175,7 +160,7 @@ def classify_steps(matrix, tol: ToleranceConfig = DEFAULT_TOL):
         is_normal=is_normal(m, tol),
         gamma=reduced_min_modulus_of(fact),
         spectral_radius=spectral_radius(m),
-        commutator_residual=commutator,
-        range_gap=gap,
+        commutator_residual=norm2(mp @ m - m @ mp),
+        range_gap=norm2(projector_difference(fact.range_vectors(), fact.carrier_vectors())),
         zero_operator=r == 0,
     )

@@ -33,10 +33,9 @@ about that of the factorization, and the SVD kinds check their input for
 non-finite entries once per call, not per matrix.  ``svd``,
 ``singular_values`` and ``norm2`` run the same kernels on a stack of one,
 so each SVD kind has one LAPACK call site; they validate one matrix, and
-a 3-D array raises InvalidDimension.  ``classify``,
-``harness.psd_dominates`` and ``harness.gen_matrix`` drive their steps
-alone.  ``eigenvalues``, ``hermitian_eig`` and ``norm2_at_most`` stay one
-matrix per call.
+a 3-D array raises InvalidDimension.  ``harness.gen_matrix`` drives its
+one draw alone.  ``eigenvalues``, ``hermitian_eig`` and ``norm2_at_most``
+stay one matrix per call.
 
 ``norm2`` is the package's only spectral norm: it reads sigma_1 from the
 singular-value-only kernel, the same routine and the same bits as
@@ -47,9 +46,10 @@ A spectral norm that feeds only a yes/no threshold check goes through
 Frobenius norm and runs the SVD only when the bracket straddles the
 threshold; its verdict is the exact one.  Here that is
 ``require_hermitian``, the one Hermitian check (``hermitian_eig`` and
-``harness.psd_dominates`` call it); in ``classify`` the EP and normality
-checks.  Every spectral norm that reaches a report is an exact ``norm2``,
-except a model row's pseudoinverse norm, which ``models.limit_study`` reads
+``harness.psd_dominates`` call it), and the PSD threshold on ||A|| of
+``psd_dominates``; in ``classify`` the EP and normality checks.  Every
+spectral norm that reaches a report is an exact ``norm2``, except a model
+row's pseudoinverse norm, which ``models.limit_study`` reads
 as 1/gamma from the truncation's diagonal vector, with no matrix built.
 
 Validation keeps real matrices real: input whose dtype is real, integer or

@@ -31,7 +31,10 @@ verdict, pseudoinverse, polar factors and subspace bases all come from one
 ``SvdFactorization``, and a yes/no subspace comparison is ``subspace_eq``,
 never a projector gap against eq_atol.  By design, the routes that thm2.1
 and thm2.13 compare stay independent.  Scales are exact spectral norms; a
-verifier that holds a matrix's factorization reads sigma_1 from it.
+verifier that holds a matrix's factorization reads ||T|| as sigma_1 and
+||T+|| as 1 / gamma from it.  No verifier builds a ``classify`` report: it
+reads the EP verdict and gamma from the factorization it holds, and it
+requests only the norms its verdict reads.
 
 Trials run in lockstep.  Each verifier body is a step generator: where it
 needs factorizations or norms it yields one request, a kind ("svd",
@@ -117,7 +120,7 @@ from .core import (
     require_real,
 )
 from .errors import DimensionMismatch, InvalidSpec, UnknownTheorem
-from .classify import classify_steps, range_corange_test
+from .classify import range_corange_test
 from .models import harmonic_truncation
 from .pinv import (
     direct_sum,
@@ -125,9 +128,10 @@ from .pinv import (
     polar_decomposition_of,
     pseudoinverse_of,
     reduced_min_modulus_of,
+    spectral_radius,
 )
 from .serialize import matrix_to_payload
-from .subspace import projector, subspace_eq
+from .subspace import projector_difference, subspace_eq
 
 SEQUENCE_LENGTH = 50
 EP_MEMBERSHIP_DELTA = 0.1
@@ -398,13 +402,10 @@ def psd_dominates(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
     Both arguments must be Hermitian (within eq_atol) and of equal shape.
     This is the finite-dimensional dominance test behind the perturbation
-    hypotheses ||Sx|| <= a ||Tx||.  Drives ``_psd_dominates_steps`` alone.
+    hypotheses ||Sx|| <= a ||Tx||.  ||A|| feeds only the threshold, so
+    ``norm2_at_most`` decides it: the 1 x 1 matrix [min(w_1, 0)], w_1 the
+    least eigenvalue of A - B, has norm -w_1 when w_1 < 0 and 0 otherwise.
     """
-    return _lockstep([_psd_dominates_steps(a, b, tol)], tol)[0]
-
-
-def _psd_dominates_steps(a, b, tol: ToleranceConfig):
-    """``psd_dominates`` as a step generator: one request, for the norm of A."""
     am = as_matrix(a)
     bm = as_matrix(b)
     if am.shape != bm.shape:
@@ -413,9 +414,8 @@ def _psd_dominates_steps(a, b, tol: ToleranceConfig):
     require_hermitian(bm, tol, "second argument")
     diff = am - bm
     diff = (diff + diff.conj().T) / 2.0
-    w = np.linalg.eigvalsh(diff)
-    (norm,) = yield "norm", (am,)
-    return bool(w[0] >= -tol.eq_atol * (1.0 + norm))
+    negative_part = np.array([[min(np.linalg.eigvalsh(diff)[0], 0.0)]])
+    return norm2_at_most(negative_part, lambda norm: tol.eq_atol * (1.0 + norm), am)
 
 
 # ---------------------------------------------------------------------------
@@ -529,24 +529,27 @@ def _has_perfect_matching(allowed: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _projector_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """P_A - P_B, whose norm is the projector gap between the spans of two bases."""
-    return projector(a) - projector(b)
+def _pinv_norm(gamma: float) -> float:
+    """||T+|| = 1 / gamma(T), read from a factorization of T; 0.0 when gamma is 0 (T = 0)."""
+    return 1.0 / gamma if gamma > 0 else 0.0
 
 
 def _check_thm2_1(ctx: _Ctx, drawn: _Drawn):
     """EP iff the pseudoinverse commutes: range test vs commutator test."""
     ((family, m),) = drawn.instances
     expected = family == "ep"
-    rep = yield from classify_steps(m, ctx.tol)
-    pred_comm = rep.commutator_residual <= ctx.tol.eq_atol
-    agree = rep.is_ep == pred_comm == expected
+    (fact,) = yield "svd", (m,)
+    ep = range_corange_test(fact, ctx.tol)
+    # The second route, checked against the range test: T+ T - T T+.
+    mp = pseudoinverse_of(fact)
+    (commutator,) = yield "norm", (mp @ m - m @ mp,)
+    pred_comm = commutator <= ctx.tol.eq_atol
+    agree = ep == pred_comm == expected
     if not agree or not expected:
-        return _pass_fail(agree, {"T": m}, f"family={family}: is_ep={rep.is_ep}, "
-                          f"commutator_residual={rep.commutator_residual:.3e}", accept=expected)
-    (norm,) = yield "norm", (m,)
-    scale = 1.0 + norm + (1.0 / rep.gamma if rep.gamma > 0 else 0.0)
-    return _residual_trial(rep.commutator_residual, scale, ctx.tol, payload={"T": m})
+        return _pass_fail(agree, {"T": m}, f"family={family}: is_ep={ep}, "
+                          f"commutator_residual={commutator:.3e}", accept=expected)
+    scale = 1.0 + fact.singular_values[0] + _pinv_norm(reduced_min_modulus_of(fact))
+    return _residual_trial(commutator, scale, ctx.tol, payload={"T": m})
 
 
 def _check_thm2_2(ctx: _Ctx, drawn: _Drawn):
@@ -560,12 +563,13 @@ def _check_thm2_2(ctx: _Ctx, drawn: _Drawn):
     fact_a, fact_b, fact_d = yield "svd", (a, b, d)
     ep_d = range_corange_test(fact_d, tol)
     block = direct_sum(pseudoinverse_of(fact_a), pseudoinverse_of(fact_b))
-    pinv_resid, block_norm = yield "norm", (pseudoinverse_of(fact_d) - block, block)
-    norm_scale = 1.0 + fact_a.singular_values[0] + fact_b.singular_values[0]
-    pinv_scale = norm_scale + block_norm
-
+    (pinv_resid,) = yield "norm", (pseudoinverse_of(fact_d) - block,)
     gamma_a = reduced_min_modulus_of(fact_a)
     gamma_b = reduced_min_modulus_of(fact_b)
+    norm_scale = 1.0 + fact_a.singular_values[0] + fact_b.singular_values[0]
+    # ||A+ (+) B+|| is the larger of the blocks' 1 / gamma.
+    pinv_scale = norm_scale + max(_pinv_norm(gamma_a), _pinv_norm(gamma_b))
+
     gamma_ok = True
     gamma_resid = 0.0
     if gamma_a > 0.0 and gamma_b > 0.0:
@@ -587,11 +591,15 @@ def _check_thm2_3(ctx: _Ctx, drawn: _Drawn):
     expected = family == "ep"
     (fact,) = yield "svd", (m,)
     u = polar_decomposition_of(fact).isometry_part
-    rep_u = yield from classify_steps(u, ctx.tol)
-    if rep_u.is_ep != expected or not expected:
-        return _pass_fail(rep_u.is_ep == expected, {"T": m, "U": u},
-                          f"is_ep(U)={rep_u.is_ep}, expected {expected}", accept=expected)
-    return _residual_trial(rep_u.range_gap, 2.0, ctx.tol, payload={"T": m, "U": u})
+    (fact_u,) = yield "svd", (u,)
+    ep_u = range_corange_test(fact_u, ctx.tol)
+    if ep_u != expected or not expected:
+        return _pass_fail(ep_u == expected, {"T": m, "U": u},
+                          f"is_ep(U)={ep_u}, expected {expected}", accept=expected)
+    (gap,) = yield "norm", (
+        projector_difference(fact_u.range_vectors(), fact_u.carrier_vectors()),
+    )
+    return _residual_trial(gap, 2.0, ctx.tol, payload={"T": m, "U": u})
 
 
 def _check_thm2_4(ctx: _Ctx, drawn: _Drawn):
@@ -605,7 +613,7 @@ def _check_thm2_4(ctx: _Ctx, drawn: _Drawn):
         return _pass_fail(ep == expected, {"T": m},
                           f"range==carrier (the EP test) is {ep}, expected {expected}",
                           accept=expected)
-    (gap,) = yield "norm", (_projector_difference(fact.range_vectors(), fact.carrier_vectors()),)
+    (gap,) = yield "norm", (projector_difference(fact.range_vectors(), fact.carrier_vectors()),)
     return _residual_trial(gap, 1.0, ctx.tol, payload={"T": m})
 
 
@@ -615,16 +623,17 @@ def _check_thm2_5(ctx: _Ctx, drawn: _Drawn):
     kind = drawn.t % 3
     rng = drawn.rng
     ((_, t_mat),) = drawn.instances
+    (fact,) = yield "svd", (t_mat,)
+    tp = pseudoinverse_of(fact)
+    # ||T+|| for the scales, read from the factorization: no norm request.
+    norm_tp = _pinv_norm(reduced_min_modulus_of(fact))
     if kind == 0:
         s = _random_poly_in(rng, t_mat)
-        (fact,) = yield "svd", (t_mat,)
-        tp = pseudoinverse_of(fact)
-        # The residual and both scale norms, in one request.
-        resid, norm_s, norm_tp = yield "norm", (s @ tp - tp @ s, s, tp)
+        # The residual and ||S||, in one request.
+        resid, norm_s = yield "norm", (s @ tp - tp @ s, s)
         scale = (1.0 + norm_s) * (1.0 + norm_tp)
         return _residual_trial(resid, scale, tol, payload={"T": t_mat, "S": s})
     if kind == 1:
-        (fact,) = yield "svd", (t_mat,)
         r = fact.numerical_rank
         vr = fact.right_vectors[:, :r]
         vn = fact.right_vectors[:, r:]
@@ -635,15 +644,10 @@ def _check_thm2_5(ctx: _Ctx, drawn: _Drawn):
                 (vn.shape[1], vn.shape[1])
             )
             s = s + vn @ g @ vn.conj().T
-        tp = pseudoinverse_of(fact)
-        premise, conclusion, norm_s, norm_tp = yield "norm", (
-            s @ tp - tp @ s, s @ t_mat - t_mat @ s, s, tp
-        )
+        premise, conclusion, norm_s = yield "norm", (s @ tp - tp @ s, s @ t_mat - t_mat @ s, s)
         scale = (1.0 + norm_s) * (1.0 + fact.singular_values[0] + norm_tp)
         return _residual_trial(max(premise, conclusion), scale, tol,
                                payload={"T": t_mat, "S": s})
-    (fact,) = yield "svd", (t_mat,)
-    tp = pseudoinverse_of(fact)
     s = rng.standard_normal(t_mat.shape) + 1j * rng.standard_normal(t_mat.shape)
     (commutator,) = yield "norm", (s @ tp - tp @ s,)
     return _pass_fail(commutator > ctx.tol.eq_atol, {"T": t_mat, "S": s},
@@ -665,7 +669,7 @@ def _check_thm2_6(ctx: _Ctx, drawn: _Drawn):
             if not range_corange_test(fact_n, tol):
                 return _pass_fail(False, {"T": m}, "a power of an EP matrix failed the EP test")
             ranges.append(fact_n.range_vectors())
-        gaps = yield "norm", tuple(_projector_difference(r, base) for r in ranges)
+        gaps = yield "norm", tuple(projector_difference(r, base) for r in ranges)
         return _residual_trial(max(gaps), 1.0, tol, payload={"T": m})
     fact_sq, fact_m = yield "svd", (m @ m, m)
     sq_ep = range_corange_test(fact_sq, tol)
@@ -743,13 +747,13 @@ def _check_thm2_13(ctx: _Ctx, drawn: _Drawn):
     # Each factorization is dropped once its range is read.
     base, *ranges = [facts.pop(0).range_vectors() for _ in range(len(facts))]
     if family == "non_ep":
-        worst = max((yield "norm", tuple(_projector_difference(r, base) for r in ranges)))
+        worst = max((yield "norm", tuple(projector_difference(r, base) for r in ranges)))
         ok = not subspace_eq(fact_m.range_vectors(), base, tol)
         return _residual_trial(worst, 1.0, tol, extra_ok=ok, accept=False,
                                payload={"T": m},
                                note=None if ok else "non-EP matrix has range(|T|) == range(T)")
     ranges.append(fact_m.range_vectors())
-    worst = max((yield "norm", tuple(_projector_difference(r, base) for r in ranges)))
+    worst = max((yield "norm", tuple(projector_difference(r, base) for r in ranges)))
     return _residual_trial(worst, 1.0, tol, payload={"T": m})
 
 
@@ -809,7 +813,7 @@ def _check_thm2_16(ctx: _Ctx, drawn: _Drawn):
     if mode == 1:
         s = 2.0 * t_mat
         ta = adjoint(t_mat)
-        dominated = yield from _psd_dominates_steps(squared * (ta @ t_mat), adjoint(s) @ s, tol)
+        dominated = psd_dominates(squared * (ta @ t_mat), adjoint(s) @ s, tol)
         return _pass_fail(not dominated, {"T": t_mat, "S": s},
                           "dominance certificate accepted a non-dominated pair", accept=False)
     if mode == 2:  # t_mat is a normal_ep draw
@@ -821,12 +825,12 @@ def _check_thm2_16(ctx: _Ctx, drawn: _Drawn):
         s = _scaled_perturbation(rng, t_mat)
     ta = adjoint(t_mat)
     sa = adjoint(s)
-    cert = (yield from _psd_dominates_steps(squared * (ta @ t_mat), sa @ s, tol)) and (
-        yield from _psd_dominates_steps(squared * (t_mat @ ta), s @ sa, tol)
+    cert = psd_dominates(squared * (ta @ t_mat), sa @ s, tol) and psd_dominates(
+        squared * (t_mat @ ta), s @ sa, tol
     )
     (fact,) = yield "svd", (t_mat + s,)
     ep = range_corange_test(fact, tol)
-    (gap,) = yield "norm", (_projector_difference(fact.range_vectors(), fact.carrier_vectors()),)
+    (gap,) = yield "norm", (projector_difference(fact.range_vectors(), fact.carrier_vectors()),)
     extra_ok = cert and ep
     return _residual_trial(gap, 1.0, tol, extra_ok=extra_ok,
                            payload={"T": t_mat, "S": s},
@@ -898,7 +902,7 @@ def _window_steps(terms, limit: np.ndarray, tol: ToleranceConfig):
     pinv_norms = []
     for k in range(n):
         s, r = spectra[k]
-        pinv_norms.append(1.0 / _gamma(s, r) if r else 0.0)
+        pinv_norms.append(_pinv_norm(_gamma(s, r)))
     ends = (0, n - 1)
     norms = yield "norm", (
         *(pinvs[k] - limit_pinv for k in ends),
@@ -1003,36 +1007,41 @@ def _check_thm3_4(ctx: _Ctx, drawn: _Drawn):
     if not drawn.instances:
         control = np.zeros((2, 2), dtype=np.complex128)
         control[0, 1] = 1.0
-        rep = yield from classify_steps(control, tol)
-        excluded = (not rep.is_ep) and rep.gamma > rep.spectral_radius
+        (fact,) = yield "svd", (control,)
+        ep = range_corange_test(fact, tol)
+        gamma = reduced_min_modulus_of(fact)
+        radius = spectral_radius(control)
+        excluded = (not ep) and gamma > radius
         details = {
             "nilpotent_control": {
-                "gamma": rep.gamma,
-                "spectral_radius": rep.spectral_radius,
-                "is_ep": rep.is_ep,
-                "violates_inequality": bool(rep.gamma > rep.spectral_radius),
+                "gamma": gamma,
+                "spectral_radius": radius,
+                "is_ep": ep,
+                "violates_inequality": bool(gamma > radius),
             },
         }
         return _pass_fail(excluded, {"T": control},
                           "nilpotent control was not excluded", accept=False, details=details)
     ((_, m),) = drawn.instances
     if drawn.t % 2 == 0:
-        rep = yield from classify_steps(m, tol)
-        residual = max(0.0, rep.gamma - rep.spectral_radius)
+        (fact,) = yield "svd", (m,)
+        gamma = reduced_min_modulus_of(fact)
+        radius = spectral_radius(m)
+        residual = max(0.0, gamma - radius)
         # A zero residual passes at every scale; only a positive one needs ||m||.
-        ok = rep.is_ep
+        ok = range_corange_test(fact, tol)
         if ok and residual > 0.0:
-            (norm,) = yield "norm", (m,)
-            ok = residual <= 1e-10 * (1.0 + norm)
+            ok = residual <= 1e-10 * (1.0 + fact.singular_values[0])
         return _Trial(ok, residual, payload={"T": m},
-                      note=f"gamma={rep.gamma} exceeds spectral radius={rep.spectral_radius}")
+                      note=f"gamma={gamma} exceeds spectral radius={radius}")
+    # The norm chain reads only gamma and ||T|| of each power: values-only SVDs.
     square = m @ m
-    fact, *facts = yield "svd", (m, square, square @ m)
-    gamma1 = reduced_min_modulus_of(fact)
-    norm = float(fact.singular_values[0])
+    (s, r), *spectra = yield "values", (m, square, square @ m)
+    gamma1 = _gamma(s, r)
+    norm = float(s[0])
     worst = 0.0
-    for n, fact_n in zip((2, 3), facts):
-        gamma_n = reduced_min_modulus_of(fact_n)
+    for n, (s_n, r_n) in zip((2, 3), spectra):
+        gamma_n = _gamma(s_n, r_n)
         bound = norm ** (n - 1) * gamma1 + 10.0 * tol.eq_atol * (1.0 + norm) ** n
         worst = max(worst, gamma_n - bound)
     ok = worst <= 0.0

@@ -73,10 +73,15 @@ def subspace_eq(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
     return a.shape[1] == b.shape[1] and subspace_leq(a, b, tol)
 
 
+def projector_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """P_A - P_B for two bases of one ambient space; its norm is their projector gap."""
+    _require_same_ambient(a, b)
+    return projector(a) - projector(b)
+
+
 def projector_gap(a: np.ndarray, b: np.ndarray) -> float:
     """||P_A - P_B||, the projector distance between the two spans."""
-    _require_same_ambient(a, b)
-    return norm2(projector(a) - projector(b))
+    return norm2(projector_difference(a, b))
 
 
 def _require_basis(v: np.ndarray) -> None:

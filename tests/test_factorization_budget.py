@@ -28,6 +28,7 @@ from epkit import (
     harness,
     is_ep,
     limit_study,
+    psd_dominates,
     run_theorem_check,
 )
 from epkit import core
@@ -68,6 +69,15 @@ class TestClassify:
         # commutator_residual and range_gap; the EP and normality checks
         # of these clear-cut inputs need no SVD.
         assert svd_calls["values"] == 2
+
+
+def test_psd_dominates_decides_a_clear_pair_without_an_svd(svd_calls):
+    # ||A|| feeds only the PSD threshold, so the Frobenius bracket settles it,
+    # as it settles both Hermitian checks.
+    a = np.diag([2.0, 1.0, 0.5])
+    assert psd_dominates(a, 0.25 * a)
+    assert not psd_dominates(0.25 * a, a)
+    assert svd_calls["full"] == svd_calls["values"] == 0
 
 
 class TestLimitStudy:
@@ -142,28 +152,29 @@ def test_generators_factor_nothing(svd_calls, dim, family):
     assert svd_calls["inv_matrices"] == svd_calls["eigvals"] == 0
 
 
-# Full and values-only SVDs per trial of each verifier at dim 8, rank 6,
-# seed 1, 20 trials.  Generators factor nothing: their draws are correct by
-# construction (``test_generators_factor_nothing``).  A verifier that starts to factor a matrix twice, to spend
-# an exact norm on a yes/no check, or to take a norm over terms of a window
-# that no verdict reads, goes over its budget, and so does a generator that
-# tests its draw.
+# Full SVDs, values-only SVDs and eigvals calls per trial of each verifier
+# at dim 8, rank 6, seed 1, 20 trials.  Generators factor nothing: their
+# draws are correct by construction (``test_generators_factor_nothing``).
+# A verifier that starts to factor a matrix twice, to spend an exact norm on
+# a yes/no check, to take a norm or a spectrum that its verdict does not
+# read, or to take a norm over terms of a window that no verdict reads, goes
+# over its budget, and so does a generator that tests its draw.
 VERIFIER_BUDGETS = {
-    "thm1.5": (4.4, 26.45),
-    "thm2.1": (1.0, 2.5),
-    "thm2.2": (3.0, 2.0),
-    "thm2.3": (2.0, 2.0),
-    "thm2.4": (1.0, 0.5),
-    "thm2.5": (1.0, 2.75),
-    "thm2.6": (3.0, 1.5),
-    "thm2.7": (1.0, 1.0),
-    "thm2.12": (2.0, 0.0),
-    "thm2.13": (8.0, 6.65),
-    "thm2.15": (3.0, 0.0),
-    "thm2.16": (1.0, 2.8),
-    "thm2.19": (2.0, 2.0),
-    "thm3.2": (1.0, 1.5),
-    "thm3.4": (1.8, 1.2),
+    "thm1.5": (4.4, 26.45, 0.0),
+    "thm2.1": (1.0, 1.0, 0.0),
+    "thm2.2": (3.0, 1.0, 0.0),
+    "thm2.3": (2.0, 0.5, 0.0),
+    "thm2.4": (1.0, 0.5, 0.0),
+    "thm2.5": (1.0, 2.05, 0.0),
+    "thm2.6": (3.0, 1.5, 0.0),
+    "thm2.7": (1.0, 1.0, 1.7),
+    "thm2.12": (2.0, 0.0, 0.0),
+    "thm2.13": (8.0, 6.65, 0.0),
+    "thm2.15": (3.0, 0.0, 0.0),
+    "thm2.16": (1.0, 1.0, 0.0),
+    "thm2.19": (2.0, 2.0, 0.0),
+    "thm3.2": (1.0, 1.5, 0.0),
+    "thm3.4": (0.6, 1.2, 0.6),
 }
 
 
@@ -174,10 +185,11 @@ def test_budget_table_covers_every_verifier():
 @pytest.mark.parametrize("theorem_id", list(VERIFIER_BUDGETS))
 def test_verifier_svd_budget(svd_calls, theorem_id):
     trials = 20
-    full, values = VERIFIER_BUDGETS[theorem_id]
+    full, values, eigvals = VERIFIER_BUDGETS[theorem_id]
     run_theorem_check(theorem_id, GeneratorSpec(dim=8, rank=6, seed=1), trials)
     assert svd_calls["full"] / trials <= full
     assert svd_calls["values"] / trials <= values
+    assert svd_calls["eigvals"] / trials <= eigvals
     # Generators draw complex matrices, so the verifiers factor complex
     # ones; only thm1.5's control window, the real harmonic truncations,
     # takes the real kernels.
@@ -200,12 +212,13 @@ def test_the_suite_stacks_its_qr_calls(svd_calls):
 def test_the_suite_stacks_its_svd_calls(svd_calls):
     # A verifier run drives its trials in lockstep (``core._lockstep``), so
     # one LAPACK call answers a round's requests of one kind, shape and
-    # dtype across all ten trials: 46 calls over the 889 matrices that one
-    # call each took, and that 355 calls took when a stack ended at its trial.
+    # dtype across all ten trials: 40 calls over the 812 matrices that one
+    # call each would take.  The verifiers factor only what their verdicts
+    # read, so no trial pays for a norm or a normality check of ``classify``.
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["suite", "--seed", "1", "--trials", "10"]) == 0
-    assert svd_calls["full"] + svd_calls["values"] == 889
-    assert svd_calls["svd"] <= 50
+    assert svd_calls["full"] + svd_calls["values"] == 812
+    assert svd_calls["svd"] <= 44
 
 
 def test_thm3_2_builds_one_term_and_decides_its_limit_from_its_svd(svd_calls):

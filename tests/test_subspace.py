@@ -14,7 +14,8 @@ from epkit import (
     subspace_leq,
     svd,
 )
-from epkit.subspace import columns_included, projector_gap
+from epkit.core import norm2
+from epkit.subspace import columns_included, projector_difference, projector_gap
 
 
 def basis_of(columns):
@@ -91,6 +92,19 @@ class TestOrthogonalProjection:
         assert np.trace(p).real == pytest.approx(rank, abs=1e-10)
 
 
+class TestProjectorDifference:
+    @pytest.mark.parametrize("k_a,k_b", [(0, 2), (2, 2), (3, 1)])
+    def test_is_p_a_minus_p_b_and_its_norm_is_the_gap(self, rng, k_a, k_b):
+        a, b = (
+            basis_of(rng.standard_normal((5, k)) + 1j * rng.standard_normal((5, k)))
+            if k else np.zeros((5, 0), dtype=complex)
+            for k in (k_a, k_b)
+        )
+        d = projector_difference(a, b)
+        np.testing.assert_array_equal(d, projector(a) - projector(b))
+        assert projector_gap(a, b) == norm2(d)
+
+
 NOT_2D = [np.ones(3, dtype=complex), np.ones((3, 1, 1), dtype=complex)]
 
 
@@ -110,12 +124,16 @@ class TestBasisShape:
                 subspace_eq(a, b, tol)
             with pytest.raises(DimensionMismatch):
                 projector_gap(a, b)
+            with pytest.raises(DimensionMismatch):
+                projector_difference(a, b)
 
     def test_projector_rejects_a_nested_list(self):
         with pytest.raises(DimensionMismatch, match="got list"):
             projector([[1.0], [0.0]])
 
-    @pytest.mark.parametrize("compare", [subspace_leq, subspace_eq, projector_gap])
+    @pytest.mark.parametrize(
+        "compare", [subspace_leq, subspace_eq, projector_gap, projector_difference]
+    )
     def test_comparisons_reject_a_nested_list(self, compare):
         good = np.eye(2, dtype=complex)[:, :1]
         for a, b in ((good.tolist(), good), (good, good.tolist())):
@@ -132,6 +150,8 @@ class TestBasisShape:
                 subspace_eq(x, y, tol)
             with pytest.raises(DimensionMismatch):
                 projector_gap(x, y)
+            with pytest.raises(DimensionMismatch):
+                projector_difference(x, y)
 
 
 class TestInclusion:
