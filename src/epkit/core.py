@@ -224,18 +224,35 @@ def svd(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> SvdFactorization:
 
 
 def _svd_call(stack: np.ndarray, tol: ToleranceConfig) -> list[SvdFactorization]:
-    """The ``svd`` of each matrix of a stack, by one LAPACK call."""
+    """The ``svd`` of each matrix of a stack, by one LAPACK call.
+
+    When LAPACK does not converge on a stack of several matrices, each is
+    factored again alone, by ``svd``.  A single matrix it does not converge
+    on is factored through its adjoint, M* = V S U*, and only a matrix
+    whose adjoint fails too raises ConvergenceFailure.  A call that
+    converges takes neither path, so it keeps its bits.
+    """
     try:
-        u, s, vh = np.linalg.svd(stack, full_matrices=True)
+        u, s, v = _full_svd(stack)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"SVD did not converge for shape {stack.shape[1:]}") from exc
-    v = vh.conj().swapaxes(1, 2)
+        if len(stack) > 1:
+            return [svd(m, tol) for m in stack]
+        try:
+            v, s, u = _full_svd(stack.conj().swapaxes(1, 2))
+        except np.linalg.LinAlgError:
+            raise ConvergenceFailure(f"SVD did not converge for shape {stack.shape[1:]}") from exc
     return [
         SvdFactorization(
             left_vectors=u[i], singular_values=s[i], right_vectors=v[i], numerical_rank=rank
         )
         for i, rank in enumerate(_numerical_ranks(s, tol))
     ]
+
+
+def _full_svd(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(u, s, v)``, M = U S V*, for each matrix M of a stack, by one LAPACK call."""
+    u, s, vh = np.linalg.svd(stack, full_matrices=True)
+    return u, s, vh.conj().swapaxes(1, 2)
 
 
 def singular_values(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, int]:
@@ -275,7 +292,6 @@ def _singular_values_call(stack: np.ndarray, tol: ToleranceConfig) -> list[tuple
 
 # One LAPACK call takes at most max(1, _STACK_ENTRIES // (rows * cols))
 # matrices (``_lockstep``): a whole window at dim 8, one matrix at dim 256.
-# A run of ``harness`` draws its trials in chunks of the same bound.
 _STACK_ENTRIES = 2**16
 
 
@@ -359,17 +375,12 @@ def _is_diagonal(m: np.ndarray) -> bool:
     return np.count_nonzero(m) == np.count_nonzero(m.diagonal())
 
 
-def _numerical_rank(s: np.ndarray, tol: ToleranceConfig) -> int:
-    """How many of the sorted singular values s exceed rank_rtol * sigma_1.
-
-    One vector, as a model row's; ``_numerical_ranks`` counts a stack.
-    """
-    # All-zero singular values (the zero matrix) count nothing above 0.
-    return int(np.count_nonzero(s > tol.rank_rtol * s[0]))
-
-
 def _numerical_ranks(s: np.ndarray, tol: ToleranceConfig) -> list[int]:
-    """``_numerical_rank`` of each row of a stack s, by one vectorized count."""
+    """For each row of a stack s of sorted singular values, how many exceed rank_rtol * sigma_1.
+
+    One vectorized count; a model row's vector is a stack of one.  All-zero
+    singular values (the zero matrix) count nothing above 0.
+    """
     return (s > tol.rank_rtol * s[:, :1]).sum(axis=1).tolist()
 
 

@@ -40,16 +40,18 @@ Trials run in lockstep.  Each verifier body is a step generator: where it
 needs factorizations or norms it yields one request, a kind ("svd",
 "values" or "norm") and a tuple of the matrices that do not depend on each
 other's results, such as thm2.13's |T| with its six powers or the two
-norms of thm2.19, and it is sent their results in order.  The runner
-drives a group of consecutive trials through ``core._lockstep``, which
-answers a round's requests of one kind, shape and dtype with one stacked
-LAPACK call per ``core._STACK_ENTRIES`` entries, and folds the trials'
-outcomes in t order.  LAPACK factors each matrix of a stack alone, so
-stacking across trials shares no factorization and moves no bit.  A group
-holds as many trials as thm1.5's windows fill ``core._STACK_ENTRIES``
-entries, and at least one (``_lockstep_group``): 20 at dim 8, one from dim
-32 on.  Per-trial diagnostics travel on the trial (``_Trial.details``),
-and the runner keeps each key's value from the lowest t.
+norms of thm2.19, and it is sent their results in order.  A trial is one
+step generator (``_trial``): its draws, then its body.  The runner drives
+each group of consecutive trials through one ``core._lockstep`` call,
+which answers a round's requests of one kind, shape and dtype with one
+stacked LAPACK call per ``core._STACK_ENTRIES`` entries, and folds the
+trials' outcomes in t order.  LAPACK factors each matrix of a stack
+alone, so stacking across trials shares no factorization and moves no
+bit.  A group holds as many trials as thm1.5's windows fill
+``core._STACK_ENTRIES`` entries, and at least one (``_lockstep_group``):
+20 at dim 8, one from dim 32 on.  Per-trial diagnostics travel on the
+trial (``_Trial.details``), and the runner keeps each key's value from
+the lowest t.
 ``require_runnable`` checks a run before its first trial, so a run that
 cannot finish fails before any work.
 
@@ -60,16 +62,13 @@ the complex Gaussian blocks of its Haar unitaries among them, and its
 ``build`` makes the instance from those unitaries and draws nothing.  A
 trial's ``_draw`` is a step generator: it draws its instances from the
 trial's rng, yields all their Gaussian blocks as one "haar" request, and
-builds them from the Haar unitaries it is sent.  A run drives the draws of
-a chunk of consecutive trials through ``core._lockstep``, which turns the
-chunk's Gaussian blocks of one size into Haar unitaries with one stacked
-QR per ``core._STACK_ENTRIES`` entries of blocks.  A QR draws nothing and
-LAPACK factors each block of a stack alone, so every instance has the bits
-it has when drawn alone.  A draw takes the real and imaginary parts of a
-Gaussian block at once, and the QR kernel makes the complex blocks of a
-whole stack in one step.  A chunk holds as many trials as there are dim x
-dim blocks in ``core._STACK_ENTRIES`` complex entries, and at least one,
-and its Gaussian blocks are dropped before its trials run.
+builds them from the Haar unitaries it is sent.  That request is every
+trial's first, so a group's Gaussian blocks of one size become Haar
+unitaries by one stacked QR per ``core._STACK_ENTRIES`` entries of
+blocks.  A QR draws nothing and LAPACK factors each block of a stack
+alone, so every instance has the bits it has when drawn alone.  A draw
+takes the real and imaginary parts of a Gaussian block at once, and the
+QR kernel makes the complex blocks of a whole stack in one step.
 
 Each verifier's entry in ``_CHECKERS`` names the families trial t draws,
 ``draws(t)``; its body gets a ``_Drawn``: the instances paired with their
@@ -355,25 +354,6 @@ class _Drawn:
     t: int
     rng: np.random.Generator
     instances: tuple
-
-
-def _generated_trials(spec: GeneratorSpec, salt: int, trials: int, plan):
-    """Yield the ``_Drawn`` of each trial t in range(trials), in order.
-
-    Trial t draws ``plan(t)`` from ``default_rng([seed, salt, t])``, and its
-    rng comes back past those draws.  The ``_draw`` steps of a chunk of
-    max(1, _STACK_ENTRIES // dim^2) consecutive trials run in lockstep, so
-    their Gaussian blocks of one size share QR calls; no block is larger
-    than dim x dim.  The blocks are dropped before the bodies run: at dim
-    256 they would add about 5 MB to a run's peak memory.
-    """
-    per_chunk = max(1, _STACK_ENTRIES // spec.dim**2)
-    for start in range(0, trials, per_chunk):
-        ts = range(start, min(start + per_chunk, trials))
-        rngs = [np.random.default_rng([spec.seed, salt, t]) for t in ts]
-        built = _lockstep(_draw(spec, rng, plan(t)) for t, rng in zip(ts, rngs))
-        for t, rng, instances in zip(ts, rngs, built):
-            yield _Drawn(t, rng, instances)
 
 
 def gen_matrix(family: str, spec: GeneratorSpec) -> np.ndarray:
@@ -860,13 +840,6 @@ def _check_thm2_19(ctx: _Ctx, drawn: _Drawn):
     return _residual_trial(max(r1, r2), scale, tol, payload={"T": m})
 
 
-def _window_conditions(
-    terms, limit: np.ndarray, tol: ToleranceConfig
-) -> tuple[tuple[bool, bool, bool], dict]:
-    """``_window_steps`` driven alone: the window's conditions and diagnostics."""
-    return _lockstep([_window_steps(terms, limit, tol)], tol)[0]
-
-
 def _window_steps(terms, limit: np.ndarray, tol: ToleranceConfig):
     """Finite-window diagnostics for pseudoinverse convergence of a sequence, as steps.
 
@@ -948,7 +921,7 @@ def _check_thm1_5(ctx: _Ctx, drawn: _Drawn):
         ambient = max(spec.dim, 16)
         terms = tuple(harmonic_truncation(k, ambient) for k in range(1, ambient))
         limit = harmonic_truncation(ambient, ambient)
-        conds, diag = _window_conditions(terms, limit, tol)
+        conds, diag = _lockstep([_window_steps(terms, limit, tol)], tol)[0]
         diag["kind"] = "harmonic_truncations"
         diag["ambient_dim"] = ambient
         ctx.thm1_5_control = (conds, diag, limit)
@@ -1174,7 +1147,7 @@ def require_runnable(theorem_id: str, spec: GeneratorSpec, trials: int) -> None:
 
 
 def _lockstep_group(dim: int) -> int:
-    """How many trials of a run go through ``core._lockstep`` together.
+    """How many consecutive trials of a run go through one ``core._lockstep`` call.
 
     As many as thm1.5's windows, SEQUENCE_LENGTH dim x dim terms each, fill
     ``_STACK_ENTRIES`` entries, and at least one: every trial of a group
@@ -1182,6 +1155,13 @@ def _lockstep_group(dim: int) -> int:
     trial holds.  At dim 8 a group holds 20 trials, at dim 32 and above one.
     """
     return max(1, _STACK_ENTRIES // (SEQUENCE_LENGTH * dim * dim))
+
+
+def _trial(entry: _CheckerEntry, ctx: _Ctx, salt: int, t: int):
+    """Trial t of a run, as steps: draws from ``default_rng([seed, salt, t])``, then its body."""
+    rng = np.random.default_rng([ctx.spec.seed, salt, t])
+    instances = yield from _draw(ctx.spec, rng, entry.draws(t))
+    return (yield from entry.fn(ctx, _Drawn(t, rng, instances)))
 
 
 def run_theorem_check(
@@ -1208,10 +1188,11 @@ def run_theorem_check(
     accepting = 0
     rejecting = 0
     details: dict = {}
-    drawn_trials = _generated_trials(spec, salt, trials, entry.draws)
-    while group := list(itertools.islice(drawn_trials, _lockstep_group(spec.dim))):
-        outcomes = _lockstep([entry.fn(ctx, drawn) for drawn in group], tol)
-        for drawn, trial in zip(group, outcomes):
+    group = _lockstep_group(spec.dim)
+    for first in range(0, trials, group):
+        ts = range(first, min(first + group, trials))
+        outcomes = _lockstep([_trial(entry, ctx, salt, t) for t in ts], tol)
+        for t, trial in zip(ts, outcomes):
             accepting += trial.accept
             rejecting += not trial.accept
             worst = max(worst, trial.residual)
@@ -1220,11 +1201,11 @@ def run_theorem_check(
             if not trial.ok:
                 failures += 1
                 if counterexample is None:
-                    counterexample = _counterexample_payload(drawn.t, trial)
+                    counterexample = _counterexample_payload(t, trial)
             for key, value in (trial.details or {}).items():
                 details.setdefault(key, value)
-        # Drop the group's trials before the next chunk is drawn.
-        del group, outcomes
+        # Drop the group's outcomes before the next group runs.
+        del outcomes
     elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
 
     notes = list(entry.static_notes)

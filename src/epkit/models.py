@@ -54,7 +54,7 @@ from .core import (
     ToleranceConfig,
     _diagonal_singular_values,
     _gamma,
-    _numerical_rank,
+    _numerical_ranks,
     require_int,
 )
 from .errors import InvalidDimension, InvalidSpec
@@ -116,7 +116,7 @@ def limit_study(
         radius = float(s[0])
         if not math.isfinite(radius):
             raise ValueError("matrix entries must be finite (no NaN/Inf)")
-        r = _numerical_rank(s, tol)
+        r = _numerical_ranks(s[None], tol)[0]
         gamma = _gamma(s, r)
         rows.append(
             {

@@ -201,13 +201,13 @@ class TestSuiteCommand:
     ):
         from epkit import harness
 
-        drawn = []
-        monkeypatch.setattr(harness, "_generated_trials", lambda *args: drawn.append(args))
+        ran = []
+        monkeypatch.setattr(harness, "_trial", lambda *args: ran.append(args))
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("epkit: error: " + message)
-        assert drawn == []
+        assert ran == []
 
     def test_corrupt_env_var_is_not_read(self, tmp_path, monkeypatch):
         argv = ["suite", "--seed", "1", "--trials", "4", "--output"]
@@ -392,6 +392,15 @@ class TestConsoleEntryPoint:
         proc = _python("-m", "epkit.cli", "classify", "--input", str(path))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["payload"]["is_ep"] is True
+
+    def test_thm1_5_at_dim_256_passes_at_one_blas_thread(self, monkeypatch):
+        # At one OpenBLAS 0.3.31 thread, LAPACK's SVD does not converge on
+        # trial 0's window term (1 + 1/49) T; it converges on its adjoint.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        proc = _python("-m", "epkit.cli", "verify", "thm1.5", "--dim", "256", "--rank", "200",
+                       "--trials", "2", "--seed", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["payload"]["failures"] == 0
 
     def test_usage_error_exits_2(self):
         proc = _python("-m", "epkit.cli", "frobnicate")

@@ -351,6 +351,63 @@ class TestLockstep:
             core._lockstep([request_steps([("norm", (np.eye(3),))] * 3), failing()])
 
 
+class TestSvdRetry:
+    """A stack LAPACK's SVD does not converge on is factored again, one matrix at a time.
+
+    A matrix it still does not converge on is factored through its adjoint.
+    """
+
+    @pytest.mark.parametrize("shape", [(6, 6), (5, 3)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_only_the_failing_matrix_is_factored_through_its_adjoint(
+        self, rng, tol, monkeypatch, shape, dtype
+    ):
+        rows, cols = shape
+
+        def product(rank):
+            a, b = rng.standard_normal((rows, rank)), rng.standard_normal((rank, cols))
+            if dtype is complex:
+                a = a + 1j * rng.standard_normal((rows, rank))
+            return a @ b
+
+        ms = [product(cols) for _ in range(4)]
+        marked = ms[2] = product(cols - 2)
+        expected = [core.svd(m, tol) for m in ms]
+        real_svd = np.linalg.svd
+
+        def svd(a, *args, **kwargs):
+            if any(same_bits(m, marked) for m in np.reshape(a, (-1, *np.shape(a)[-2:]))):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        ((facts,),) = core._lockstep([request_steps([("svd", tuple(ms))])], tol)
+        for i in (0, 1, 3):
+            assert same_result(facts[i], expected[i])
+        fact = facts[2]
+        assert type(fact.numerical_rank) is int
+        assert fact.numerical_rank == expected[2].numerical_rank == cols - 2
+        np.testing.assert_allclose(fact.singular_values, expected[2].singular_values,
+                                   rtol=1e-13, atol=1e-13 * expected[2].singular_values[0])
+        u, v = fact.left_vectors, fact.right_vectors
+        recon = (u[:, :cols] * fact.singular_values) @ v.conj().T
+        scale = np.linalg.norm(marked)  # Frobenius: no SVD
+        assert np.linalg.norm(recon - marked) <= 1e-13 * scale
+        assert np.linalg.norm(u.conj().T @ u - np.eye(rows)) <= 1e-13
+        assert np.linalg.norm(v.conj().T @ v - np.eye(cols)) <= 1e-13
+
+    def test_a_matrix_whose_adjoint_fails_too_is_a_convergence_failure(self, monkeypatch, tol):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        ms = (np.eye(3), np.diag([2.0, 1.0, 0.0]))
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            core._lockstep([request_steps([("svd", ms)])], tol)
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            core.svd(np.eye(3), tol)
+
+
 class TestHermitianEig:
     def test_diagonal(self, tol):
         w, q = hermitian_eig(np.diag([2.0, -1.0]), tol)

@@ -216,6 +216,24 @@ def family_ranks(family, dim):
     return sorted({r for r in (low, low + 1, dim // 2, high - 1, high) if low <= r <= high})
 
 
+def record_trials(monkeypatch, theorem_id, **changes):
+    """Swap a verifier's body, for the test, for one that records what each trial gets.
+
+    Returns the list of ``(drawn, state)`` pairs, state being the rng's
+    state as the body starts.  ``changes`` replace more fields of the entry.
+    """
+    seen = []
+
+    def record(ctx, drawn):
+        seen.append((drawn, drawn.rng.bit_generator.state))
+        return harness._Trial(ok=True)
+        yield  # a step generator that makes no request
+
+    entry = dataclasses.replace(harness._CHECKERS[theorem_id], fn=record, **changes)
+    monkeypatch.setitem(harness._CHECKERS, theorem_id, entry)
+    return seen
+
+
 class TestBatchedGeneration:
     """Drawing first and factoring each block size once gives the one-at-a-time bits."""
 
@@ -238,47 +256,54 @@ class TestBatchedGeneration:
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
-    def test_each_verifier_schedule_equals_the_oracle(self, theorem_id):
-        # Mixed families in one chunk share the stacks of their block sizes,
-        # and a cap applies to its own draw.  Rank 6 is also non_ep's
-        # control rank at dim 8.
+    def test_each_verifier_schedule_equals_the_oracle(self, theorem_id, monkeypatch):
+        # The run's own path, with the body swapped for a recorder.  Mixed
+        # families in one group share the stacks of their block sizes, and
+        # a cap applies to its own draw.  Rank 6 is also non_ep's control
+        # rank at dim 8; 30 trials span two groups of 20.
         entry = harness._CHECKERS[theorem_id]
-        spec = GeneratorSpec(dim=8, rank=6, seed=1)
+        seen = record_trials(monkeypatch, theorem_id)
+        run_theorem_check(theorem_id, GeneratorSpec(dim=8, rank=6, seed=1), 30)
+        assert [drawn.t for drawn, _ in seen] == list(range(30))
         salt = THEOREM_IDS.index(theorem_id)
-        for drawn in harness._generated_trials(spec, salt, 30, entry.draws):
+        for drawn, state in seen:
             ref_rng = np.random.default_rng([1, salt, drawn.t])
             plan = entry.draws(drawn.t)
             assert [family for family, _ in drawn.instances] == [family for family, _ in plan]
             for (family, cond), (_, instance) in zip(plan, drawn.instances):
                 ref = oracles.GENERATORS[family](ref_rng, 8, 6, min(cond or 100.0, 100.0))
                 assert same_bits(instance, ref)
-            assert drawn.rng.bit_generator.state == ref_rng.bit_generator.state
+            assert state == ref_rng.bit_generator.state
 
-    def test_a_run_past_the_stack_bound_spans_chunks(self, svd_calls):
-        # At dim 32 a chunk is 2^16 / 32^2 = 64 trials, each of whose ep
-        # draws stacks two blocks of size 31 and one of size 32.  One QR
-        # call takes at most 2^16 / 31^2 = 68 blocks of size 31, so the
-        # first chunk's 128 take two calls and its 64 of size 32 one; the
-        # second chunk's three trials take one call per size.
-        spec = GeneratorSpec(dim=32, rank=31, seed=2)
-        trials = harness._STACK_ENTRIES // 32**2 + 3
-        drawn = list(harness._generated_trials(spec, 0, trials, lambda t: (("ep", None),)))
-        assert [d.t for d in drawn] == list(range(trials))
-        assert svd_calls["qr"] == 3 + 2
-        assert svd_calls["qr_matrices"] == 3 * trials
-        for d in drawn:
-            ref = oracles.gen_ep(np.random.default_rng([2, 0, d.t]), 32, 31, 100.0)
-            assert same_bits(d.instances[0][1], ref)
+    def test_a_group_shares_one_qr_call_per_block_size(self, svd_calls, monkeypatch):
+        # At dim 8 a group is 2^16 / (50 * 8^2) = 20 trials, so 24 make
+        # two.  Each ep draw at rank 7 stacks two blocks of size 7 and one
+        # of size 8, so each group takes one QR call per size.
+        assert harness._lockstep_group(8) == 20
+        seen = record_trials(monkeypatch, "thm3.2")
+        run_theorem_check("thm3.2", GeneratorSpec(dim=8, rank=7, seed=2), 24)
+        assert svd_calls["qr"] == 2 * 2
+        assert svd_calls["qr_matrices"] == 3 * 24
+        salt = THEOREM_IDS.index("thm3.2")
+        for drawn, _ in seen:
+            ref = oracles.gen_ep(np.random.default_rng([2, salt, drawn.t]), 8, 7, 100.0)
+            assert same_bits(drawn.instances[0][1], ref)
 
-    def test_at_dim_256_each_trial_is_drawn_alone(self, svd_calls):
-        # A block of size 256 fills the bound, so each trial is a chunk of
-        # its own, and each QR call of size 256 takes one block: one call
-        # for its four 1 x 1 blocks and one for each of its two of size 256.
-        spec = GeneratorSpec(dim=256, rank=1, seed=2)
-        drawn = harness._generated_trials(spec, 0, 2, lambda t: (("ep", None), ("ep", None)))
-        assert len(list(drawn)) == 2
+    def test_at_dim_256_each_trial_is_drawn_alone(self, svd_calls, monkeypatch):
+        # From dim 32 on a group is one trial, and at dim 256 each QR call
+        # of size 256 takes one block: one call for a trial's four 1 x 1
+        # blocks and one for each of its two of size 256.
+        assert harness._lockstep_group(256) == 1
+        plan = (("ep", None), ("ep", None))
+        seen = record_trials(monkeypatch, "thm3.2", draws=lambda t: plan)
+        run_theorem_check("thm3.2", GeneratorSpec(dim=256, rank=1, seed=2), 2)
         assert svd_calls["qr"] == 2 * 3
         assert svd_calls["qr_matrices"] == 2 * 6
+        salt = THEOREM_IDS.index("thm3.2")
+        for drawn, _ in seen:
+            ref_rng = np.random.default_rng([2, salt, drawn.t])
+            for _, instance in drawn.instances:
+                assert same_bits(instance, oracles.gen_ep(ref_rng, 256, 1, 100.0))
 
     def test_a_zero_on_the_diagonal_of_r_takes_phase_one(self):
         # A "haar" request of ``core._lockstep`` takes a block's (re, im)
@@ -606,13 +631,14 @@ LOCKSTEP_RUNS = [(3, 1, 30), (3, 2, 30), (8, 6, 24), (32, 30, 4)]
 class TestLockstepChangesNothing:
     """A verdict does not depend on how many trials go through ``core._lockstep`` together.
 
-    Each run is repeated with a group of one trial, which factors every
-    trial on its own, and with a group of three, which crosses the chunks
-    of every run here; its bytes must equal those of the default grouping.
-    Nor does a verdict depend on how many matrices one LAPACK call takes:
-    a run repeated under a stack cap of three matrices a call has the same
-    bytes.  Under the corrupted ep family the counterexample, its note and
-    the first failing t are compared too.
+    Each run is repeated with a group of one trial, which draws and factors
+    every trial on its own, and with a group of three, which cuts every
+    run here at other trials than the default grouping does; its bytes
+    must equal those of the default grouping.  Nor does a verdict depend
+    on how many matrices one LAPACK call takes: a run repeated under a
+    stack cap of one matrix a call has the same bytes.  Under the
+    corrupted ep family the counterexample, its note and the first failing
+    t are compared too.
     """
 
     @pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "corrupt"])
@@ -634,16 +660,18 @@ class TestLockstepChangesNothing:
     @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
     def test_a_lowered_stack_cap_moves_no_byte(self, theorem_id, dim, rank, trials, corrupt,
                                                tol, monkeypatch, svd_calls):
-        # Three dim x dim matrices a call cut every SVD and QR group of more,
-        # and shrink the draw chunk to three trials and the lockstep group to
-        # one, since ``harness`` sizes both from the cap it imports.
+        # One dim x dim matrix a call cuts every SVD and QR group of more,
+        # and shrinks the lockstep group to one trial, since ``harness``
+        # sizes it from the cap it imports.  A trial alone at dim 32 asks
+        # for at most three matrices of one kind and size at once, so a cap
+        # of three would cut nothing there.
         spec = GeneratorSpec(dim=dim, rank=rank, seed=5)
         with golden_corpus.corrupt_ep_generation() if corrupt else contextlib.nullcontext():
             default = verdict_json(theorem_id, spec, trials, tol)
             calls = svd_calls["svd"] + svd_calls["qr"]
             svd_calls.clear()
             for module in (core, harness):
-                monkeypatch.setattr(module, "_STACK_ENTRIES", 3 * dim * dim)
+                monkeypatch.setattr(module, "_STACK_ENTRIES", dim * dim)
             assert verdict_json(theorem_id, spec, trials, tol) == default
         assert svd_calls["svd"] + svd_calls["qr"] > calls
 
@@ -789,7 +817,7 @@ class TestThm15Window:
     @pytest.mark.parametrize("window", [fixed_range_window, harmonic_window])
     def test_matches_the_window_with_every_pseudoinverse_formed(self, tol, window, length):
         terms, limit = window(length)
-        conds, diag = harness._window_conditions(terms, limit, tol)
+        conds, diag = _lockstep([harness._window_steps(terms, limit, tol)], tol)[0]
         ref_conds, ref_diag = window_conditions_loop(terms, limit, tol)
         assert conds == ref_conds
         assert list(diag) == list(ref_diag)
@@ -803,7 +831,7 @@ class TestThm15Window:
     def test_pinv_norms_of_a_scaled_sequence_are_exact(self, tol, seed):
         # ||T_k+|| = k / ((k + 1) gamma(T)) for T_k = (1 + 1/k) T, k = 1..50.
         terms, limit = fixed_range_window(harness.SEQUENCE_LENGTH, seed)
-        conds, diag = harness._window_conditions(terms, limit, tol)
+        conds, diag = _lockstep([harness._window_steps(terms, limit, tol)], tol)[0]
         assert conds == (True, True, True)
         assert diag["pinv_norm_growth_ratio"] == pytest.approx(100 / 51, rel=1e-14)
         gamma = reduced_min_modulus(limit, tol)
@@ -811,7 +839,7 @@ class TestThm15Window:
 
     def test_each_term_is_factored_once(self, svd_calls, tol):
         terms, limit = fixed_range_window(harness.SEQUENCE_LENGTH)
-        harness._window_conditions(terms, limit, tol)
+        _lockstep([harness._window_steps(terms, limit, tol)], tol)
         # The limit, the first term and the last six; the 43 terms between
         # them, plus the two gaps at each end and the five successive ones.
         assert svd_calls["full"] == 1 + 7

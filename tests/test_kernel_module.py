@@ -184,7 +184,7 @@ def test_the_kernel_walk_finds_every_spelling():
 # one-matrix SVD kernels and the functions that run one.
 STEP_KERNELS = {
     "svd", "singular_values", "norm2", "operator_norm", "pseudoinverse",
-    "polar_decomposition", "projector_gap", "projector_gaps", "classify",
+    "polar_decomposition", "projector_gap", "classify",
 }
 
 
