@@ -12,11 +12,11 @@ vectors reads the rank and gamma from it at about half the cost of the full
 factorization.  A diagonal input, one with no nonzero entry off its diagonal
 (``_is_diagonal``), costs ``singular_values`` no LAPACK call: its singular
 values are its sorted |entries| (``_diagonal_singular_values``, the one
-statement of that rule, which ``models.limit_study`` applies to a
-truncation's diagonal vector without building the matrix).  ``svd``,
-``eigenvalues`` and ``norm2`` run LAPACK on every input.  This module is
-the only one that calls ``np.linalg.svd``, ``np.linalg.eigvals``,
-``np.linalg.eig`` or ``np.linalg.qr`` (``tests/test_kernel_module.py``).
+statement of that rule, which ``models.limit_study`` applies to a block of
+truncations' diagonals, one row each, without building a matrix).
+``svd``, ``eigenvalues`` and ``norm2`` run LAPACK on every input.  This
+module is the only one that calls ``np.linalg.svd``, ``eigvals``, ``eig``,
+``qr``, ``eigh``, ``eigvalsh`` or ``inv`` (``tests/test_kernel_module.py``).
 
 ``_lockstep`` is the one code path that stacks matrices for LAPACK.  It
 drives step generators side by side: each yields requests for SVDs,
@@ -50,7 +50,7 @@ threshold; its verdict is the exact one.  Here that is
 ``psd_dominates``; in ``classify`` the EP and normality checks.  Every
 spectral norm that reaches a report is an exact ``norm2``, except a model
 row's pseudoinverse norm, which ``models.limit_study`` reads
-as 1/gamma from the truncation's diagonal vector, with no matrix built.
+as 1/gamma from the truncation's diagonal, with no matrix built.
 
 Validation keeps real matrices real: input whose dtype is real, integer or
 bool becomes float64 and takes the real LAPACK kernels (dgesdd, dgeev,
@@ -366,8 +366,11 @@ def _values_only(stack: np.ndarray) -> np.ndarray:
 
 
 def _diagonal_singular_values(d: np.ndarray) -> np.ndarray:
-    """The singular values of the diagonal matrix with entries d: |d| sorted non-increasing."""
-    return np.sort(np.abs(d))[::-1]
+    """The singular values of the diagonal matrix with entries d: |d| sorted non-increasing.
+
+    Along the last axis, so each row of a 2-D d gives the values of its own diagonal.
+    """
+    return np.sort(np.abs(d))[..., ::-1]
 
 
 def _is_diagonal(m: np.ndarray) -> bool:
@@ -378,8 +381,9 @@ def _is_diagonal(m: np.ndarray) -> bool:
 def _numerical_ranks(s: np.ndarray, tol: ToleranceConfig) -> list[int]:
     """For each row of a stack s of sorted singular values, how many exceed rank_rtol * sigma_1.
 
-    One vectorized count; a model row's vector is a stack of one.  All-zero
-    singular values (the zero matrix) count nothing above 0.
+    One vectorized count; ``models.limit_study`` hands it a block of model
+    rows, each padded with zeros, which never pass the strict cutoff.
+    All-zero singular values (the zero matrix) count nothing above 0.
     """
     return (s > tol.rank_rtol * s[:, :1]).sum(axis=1).tolist()
 
@@ -408,6 +412,31 @@ def hermitian_eig(
         ) from exc
     order = np.argsort(-w, kind="stable")
     return w[order].copy(), q[:, order].copy()
+
+
+def _hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """The eigenvalues of the Hermitian part (H + H*) / 2 of one matrix, non-decreasing.
+
+    No validation, as norm2.  Raises ConvergenceFailure if the iteration
+    does not converge.
+    """
+    try:
+        return np.linalg.eigvalsh((h + h.conj().T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(
+            f"Hermitian eigenvalue iteration did not converge for shape {h.shape}"
+        ) from exc
+
+
+def _inverse(m: np.ndarray) -> np.ndarray:
+    """The inverse of one square matrix, by LU.  No validation, as norm2.
+
+    Raises ConvergenceFailure if the factorization finds m singular.
+    """
+    try:
+        return np.linalg.inv(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"LU found a singular matrix of shape {m.shape}") from exc
 
 
 def require_hermitian(

@@ -109,6 +109,8 @@ from .core import (
     SvdFactorization,
     ToleranceConfig,
     _gamma,
+    _hermitian_eigenvalues,
+    _inverse,
     _lockstep,
     adjoint,
     as_matrix,
@@ -392,9 +394,7 @@ def psd_dominates(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
         raise DimensionMismatch(f"shapes differ: {am.shape} vs {bm.shape}")
     require_hermitian(am, tol, "first argument")
     require_hermitian(bm, tol, "second argument")
-    diff = am - bm
-    diff = (diff + diff.conj().T) / 2.0
-    negative_part = np.array([[min(np.linalg.eigvalsh(diff)[0], 0.0)]])
+    negative_part = np.array([[min(_hermitian_eigenvalues(am - bm)[0], 0.0)]])
     return norm2_at_most(negative_part, lambda norm: tol.eq_atol * (1.0 + norm), am)
 
 
@@ -952,7 +952,7 @@ def _membership_term(rng, base: np.ndarray, rotate: bool):
     (norm,) = yield "norm", (skew,)
     x = step * (skew / max(norm, 1e-300))
     eye = np.eye(limit.shape[0], dtype=np.complex128)
-    q = (eye - x) @ np.linalg.inv(eye + x)
+    q = (eye - x) @ _inverse(eye + x)
     return q @ limit @ q.conj().T, limit
 
 

@@ -19,19 +19,24 @@ Every truncation is a real float64 diagonal.  The tests check that each
 row equals, bit for bit, the row of the same matrix cast to complex128.
 
 ``limit_study`` computes only the four values a row holds, and reads them
-from the truncation's diagonal d, a length-n vector, at every rank cutoff;
-it builds no n x n matrix and calls no LAPACK routine.  A diagonal's
-singular values are its |entries| sorted (``core._diagonal_singular_values``,
-the rule ``core.singular_values`` applies to a diagonal matrix); they give
-the rank and gamma, the smallest singular value above the cutoff, and gamma
-is exact.  A diagonal's eigenvalues are its entries, so the spectral radius
-is max |d|, the largest singular value.  The pseudoinverse norm is 1/gamma,
-since T+ = V S+ U* has sigma_1 = 1/sigma_r.  Every row is EP: D and D* are
-both spanned by the coordinate vectors of the entries above the cutoff, and
-entries of equal modulus are kept or dropped together, because the cutoff
-is strict.  The tests check every row, bit for bit, against the dense route
-(``realize``, then ``core.singular_values`` and ``pinv.spectral_radius``),
-whose values equal LAPACK's, and for n <= 64 each EP verdict against
+from the truncation's diagonal d at every rank cutoff; it builds no n x n
+matrix and calls no LAPACK routine.  It reads a block of truncations at a
+time, at most ``_BLOCK_ENTRIES`` entries: one array whose row i is the
+diagonal of truncation n_i, padded with zeros to the block's last
+truncation.  A diagonal's singular values are its |entries| sorted
+(``core._diagonal_singular_values``, the rule ``core.singular_values``
+applies to a diagonal matrix, here along each row); they give the rank and
+gamma, the smallest singular value above the cutoff, and gamma is exact.  A
+padding zero sorts below every entry and never passes the strict cutoff, so
+it moves no row's rank, gamma or max |d|.  A diagonal's eigenvalues are its
+entries, so the spectral radius is max |d|, the largest singular value.
+The pseudoinverse norm is 1/gamma, since T+ = V S+ U* has sigma_1 =
+1/sigma_r.  Every row is EP: D and D* are both spanned by the coordinate
+vectors of the entries above the cutoff, and entries of equal modulus are
+kept or dropped together, because the cutoff is strict.  The tests check
+every row, bit for bit, against the dense route (``realize``, then
+``core.singular_values`` and ``pinv.spectral_radius``), whose values equal
+LAPACK's, and for n <= 64 each EP verdict against
 ``classify.range_corange_test`` on a full SVD.
 
 Truncation means leading principal submatrix; the midpoint grid avoids the
@@ -43,8 +48,6 @@ studied.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -59,7 +62,8 @@ from .core import (
 )
 from .errors import InvalidDimension, InvalidSpec
 
-# Each family's diagonal, from k = (1, ..., n) as floats and n.
+# Each family's diagonal, from k = (1, ..., n) as floats and n, elementwise
+# in (k, n), so a grid of k against a column of n gives one row per n.
 _DIAGONALS = {
     "mult_inv_sqrt": lambda k, n: 1.0 / np.sqrt((k - 0.5) / n),
     "diag_n": lambda k, n: k,
@@ -67,6 +71,13 @@ _DIAGONALS = {
     "diag_harmonic_truncated": lambda k, n: 1.0 / k,
 }
 FAMILIES = tuple(_DIAGONALS)
+
+# ``limit_study`` reads the diagonals of a block of truncations as one
+# array of at most this many entries: 32 rows of at most MAX_DIM.  The rows
+# per block do not depend on n_max, so the block edges fall at the same
+# truncations in every study.  One block of all 256 rows would peak at about
+# 1.6 MB of arrays instead of 0.3 MB, and runs no faster.
+_BLOCK_ENTRIES = 2**13
 
 
 def _require_dim(dim: int) -> None:
@@ -102,31 +113,38 @@ def limit_study(
     row is read from the truncation's diagonal d at any ``rank_rtol``: its
     sorted |entries| give the rank and gamma, max |d| is the spectral
     radius, the pseudoinverse norm is 1/gamma (both 0.0 at rank 0), and the
-    row is EP, as every diagonal is.
+    row is EP, as every diagonal is.  The diagonals of a block of
+    truncations are read together, as the rows of one zero-padded array.
     """
     require_int("n_max", n_max)
     if n_max < 2:
         raise InvalidDimension(f"n_max must be >= 2, got {n_max}")
     # Fail before the first row; past the cap, name the first truncation over it.
     diagonal_entries(family, min(n_max, MAX_DIM + 1))
+    k = np.arange(1, n_max + 1, dtype=float)
+    per_block = _BLOCK_ENTRIES // MAX_DIM
     rows = []
-    for n in range(1, n_max + 1):
-        s = _diagonal_singular_values(diagonal_entries(family, n))
-        # A NaN sorts last, so lands in s[0]: s[0] is finite only if every entry is.
-        radius = float(s[0])
-        if not math.isfinite(radius):
+    for start in range(1, n_max + 1, per_block):
+        n = np.arange(start, min(start + per_block, n_max + 1))[:, None]
+        # Row i holds truncation n[i]'s diagonal, padded with zeros to the
+        # block's last truncation: a zero sorts below every entry and never
+        # passes the strict cutoff, so each row's rank and gamma are its own.
+        grid = k[: n[-1, 0]]
+        s = _diagonal_singular_values(np.where(grid <= n, _DIAGONALS[family](grid, n), 0.0))
+        # A NaN sorts last, so lands in column 0: it is finite only if every entry is.
+        if not np.isfinite(s[:, 0]).all():
             raise ValueError("matrix entries must be finite (no NaN/Inf)")
-        r = _numerical_ranks(s[None], tol)[0]
-        gamma = _gamma(s, r)
-        rows.append(
-            {
-                "n": n,
-                "gamma": gamma,
-                "spectral_radius": radius,
-                "is_ep": True,
-                "pinv_norm": 1.0 / gamma if r else 0.0,
-            }
-        )
+        for size, row, r in zip(n[:, 0].tolist(), s, _numerical_ranks(s, tol)):
+            gamma = _gamma(row, r)
+            rows.append(
+                {
+                    "n": size,
+                    "gamma": gamma,
+                    "spectral_radius": float(row[0]),
+                    "is_ep": True,
+                    "pinv_norm": 1.0 / gamma if r else 0.0,
+                }
+            )
     return rows
 
 

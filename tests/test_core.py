@@ -437,6 +437,26 @@ class TestHermitianEig:
             hermitian_eig(np.ones((2, 3)), tol)
 
 
+class TestHermitianValuesAndInverse:
+    def test_same_bits_as_numpy(self, rng):
+        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        h = (g + g.conj().T) / 2.0
+        assert same_bits(core._hermitian_eigenvalues(g), np.linalg.eigvalsh(h))
+        assert same_bits(core._inverse(g), np.linalg.inv(g))
+
+    def test_a_singular_matrix_raises_convergence_failure(self):
+        with pytest.raises(ConvergenceFailure, match="singular"):
+            core._inverse(np.zeros((3, 3)))
+
+    def test_a_failed_iteration_raises_convergence_failure(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            core._hermitian_eigenvalues(np.eye(3))
+
+
 class TestEigenvalues:
     def test_nilpotent(self):
         np.testing.assert_allclose(eigenvalues([[0, 1], [0, 0]]), [0, 0], atol=1e-14)

@@ -1,16 +1,18 @@
-"""``core`` is the only module that calls LAPACK's SVD, general eigensolver or QR.
+"""``core`` is the only module that calls a LAPACK kernel of ``np.linalg``.
 
 Every singular value in ``src/epkit`` comes from ``core.svd``,
 ``core.singular_values`` or ``core.norm2``, or from a request to
 ``core._lockstep``, or, for a model row, from
-``core._diagonal_singular_values`` on the truncation's diagonal vector,
-which calls no LAPACK routine.  Every eigenvalue of a general matrix comes
-from ``core.eigenvalues``, and every Haar unitary from a "haar" request.
-So none bypasses the diagonal route of ``singular_values`` or the
-``svd_calls`` count of the tests.  An AST walk finds every reference to
-``np.linalg.svd``, ``np.linalg.eigvals``, ``np.linalg.eig`` and
-``np.linalg.qr``, under any alias, outside ``core.py``.  The Hermitian
-solvers (``eigh``, ``eigvalsh``) are not general ones and stay allowed.
+``core._diagonal_singular_values`` on the truncation's diagonals, which
+calls no LAPACK routine.  Every eigenvalue of a general matrix comes from
+``core.eigenvalues``, every eigenvalue of a Hermitian one from
+``core.hermitian_eig`` or ``core._hermitian_eigenvalues``, every inverse
+from ``core._inverse``, and every Haar unitary from a "haar" request.  So
+none bypasses the diagonal route of ``singular_values``, the mapping of
+``LinAlgError`` to ``ConvergenceFailure`` or the ``svd_calls`` count of
+the tests.  An AST walk finds every reference to ``np.linalg.svd``,
+``eigvals``, ``eig``, ``qr``, ``eigh``, ``eigvalsh`` and ``inv``, under any
+alias, outside ``core.py``.
 
 Inside ``core``, the per-call kernels that hand LAPACK a stack are named
 only by ``_lockstep``'s table of request kinds and by the one-matrix
@@ -31,7 +33,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "epkit").rglob("*.py"))
 KERNEL_MODULE = "core.py"
-KERNELS = {"svd", "eigvals", "eig", "qr"}
+KERNELS = {"svd", "eigvals", "eig", "qr", "eigh", "eigvalsh", "inv"}
 
 
 def lapack_references(source: str) -> list[int]:
@@ -69,7 +71,7 @@ def test_the_kernel_module_calls_it():
 def test_no_other_module_calls_lapack_svd_or_eig(path):
     lines = lapack_references(path.read_text())
     assert lines == [], (
-        f"{path.name} calls np.linalg.svd, eigvals, eig or qr at lines {lines}; use core"
+        f"{path.name} calls np.linalg.{'/'.join(sorted(KERNELS))} at lines {lines}; use core"
     )
 
 
@@ -115,7 +117,7 @@ def test_the_walk_finds_every_spelling():
         "s = np.linalg.svd(a, compute_uv=False)\n"
         "f = linalg.svd\n"
         "u = la.svd(a)\n"
-        "ok = np.linalg.svdvals, obj.svd(a), np.linalg.eigvalsh(a), la.eigh(a)\n"
+        "ok = np.linalg.svdvals, obj.svd(a), np.linalg.pinv(a), np.linalg.LinAlgError\n"
         "w = np.linalg.eigvals(a)\n"
         "w, v = la.eig(a)\n"
         "g = linalg.eigvals\n"
@@ -125,8 +127,14 @@ def test_the_walk_finds_every_spelling():
         "q, r = np.linalg.qr(z)\n"
         "from numpy.linalg import qr as factor_qr\n"
         "ok = obj.qr(a), np.linalg.qrx\n"
+        "h = np.linalg.eigvalsh(a)\n"
+        "w, v = la.eigh(a)\n"
+        "i = linalg.inv(a)\n"
+        "from numpy.linalg import eigvalsh as hermitian_values\n"
+        "from numpy.linalg import inv as invert\n"
+        "ok = obj.eigh(a), obj.eigvalsh(a), obj.inv(a), np.linalg.invx\n"
     )
-    assert lapack_references(source) == [4, 5, 6, 7, 9, 10, 11, 12, 13, 15, 16]
+    assert lapack_references(source) == [4, 5, 6, 7, 9, 10, 11, 12, 13, 15, 16, 18, 19, 20, 21, 22]
 
 
 # Each per-call kernel of ``core``, with the one-matrix function that may

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,18 @@ class TestLimitStudy:
     def test_rejects_small_window(self, tol):
         with pytest.raises(InvalidDimension):
             limit_study("diag_n", 1, tol)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_peak_memory_stays_below_one_megabyte(self, family):
+        # Blocks of 32 truncations peak near 0.3 MB of arrays, a loop of
+        # single rows near 0.06 MB, and one block of all 256 rows near 1.6 MB.
+        tracemalloc.start()
+        try:
+            limit_study(family, MAX_DIM)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize(
         "family,n_max,message",
@@ -280,15 +294,19 @@ def row_bits(rows):
 
 
 class TestDiagonalRowsEqualTheDenseRoute:
+    # limit_study reads 32 truncations a block: n_max 2 and 31 fill part of
+    # one block, 33 and 65 leave a last block of one row, and MAX_DIM fills
+    # eight blocks.
+    @pytest.mark.parametrize("n_max", [2, 31, 33, 65, MAX_DIM])
     @pytest.mark.parametrize("rank_rtol", RANK_RTOLS)
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_rows_equal_bit_for_bit(self, family, rank_rtol):
+    def test_rows_equal_bit_for_bit(self, family, rank_rtol, n_max):
         # At rank_rtol 1e-3 the alternating truncations from n = 33 on are
         # rank-deficient, and at 1e-2 every family but mult_inv_sqrt is by
         # n = 100.
         tol = ToleranceConfig(rank_rtol=rank_rtol)
-        rows = limit_study(family, MAX_DIM, tol)
-        assert row_bits(rows) == row_bits(dense_route_rows(family, MAX_DIM, tol))
+        rows = limit_study(family, n_max, tol)
+        assert row_bits(rows) == row_bits(dense_route_rows(family, n_max, tol))
 
 
 class TestEveryRowIsEp:
