@@ -415,24 +415,15 @@ def hermitian_eig(
 
 
 def _hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """The eigenvalues of the Hermitian part (H + H*) / 2 of one matrix, non-decreasing.
-
-    No validation, as norm2.  Raises ConvergenceFailure if the iteration
-    does not converge.
-    """
+    """The eigenvalues of (H + H*) / 2, non-decreasing.  No validation, as norm2."""
     try:
         return np.linalg.eigvalsh((h + h.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(
-            f"Hermitian eigenvalue iteration did not converge for shape {h.shape}"
-        ) from exc
+        raise ConvergenceFailure(f"eigvalsh did not converge for shape {h.shape}") from exc
 
 
 def _inverse(m: np.ndarray) -> np.ndarray:
-    """The inverse of one square matrix, by LU.  No validation, as norm2.
-
-    Raises ConvergenceFailure if the factorization finds m singular.
-    """
+    """The inverse of one square matrix.  No validation, as norm2."""
     try:
         return np.linalg.inv(m)
     except np.linalg.LinAlgError as exc:

@@ -72,11 +72,9 @@ _DIAGONALS = {
 }
 FAMILIES = tuple(_DIAGONALS)
 
-# ``limit_study`` reads the diagonals of a block of truncations as one
-# array of at most this many entries: 32 rows of at most MAX_DIM.  The rows
-# per block do not depend on n_max, so the block edges fall at the same
-# truncations in every study.  One block of all 256 rows would peak at about
-# 1.6 MB of arrays instead of 0.3 MB, and runs no faster.
+# ``limit_study`` reads a block of truncations as one array of at most this
+# many entries, 32 rows of at most MAX_DIM, at every n_max.  One block of all
+# 256 rows would peak at 1.6 MB of arrays instead of 0.3 MB, and is no faster.
 _BLOCK_ENTRIES = 2**13
 
 
@@ -113,8 +111,8 @@ def limit_study(
     row is read from the truncation's diagonal d at any ``rank_rtol``: its
     sorted |entries| give the rank and gamma, max |d| is the spectral
     radius, the pseudoinverse norm is 1/gamma (both 0.0 at rank 0), and the
-    row is EP, as every diagonal is.  The diagonals of a block of
-    truncations are read together, as the rows of one zero-padded array.
+    row is EP, as every diagonal is.  Each block of 32 truncations is read
+    at once, as the rows of one zero-padded array.
     """
     require_int("n_max", n_max)
     if n_max < 2:
