@@ -217,8 +217,9 @@ def svd(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> SvdFactorization:
 
     Validates as as_matrix.  The zero matrix yields numerical_rank 0 (empty
     range basis).  Raises ConvergenceFailure if the underlying iteration
-    does not converge.  Runs the kernel of ``_lockstep``'s "svd" requests
-    on a stack of one.
+    does not converge, or if sigma_1 is not finite, as on finite entries
+    near the float maximum: an infinite cutoff would count rank 0.  Runs
+    the kernel of ``_lockstep``'s "svd" requests on a stack of one.
     """
     return _svd_call(as_matrix(matrix)[None], tol)[0]
 
@@ -241,6 +242,7 @@ def _svd_call(stack: np.ndarray, tol: ToleranceConfig) -> list[SvdFactorization]
             v, s, u = _full_svd(stack.conj().swapaxes(1, 2))
         except np.linalg.LinAlgError:
             raise ConvergenceFailure(f"SVD did not converge for shape {stack.shape[1:]}") from exc
+    _require_finite_sigma1(s, stack)
     return [
         SvdFactorization(
             left_vectors=u[i], singular_values=s[i], right_vectors=v[i], numerical_rank=rank
@@ -265,8 +267,8 @@ def singular_values(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndar
     ``models``.  Any other input takes that kernel (dqds), which costs about
     half the full one and does not perturb the values the way the vector
     route does.  Validates as as_matrix; raises ConvergenceFailure if the
-    iteration does not converge.  Runs the kernel of ``_lockstep``'s
-    "values" requests on a stack of one.
+    iteration does not converge or sigma_1 is not finite, as ``svd`` does.
+    Runs the kernel of ``_lockstep``'s "values" requests on a stack of one.
     """
     return _singular_values_call(as_matrix(matrix)[None], tol)[0]
 
@@ -287,7 +289,19 @@ def _singular_values_call(stack: np.ndarray, tol: ToleranceConfig) -> list[tuple
         ])
     else:
         s = _values_only(stack)
+    _require_finite_sigma1(s, stack)
     return list(zip(s, _numerical_ranks(s, tol)))
+
+
+def _require_finite_sigma1(s: np.ndarray, stack: np.ndarray) -> None:
+    """Raise ConvergenceFailure unless every row of s, sorted singular values, starts finite.
+
+    One vectorized check per LAPACK call.  Finite entries can give an
+    infinite sigma_1 (two entries of 1.5e308 in one row), and the rank
+    cutoff rank_rtol * sigma_1 would then count nothing.
+    """
+    if not np.isfinite(s[:, 0]).all():
+        raise ConvergenceFailure(f"SVD gave a non-finite sigma_1 for shape {stack.shape[1:]}")
 
 
 # One LAPACK call takes at most max(1, _STACK_ENTRIES // (rows * cols))

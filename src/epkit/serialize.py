@@ -13,8 +13,17 @@ ReportFile::
 
 Rendering is canonical (sorted keys, two-space indent, trailing newline) and
 refuses non-finite floats, so identical payloads serialize to identical
-bytes.  Timing fields default to 0 for reproducible output; the CLI's
---timings flag substitutes measured values.
+bytes.  One encoder, ``_canonical_json``, renders every report and matrix
+file.  Its contract: the bytes of the standard json encoder with
+``sort_keys=True, indent=2, allow_nan=False``, plus a newline, for a tree
+of str-keyed dicts, lists, tuples, str, int, float, bool and None,
+subclasses included (``np.float64`` is a float); on a non-finite float or
+a value of any other type, json's exception with json's text.  json runs
+its C encoder only when ``indent`` is None, so an indented render takes
+json's pure-Python generators, at about twice the cost of this encoder.
+``tests/test_serialize.py`` checks it against json as an oracle.  Timing
+fields default to 0 for reproducible output; the CLI's --timings flag
+substitutes measured values.
 
 A MatrixFile decodes as arrays: its rows, entries and parts are checked in
 whole-list passes and its parts converted by one numpy call, to the same
@@ -34,6 +43,7 @@ import json
 import math
 from dataclasses import fields
 from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -159,10 +169,7 @@ def read_matrix_file(path) -> np.ndarray:
 
 
 def write_matrix_file(path, matrix) -> None:
-    Path(path).write_text(
-        json.dumps(matrix_to_payload(matrix), sort_keys=True, indent=2, allow_nan=False)
-        + "\n"
-    )
+    Path(path).write_text(_canonical_json(matrix_to_payload(matrix)))
 
 
 def report_payload(report) -> dict:
@@ -189,7 +196,98 @@ def report_document(kind: str, payload, tol, wall_time_ms: int = 0) -> dict:
 
 
 def render_report(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return _canonical_json(doc)
+
+
+def _canonical_json(doc) -> str:
+    """``doc`` as canonical JSON text, ending in a newline (module docstring).
+
+    A document is a tree: a cycle recurses until RecursionError, where json
+    raises ValueError.  Dict keys must be str; json would also take int,
+    float, bool and None keys.
+    """
+    return _encode(doc, "\n") + "\n"
+
+
+# The base classes' reprs, so a subclass writes as its base does: the repr
+# of np.float64(0.5) is "np.float64(0.5)".
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+_isfinite = math.isfinite
+
+
+def _encode(value, newline: str) -> str:
+    """``value`` as canonical JSON; ``newline`` is "\\n" and the indent of its line.
+
+    Dispatches on the exact type first, then on isinstance for subclasses,
+    in json's order.
+    """
+    kind = type(value)
+    if kind is float:
+        return _float_text(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return _int_repr(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    if kind is dict:
+        return _dict_text(value, newline)
+    if kind is list or kind is tuple:
+        return _list_text(value, newline)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return _int_repr(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    if isinstance(value, (list, tuple)):
+        return _list_text(value, newline)
+    if isinstance(value, dict):
+        return _dict_text(value, newline)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _float_text(value) -> str:
+    if _isfinite(value):
+        return _float_repr(value)
+    raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+
+
+# A finite float of exact type, the commonest value of a report or matrix
+# file, is written in place in the two loops below, without a call to
+# ``_encode``: about a tenth of a model report's render time.
+
+
+def _list_text(items, newline: str) -> str:
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    parts = []
+    for v in items:
+        if type(v) is float and _isfinite(v):
+            parts.append(_float_repr(v))
+        else:
+            parts.append(_encode(v, inner))
+    return "[" + inner + ("," + inner).join(parts) + newline + "]"
+
+
+def _dict_text(mapping, newline: str) -> str:
+    if not mapping:
+        return "{}"
+    inner = newline + "  "
+    parts = []
+    for key in sorted(mapping):
+        v = mapping[key]
+        if type(v) is float and _isfinite(v):
+            parts.append(encode_basestring_ascii(key) + ": " + _float_repr(v))
+        else:
+            parts.append(encode_basestring_ascii(key) + ": " + _encode(v, inner))
+    return "{" + inner + ("," + inner).join(parts) + newline + "}"
 
 
 def parse_report(text: str) -> dict:

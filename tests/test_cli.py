@@ -87,6 +87,15 @@ class TestClassifyCommand:
         )
 
 
+    def test_overflowing_sigma_1_exits_2_with_an_epkit_message(self, tmp_path, capsys):
+        # Finite entries, but sigma_1 overflows: no zero-operator report.
+        path = tmp_path / "huge.json"
+        write_matrix_file(path, 1.5e308 * np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
+        assert main(["classify", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "epkit: error: SVD gave a non-finite sigma_1 for shape (3, 3)\n"
+
     def test_entries_near_1e200_exit_0(self, tmp_path, capsys):
         # Normality is decided at unit scale, so no product overflows.
         path = tmp_path / "big.json"

@@ -16,10 +16,12 @@ from epkit import (
     direct_sum,
     eigenvalues,
     hermitian_eig,
+    is_ep,
     multiply,
     operator_norm,
     polar_decomposition,
     pseudoinverse,
+    reduced_min_modulus,
     svd,
 )
 from epkit import core
@@ -546,6 +548,36 @@ class TestNorm2:
     def test_threshold_check_of_a_non_finite_norm_raises(self, m):
         with pytest.raises(ConvergenceFailure):
             norm2_at_most(m, 5.0)
+
+
+# Finite matrices whose sigma_1 overflows: a rank cutoff of rank_rtol * inf
+# would count nothing and read each as the zero operator.
+OVERFLOWING = {
+    "dense": 1.5e308 * np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]),
+    "complex_diagonal": np.diag([1.5e308 + 1.5e308j, 1.0]),
+}
+
+
+class TestOverflowingSigma1:
+    @pytest.mark.parametrize(
+        "call", [svd, singular_values, pseudoinverse, reduced_min_modulus, is_ep, classify],
+        ids=lambda f: f.__name__,
+    )
+    @pytest.mark.parametrize("name", list(OVERFLOWING))
+    def test_is_a_convergence_failure(self, call, name):
+        assert np.isfinite(OVERFLOWING[name]).all()
+        with pytest.raises(ConvergenceFailure, match="non-finite sigma_1"):
+            call(OVERFLOWING[name])
+
+    @pytest.mark.parametrize("kind", ["svd", "values"])
+    def test_lockstep_request_is_a_convergence_failure(self, kind):
+        ok = np.eye(3)
+        with pytest.raises(ConvergenceFailure, match="non-finite sigma_1"):
+            core._lockstep([request_steps([(kind, (ok, OVERFLOWING["dense"]))])])
+
+    def test_largest_finite_sigma_1_keeps_its_rank(self):
+        m = np.diag([1.7976931348623157e308, 1.0, 0.0])
+        assert svd(m).numerical_rank == singular_values(m)[1] == 1
 
 
 class TestNormSubmultiplicativity:

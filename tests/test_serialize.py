@@ -1,18 +1,29 @@
-"""MatrixFile encode and decode against the per-entry reference loops.
+"""MatrixFile encode and decode against the per-entry reference loops,
+and the canonical JSON encoder against json.
 
 ``serialize`` decodes a matrix file in whole-list passes and one numpy
 conversion, and encodes it with one ``tolist``.  The loops below are the
 per-entry forms they replace; valid input must give the same bits, and
 each kind of malformed input the same exception and message.
+
+``serialize._canonical_json`` renders every report and matrix file; json's
+``dumps`` with the same settings is its oracle, for the bytes it writes and
+for the exception it raises.
 """
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epkit import MAX_DIM, InvalidDimension, MatrixFileError
-from epkit.serialize import matrix_from_payload, matrix_to_payload
+from epkit.serialize import (
+    _canonical_json,
+    matrix_from_payload,
+    matrix_to_payload,
+    write_matrix_file,
+)
 
 
 def reference_decode(doc) -> np.ndarray:
@@ -142,6 +153,10 @@ def test_cap_is_checked_before_the_data(shape):
     assert str(err.value) == f"matrix of shape {shape} exceeds the 256x256 cap"
 
 
+def json_reference(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 @pytest.mark.parametrize(
     "matrix",
     [
@@ -152,8 +167,58 @@ def test_cap_is_checked_before_the_data(shape):
     ],
     ids=["negative_zero", "subnormal", "near_max", "random_d64"],
 )
-def test_encode_matches_the_reference_bytes(matrix):
-    def render(doc):
-        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+def test_encode_matches_the_reference_bytes(matrix, tmp_path):
+    path = tmp_path / "matrix.json"
+    write_matrix_file(path, matrix)
+    assert path.read_text() == json_reference(document(reference_data(matrix)))
 
-    assert render(matrix_to_payload(matrix)) == render(document(reference_data(matrix)))
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+)
+TEXT = st.text(st.characters() | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fé€☃\U0001d11e'), max_size=8)
+LEAVES = (
+    FLOATS
+    | FLOATS.map(np.float64)
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | st.booleans()
+    | st.none()
+    | TEXT
+)
+DOCUMENTS = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=6)
+    | st.lists(children, max_size=6).map(tuple)
+    | st.dictionaries(TEXT, children, max_size=6),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(DOCUMENTS)
+def test_encoder_writes_the_bytes_of_json(doc):
+    assert _canonical_json(doc) == json_reference(doc)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        float("nan"), float("inf"), float("-inf"), np.float64("nan"), np.float64("-inf"),
+        np.bool_(True), np.int64(3), {1, 2},
+    ],
+    ids=["nan", "inf", "-inf", "np_nan", "np_-inf", "np_bool", "np_int64", "set"],
+)
+@pytest.mark.parametrize(
+    "place",
+    [lambda v: v, lambda v: [1.0, v], lambda v: ("x", v), lambda v: {"a": 1.0, "b": v}],
+    ids=["top", "in_list", "in_tuple", "in_dict"],
+)
+def test_encoder_raises_what_json_raises(value, place):
+    doc = place(value)
+    with pytest.raises(Exception) as want:
+        json_reference(doc)
+    with pytest.raises(Exception) as got:
+        _canonical_json(doc)
+    assert type(got.value) is type(want.value) in (ValueError, TypeError)
+    assert str(got.value) == str(want.value)
