@@ -56,19 +56,20 @@ the lowest t.
 cannot finish fails before any work.
 
 Generators draw, then build, and verifiers decide.  Each family of the
-generator table, ``_GENERATORS``, is split at its QR factorizations: its
-``draw`` takes every random number of one instance, in a fixed order, with
-the complex Gaussian blocks of its Haar unitaries among them, and its
-``build`` makes the instance from those unitaries and draws nothing.  A
-trial's ``_draw`` is a step generator: it draws its instances from the
-trial's rng, yields all their Gaussian blocks as one "haar" request, and
-builds them from the Haar unitaries it is sent.  That request is every
-trial's first, so a group's Gaussian blocks of one size become Haar
-unitaries by one stacked QR per ``core._STACK_ENTRIES`` entries of
-blocks.  A QR draws nothing and LAPACK factors each block of a stack
-alone, so every instance has the bits it has when drawn alone.  A draw
-takes the real and imaginary parts of a Gaussian block at once, and the
-QR kernel makes the complex blocks of a whole stack in one step.
+generator table, ``_GENERATORS``, is one generator function split at its
+QR factorizations: it takes every random number of one instance, in a
+fixed order, with the complex Gaussian blocks of its Haar unitaries among
+them, yields those blocks once, and returns the instance built from the
+unitaries it is sent, drawing nothing after its yield.  A trial's
+``_draw`` is a step generator: it runs each of its families to that
+yield, asks for all their Gaussian blocks in one "haar" request, and
+sends each family its unitaries.  That request is every trial's first,
+so a group's Gaussian blocks of one size become Haar unitaries by one
+stacked QR per ``core._STACK_ENTRIES`` entries of blocks.  A QR draws
+nothing and LAPACK factors each block of a stack alone, so every
+instance has the bits it has when drawn alone.  A draw takes the real
+and imaginary parts of a Gaussian block at once, and the QR kernel makes
+the complex blocks of a whole stack in one step.
 
 Each verifier's entry in ``_CHECKERS`` names the families trial t draws,
 ``draws(t)``; its body gets a ``_Drawn``: the instances paired with their
@@ -87,7 +88,8 @@ aligned pair: two invertible blocks conjugated by one shared unitary,
 which the pair needs for its ranges and null spaces to align.  A verifier
 that needs a window builds it from its draws (thm1.5 scales one).  A test
 that needs a faulty generator patches an entry of that table for its own
-run (``monkeypatch.setitem``); the package itself never mutates
+run (``monkeypatch.setitem``), with a generator function that drives the
+real family and alters what it returns; the package itself never mutates
 module-level state, so everything a run depends on travels in its
 arguments and its ``_Ctx``.
 """
@@ -199,7 +201,7 @@ def _gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal((2, n, n))
 
 
-def _draw_invertible(rng: np.random.Generator, n: int, condition_bound: float):
+def _invertible_draws(rng: np.random.Generator, n: int, condition_bound: float):
     """The draws of an n x n invertible matrix with condition number <= condition_bound.
 
     Returns its singular values, largest first, and the Gaussian blocks of
@@ -227,45 +229,23 @@ def _embed_conjugated(v: np.ndarray, block: np.ndarray) -> np.ndarray:
     return v @ b @ v.conj().T
 
 
-@dataclass(frozen=True)
-class _Family:
-    """A generator family, split at its QR factorizations.
-
-    ``draw(rng, dim, rank, cond)`` takes every random number of one
-    instance and returns ``(params, blocks)``, where blocks are the
-    Gaussian blocks of its Haar unitaries.  ``build(params, unitaries)``
-    makes the instance from those unitaries, in the order of their blocks,
-    and draws nothing.
-    """
-
-    draw: Callable
-    build: Callable
+# The families of ``_GENERATORS``, each a generator function of (rng, dim,
+# rank, cond): it is sent the unitaries of its blocks in their order.
 
 
-def _draw_ep(rng, dim, rank, cond):
+def _ep(rng, dim, rank, cond):
     if rank == 0:
-        return (dim, None), ()
-    s, blocks = _draw_invertible(rng, rank, cond)
-    return (dim, s), (*blocks, _gaussian(rng, dim))
-
-
-def _build_ep(params, unitaries) -> np.ndarray:
-    dim, s = params
-    if s is None:
+        yield ()
         return np.zeros((dim, dim), dtype=np.complex128)
-    u, v, w = unitaries
+    s, blocks = _invertible_draws(rng, rank, cond)
+    u, v, w = yield (*blocks, _gaussian(rng, dim))
     return _embed_conjugated(w, _invertible(s, u, v))
 
 
-def _draw_non_ep(rng, dim, rank, cond):
+def _non_ep(rng, dim, rank, cond):
     corner = rng.uniform(0.5, 2.0)
-    s, blocks = _draw_invertible(rng, rank - 1, cond) if rank > 1 else (None, ())
-    return (rank, corner, s), (*blocks, _gaussian(rng, dim))
-
-
-def _build_non_ep(params, unitaries) -> np.ndarray:
-    rank, corner, s = params
-    *uv, w = unitaries
+    s, blocks = _invertible_draws(rng, rank - 1, cond) if rank > 1 else (None, ())
+    *uv, w = yield (*blocks, _gaussian(rng, dim))
     block = np.zeros((rank + 1, rank + 1), dtype=np.complex128)
     block[0, 1] = corner
     if uv:
@@ -273,31 +253,22 @@ def _build_non_ep(params, unitaries) -> np.ndarray:
     return _embed_conjugated(w, block)
 
 
-def _draw_normal_ep(rng, dim, rank, cond):
+def _normal_ep(rng, dim, rank, cond):
     smax = rng.uniform(0.5, 2.0)
     mags = smax * np.exp(rng.uniform(-np.log(max(cond, 1.0)), 0.0, size=rank))
     phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=rank))
     lam = np.zeros(dim, dtype=np.complex128)
     lam[:rank] = mags * phases
-    return lam, (_gaussian(rng, dim),)
-
-
-def _build_normal_ep(lam, unitaries) -> np.ndarray:
-    (v,) = unitaries
+    (v,) = yield (_gaussian(rng, dim),)
     return (v * lam) @ v.conj().T
 
 
-def _draw_aligned_ep_pair(rng, dim, rank, cond):
-    w = _gaussian(rng, dim)
-    s1, blocks1 = _draw_invertible(rng, rank, cond)
-    s2, blocks2 = _draw_invertible(rng, rank, cond)
-    return (s1, s2), (w, *blocks1, *blocks2)
-
-
-def _build_aligned_ep_pair(params, unitaries) -> tuple[np.ndarray, np.ndarray]:
+def _aligned_ep_pair(rng, dim, rank, cond):
     """EP S and T of one range and one null space: two invertible blocks conjugated by one W."""
-    s1, s2 = params
-    w, u1, v1, u2, v2 = unitaries
+    shared = _gaussian(rng, dim)
+    s1, blocks1 = _invertible_draws(rng, rank, cond)
+    s2, blocks2 = _invertible_draws(rng, rank, cond)
+    w, u1, v1, u2, v2 = yield (shared, *blocks1, *blocks2)
     return _embed_conjugated(w, _invertible(s1, u1, v1)), _embed_conjugated(
         w, _invertible(s2, u2, v2)
     )
@@ -315,10 +286,10 @@ def _random_poly_in(rng, m: np.ndarray) -> np.ndarray:
 
 
 _GENERATORS = {
-    "ep": _Family(_draw_ep, _build_ep),
-    "non_ep": _Family(_draw_non_ep, _build_non_ep),
-    "normal_ep": _Family(_draw_normal_ep, _build_normal_ep),
-    "aligned_ep_pair": _Family(_draw_aligned_ep_pair, _build_aligned_ep_pair),
+    "ep": _ep,
+    "non_ep": _non_ep,
+    "normal_ep": _normal_ep,
+    "aligned_ep_pair": _aligned_ep_pair,
 }
 # The families ``gen_matrix`` draws: one matrix each.  thm2.12's aligned
 # pair is two.
@@ -328,21 +299,28 @@ _MATRIX_FAMILIES = ("ep", "non_ep", "normal_ep")
 def _draw(spec: GeneratorSpec, rng: np.random.Generator, plan):
     """One trial's ``(family, instance)`` pairs, one for each ``(family, cond)`` of ``plan``, as steps.
 
-    Draws every instance, yields all their Gaussian blocks as one "haar"
-    request, and builds each instance from its unitaries.  non_ep is drawn
-    at the control rank, and ``cond``, when not None, caps the spec's
-    condition bound.
+    Runs every family to its yield, in plan order, yields all their Gaussian
+    blocks as one "haar" request, and sends each family its unitaries.
+    non_ep is drawn at the control rank, and ``cond``, when not None, caps
+    the spec's condition bound.
     """
-    drawn = []
+    families = []
     for family, cond in plan:
         rank = min(max(spec.rank, 1), spec.dim - 1) if family == "non_ep" else spec.rank
         c = spec.condition_bound if cond is None else min(cond, spec.condition_bound)
-        drawn.append((family, *_GENERATORS[family].draw(rng, spec.dim, rank, c)))
-    unitaries = iter((yield "haar", tuple(z for _, _, blocks in drawn for z in blocks)))
-    return tuple(
-        (family, _GENERATORS[family].build(params, [next(unitaries) for _ in blocks]))
-        for family, params, blocks in drawn
-    )
+        steps = _GENERATORS[family](rng, spec.dim, rank, c)
+        families.append((family, steps, next(steps)))
+    unitaries = iter((yield "haar", tuple(z for _, _, blocks in families for z in blocks)))
+    instances = []
+    for family, steps, blocks in families:
+        sent = [next(unitaries) for _ in blocks]
+        try:
+            steps.send(sent)
+        except StopIteration as stop:
+            instances.append((family, stop.value))
+        else:
+            raise RuntimeError(f"family {family!r} yielded more than once")
+    return tuple(instances)
 
 
 @dataclass(frozen=True)

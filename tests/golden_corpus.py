@@ -25,7 +25,6 @@ digest can be shown field by field (``tests/golden/refresh.py``).
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -117,18 +116,18 @@ CORRUPT_EP = {"verify-thm2.1-d4-r2-t4-corrupt-ep"}
 
 @contextlib.contextmanager
 def _faulted(family: str, fault):
-    """Apply ``fault`` to each instance the family builds, until the block ends.
+    """Apply ``fault`` to each instance the family returns, until the block ends.
 
-    The family keeps its draws, so every rng is left where the real family
-    leaves it.
+    The faulted family drives the real one, so it keeps its draws and its
+    yield, and every rng is left where the real family leaves it.
     """
     real = harness._GENERATORS[family]
 
-    def build(params, unitaries):
-        return fault(real.build(params, unitaries))
+    def faulted(*args):
+        return fault((yield from real(*args)))
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setitem(harness._GENERATORS, family, dataclasses.replace(real, build=build))
+        patch.setitem(harness._GENERATORS, family, faulted)
         yield
 
 

@@ -66,6 +66,32 @@ class TestClassifyCommand:
         write_matrix_file(path, np.ones((2, 3)))
         assert main(["classify", "--input", str(path)]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("[1]", "matrix document must be a JSON object"),
+        ('{"version": "1", "rows": 1, "cols": 1}', "matrix document lacks fields: ['data']"),
+        ('{"version": "2", "rows": 1, "cols": 1, "data": [[[1, 0]]]}',
+         "unsupported matrix file version '2'"),
+        ('{"version": "1", "rows": true, "cols": 1, "data": [[[1, 0]]]}',
+         "rows/cols must be positive integers, got True/1"),
+        ('{"version": "1", "rows": 2, "cols": 1, "data": [[[1, 0]]]}',
+         "data must be a list of 2 rows"),
+    ], ids=["array", "no_data", "version_2", "bool_rows", "short_data"])
+    def test_a_malformed_document_exits_2_with_its_message(self, text, message, tmp_path,
+                                                           capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["classify", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"epkit: error: {message}\n"
+
+    def test_a_missing_input_exits_2_with_its_message(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert main(["classify", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"epkit: error: cannot read {path}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_output_file(self, hermitian_file, tmp_path):
         out = tmp_path / "rep.json"
         assert main(["classify", "--input", str(hermitian_file), "--output", str(out)]) == 0
@@ -204,6 +230,11 @@ class TestSuiteCommand:
         (["verify", "thm2.12", "--dim", "8", "--rank", "8", "--trials", "10"],
          "thm2.12 needs rank < dim"),
         (["suite", "--dim", "2", "--rank", "2", "--trials", "2"], "thm2.5 needs trials >= 3"),
+        (["verify", "thm2.1", "--dim", "257"], "dim must be in [1, 256], got 257"),
+        (["verify", "thm2.1", "--seed", str(2**64)],
+         "seed must fit in an unsigned 64-bit integer"),
+        (["verify", "thm2.1", "--dim", "1", "--rank", "1"],
+         "two-direction verifiers need dim >= 2 for the control family"),
     ])
     def test_a_run_that_cannot_finish_exits_2_before_its_first_trial(
         self, argv, message, capsys, monkeypatch
@@ -346,6 +377,25 @@ class TestWireFormats:
                         '"data": [[[1' + "0" * 400 + ', 0], [0, 0]]]}')
         assert main(["classify", "--input", str(path)]) == 2
         assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1]", "report must be a JSON object"),
+        ("{}", "report lacks fields: ['payload', 'payload_kind', 'tolerances', "
+               "'tool_version', 'wall_time_ms']"),
+        ('{"tool_version": "x", "tolerances": {}, "payload_kind": "bogus", "payload": {}, '
+         '"wall_time_ms": 0}', "unknown report kind 'bogus'"),
+    ], ids=["array", "empty", "unknown_kind"])
+    def test_parse_report_rejects_a_malformed_report(self, text, message):
+        with pytest.raises(MatrixFileError) as err:
+            parse_report(text)
+        assert str(err.value) == message
+
+    def test_report_document_rejects_an_unknown_kind(self, tol):
+        from epkit.serialize import report_document
+
+        with pytest.raises(MatrixFileError) as err:
+            report_document("x", {}, tol)
+        assert str(err.value) == "unknown report kind 'x'"
 
     def test_rejects_non_finite_constants(self):
         with pytest.raises(Exception):

@@ -438,6 +438,16 @@ class TestHermitianEig:
         with pytest.raises(NotHermitian):
             hermitian_eig(np.ones((2, 3)), tol)
 
+    def test_a_failed_iteration_raises_convergence_failure(self, monkeypatch, tol):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceFailure) as err:
+            hermitian_eig(np.eye(3), tol)
+        assert str(err.value) == "Hermitian eigendecomposition did not converge for shape (3, 3)"
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
 
 class TestHermitianValuesAndInverse:
     def test_same_bits_as_numpy(self, rng):
@@ -692,6 +702,11 @@ class TestValidation:
     def test_rejects_non_2d(self):
         with pytest.raises(InvalidDimension):
             as_matrix([1.0, 2.0])
+
+    def test_rejects_an_empty_axis(self):
+        with pytest.raises(InvalidDimension) as err:
+            as_matrix(np.zeros((0, 3)))
+        assert str(err.value) == "matrix axes must be positive, got (0, 3)"
 
     def test_rejects_oversized(self):
         with pytest.raises(InvalidDimension):

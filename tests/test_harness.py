@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import dataclasses
+import inspect
 import itertools
 import json
 import os
@@ -138,11 +139,7 @@ class TestGenMatrix:
     def test_only_the_table_names_a_generator(self):
         # Verifiers draw through ``_GENERATORS``, so a patched entry reaches
         # every draw of its family.
-        names = {
-            step.__name__
-            for family in harness._GENERATORS.values()
-            for step in (family.draw, family.build)
-        }
+        names = {family.__name__ for family in harness._GENERATORS.values()}
         stray = []
         for path in Path(epkit.__file__).parent.glob("*.py"):
             tree = ast.parse(path.read_text())
@@ -216,6 +213,32 @@ def family_ranks(family, dim):
     return sorted({r for r in (low, low + 1, dim // 2, high - 1, high) if low <= r <= high})
 
 
+def assert_family_protocol(name, family):
+    """A ``_GENERATORS`` entry draws every random number before its one yield.
+
+    Drives the family alone, one QR per Haar unitary, at every rank it is
+    drawn at, and compares its instance with its oracle bit for bit.
+    """
+    assert inspect.isgeneratorfunction(family)
+    for dim in (1, 2, 8):
+        for rank in family_ranks(name, dim):
+            rng = np.random.default_rng([5, dim, rank])
+            steps = family(rng, dim, rank, 100.0)
+            blocks = next(steps)
+            at_yield = rng.bit_generator.state
+            assert type(blocks) is tuple
+            assert (blocks == ()) == (name == "ep" and rank == 0)
+            for block in blocks:
+                assert block.dtype == np.float64
+                assert block.ndim == 3 and block.shape[0] == 2
+                assert block.shape[1] == block.shape[2]
+            with pytest.raises(StopIteration) as stop:  # it yields once
+                steps.send([core._haar_call(block[None])[0] for block in blocks])
+            assert rng.bit_generator.state == at_yield
+            ref = oracles.GENERATORS[name](np.random.default_rng([5, dim, rank]), dim, rank, 100.0)
+            assert same_bits(stop.value.value, ref)
+
+
 def record_trials(monkeypatch, theorem_id, **changes):
     """Swap a verifier's body, for the test, for one that records what each trial gets.
 
@@ -254,6 +277,34 @@ class TestBatchedGeneration:
                 assert same_bits(instance, ref)
                 # The body draws the rest of its trial from where the oracle left off.
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("name", list(harness._GENERATORS))
+    def test_each_family_is_one_step_generator(self, name):
+        # A family's draws all come before its yield, so ``_draw`` can run
+        # every family of a trial to its yield and pool their blocks.
+        family = harness._GENERATORS[name]
+        assert_family_protocol(name, family)
+
+        # A mutant that draws after its yield returns the same instance but
+        # leaves the rng past the state the trial body starts from.
+        def draws_late(rng, *args):
+            instance = yield from family(rng, *args)
+            rng.uniform()
+            return instance
+
+        with pytest.raises(AssertionError):
+            assert_family_protocol(name, draws_late)
+
+    def test_a_family_that_yields_twice_fails_its_draw(self, monkeypatch):
+        real = harness._GENERATORS["ep"]
+
+        def yields_twice(*args):
+            yield from real(*args)
+            yield ()
+
+        monkeypatch.setitem(harness._GENERATORS, "ep", yields_twice)
+        with pytest.raises(RuntimeError, match="family 'ep' yielded more than once"):
+            gen_matrix("ep", spec())
 
     @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
     def test_each_verifier_schedule_equals_the_oracle(self, theorem_id, monkeypatch):
