@@ -407,6 +407,11 @@ def _gamma(s: np.ndarray, r: int) -> float:
     return float(s[r - 1]) if r else 0.0
 
 
+def _pinv_norm(gamma: float) -> float:
+    """||T+|| = 1 / gamma(T) from T's reduced minimum modulus; 0.0 when gamma is 0 (T = 0)."""
+    return 1.0 / gamma if gamma > 0 else 0.0
+
+
 def hermitian_eig(
     matrix, tol: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:

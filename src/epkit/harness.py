@@ -56,20 +56,19 @@ the lowest t.
 cannot finish fails before any work.
 
 Generators draw, then build, and verifiers decide.  Each family of the
-generator table, ``_GENERATORS``, is one generator function split at its
-QR factorizations: it takes every random number of one instance, in a
-fixed order, with the complex Gaussian blocks of its Haar unitaries among
-them, yields those blocks once, and returns the instance built from the
-unitaries it is sent, drawing nothing after its yield.  A trial's
-``_draw`` is a step generator: it runs each of its families to that
-yield, asks for all their Gaussian blocks in one "haar" request, and
-sends each family its unitaries.  That request is every trial's first,
-so a group's Gaussian blocks of one size become Haar unitaries by one
-stacked QR per ``core._STACK_ENTRIES`` entries of blocks.  A QR draws
-nothing and LAPACK factors each block of a stack alone, so every
-instance has the bits it has when drawn alone.  A draw takes the real
-and imaginary parts of a Gaussian block at once, and the QR kernel makes
-the complex blocks of a whole stack in one step.
+generator table, ``_GENERATORS``, is a step generator of
+``core._lockstep``: it takes the random numbers of one instance in a fixed
+order, with the complex Gaussian blocks of its Haar unitaries among them,
+asks for their unitaries in a "haar" request, and returns the instance
+built from what it is sent.  A trial's ``_draw`` drives its families one
+after another, so its rng passes through their draws in plan order, as
+when each is drawn alone.  A group's Gaussian blocks of one size in one
+round become Haar unitaries by one stacked QR per
+``core._STACK_ENTRIES`` entries of blocks.  A QR draws nothing and LAPACK
+factors each block of a stack alone, so every instance has the bits it
+has when drawn alone.  A draw takes the real and imaginary parts of a
+Gaussian block at once, and the QR kernel makes the complex blocks of a
+whole stack in one step.
 
 Each verifier's entry in ``_CHECKERS`` names the families trial t draws,
 ``draws(t)``; its body gets a ``_Drawn``: the instances paired with their
@@ -83,7 +82,7 @@ commutes with T+.
 
 Every generated matrix passes through the table.  ``gen_matrix`` draws its
 three one-matrix families, ep, non_ep and normal_ep, by the same path with
-one rng, driving one ``_draw`` alone.  The fourth family is thm2.12's
+one rng, driving the family alone.  The fourth family is thm2.12's
 aligned pair: two invertible blocks conjugated by one shared unitary,
 which the pair needs for its ranges and null spaces to align.  A verifier
 that needs a window builds it from its draws (thm1.5 scales one).  A test
@@ -114,6 +113,7 @@ from .core import (
     _hermitian_eigenvalues,
     _inverse,
     _lockstep,
+    _pinv_norm,
     adjoint,
     as_matrix,
     eigenvalues,
@@ -229,23 +229,24 @@ def _embed_conjugated(v: np.ndarray, block: np.ndarray) -> np.ndarray:
     return v @ b @ v.conj().T
 
 
-# The families of ``_GENERATORS``, each a generator function of (rng, dim,
-# rank, cond): it is sent the unitaries of its blocks in their order.
+# The families of ``_GENERATORS``, each a step generator of (rng, dim,
+# rank, cond): it is sent the unitaries of its "haar" request's blocks in
+# their order.
 
 
 def _ep(rng, dim, rank, cond):
     if rank == 0:
-        yield ()
         return np.zeros((dim, dim), dtype=np.complex128)
     s, blocks = _invertible_draws(rng, rank, cond)
-    u, v, w = yield (*blocks, _gaussian(rng, dim))
+    u, v, w = yield "haar", (*blocks, _gaussian(rng, dim))
     return _embed_conjugated(w, _invertible(s, u, v))
 
 
 def _non_ep(rng, dim, rank, cond):
+    rank = min(max(rank, 1), dim - 1)  # a verifier draws its control at this rank
     corner = rng.uniform(0.5, 2.0)
     s, blocks = _invertible_draws(rng, rank - 1, cond) if rank > 1 else (None, ())
-    *uv, w = yield (*blocks, _gaussian(rng, dim))
+    *uv, w = yield "haar", (*blocks, _gaussian(rng, dim))
     block = np.zeros((rank + 1, rank + 1), dtype=np.complex128)
     block[0, 1] = corner
     if uv:
@@ -259,7 +260,7 @@ def _normal_ep(rng, dim, rank, cond):
     phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=rank))
     lam = np.zeros(dim, dtype=np.complex128)
     lam[:rank] = mags * phases
-    (v,) = yield (_gaussian(rng, dim),)
+    (v,) = yield "haar", (_gaussian(rng, dim),)
     return (v * lam) @ v.conj().T
 
 
@@ -268,7 +269,7 @@ def _aligned_ep_pair(rng, dim, rank, cond):
     shared = _gaussian(rng, dim)
     s1, blocks1 = _invertible_draws(rng, rank, cond)
     s2, blocks2 = _invertible_draws(rng, rank, cond)
-    w, u1, v1, u2, v2 = yield (shared, *blocks1, *blocks2)
+    w, u1, v1, u2, v2 = yield "haar", (shared, *blocks1, *blocks2)
     return _embed_conjugated(w, _invertible(s1, u1, v1)), _embed_conjugated(
         w, _invertible(s2, u2, v2)
     )
@@ -299,27 +300,13 @@ _MATRIX_FAMILIES = ("ep", "non_ep", "normal_ep")
 def _draw(spec: GeneratorSpec, rng: np.random.Generator, plan):
     """One trial's ``(family, instance)`` pairs, one for each ``(family, cond)`` of ``plan``, as steps.
 
-    Runs every family to its yield, in plan order, yields all their Gaussian
-    blocks as one "haar" request, and sends each family its unitaries.
-    non_ep is drawn at the control rank, and ``cond``, when not None, caps
-    the spec's condition bound.
+    Drives each family in turn, so the rng passes through their draws in
+    plan order; ``cond``, when not None, caps the spec's condition bound.
     """
-    families = []
-    for family, cond in plan:
-        rank = min(max(spec.rank, 1), spec.dim - 1) if family == "non_ep" else spec.rank
-        c = spec.condition_bound if cond is None else min(cond, spec.condition_bound)
-        steps = _GENERATORS[family](rng, spec.dim, rank, c)
-        families.append((family, steps, next(steps)))
-    unitaries = iter((yield "haar", tuple(z for _, _, blocks in families for z in blocks)))
     instances = []
-    for family, steps, blocks in families:
-        sent = [next(unitaries) for _ in blocks]
-        try:
-            steps.send(sent)
-        except StopIteration as stop:
-            instances.append((family, stop.value))
-        else:
-            raise RuntimeError(f"family {family!r} yielded more than once")
+    for family, cond in plan:
+        c = spec.condition_bound if cond is None else min(cond, spec.condition_bound)
+        instances.append((family, (yield from _GENERATORS[family](rng, spec.dim, spec.rank, c))))
     return tuple(instances)
 
 
@@ -353,8 +340,7 @@ def gen_matrix(family: str, spec: GeneratorSpec) -> np.ndarray:
             "matrix has equal range and adjoint range"
         )
     rng = np.random.default_rng([spec.seed, 0xA5])
-    ((_, matrix),) = _lockstep([_draw(spec, rng, ((family, None),))])[0]
-    return matrix
+    return _lockstep([_GENERATORS[family](rng, spec.dim, spec.rank, spec.condition_bound)])[0]
 
 
 def psd_dominates(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -485,11 +471,6 @@ def _has_perfect_matching(allowed: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 # Individual theorem checkers
 # ---------------------------------------------------------------------------
-
-
-def _pinv_norm(gamma: float) -> float:
-    """||T+|| = 1 / gamma(T), read from a factorization of T; 0.0 when gamma is 0 (T = 0)."""
-    return 1.0 / gamma if gamma > 0 else 0.0
 
 
 def _check_thm2_1(ctx: _Ctx, drawn: _Drawn):

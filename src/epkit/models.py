@@ -58,6 +58,7 @@ from .core import (
     _diagonal_singular_values,
     _gamma,
     _numerical_ranks,
+    _pinv_norm,
     require_int,
 )
 from .errors import InvalidDimension, InvalidSpec
@@ -140,7 +141,7 @@ def limit_study(
                     "gamma": gamma,
                     "spectral_radius": float(row[0]),
                     "is_ep": True,
-                    "pinv_norm": 1.0 / gamma if r else 0.0,
+                    "pinv_norm": _pinv_norm(gamma),
                 }
             )
     return rows

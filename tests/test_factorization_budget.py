@@ -199,10 +199,11 @@ def test_verifier_svd_budget(svd_calls, theorem_id):
 
 
 def test_the_suite_stacks_its_qr_calls(svd_calls):
-    # A verifier run draws its trials first and factors the Gaussian blocks
-    # of each size in one QR call: 15 runs of at most 3 block sizes at dim
-    # 8, rank 6 (ep blocks of 6 and 8, non_ep ones of 5 and 8), where one
-    # QR per Haar unitary would make 477 calls.
+    # A verifier run draws a group's trials in lockstep, and one QR call
+    # factors the Gaussian blocks of each size that a round asks for: at
+    # dim 8, rank 6 (ep blocks of 6 and 8, non_ep ones of 5 and 8) the 15
+    # runs make 43 calls, where one QR per Haar unitary would make 477.
+    # thm2.2 and thm2.12 draw two families in turn, one round each.
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["suite", "--seed", "1", "--trials", "10"]) == 0
     assert svd_calls["qr_matrices"] == 477
@@ -212,7 +213,7 @@ def test_the_suite_stacks_its_qr_calls(svd_calls):
 def test_the_suite_stacks_its_svd_calls(svd_calls):
     # A verifier run drives its trials in lockstep (``core._lockstep``), so
     # one LAPACK call answers a round's requests of one kind, shape and
-    # dtype across all ten trials: 40 calls over the 812 matrices that one
+    # dtype across all ten trials: 41 calls over the 812 matrices that one
     # call each would take.  The verifiers factor only what their verdicts
     # read, so no trial pays for a norm or a normality check of ``classify``.
     with contextlib.redirect_stdout(io.StringIO()):

@@ -214,29 +214,35 @@ def family_ranks(family, dim):
 
 
 def assert_family_protocol(name, family):
-    """A ``_GENERATORS`` entry draws every random number before its one yield.
+    """A ``_GENERATORS`` entry is a step generator that makes only "haar" requests.
 
     Drives the family alone, one QR per Haar unitary, at every rank it is
-    drawn at, and compares its instance with its oracle bit for bit.
+    drawn at, and compares its instance and the rng state it leaves with
+    its oracle's, bit for bit.
     """
     assert inspect.isgeneratorfunction(family)
     for dim in (1, 2, 8):
         for rank in family_ranks(name, dim):
             rng = np.random.default_rng([5, dim, rank])
             steps = family(rng, dim, rank, 100.0)
-            blocks = next(steps)
-            at_yield = rng.bit_generator.state
-            assert type(blocks) is tuple
-            assert (blocks == ()) == (name == "ep" and rank == 0)
-            for block in blocks:
-                assert block.dtype == np.float64
-                assert block.ndim == 3 and block.shape[0] == 2
-                assert block.shape[1] == block.shape[2]
-            with pytest.raises(StopIteration) as stop:  # it yields once
-                steps.send([core._haar_call(block[None])[0] for block in blocks])
-            assert rng.bit_generator.state == at_yield
-            ref = oracles.GENERATORS[name](np.random.default_rng([5, dim, rank]), dim, rank, 100.0)
-            assert same_bits(stop.value.value, ref)
+            unitaries = None
+            while True:
+                try:
+                    kind, blocks = steps.send(unitaries)
+                except StopIteration as stop:
+                    instance = stop.value
+                    break
+                assert kind == "haar"
+                assert type(blocks) is tuple and blocks
+                for block in blocks:
+                    assert block.dtype == np.float64
+                    assert block.ndim == 3 and block.shape[0] == 2
+                    assert block.shape[1] == block.shape[2]
+                unitaries = [core._haar_call(block[None])[0] for block in blocks]
+            ref_rng = np.random.default_rng([5, dim, rank])
+            ref = oracles.GENERATORS[name](ref_rng, dim, rank, 100.0)
+            assert same_bits(instance, ref)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def record_trials(monkeypatch, theorem_id, **changes):
@@ -255,6 +261,20 @@ def record_trials(monkeypatch, theorem_id, **changes):
     entry = dataclasses.replace(harness._CHECKERS[theorem_id], fn=record, **changes)
     monkeypatch.setitem(harness._CHECKERS, theorem_id, entry)
     return seen
+
+
+def assert_drawn_as_the_oracle(theorem_id, seen, spec):
+    """Each recorded trial's instances, and its rng as its body starts, equal the oracle's."""
+    salt = THEOREM_IDS.index(theorem_id)
+    for drawn, state in seen:
+        ref_rng = np.random.default_rng([spec.seed, salt, drawn.t])
+        plan = harness._CHECKERS[theorem_id].draws(drawn.t)
+        assert [family for family, _ in drawn.instances] == [family for family, _ in plan]
+        for (family, cond), (_, instance) in zip(plan, drawn.instances):
+            bound = min(cond or spec.condition_bound, spec.condition_bound)
+            ref = oracles.GENERATORS[family](ref_rng, spec.dim, spec.rank, bound)
+            assert same_bits(instance, ref)
+        assert state == ref_rng.bit_generator.state
 
 
 class TestBatchedGeneration:
@@ -280,13 +300,15 @@ class TestBatchedGeneration:
 
     @pytest.mark.parametrize("name", list(harness._GENERATORS))
     def test_each_family_is_one_step_generator(self, name):
-        # A family's draws all come before its yield, so ``_draw`` can run
-        # every family of a trial to its yield and pool their blocks.
+        # A family takes exactly its oracle's random numbers, so ``_draw``
+        # can drive a trial's families in turn and leave the rng where its
+        # body starts.
         family = harness._GENERATORS[name]
         assert_family_protocol(name, family)
 
-        # A mutant that draws after its yield returns the same instance but
-        # leaves the rng past the state the trial body starts from.
+        # A mutant that draws one more number after the real family returns
+        # builds the same instance but leaves the rng past the state the
+        # trial body starts from.
         def draws_late(rng, *args):
             instance = yield from family(rng, *args)
             rng.uniform()
@@ -295,36 +317,37 @@ class TestBatchedGeneration:
         with pytest.raises(AssertionError):
             assert_family_protocol(name, draws_late)
 
-    def test_a_family_that_yields_twice_fails_its_draw(self, monkeypatch):
-        real = harness._GENERATORS["ep"]
+    @pytest.mark.parametrize("dim, rank", [(8, 6), (129, 127)])
+    def test_a_family_may_split_its_blocks_over_two_requests(self, dim, rank, monkeypatch):
+        # ``_draw`` drives each family to its return, so an ep family that
+        # asks for its unitaries in two requests, drawing its last block
+        # after the first, draws the oracle's instance.  thm2.12's even
+        # trials draw two ep matrices in turn; at dim 129 a group is one trial.
+        def split_ep(rng, dim, rank, cond):
+            s, blocks = harness._invertible_draws(rng, rank, cond)
+            u, v = yield "haar", blocks
+            (w,) = yield "haar", (harness._gaussian(rng, dim),)
+            return harness._embed_conjugated(w, harness._invertible(s, u, v))
 
-        def yields_twice(*args):
-            yield from real(*args)
-            yield ()
-
-        monkeypatch.setitem(harness._GENERATORS, "ep", yields_twice)
-        with pytest.raises(RuntimeError, match="family 'ep' yielded more than once"):
-            gen_matrix("ep", spec())
+        monkeypatch.setitem(harness._GENERATORS, "ep", split_ep)
+        seen = record_trials(monkeypatch, "thm2.12")
+        run_spec = GeneratorSpec(dim=dim, rank=rank, seed=1)
+        run_theorem_check("thm2.12", run_spec, 4)
+        assert sorted(drawn.t for drawn, _ in seen) == list(range(4))
+        assert_drawn_as_the_oracle("thm2.12", seen, run_spec)
 
     @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
     def test_each_verifier_schedule_equals_the_oracle(self, theorem_id, monkeypatch):
         # The run's own path, with the body swapped for a recorder.  Mixed
         # families in one group share the stacks of their block sizes, and
         # a cap applies to its own draw.  Rank 6 is also non_ep's control
-        # rank at dim 8; 30 trials span two groups of 20.
-        entry = harness._CHECKERS[theorem_id]
+        # rank at dim 8; 30 trials span two groups of 20.  A trial that
+        # draws fewer families reaches its body in an earlier round.
         seen = record_trials(monkeypatch, theorem_id)
-        run_theorem_check(theorem_id, GeneratorSpec(dim=8, rank=6, seed=1), 30)
-        assert [drawn.t for drawn, _ in seen] == list(range(30))
-        salt = THEOREM_IDS.index(theorem_id)
-        for drawn, state in seen:
-            ref_rng = np.random.default_rng([1, salt, drawn.t])
-            plan = entry.draws(drawn.t)
-            assert [family for family, _ in drawn.instances] == [family for family, _ in plan]
-            for (family, cond), (_, instance) in zip(plan, drawn.instances):
-                ref = oracles.GENERATORS[family](ref_rng, 8, 6, min(cond or 100.0, 100.0))
-                assert same_bits(instance, ref)
-            assert state == ref_rng.bit_generator.state
+        run_spec = GeneratorSpec(dim=8, rank=6, seed=1)
+        run_theorem_check(theorem_id, run_spec, 30)
+        assert sorted(drawn.t for drawn, _ in seen) == list(range(30))
+        assert_drawn_as_the_oracle(theorem_id, seen, run_spec)
 
     def test_a_group_shares_one_qr_call_per_block_size(self, svd_calls, monkeypatch):
         # At dim 8 a group is 2^16 / (50 * 8^2) = 20 trials, so 24 make
@@ -342,13 +365,14 @@ class TestBatchedGeneration:
 
     def test_at_dim_256_each_trial_is_drawn_alone(self, svd_calls, monkeypatch):
         # From dim 32 on a group is one trial, and at dim 256 each QR call
-        # of size 256 takes one block: one call for a trial's four 1 x 1
-        # blocks and one for each of its two of size 256.
+        # of size 256 takes one block.  A trial draws its two ep matrices in
+        # turn, each with one call for its two 1 x 1 blocks and one for its
+        # block of size 256.
         assert harness._lockstep_group(256) == 1
         plan = (("ep", None), ("ep", None))
         seen = record_trials(monkeypatch, "thm3.2", draws=lambda t: plan)
         run_theorem_check("thm3.2", GeneratorSpec(dim=256, rank=1, seed=2), 2)
-        assert svd_calls["qr"] == 2 * 3
+        assert svd_calls["qr"] == 2 * 4
         assert svd_calls["qr_matrices"] == 2 * 6
         salt = THEOREM_IDS.index("thm3.2")
         for drawn, _ in seen:
@@ -518,6 +542,22 @@ class TestRunTheoremCheck:
     def test_rejects_zero_rank(self, tol):
         with pytest.raises(InvalidSpec):
             run_theorem_check("thm2.1", spec(rank=0), 4, tol)
+
+    @pytest.mark.parametrize("theorem_id", [t for t in THEOREM_IDS if t != "thm2.2"])
+    def test_one_trial_groups_at_dim_129(self, theorem_id, tol):
+        # From dim 32 on a lockstep group is one trial, so a trial's
+        # requests are answered alone, and thm2.12's even trials draw their
+        # two ep matrices one after another.
+        assert harness._lockstep_group(129) == 1
+        verdict = run_theorem_check(theorem_id, GeneratorSpec(dim=129, rank=127, seed=1), 3, tol)
+        assert verdict.trials == 3
+        assert verdict.failures == 0
+
+    def test_thm2_2_rejects_dim_129_before_trial_0(self, tol, monkeypatch):
+        seen = record_trials(monkeypatch, "thm2.2")
+        with pytest.raises(InvalidSpec, match=r"thm2.2 needs 2 \* dim <= 256"):
+            run_theorem_check("thm2.2", GeneratorSpec(dim=129, rank=127, seed=1), 3, tol)
+        assert seen == []  # no trial reached its body
 
     def test_thm2_12_rejects_full_rank(self, tol):
         # Invertible S and T: ST keeps their range and null space, so no
