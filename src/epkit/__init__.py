@@ -115,6 +115,7 @@ __all__ = [
     "realize",
     "reduced_min_modulus",
     "run_theorem_check",
+    "run_theorem_checks",
     "spectral_radius",
     "subspace_eq",
     "subspace_leq",
@@ -131,6 +132,7 @@ _LAZY = {
             "gen_matrix",
             "psd_dominates",
             "run_theorem_check",
+            "run_theorem_checks",
         ),
         "harness",
     ),

@@ -9,7 +9,10 @@ Every command runs through ``main``: it builds the tolerances, times the
 command and writes its report, and each ``_cmd_*`` only computes the
 report's kind, payload and exit code.  --timings' ``wall_time_ms`` covers
 the whole command, from reading its input or building its spec to its
-payload.  A classification or verdict payload is exactly the fields of
+payload, and each verdict's ``elapsed_ms`` the time ``core._lockstep``
+gave its own trials.  A --timings report also records the environment
+that made its bytes (``_environment``); a default report does not read it.
+A classification or verdict payload is exactly the fields of
 its dataclass (``serialize.report_payload``).
 
 The master seed comes from --seed alone (default 0); the theorem id and the
@@ -21,8 +24,11 @@ families.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
+
+import numpy as np
 
 from . import serialize
 from .classify import classify
@@ -37,7 +43,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tol-eq", type=float, default=1e-8, metavar="ATOL",
                      help="absolute tolerance for equality residuals (default 1e-8)")
     sub.add_argument("--timings", action="store_true",
-                     help="record measured wall time (reports are then not byte-reproducible)")
+                     help="record measured times and the numpy/BLAS environment "
+                     "(reports are then not byte-reproducible)")
 
 
 def _add_generator_flags(sub: argparse.ArgumentParser) -> None:
@@ -82,6 +89,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The variables that set the BLAS thread count, which moves the last bits
+# of residuals past dim 64.
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """numpy's version, the BLAS build's name and version, and the thread variables set.
+
+    The BLAS fields are null where numpy's build record lacks them; a thread
+    variable that is not set is null.
+    """
+    config = getattr(np.__config__, "CONFIG", None)
+    deps = config.get("Build Dependencies") if isinstance(config, dict) else None
+    blas = deps.get("blas") if isinstance(deps, dict) else None
+    if not isinstance(blas, dict):
+        blas = {}
+    return {
+        "numpy_version": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "thread_variables": {name: os.environ.get(name) for name in _THREAD_VARIABLES},
+    }
+
+
 def _resolve_rank(args) -> int:
     if args.rank is not None:
         return args.rank
@@ -113,12 +143,7 @@ def _cmd_suite(args, tol):
     from . import harness
 
     spec = harness.GeneratorSpec(dim=args.dim, rank=_resolve_rank(args), seed=args.seed)
-    # A suite that cannot run every verifier runs none.
-    for tid in harness.THEOREM_IDS:
-        harness.require_runnable(tid, spec, args.trials)
-    verdicts = [
-        harness.run_theorem_check(tid, spec, args.trials, tol) for tid in harness.THEOREM_IDS
-    ]
+    verdicts = harness.run_theorem_checks(harness.THEOREM_IDS, spec, args.trials, tol)
     all_passed = all(v.failures == 0 for v in verdicts)
     payload = {
         "seed": args.seed,
@@ -158,8 +183,12 @@ def main(argv=None) -> int:
         tol = ToleranceConfig(rank_rtol=args.tol_rank, eq_atol=args.tol_eq)
         start = time.perf_counter()
         kind, payload, code = _COMMANDS[args.command](args, tol)
-        wall_ms = int(round((time.perf_counter() - start) * 1000.0)) if args.timings else 0
-        text = serialize.render_report(serialize.report_document(kind, payload, tol, wall_ms))
+        if args.timings:
+            wall_ms = int(round((time.perf_counter() - start) * 1000.0))
+            doc = serialize.report_document(kind, payload, tol, wall_ms, _environment())
+        else:
+            doc = serialize.report_document(kind, payload, tol)
+        text = serialize.render_report(doc)
         if args.output:
             with open(args.output, "w") as handle:
                 handle.write(text)

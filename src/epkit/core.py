@@ -21,21 +21,21 @@ module is the only one that calls ``np.linalg.svd``, ``eigvals``, ``eig``,
 ``_lockstep`` is the one code path that stacks matrices for LAPACK.  It
 drives step generators side by side: each yields requests for SVDs,
 values-only SVDs, norms or the Haar unitaries of Gaussian blocks, and one
-round's requests of one kind, shape and dtype go to the per-call kernel
-of that kind (``_svd_call``, ``_singular_values_call``, ``_norm2_call``,
+round's requests of one kind, shape and dtype go to the per-call kernel of
+that kind (``_svd_call``, ``_singular_values_call``, ``_norm2_call``,
 ``_haar_call``) in stacks of at most max(1, _STACK_ENTRIES // (rows *
-cols)) matrices.  So independent problems, the trials of a verifier run
-and the draws of its generators among them, share LAPACK calls (batched
-dense linear algebra) and no factorization: LAPACK factors each matrix of
-a stack alone, so a stacked result has the bits of the single-matrix
-call.  What a stack saves is numpy's per-call cost, which at dim 8 is
-about that of the factorization, and the SVD kinds check their input for
-non-finite entries once per call, not per matrix.  ``svd``,
+cols)) matrices.  So independent problems, the trials of the verifiers of
+a run and the draws of their generators among them, share LAPACK calls
+(batched dense linear algebra) and no factorization: LAPACK factors each
+matrix of a stack alone, so a stacked result has the bits of the
+single-matrix call.  What a stack saves is numpy's per-call cost, which at
+dim 8 is about that of the factorization, and the SVD kinds check their
+input for non-finite entries once per call, not per matrix.  ``svd``,
 ``singular_values`` and ``norm2`` run the same kernels on a stack of one,
-so each SVD kind has one LAPACK call site; they validate one matrix, and
-a 3-D array raises InvalidDimension.  ``harness.gen_matrix`` drives its
-one draw alone.  ``eigenvalues``, ``hermitian_eig`` and ``norm2_at_most``
-stay one matrix per call.
+so each SVD kind has one LAPACK call site; they validate one matrix, and a
+3-D array raises InvalidDimension.  ``harness.gen_matrix`` drives its one
+draw alone.  ``eigenvalues``, ``hermitian_eig`` and ``norm2_at_most`` stay
+one matrix per call.
 
 ``norm2`` is the package's only spectral norm: it reads sigma_1 from the
 singular-value-only kernel, the same routine and the same bits as
@@ -66,6 +66,7 @@ returned array aliases an input.  Values are safe to share across threads.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -309,7 +310,7 @@ def _require_finite_sigma1(s: np.ndarray, stack: np.ndarray) -> None:
 _STACK_ENTRIES = 2**16
 
 
-def _lockstep(steps, tol: ToleranceConfig = DEFAULT_TOL) -> list:
+def _lockstep(steps, tol: ToleranceConfig = DEFAULT_TOL, seconds: list | None = None) -> list:
     """Run step generators side by side; return what each returns, in order.
 
     A step generator yields requests ``(kind, matrices)`` and is sent the
@@ -326,6 +327,11 @@ def _lockstep(steps, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     bits.  LAPACK factors each matrix of a stack alone, so a generator gets
     the bits it gets when driven alone; one generator driven alone is the
     one-element case.
+
+    A list passed as ``seconds`` receives each generator's time, in order:
+    the seconds spent advancing it, plus its matrices' share, by count, of
+    each kernel call they joined.  The times of the generators never
+    overlap, so they sum to less than the wall time of the call.
     """
     # Looked up at each run, so that a test can patch a kernel.
     kernels = {
@@ -334,16 +340,21 @@ def _lockstep(steps, tol: ToleranceConfig = DEFAULT_TOL) -> list:
         "norm": _norm2_call,
         "haar": _haar_call,
     }
+    clock = time.perf_counter
     steps = list(steps)
     returns = [None] * len(steps)
+    spent = [0.0] * len(steps)
     answers = dict.fromkeys(range(len(steps)))
     while answers:
         requests = {}
+        now = clock()
         for i in list(answers):
             try:
                 requests[i] = steps[i].send(answers.pop(i))
             except StopIteration as stop:
                 returns[i] = stop.value
+            then, now = now, clock()
+            spent[i] += now - then
         groups: dict[tuple, list] = {}
         for i, (kind, matrices) in requests.items():
             if kind not in kernels:
@@ -355,12 +366,18 @@ def _lockstep(steps, tol: ToleranceConfig = DEFAULT_TOL) -> list:
             per_call = max(1, _STACK_ENTRIES // math.prod(shape[-2:]))
             for start in range(0, len(slots), per_call):
                 call = slots[start : start + per_call]
+                began = clock()
                 # No local holds a call's stack or results into the next
                 # round, where a generator may drop them.
                 results = kernels[kind](np.array([requests[i][1][j] for i, j in call]))
                 for (i, j), result in zip(call, results):
                     answers[i][j] = result
                 del results
+                share = (clock() - began) / len(call)
+                for i, _ in call:
+                    spent[i] += share
+    if seconds is not None:
+        seconds[:] = spent
     return returns
 
 

@@ -44,16 +44,23 @@ norms of thm2.19, and it is sent their results in order.  A trial is one
 step generator (``_trial``): its draws, then its body.  The runner drives
 each group of consecutive trials through one ``core._lockstep`` call,
 which answers a round's requests of one kind, shape and dtype with one
-stacked LAPACK call per ``core._STACK_ENTRIES`` entries, and folds the
-trials' outcomes in t order.  LAPACK factors each matrix of a stack
+stacked LAPACK call per ``core._STACK_ENTRIES`` entries, and folds each
+verifier's outcomes in t order.  LAPACK factors each matrix of a stack
 alone, so stacking across trials shares no factorization and moves no
 bit.  A group holds as many trials as thm1.5's windows fill
 ``core._STACK_ENTRIES`` entries, and at least one (``_lockstep_group``):
-20 at dim 8, one from dim 32 on.  Per-trial diagnostics travel on the
-trial (``_Trial.details``), and the runner keeps each key's value from
-the lowest t.
-``require_runnable`` checks a run before its first trial, so a run that
-cannot finish fails before any work.
+20 at dim 8, one from dim 32 on.  One runner, ``run_theorem_checks``,
+runs several verifiers, a suite's fifteen, with one spec: while one
+window fits the stack (dim <= 36) a group holds those trials of every
+verifier, and past that a group is one trial of one verifier, so a run
+at a large dim holds no more than one verifier's run does.
+``run_theorem_check`` is its one-id case.  Each verdict's
+``elapsed_ms`` is the time ``core._lockstep`` measures for its own
+trials: advancing their steps, plus their matrices' share of each
+stacked call.  Per-trial diagnostics travel on the trial
+(``_Trial.details``), and the runner keeps each key's value from the
+lowest t.  ``require_runnable`` checks every verifier of a run before
+its first trial, so a run that cannot finish fails before any work.
 
 Generators draw, then build, and verifiers decide.  Each family of the
 generator table, ``_GENERATORS``, is a step generator of
@@ -97,7 +104,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Generator
 
@@ -1106,21 +1112,100 @@ def require_runnable(theorem_id: str, spec: GeneratorSpec, trials: int) -> None:
 
 
 def _lockstep_group(dim: int) -> int:
-    """How many consecutive trials of a run go through one ``core._lockstep`` call.
+    """How many consecutive trials of each verifier go through one ``core._lockstep`` call.
 
     As many as thm1.5's windows, SEQUENCE_LENGTH dim x dim terms each, fill
     ``_STACK_ENTRIES`` entries, and at least one: every trial of a group
     holds its matrices until the group ends, and a window is the most a
     trial holds.  At dim 8 a group holds 20 trials, at dim 32 and above one.
+    While one window fits (dim <= 36), the verifiers of a run share each
+    group; past that, a group is one trial of one verifier
+    (``_shares_groups``).
     """
     return max(1, _STACK_ENTRIES // (SEQUENCE_LENGTH * dim * dim))
 
 
-def _trial(entry: _CheckerEntry, ctx: _Ctx, salt: int, t: int):
+def _shares_groups(dim: int) -> bool:
+    """Whether the verifiers of one run share their lockstep groups: one thm1.5 window fits."""
+    return SEQUENCE_LENGTH * dim * dim <= _STACK_ENTRIES
+
+
+def _trial(entry: _CheckerEntry, salt: int, ctx: _Ctx, t: int):
     """Trial t of a run, as steps: draws from ``default_rng([seed, salt, t])``, then its body."""
     rng = np.random.default_rng([ctx.spec.seed, salt, t])
     instances = yield from _draw(ctx.spec, rng, entry.draws(t))
     return (yield from entry.fn(ctx, _Drawn(t, rng, instances)))
+
+
+@dataclass
+class _Tally:
+    """One verifier's outcomes so far, folded in t order."""
+
+    failures: int = 0
+    warnings: int = 0
+    worst: float = 0.0
+    counterexample: dict | None = None
+    accepting: int = 0
+    rejecting: int = 0
+    seconds: float = 0.0
+    details: dict = field(default_factory=dict)
+
+    def add(self, t: int, trial: _Trial, seconds: float) -> None:
+        self.accepting += trial.accept
+        self.rejecting += not trial.accept
+        self.worst = max(self.worst, trial.residual)
+        self.warnings += trial.warn
+        self.seconds += seconds
+        if not trial.ok:
+            self.failures += 1
+            if self.counterexample is None:
+                self.counterexample = _counterexample_payload(t, trial)
+        for key, value in (trial.details or {}).items():
+            self.details.setdefault(key, value)
+
+    def verdict(self, theorem_id: str, trials: int) -> TheoremVerdict:
+        entry = _CHECKERS[theorem_id]
+        notes = list(entry.static_notes)
+        if entry.min_trials > 1 and (self.accepting == 0 or self.rejecting == 0):
+            notes.append(
+                "configuration error: verifier saw "
+                f"{self.accepting} accepting and {self.rejecting} rejecting instances"
+            )
+        details = {**self.details, "accepting_trials": self.accepting,
+                   "rejecting_trials": self.rejecting}
+        return TheoremVerdict(
+            theorem_id=theorem_id,
+            trials=int(trials),  # a numpy integer would not encode as JSON
+            failures=self.failures,
+            worst_residual=float(self.worst),
+            counterexample=self.counterexample,
+            elapsed_ms=int(round(self.seconds * 1000.0)),
+            warnings=int(self.warnings),
+            notes=tuple(notes),
+            details=details,
+        )
+
+
+def run_theorem_checks(
+    theorem_ids,
+    spec: GeneratorSpec,
+    trials: int,
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> list[TheoremVerdict]:
+    """Run several theorem verifiers over ``trials`` generated instances each.
+
+    Returns one verdict per id, in order, each equal to what
+    ``run_theorem_check`` returns for it alone: trial t of an id draws from
+    its own rng whatever runs beside it, and LAPACK factors each matrix of
+    a stack alone.  Raises, before any trial, what ``require_runnable``
+    raises for any id, so a run that cannot run every verifier runs none.
+    Each group of ``_lockstep_group`` consecutive trials of every id is one
+    ``core._lockstep`` call while ``_shares_groups``; otherwise each id
+    runs its own groups in turn.  A verdict's ``elapsed_ms`` is the time
+    ``core._lockstep`` gives its own trials, so the verdicts' times sum to
+    less than the run's.
+    """
+    return _run(tuple(theorem_ids), spec, trials, tol)
 
 
 def run_theorem_check(
@@ -1134,55 +1219,34 @@ def run_theorem_check(
     The spec supplies dimension, rank, conditioning and the master seed; each
     verifier schedules its own accepting and control families across the
     trial indices.  Raises, before trial 0, what ``require_runnable`` raises.
+    The one-id case of ``run_theorem_checks``.
     """
-    require_runnable(theorem_id, spec, trials)
-    entry = _CHECKERS[theorem_id]
-    salt = THEOREM_IDS.index(theorem_id)
-    ctx = _Ctx(spec=spec, tol=tol)
-    start = time.perf_counter()
-    failures = 0
-    warnings = 0
-    worst = 0.0
-    counterexample = None
-    accepting = 0
-    rejecting = 0
-    details: dict = {}
-    group = _lockstep_group(spec.dim)
-    for first in range(0, trials, group):
-        ts = range(first, min(first + group, trials))
-        outcomes = _lockstep([_trial(entry, ctx, salt, t) for t in ts], tol)
-        for t, trial in zip(ts, outcomes):
-            accepting += trial.accept
-            rejecting += not trial.accept
-            worst = max(worst, trial.residual)
-            if trial.warn:
-                warnings += 1
-            if not trial.ok:
-                failures += 1
-                if counterexample is None:
-                    counterexample = _counterexample_payload(t, trial)
-            for key, value in (trial.details or {}).items():
-                details.setdefault(key, value)
-        # Drop the group's outcomes before the next group runs.
-        del outcomes
-    elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
+    (verdict,) = _run((theorem_id,), spec, trials, tol)
+    return verdict
 
-    notes = list(entry.static_notes)
-    if entry.min_trials > 1 and (accepting == 0 or rejecting == 0):
-        notes.append(
-            "configuration error: verifier saw "
-            f"{accepting} accepting and {rejecting} rejecting instances"
-        )
-    details["accepting_trials"] = accepting
-    details["rejecting_trials"] = rejecting
-    return TheoremVerdict(
-        theorem_id=theorem_id,
-        trials=int(trials),  # a numpy integer would not encode as JSON
-        failures=failures,
-        worst_residual=float(worst),
-        counterexample=counterexample,
-        elapsed_ms=elapsed_ms,
-        warnings=warnings,
-        notes=tuple(notes),
-        details=details,
-    )
+
+def _run(theorem_ids: tuple, spec: GeneratorSpec, trials: int, tol: ToleranceConfig) -> list:
+    """The runner of ``run_theorem_checks`` and ``run_theorem_check``.
+
+    Each calls it directly, so a verifier's trials start in its own call;
+    perfbench's tracer opens a trial's span only inside a
+    ``run_theorem_check`` span.
+    """
+    for theorem_id in theorem_ids:
+        require_runnable(theorem_id, spec, trials)
+    ctx = _Ctx(spec=spec, tol=tol)
+    entries = [(_CHECKERS[tid], THEOREM_IDS.index(tid)) for tid in theorem_ids]
+    tallies = [_Tally() for _ in theorem_ids]
+    ids = range(len(theorem_ids))
+    group = _lockstep_group(spec.dim)
+    for batch in [ids] if _shares_groups(spec.dim) else [[k] for k in ids]:
+        for first in range(0, trials, group):
+            ts = range(first, min(first + group, trials))
+            runs = [(k, t) for k in batch for t in ts]
+            seconds: list = []
+            outcomes = _lockstep([_trial(*entries[k], ctx, t) for k, t in runs], tol, seconds)
+            for (k, t), trial, secs in zip(runs, outcomes, seconds):
+                tallies[k].add(t, trial, secs)
+            # Drop the group's outcomes before the next group runs.
+            del outcomes
+    return [tally.verdict(theorem_id, trials) for theorem_id, tally in zip(theorem_ids, tallies)]

@@ -11,6 +11,11 @@ ReportFile::
      "payload_kind": "classification" | "theorem_verdict" | "suite" | "limit_study",
      "payload": ..., "wall_time_ms": int}
 
+A report written with the CLI's --timings flag also holds
+``"environment"``: numpy's version, the BLAS build's name and version, and
+the BLAS thread variables the process saw, the things besides the seed
+that move a report's last bits.  Other reports lack the field.
+
 Rendering is canonical (sorted keys, two-space indent, trailing newline) and
 refuses non-finite floats, so identical payloads serialize to identical
 bytes.  One encoder, ``_canonical_json``, renders every report and matrix
@@ -183,16 +188,22 @@ def report_payload(report) -> dict:
     return {f.name: getattr(report, f.name) for f in fields(report)}
 
 
-def report_document(kind: str, payload, tol, wall_time_ms: int = 0) -> dict:
+def report_document(
+    kind: str, payload, tol, wall_time_ms: int = 0, environment: dict | None = None
+) -> dict:
+    """A ReportFile document; ``environment``, when given, becomes its "environment" field."""
     if kind not in REPORT_KINDS:
         raise MatrixFileError(f"unknown report kind {kind!r}")
-    return {
+    doc = {
         "tool_version": TOOL_VERSION,
         "tolerances": {"rank_rtol": float(tol.rank_rtol), "eq_atol": float(tol.eq_atol)},
         "payload_kind": kind,
         "payload": payload,
         "wall_time_ms": int(wall_time_ms),
     }
+    if environment is not None:
+        doc["environment"] = environment
+    return doc
 
 
 def render_report(doc: dict) -> str:
@@ -299,4 +310,6 @@ def parse_report(text: str) -> dict:
         raise MatrixFileError(f"report lacks fields: {sorted(missing)}")
     if doc["payload_kind"] not in REPORT_KINDS:
         raise MatrixFileError(f"unknown report kind {doc['payload_kind']!r}")
+    if not isinstance(doc.get("environment", {}), dict):
+        raise MatrixFileError("report environment must be a JSON object")
     return doc

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import epkit
+from epkit import cli
 from epkit.cli import main
 from epkit.errors import MatrixFileError
 from epkit.serialize import (
@@ -326,6 +327,48 @@ class TestTimings:
         else:
             assert elapsed == [0] * len(verdicts)
             assert doc["wall_time_ms"] == 0
+
+
+class TestEnvironment:
+    """A --timings report records what besides the seed made its bytes; a default one does not."""
+
+    ARGV = ["verify", "thm2.1", "--dim", "4", "--trials", "2"]
+
+    def test_a_default_report_has_no_environment(self, capsys, monkeypatch):
+        # Nothing of the environment is read on the default path.
+        monkeypatch.setattr(cli, "_environment", None)
+        assert main(self.ARGV) == 0
+        doc = parse_report(capsys.readouterr().out)
+        assert "environment" not in doc
+
+    def test_a_timings_report_records_numpy_blas_and_threads(self, capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        assert main(self.ARGV + ["--timings"]) == 0
+        env = parse_report(capsys.readouterr().out)["environment"]
+        assert env["numpy_version"] == np.__version__
+        assert env["thread_variables"] == {
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None,
+        }
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+
+    @pytest.mark.parametrize("config", [None, {}, {"Build Dependencies": {}}],
+                             ids=["no_config", "empty", "no_blas"])
+    def test_a_build_without_a_blas_record_writes_null(self, config, capsys, monkeypatch):
+        if config is None:
+            monkeypatch.delattr(np.__config__, "CONFIG")
+        else:
+            monkeypatch.setattr(np.__config__, "CONFIG", config)
+        assert main(self.ARGV + ["--timings"]) == 0
+        env = parse_report(capsys.readouterr().out)["environment"]
+        assert env["blas"] == {"name": None, "version": None}
+
+    def test_parse_report_rejects_an_environment_that_is_not_an_object(self):
+        with pytest.raises(MatrixFileError, match="environment must be a JSON object"):
+            parse_report('{"tool_version": "x", "tolerances": {}, "payload_kind": "suite", '
+                         '"payload": {}, "wall_time_ms": 0, "environment": []}')
 
 
 class TestWireFormats:

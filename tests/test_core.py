@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -261,6 +264,22 @@ class TestLockstep:
         plans = [[], [("norm", (eye,))] * 3, [("norm", (2.0 * eye,)), ("norm", ())]]
         returns = core._lockstep([request_steps(plan) for plan in plans])
         assert returns == [[], [[1.0]] * 3, [[2.0], []]]
+
+    def test_each_generator_is_timed_by_its_advances_and_its_share_of_each_call(
+        self, monkeypatch
+    ):
+        # A clock that reads 0, 1, 2, ...  Round one: each advance takes
+        # one tick, and the one norm call (one tick) is shared 3 : 1 by
+        # matrix count.  Round two: each advance, to the end, takes one tick.
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+        eye = np.eye(2)
+        plans = [[("norm", (eye, eye, eye))], [("norm", (eye,))]]
+        seconds = []
+        core._lockstep([request_steps(plan) for plan in plans], seconds=seconds)
+        assert seconds == [2.75, 2.25]
+        # The two times never overlap: they sum to less than the 7 ticks read.
+        assert sum(seconds) < next(ticks)
 
     def test_one_generator_alone_makes_one_call_per_request(self, rng, svd_calls):
         ms = mixed_stack(rng, 8, 4, complex)

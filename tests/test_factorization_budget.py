@@ -199,27 +199,39 @@ def test_verifier_svd_budget(svd_calls, theorem_id):
 
 
 def test_the_suite_stacks_its_qr_calls(svd_calls):
-    # A verifier run draws a group's trials in lockstep, and one QR call
-    # factors the Gaussian blocks of each size that a round asks for: at
-    # dim 8, rank 6 (ep blocks of 6 and 8, non_ep ones of 5 and 8) the 15
-    # runs make 43 calls, where one QR per Haar unitary would make 477.
-    # thm2.2 and thm2.12 draw two families in turn, one round each.
+    # A suite drives each group of trials of all fifteen verifiers in one
+    # lockstep, and one QR call factors the Gaussian blocks of each size
+    # that a round asks for: at dim 8, rank 6 (ep blocks of 6 and 8,
+    # non_ep ones of 5 and 8) the suite makes 6 calls, where one QR per
+    # Haar unitary would make 477.  thm2.2 and thm2.12 draw two families
+    # in turn, one round each.
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["suite", "--seed", "1", "--trials", "10"]) == 0
     assert svd_calls["qr_matrices"] == 477
-    assert svd_calls["qr"] <= 45
+    assert svd_calls["qr"] <= 6
+
+
+def test_the_suite_stacks_its_qr_calls_at_dim_32(svd_calls):
+    # At dim 32 a group is one trial of every verifier, so its blocks of
+    # one size share a call across the fifteen (94 calls when each
+    # verifier drove its trials alone).
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["suite", "--seed", "1", "--dim", "32", "--trials", "3"]) == 0
+    assert svd_calls["qr_matrices"] == 142
+    assert svd_calls["qr"] <= 13
 
 
 def test_the_suite_stacks_its_svd_calls(svd_calls):
-    # A verifier run drives its trials in lockstep (``core._lockstep``), so
-    # one LAPACK call answers a round's requests of one kind, shape and
-    # dtype across all ten trials: 41 calls over the 812 matrices that one
-    # call each would take.  The verifiers factor only what their verdicts
-    # read, so no trial pays for a norm or a normality check of ``classify``.
+    # A suite drives each group of trials of all fifteen verifiers in one
+    # ``core._lockstep`` call, so one LAPACK call answers a round's
+    # requests of one kind, shape and dtype across them: 14 calls over the
+    # 812 matrices that one call each would take.  The verifiers factor
+    # only what their verdicts read, so no trial pays for a norm or a
+    # normality check of ``classify``.
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["suite", "--seed", "1", "--trials", "10"]) == 0
     assert svd_calls["full"] + svd_calls["values"] == 812
-    assert svd_calls["svd"] <= 44
+    assert svd_calls["svd"] <= 14
 
 
 def test_thm3_2_builds_one_term_and_decides_its_limit_from_its_svd(svd_calls):

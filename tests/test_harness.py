@@ -767,6 +767,96 @@ class TestLockstepChangesNothing:
         assert svd_calls["svd"] + svd_calls["qr"] > calls
 
 
+def assert_shared_run_equals_separate_runs(spec, trials, tol) -> list:
+    """``run_theorem_checks`` over every id equals each id's ``run_theorem_check``, clock aside.
+
+    Returns the shared run's verdicts.
+    """
+    shared = harness.run_theorem_checks(THEOREM_IDS, spec, trials, tol)
+    assert [v.theorem_id for v in shared] == list(THEOREM_IDS)
+    for verdict in shared:
+        alone = run_theorem_check(verdict.theorem_id, spec, trials, tol)
+        assert dataclasses.replace(verdict, elapsed_ms=0) == dataclasses.replace(
+            alone, elapsed_ms=0
+        )
+    return shared
+
+
+# (dim, rank, trials, seed) of the shared runs.  At dim 40 one thm1.5
+# window holds more than ``core._STACK_ENTRIES`` entries, so the verifiers
+# no longer share a group.  A suite needs 3 trials (thm2.5).
+SHARED_RUNS = [(8, 6, 10, 1), (3, 1, 30, 3), (16, 14, 12, 1), (32, 30, 3, 1), (40, 38, 3, 2)]
+
+
+class TestSharedRun:
+    """All verifiers in one run return what each returns alone, and share its groups."""
+
+    @pytest.mark.parametrize("dim, rank, trials, seed", SHARED_RUNS)
+    def test_equals_the_separate_runs(self, dim, rank, trials, seed, tol):
+        assert_shared_run_equals_separate_runs(
+            GeneratorSpec(dim=dim, rank=rank, seed=seed), trials, tol
+        )
+
+    def test_a_false_counterexample_is_the_same(self):
+        # The pinned false counterexample of golden case
+        # suite-d8-r6-t6-s7-toleq1e-14.
+        tol = epkit.ToleranceConfig(eq_atol=1e-14)
+        shared = assert_shared_run_equals_separate_runs(
+            GeneratorSpec(dim=8, rank=6, seed=7), 6, tol
+        )
+        assert any(v.failures for v in shared)
+
+    def test_the_counterexamples_of_a_corrupted_family_are_the_same(
+        self, tol, corrupt_ep_generation
+    ):
+        shared = assert_shared_run_equals_separate_runs(
+            GeneratorSpec(dim=8, rank=6, seed=1), 10, tol
+        )
+        assert sum(v.failures > 0 for v in shared) >= 14
+
+    def test_a_run_that_cannot_run_every_verifier_runs_none(self, tol, monkeypatch):
+        seen = record_trials(monkeypatch, "thm2.1")
+        with pytest.raises(InvalidSpec, match="thm2.12 needs rank < dim"):
+            harness.run_theorem_checks(("thm2.1", "thm2.12"), spec(rank=6), 4, tol)
+        assert seen == []
+
+    @staticmethod
+    def record_calls(monkeypatch) -> list:
+        """Each ``harness._lockstep`` call of trials, as its list of (theorem id, t) pairs."""
+        calls = []
+        real = harness._lockstep
+
+        def recording(steps, *args, **kwargs):
+            steps = list(steps)
+            trials = [step.gi_frame.f_locals for step in steps
+                      if step.gi_code is harness._trial.__code__]
+            if trials:
+                calls.append([(THEOREM_IDS[f["salt"]], f["t"]) for f in trials])
+            return real(steps, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "_lockstep", recording)
+        return calls
+
+    def test_at_dim_8_one_call_holds_every_verifier_trial(self, tol, monkeypatch):
+        calls = self.record_calls(monkeypatch)
+        harness.run_theorem_checks(THEOREM_IDS, GeneratorSpec(dim=8, rank=6, seed=1), 10, tol)
+        assert calls == [[(tid, t) for tid in THEOREM_IDS for t in range(10)]]
+
+    def test_at_dim_40_each_call_holds_one_trial_of_one_verifier(self, tol, monkeypatch):
+        calls = self.record_calls(monkeypatch)
+        harness.run_theorem_checks(THEOREM_IDS, GeneratorSpec(dim=40, rank=38, seed=2), 3, tol)
+        assert calls == [[(tid, t)] for tid in THEOREM_IDS for t in range(3)]
+
+    def test_each_verdict_is_timed_by_its_own_trials(self, tol, monkeypatch):
+        # A clock that advances one second per reading: every verdict gets
+        # time, and the verdicts' times never overlap.
+        ticks = itertools.count()
+        monkeypatch.setattr(core.time, "perf_counter", lambda: float(next(ticks)))
+        verdicts = harness.run_theorem_checks(THEOREM_IDS, spec(seed=1), 3, tol)
+        assert all(v.elapsed_ms > 0 for v in verdicts)
+        assert sum(v.elapsed_ms for v in verdicts) < 1000 * next(ticks)
+
+
 # The fault kind of ``golden_corpus.graded_ep_fault`` each verifier must
 # catch.  thm2.7's conclusion holds at every index-1 matrix, so only an
 # index-2 fault can break it.  thm2.12's even trials hold for any pair, so
